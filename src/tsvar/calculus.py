@@ -118,22 +118,6 @@ def _call_on_times(fn, times):
 # delta derivative
 
 
-def _dense_runs(grid):
-    """Maximal index ranges [s, e] whose cells s..e-1 are all dense."""
-    m = len(grid)
-    cell_dense = ~grid.scattered[:-1]
-    runs, s = [], None
-    for i in range(m - 1):
-        if cell_dense[i] and s is None:
-            s = i
-        if not cell_dense[i] and s is not None:
-            runs.append((s, i))
-            s = None
-    if s is not None:
-        runs.append((s, m - 1))
-    return runs
-
-
 def _edge_derivative(ts, vs):
     """Derivative at ts[0] of the polynomial through (ts[i], vs[i]).
 
@@ -225,10 +209,11 @@ def delta_derivative_all(f):
         deriv[-1] = (f.sigma_last - v[-1]) / grid.mu[-1]
         defined[-1] = True
 
-    for s, e in _dense_runs(grid):
+    for s, e in grid.dense_runs:
         if e - s >= 2:
-            j = np.arange(s + 1, e)
-            deriv[j] = (v[j + 1] - v[j - 1]) / (t[j + 1] - t[j - 1])[:, None]
+            deriv[s + 1 : e] = (v[s + 2 : e + 1] - v[s : e - 1]) / (
+                t[s + 2 : e + 1] - t[s : e - 1]
+            )[:, None]
             steps = np.diff(t[s : min(s + 4, e + 1)])
             uniform = len(steps) >= 3 and np.ptp(steps) <= 1e-9 * steps[0]
             if uniform:
@@ -278,24 +263,21 @@ def sigma_shift(f):
     sigma_last extension is stored, the result lives on the grid minus its
     last node.
     """
-    grid, v = f.grid, f.values
-    m = len(grid)
+    m = len(f.grid)
     if m < 2:
         raise GridTooSmall("need at least two nodes for a sigma shift")
-    out = v.copy()
-    scat_inner = grid.scattered.copy()
-    scat_inner[-1] = False
-    idx = np.nonzero(scat_inner)[0]
-    out[idx] = v[idx + 1]
-    if grid.scattered[-1]:
-        if f.sigma_last is None:
-            return GridFunction(grid.prefix(m - 1), out[: m - 1])
-        out[-1] = f.sigma_last
-    return GridFunction(grid, out)
+    out, defined = sigma_shift_all(f)
+    if not defined[-1]:
+        return GridFunction(f.grid.prefix(m - 1), out[: m - 1])
+    return GridFunction(f.grid, out)
 
 
 def sigma_shift_all(f):
-    """Like sigma_shift, as (values, defined) aligned with the full grid."""
+    """f(sigma(.)) as (values, defined) aligned with the full grid.
+
+    The final node is undefined when it is right-scattered and f stores no
+    sigma_last extension.
+    """
     grid, v = f.grid, f.values
     out = v.copy()
     defined = np.ones(len(grid), dtype=bool)
@@ -354,12 +336,20 @@ def _cell_values(v, w_prev, w_left, w_right, i0, i1):
 
 def cumulative_delta_integral(f):
     """F(t_i) = integral from the first node to t_i; an (m, n) array."""
-    v = f.values
-    w_prev, w_left, w_right = _cell_weights(f.grid)
+    return _cumulative(f.grid, f.values)
+
+
+def _cumulative(grid, rows):
+    """Prefix integrals F[j] = int_{t_0}^{t_j} of rows given at the first
+    K = len(rows) nodes of grid, for j = 0..K-1.  ``rows`` is (K,) or
+    (K, n); F has the same shape.  Rows are not checked for finiteness."""
+    v = rows.reshape(len(rows), -1)
+    w_prev, w_left, w_right = _cell_weights(grid)
     cells = _cell_values(v, w_prev, w_left, w_right, 0, len(v) - 1)
     out = np.zeros_like(v)
     np.cumsum(cells, axis=0, out=out[1:])
-    return out
+    return out.reshape(rows.shape)
+
 
 def delta_integral(f, lo, hi):
     """Delta integral of f over [lo, hi]; endpoints must be grid nodes.

@@ -24,6 +24,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -282,6 +283,19 @@ class SampleGrid:
 
     def kind(self, i):
         return NodeKind.SCATTERED_EXACT if self.scattered[i] else NodeKind.DENSE_SAMPLE
+
+    @cached_property
+    def dense_runs(self):
+        """Maximal index ranges (s, e) whose cells s..e-1 are all dense.
+
+        Found once per grid by an edge scan of the dense-cell mask: padded
+        with False on both sides, its value changes exactly at run starts
+        and run ends, which therefore alternate.
+        """
+        padded = np.zeros(len(self.nodes) + 1, dtype=bool)
+        padded[1:-1] = ~self.scattered[:-1]
+        edges = np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2)
+        return tuple(map(tuple, edges.tolist()))
 
     def index_of(self, t, tol=1e-9):
         """Index of the node equal to t (within tol); NodeNotInGrid otherwise."""

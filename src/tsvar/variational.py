@@ -19,9 +19,7 @@ a truncated-horizon direct solver, and a verdict-producing verifier.
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -33,7 +31,7 @@ from .calculus import (
     LimitConfig,
     LimitEstimate,
     LimitKind,
-    _cell_weights,
+    _cumulative,
     classify_limit,
     delta_derivative_all,
     sigma_shift_all,
@@ -255,21 +253,6 @@ def _as_grid_function(problem, x):
     raise DimensionMismatch("expected a Trajectory or GridFunction")
 
 
-def _cumulative_scalar(grid, rows):
-    """Prefix delta integrals of a scalar integrand given at nodes 0..K-1.
-
-    Returns F with F[j] = int_{t_0}^{t_j}, defined for j = 0..K-1.
-    """
-    K = len(rows)
-    w_prev, w_left, w_right = _cell_weights(grid)
-    cells = w_left[: K - 1] * rows[: K - 1] + w_right[: K - 1] * rows[1:K]
-    for k in np.nonzero(w_prev[: K - 1])[0]:
-        cells[k] += w_prev[k] * rows[k - 1]
-    out = np.zeros(K)
-    np.cumsum(cells, out=out[1:])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Euler-Lagrange residual and transversality
 
@@ -443,7 +426,7 @@ def weak_max_compare(problem, x, x_star, plan, config=LimitConfig()):
     t = plan.grid.nodes[:K]
     lag = problem.lagrangian
     rows = lag.values(t, xs[:K], xd[:K]) - lag.values(t, ss[:K], sd[:K])
-    F = _cumulative_scalar(plan.grid, rows)
+    F = _cumulative(plan.grid, rows)
     idx = plan.horizon_idx
     pairs = list(zip(plan.grid.nodes[idx], F[idx]))
     return liminf_over_tails(pairs, plan.tail_values, config)
@@ -505,7 +488,7 @@ def variation_quotient(problem, x_star, pvar, eps, t_prime, *, h):
     t = grid.nodes[:K]
     lag = problem.lagrangian
     rows = lag.values(t, xs + eps * ps, xd + eps * pd) - lag.values(t, xs, xd)
-    F = _cumulative_scalar(grid, rows)
+    F = _cumulative(grid, rows)
     return float(F[i] / eps)
 
 
@@ -520,7 +503,7 @@ def first_variation(problem, x_star, pvar, t_prime, *, h):
     rows = np.einsum("ij,ij->i", lag.partial2(t, xs, xd), ps) + np.einsum(
         "ij,ij->i", lag.partial3(t, xs, xd), pd
     )
-    F = _cumulative_scalar(grid, rows)
+    F = _cumulative(grid, rows)
     return float(F[i])
 
 
@@ -553,10 +536,8 @@ def parts_decomposition_residual(problem, x_star, pvar, t_prime, *, h):
         raise BoundaryUndefined("T' exceeds the prefix with defined delta(d3)")
     lhs_rows = np.einsum("ij,ij->i", p2, ps) + np.einsum("ij,ij->i", p3, pd)
     rhs_rows = np.einsum("ij,ij->i", p2[:Kr] - psi[:Kr], ps[:Kr])
-    lhs = _cumulative_scalar(grid, lhs_rows)[i]
-    rhs = _cumulative_scalar(grid, rhs_rows)[i] + float(
-        np.dot(p3[i], gfp.values[i])
-    )
+    lhs = _cumulative(grid, lhs_rows)[i]
+    rhs = _cumulative(grid, rhs_rows)[i] + float(np.dot(p3[i], gfp.values[i]))
     return abs(float(lhs - rhs))
 
 
@@ -613,7 +594,7 @@ def gateaux_report(problem, x_star, pvar, eps_list, t_list, plan,
     avals = np.zeros_like(quot)
     for i, eps in enumerate(eps_list):
         rows = lag.values(t, xs[:K] + eps * ps[:K], xd[:K] + eps * pd[:K]) - base
-        N = _cumulative_scalar(plan.grid, rows)[idx]
+        N = _cumulative(plan.grid, rows)[idx]
         suffix_min = np.minimum.accumulate(N[::-1])[::-1]
         for j, p in enumerate(t_pos):
             quot[i, j] = suffix_min[p] / eps
@@ -912,8 +893,6 @@ def solve_truncated(problem, t_end, terminal=None, *, h, params=SolveParams()):
     ``multistart`` ascents from a deterministic base guess plus seeded random
     perturbations and returns the best; ``converged`` is False when no start
     reached the gradient tolerance (the best iterate is still returned).
-    Parallelism across starts is capped by the TSVAR_THREADS environment
-    variable (default 1).
     """
     grid = problem.ts.build_grid(problem.a, t_end, h)
     m, n = len(grid), problem.n
@@ -949,14 +928,7 @@ def solve_truncated(problem, t_end, terminal=None, *, h, params=SolveParams()):
         except NonFiniteObjective:
             return None
 
-    threads = max(1, int(os.environ.get("TSVAR_THREADS", "1")))
-    if threads > 1 and len(inits) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, inits))
-    else:
-        outcomes = [run(init) for init in inits]
-
-    outcomes = [o for o in outcomes if o is not None]
+    outcomes = [o for o in map(run, inits) if o is not None]
     if not outcomes:
         raise NonFiniteObjective("no start produced a finite objective")
     converged = [o for o in outcomes if o[1]]

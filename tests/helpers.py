@@ -162,6 +162,23 @@ def delta_smooth_path(ts, x_a, w_coeffs):
     return x
 
 
+def reference_dense_runs(grid):
+    """Maximal index ranges (s, e) whose cells s..e-1 are all dense, by a
+    plain walk over the cells; the reference for SampleGrid.dense_runs."""
+    m = len(grid)
+    cell_dense = ~grid.scattered[:-1]
+    runs, s = [], None
+    for i in range(m - 1):
+        if cell_dense[i] and s is None:
+            s = i
+        if not cell_dense[i] and s is not None:
+            runs.append((s, i))
+            s = None
+    if s is not None:
+        runs.append((s, m - 1))
+    return runs
+
+
 def random_poly(rng, degree=2, scale=0.5):
     """Coefficients (c_0 .. c_degree) with |c_k| <= scale, c != 0."""
     while True:

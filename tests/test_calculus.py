@@ -32,13 +32,69 @@ from tsvar import (
 )
 from tsvar.calculus import SampleGrid
 
-from helpers import poly_fn, random_poly, random_scattered_scale
+from helpers import (
+    poly_fn,
+    random_poly,
+    random_scattered_scale,
+    reference_dense_runs,
+)
 
 NAT = integer_scale(0)
 
 
 def nat_fn(fn, hi):
     return GridFunction.from_callable(NAT.build_grid(0, hi, 1.0), fn)
+
+
+def mask_grid(scattered):
+    """A grid on 0, 1, ..., m-1 with the given right-scattered mask."""
+    scat = np.asarray(scattered, dtype=bool)
+    return SampleGrid(np.arange(len(scat), dtype=float), scat.astype(float), scat, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# dense runs
+
+
+@pytest.mark.parametrize(
+    "scattered, runs",
+    [
+        ([False], []),
+        ([False] * 6, [(0, 5)]),  # all dense
+        ([True] * 6, []),  # all scattered
+        ([False, False], [(0, 1)]),
+        ([False, True], [(0, 1)]),  # the last node's own jump opens no cell
+        ([True, False], []),
+        ([True, True], []),
+        ([True, False, True, True], [(1, 2)]),  # single-cell run
+        ([False, True, False, False], [(0, 1), (2, 3)]),  # run ends at the last node
+    ],
+)
+def test_dense_runs_cases(scattered, runs):
+    grid = mask_grid(scattered)
+    assert list(grid.dense_runs) == runs == reference_dense_runs(grid)
+
+
+def test_dense_runs_of_prefix_cutting_a_run():
+    grid = mask_grid([True, False, False, False, False, True, False])
+    assert grid.dense_runs == ((1, 5),)
+    sub = grid.prefix(4)
+    assert sub.dense_runs == ((1, 3),)
+    assert grid.prefix(2).dense_runs == ()
+    assert grid.dense_runs == ((1, 5),)  # each grid keeps its own runs
+
+
+def test_dense_runs_of_a_built_grid():
+    grid = union(ClosedInterval(0, 1), UnboundedRay(2)).build_grid(0, 3, 0.25)
+    assert grid.dense_runs == ((0, 4), (5, 9))
+
+
+@given(st.lists(st.booleans(), min_size=1, max_size=60), st.data())
+def test_dense_runs_match_reference_loop(scattered, data):
+    grid = mask_grid(scattered)
+    assert list(grid.dense_runs) == reference_dense_runs(grid)
+    sub = grid.prefix(data.draw(st.integers(1, len(grid))))
+    assert list(sub.dense_runs) == reference_dense_runs(sub)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """First-order diagnostics: residuals, transversality, lim-inf estimates,
 variation quotients, the lemma probe, and the truncated direct solver."""
 
+import functools
 import json
 
 import numpy as np
@@ -22,6 +23,7 @@ from tsvar import (
     NonFiniteObjective,
     PartialsMismatch,
     Problem,
+    SampleGrid,
     SolveParams,
     Verdict,
     VerifyConfig,
@@ -451,17 +453,6 @@ def test_solve_nonfinite_objective():
         solve_truncated(prob, 4.0, h=1.0, params=SolveParams(multistart=1))
 
 
-def test_solve_threaded_matches_serial(monkeypatch):
-    lqr = lqr_grid()
-    serial = solve_truncated(lqr.problem, 6.0, h=1.0)
-    monkeypatch.setenv("TSVAR_THREADS", "3")
-    threaded = solve_truncated(lqr.problem, 6.0, h=1.0)
-    assert threaded.objective == serial.objective
-    assert np.array_equal(
-        threaded.trajectory.x.values, serial.trajectory.x.values
-    )
-
-
 # ---------------------------------------------------------------------------
 # full verification reports
 
@@ -479,6 +470,27 @@ def test_verify_consistent_candidate():
     assert len(report.el_window_sups) == 4
     assert len(report.weak_max_probes) == 6
     json.dumps(report.to_dict())
+
+
+def test_verify_finds_dense_runs_once_per_grid(monkeypatch):
+    scans = []
+    scan = vars(SampleGrid)["dense_runs"].func
+
+    def counted(grid):
+        scans.append(len(grid))
+        return scan(grid)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(SampleGrid, "dense_runs")
+    monkeypatch.setattr(SampleGrid, "dense_runs", prop)
+    ray = lqr_ray()
+    cfg = VerifyConfig(t_max=10.0, h=0.01)
+    report = verify_candidate(ray.problem, ray.candidate("decaying-exp").gen, cfg)
+    assert report.verdict is Verdict.CONSISTENT
+    m = len(make_horizon_plan(ray.problem.ts, 0.0, cfg.t_max, h=cfg.h).grid)
+    # the plan grid, then el_residual's prefix grid; every other derivative
+    # of the verify reuses the plan grid's runs
+    assert scans == [m, m - 1]
 
 
 def test_verify_transversality_failure():
