@@ -31,12 +31,21 @@ def _print_json(doc):
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+CSV_CHUNK_ROWS = 4096
+
+
 def _write_csv(path, header, rows):
+    """Write ``header`` and ``rows``: a 2-D float array, converted to lists
+    ``CSV_CHUNK_ROWS`` rows at a time, or a list of rows.  The csv module
+    writes floats with repr, so every value round-trips exactly."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        if not isinstance(rows, np.ndarray):
+            writer.writerows(rows)
+            return
+        for start in range(0, len(rows), CSV_CHUNK_ROWS):
+            writer.writerows(rows[start:start + CSV_CHUNK_ROWS].tolist())
 
 
 def _horizons_arg(text):
@@ -111,7 +120,7 @@ def cmd_integrate(args):
         _print_json(doc)
         if args.csv:
             _write_csv(args.csv, ["t_prime", "partial_integral"],
-                       [(float(t), float(v)) for t, v in est.evidence])
+                       np.array(est.evidence, dtype=float).reshape(-1, 2))
         return EXIT_OK
 
     if args.to is None:
@@ -160,16 +169,10 @@ def cmd_integrate(args):
         from .calculus import cumulative_delta_integral
 
         cum = cumulative_delta_integral(gf)
-        rows = [
-            (float(grid.nodes[i]),)
-            + tuple(float(v) for v in gf.values[i])
-            + tuple(float(v) for v in cum[i])
-            for i in range(len(grid))
-        ]
         dim = gf.dim
         header = (["t"] + [f"f{j + 1}" for j in range(dim)]
                   + [f"integral{j + 1}" for j in range(dim)])
-        _write_csv(args.csv, header, rows)
+        _write_csv(args.csv, header, np.column_stack((grid.nodes, gf.values, cum)))
     return EXIT_OK
 
 
@@ -204,12 +207,8 @@ def cmd_residual(args):
     }
     _print_json(doc)
     if args.csv:
-        idx = np.nonzero(sel)[0]
         header = ["t"] + [f"residual{j + 1}" for j in range(res.dim)]
-        rows = [
-            (float(nodes[i]),) + tuple(float(v) for v in res.values[i]) for i in idx
-        ]
-        _write_csv(args.csv, header, rows)
+        _write_csv(args.csv, header, np.column_stack((nodes[sel], res.values[sel])))
     return EXIT_OK
 
 
@@ -264,12 +263,7 @@ def cmd_solve(args):
     if args.csv:
         traj = result.trajectory
         header = ["t"] + [f"x{j + 1}" for j in range(traj.x.dim)]
-        rows = [
-            (float(traj.grid.nodes[i]),)
-            + tuple(float(v) for v in traj.x.values[i])
-            for i in range(len(traj.grid))
-        ]
-        _write_csv(args.csv, header, rows)
+        _write_csv(args.csv, header, np.column_stack((traj.grid.nodes, traj.x.values)))
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 

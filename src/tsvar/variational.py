@@ -19,7 +19,6 @@ a truncated-horizon direct solver, and a verdict-producing verifier.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -352,16 +351,15 @@ def make_horizon_plan(ts, a, t_max, *, h, horizon_count=60, n_tails=10,
 def liminf_over_tails(values, tail_starts, config=LimitConfig()):
     """Estimate lim_{T -> inf} inf_{T' >= T} v(T') from samples.
 
-    ``values`` are (T', v) pairs with strictly increasing T'; ``tail_starts``
-    must be among the sampled T'.  Two-stage classification: the running
-    minimum over growing windows detects a drift to -infinity (an infimum
-    over an unbounded tail never recovers), otherwise the sequence of tail
-    infima is classified like a partial-integral sequence.
+    ``values`` are (T', v) pairs, a list or a (k, 2) array, with strictly
+    increasing T'; ``tail_starts`` must be among the sampled T'.  Two-stage
+    classification: the running minimum over growing windows detects a drift
+    to -infinity (an infimum over an unbounded tail never recovers),
+    otherwise the sequence of tail infima is classified like a
+    partial-integral sequence.
     """
-    values = [(float(t), float(v)) for t, v in values]
-    T = np.array([t for t, _ in values])
-    V = np.array([v for _, v in values])
-    if len(values) < config.window:
+    T, V = np.asarray(values, dtype=float).reshape(len(values), 2).T
+    if len(T) < config.window:
         raise InsufficientHorizons("too few sampled horizons")
     if not np.all(np.diff(T) > 0):
         raise InsufficientHorizons("horizons must be strictly increasing")
@@ -428,8 +426,8 @@ def weak_max_compare(problem, x, x_star, plan, config=LimitConfig()):
     rows = lag.values(t, xs[:K], xd[:K]) - lag.values(t, ss[:K], sd[:K])
     F = _cumulative(plan.grid, rows)
     idx = plan.horizon_idx
-    pairs = list(zip(plan.grid.nodes[idx], F[idx]))
-    return liminf_over_tails(pairs, plan.tail_values, config)
+    return liminf_over_tails(np.column_stack((plan.grid.nodes[idx], F[idx])),
+                             plan.tail_values, config)
 
 
 def is_weak_max_consistent(estimate, tol=1e-8):
@@ -439,19 +437,24 @@ def is_weak_max_consistent(estimate, tol=1e-8):
     return estimate.kind is LimitKind.CONVERGED and estimate.value <= tol
 
 
-def transversality_sweep(problem, x_gen, plan):
-    """(T', transversality term) at every horizon node of the plan."""
+def _transversality_rows(problem, x_gen, plan):
+    """(k, 2) rows (T', transversality term) at the plan's horizon nodes."""
     gf, xs, xd, K = _sample_on_plan(problem, x_gen, plan)
     idx = plan.horizon_idx
     t = plan.grid.nodes[idx]
     p3 = problem.lagrangian.partial3(t, xs[idx], xd[idx])
-    vals = np.einsum("ij,ij->i", p3, gf.values[idx])
-    return list(zip(t, vals))
+    return np.column_stack((t, np.einsum("ij,ij->i", p3, gf.values[idx])))
+
+
+def transversality_sweep(problem, x_gen, plan):
+    """(T', transversality term) at every horizon node of the plan."""
+    rows = _transversality_rows(problem, x_gen, plan)
+    return list(zip(rows[:, 0], rows[:, 1]))
 
 
 def transversality_liminf(problem, x_gen, plan, config=LimitConfig()):
-    pairs = transversality_sweep(problem, x_gen, plan)
-    return liminf_over_tails(pairs, plan.tail_values, config)
+    rows = _transversality_rows(problem, x_gen, plan)
+    return liminf_over_tails(rows, plan.tail_values, config)
 
 
 # ---------------------------------------------------------------------------
@@ -751,6 +754,11 @@ def fundamental_lemma_probe(ts, g, a, b, *, h, tol_zero=1e-9):
 
 @dataclass(frozen=True)
 class SolveParams:
+    """Solver settings: stop when the sup-norm of the gradient on the free
+    nodes is at most ``g_tol`` or after ``max_iter`` Newton iterations;
+    ``multistart`` starts, all but the first perturbed by seeded normal noise
+    of size ``init_amplitude``."""
+
     g_tol: float = 1e-8
     max_iter: int = 10000
     multistart: int = 3
@@ -761,7 +769,9 @@ class SolveParams:
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of the direct method; ``converged`` is False when the gradient
-    tolerance was not reached and the best iterate is returned instead."""
+    tolerance was not reached and the best iterate is returned instead.
+    ``history`` holds one (objective, grad_inf_norm, step, shift) entry per
+    Newton iteration of the returned start."""
 
     trajectory: Trajectory
     objective: float
@@ -769,14 +779,17 @@ class SolveResult:
     iterations: int
     grad_inf_norm: float
     starts: int
+    history: tuple = ()
 
     def to_dict(self):
+        keys = ("objective", "grad_inf_norm", "step", "shift")
         return {
             "objective": self.objective,
             "converged": self.converged,
             "iterations": self.iterations,
             "grad_inf_norm": self.grad_inf_norm,
             "starts": self.starts,
+            "history": [dict(zip(keys, entry)) for entry in self.history],
         }
 
 
@@ -834,65 +847,172 @@ class _Discretization:
         return g
 
 
-def _ascend(disc, x0, free, params):
-    """Gradient ascent with a Barzilai-Borwein step and a nonmonotone
-    backtracking line search."""
+def _hessian_blocks(disc, x, g, lo, hi):
+    """Hessian blocks of ``disc.objective`` on the free nodes lo..hi-1.
+
+    Each cell couples two neighbouring nodes, so the Hessian is
+    block-tridiagonal.  Perturbing component j at every third node at once
+    (Curtis, Powell & Reid) changes each gradient row through one perturbed
+    node only, so 3n forward differences of the gradient ``g`` at ``x`` give
+    every block.  Returns the diagonal blocks D, (k, n, n), and the
+    symmetrized sub-diagonal blocks S, (k - 1, n, n) with S[i] = H[i+1, i].
+    """
+    n = x.shape[1]
+    k = hi - lo
+    D = np.empty((k, n, n))
+    S = np.empty((max(k - 1, 0), n, n))
+    S_up = np.empty_like(S)  # H[i, i+1], read from the column of node i + 1
+    for c in range(3):
+        idx = np.arange(lo + c, hi, 3)
+        if len(idx) == 0:
+            continue
+        r = idx - lo
+        below, above = idx + 1 < hi, idx > lo
+        for j in range(n):
+            delta = disc.lag.fd_step * (1.0 + np.abs(x[idx, j]))
+            xp = x.copy()
+            xp[idx, j] += delta
+            dg = disc.gradient(xp) - g
+            D[r, :, j] = dg[idx] / delta[:, None]
+            S[r[below], :, j] = dg[idx[below] + 1] / delta[below, None]
+            S_up[r[above] - 1, :, j] = dg[idx[above] - 1] / delta[above, None]
+    D = 0.5 * (D + D.transpose(0, 2, 1))
+    S = 0.5 * (S + S_up.transpose(0, 2, 1))
+    return D, S
+
+
+def _block_tridiagonal_solve(D, S, b):
+    """Solve A z = b for a symmetric positive definite block-tridiagonal A
+    with diagonal blocks D (k, n, n) and sub-diagonal blocks S (k - 1, n, n),
+    S[i] = A[i+1, i], by block cyclic reduction.
+
+    Eliminating the odd blocks leaves a block-tridiagonal system on the even
+    ones, so log2(k) batched steps do O(k n^3) work.  This is block Cholesky
+    on an odd-even reordering of A; the odd blocks are its pivots, and
+    ``np.linalg.LinAlgError`` is raised when one is not positive definite.
+    """
+    k, n = D.shape[:2]
+    if k == 1:
+        np.linalg.cholesky(D)
+        return np.linalg.solve(D, b[..., None])[..., 0]
+    ko = k // 2  # odd blocks 1, 3, ...; each has a left neighbour
+    D_odd = D[1::2]
+    np.linalg.cholesky(D_odd)
+    S_left = S[0::2][:ko]  # S[o-1] = A[o, o-1]
+    S_right = np.zeros((ko, n, n))  # S[o]^T = A[o, o+1], zero past the end
+    S_right[: len(S[1::2])] = S[1::2].transpose(0, 2, 1)
+    X = np.linalg.solve(D_odd, np.concatenate([S_left, S_right, b[1::2, :, None]], axis=2))
+    P, Q, c = X[..., :n], X[..., n:2 * n], X[..., 2 * n]
+    # eliminate z_o = c_o - P_o z_{o-1} - Q_o z_{o+1} from the even rows
+    S_mid = S[1::2]  # A[e, e-1] for even e >= 2
+    m1 = len(S_mid)
+    S_lt = S_left.transpose(0, 2, 1)  # A[e, e+1] for even e
+    D_even = D[0::2].copy()
+    b_even = b[0::2].copy()
+    D_even[1:] -= S_mid @ Q[:m1]
+    D_even[:ko] -= S_lt @ P
+    b_even[1:] -= (S_mid @ c[:m1, :, None])[..., 0]
+    b_even[:ko] -= (S_lt @ c[..., None])[..., 0]
+    z_even = _block_tridiagonal_solve(D_even, -(S_mid @ P[:m1]), b_even)
+    z_next = np.zeros((ko, n))
+    z_next[: len(z_even) - 1] = z_even[1:]
+    z = np.empty_like(b)
+    z[0::2] = z_even
+    z[1::2] = c - (P @ z_even[:ko, :, None])[..., 0] - (Q @ z_next[..., None])[..., 0]
+    return z
+
+
+def _newton_direction(D, S, g):
+    """Solve (-H + shift I) d = g with the first shift of 0, 1e-4 s, 1e-3 s,
+    ... that leaves every pivot positive definite, s the largest entry of
+    |H|; by Gershgorin a shift of 3 n s always does.  Returns (d, shift), or
+    (None, 0.0) when H vanishes: the objective is then linear near x, and
+    with a nonzero gradient it is unbounded above."""
+    scale = max(float(np.max(np.abs(D))), float(np.max(np.abs(S), initial=0.0)))
+    if scale == 0.0:
+        return None, 0.0
+    neg_D, neg_S = -D, -S
+    eye = np.eye(D.shape[1])
+    shift = 0.0
+    while True:
+        try:
+            return _block_tridiagonal_solve(neg_D + shift * eye, neg_S, g), shift
+        except np.linalg.LinAlgError:
+            shift = 1e-4 * scale if shift == 0.0 else 10.0 * shift
+
+
+def _sup_norm(a):
+    return float(np.max(np.abs(a), initial=0.0))
+
+
+def _newton(disc, x0, lo, hi, params):
+    """Damped Newton ascent on the free nodes lo..hi-1 of ``x0``.
+
+    Each iteration builds the block-tridiagonal Hessian, takes the Newton
+    direction (with a Levenberg shift where the Hessian is not negative
+    definite) and backtracks on the objective until the Armijo condition
+    holds, or, for a full unshifted step, until the gradient there meets
+    ``g_tol``; a non-finite objective counts as a failed trial.  Returns
+    (x, converged, iterations, grad_inf_norm, objective, history) with one
+    (objective, grad_inf_norm, step, shift) history entry per iteration,
+    taken at the iterate the step starts from; step 0.0 marks an iteration
+    whose direction or line search failed.
+    """
     x = x0.copy()
     f = disc.objective(x)
     if not np.isfinite(f):
         raise NonFiniteObjective("objective not finite at the starting point")
     g = disc.gradient(x)
-    g[~free] = 0.0
-    hist = deque([f], maxlen=10)
-    alpha = 1.0 / max(1.0, float(np.max(np.abs(g))))
-    prev_x = prev_g = None
+    history = []
     it = 0
     for it in range(1, params.max_iter + 1):
-        gnorm = float(np.max(np.abs(g)))
+        gnorm = _sup_norm(g[lo:hi])
         if gnorm <= params.g_tol:
-            return x, True, it - 1, gnorm, f
-        if prev_x is not None:
-            s = x - prev_x
-            y = g - prev_g
-            sy = float(np.vdot(s, y))
-            if sy < 0:  # concave curvature along the step
-                long_step = float(np.vdot(s, s)) / (-sy)
-                short_step = (-sy) / float(np.vdot(y, y))
-                # adaptive spectral step: the short step when the two
-                # disagree strongly, the long one otherwise
-                alpha = short_step if short_step < 0.8 * long_step else long_step
-            else:
-                alpha = min(alpha * 2.0, 1e12)
-        alpha = float(np.clip(alpha, 1e-16, 1e12))
-        gsq = float(np.vdot(g, g))
-        ref = min(hist)
-        step = alpha
-        accepted = False
-        for _ in range(64):
-            x_new = x + step * g
-            f_new = disc.objective(x_new)
-            if np.isfinite(f_new) and f_new >= ref + 1e-4 * step * gsq:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            return x, False, it, gnorm, f
-        prev_x, prev_g = x, g
+            return x, True, it - 1, gnorm, f, history
+        with np.errstate(all="ignore"):
+            D, S = _hessian_blocks(disc, x, g, lo, hi)
+        d, shift = None, 0.0
+        if np.all(np.isfinite(D)) and np.all(np.isfinite(S)):
+            d, shift = _newton_direction(D, S, g[lo:hi])
+        step, g_new = 0.0, None
+        if d is not None:
+            slope = float(np.vdot(g[lo:hi], d))
+            trial = 1.0
+            for _ in range(64):
+                x_new = x.copy()
+                x_new[lo:hi] += trial * d
+                with np.errstate(all="ignore"):
+                    f_new = disc.objective(x_new)
+                if np.isfinite(f_new) and f_new >= f + 1e-4 * trial * slope:
+                    step = trial
+                    break
+                if trial == 1.0 and shift == 0.0 and np.isfinite(f_new):
+                    # near the optimum the predicted gain drops below the
+                    # objective's rounding; a full Newton step that meets the
+                    # gradient tolerance is taken without the Armijo test
+                    g_new = disc.gradient(x_new)
+                    if _sup_norm(g_new[lo:hi]) <= params.g_tol:
+                        step = trial
+                        break
+                    g_new = None
+                trial *= 0.5
+        history.append((f, gnorm, step, shift))
+        if step == 0.0:
+            return x, False, it, gnorm, f, history
         x, f = x_new, f_new
-        hist.append(f)
-        g = disc.gradient(x)
-        g[~free] = 0.0
-    gnorm = float(np.max(np.abs(g)))
-    return x, gnorm <= params.g_tol, it, gnorm, f
+        g = g_new if g_new is not None else disc.gradient(x)
+    gnorm = _sup_norm(g[lo:hi])
+    return x, gnorm <= params.g_tol, it, gnorm, f, history
 
 
 def solve_truncated(problem, t_end, terminal=None, *, h, params=SolveParams()):
     """Maximize the discretized functional on [a, t_end].
 
-    ``terminal``: None leaves x(t_end) free, a vector pins it.  Runs
-    ``multistart`` ascents from a deterministic base guess plus seeded random
-    perturbations and returns the best; ``converged`` is False when no start
-    reached the gradient tolerance (the best iterate is still returned).
+    ``terminal``: None leaves x(t_end) free, a vector pins it.  Runs damped
+    Newton from ``multistart`` starts, a deterministic base guess plus seeded
+    random perturbations, and returns the best; ``converged`` is False when
+    no start reached the gradient tolerance (the best iterate is still
+    returned).
     """
     grid = problem.ts.build_grid(problem.a, t_end, h)
     m, n = len(grid), problem.n
@@ -903,10 +1023,7 @@ def solve_truncated(problem, t_end, terminal=None, *, h, params=SolveParams()):
         pinned = np.broadcast_to(np.asarray(terminal, dtype=float), (n,)).astype(float)
     disc = _Discretization(problem, grid)
 
-    free = np.ones((m, n), dtype=bool)
-    free[0] = False
-    if pinned is not None:
-        free[-1] = False
+    hi = m - 1 if pinned is not None else m  # free nodes are 1..hi-1
     target = pinned if pinned is not None else problem.x_a
     frac = (grid.nodes - grid.nodes[0]) / (grid.nodes[-1] - grid.nodes[0])
     base = problem.x_a[None, :] + frac[:, None] * (target - problem.x_a)[None, :]
@@ -924,7 +1041,7 @@ def solve_truncated(problem, t_end, terminal=None, *, h, params=SolveParams()):
 
     def run(init):
         try:
-            return _ascend(disc, init, free, params)
+            return _newton(disc, init, 1, hi, params)
         except NonFiniteObjective:
             return None
 
@@ -934,7 +1051,7 @@ def solve_truncated(problem, t_end, terminal=None, *, h, params=SolveParams()):
     converged = [o for o in outcomes if o[1]]
     pool_ = converged if converged else outcomes
     best = max(pool_, key=lambda o: o[4])
-    x, ok, iters, gnorm, f = best
+    x, ok, iters, gnorm, f, history = best
     traj = Trajectory(problem, GridFunction(grid, x))
     return SolveResult(
         trajectory=traj,
@@ -943,6 +1060,7 @@ def solve_truncated(problem, t_end, terminal=None, *, h, params=SolveParams()):
         iterations=iters,
         grad_inf_norm=gnorm,
         starts=len(outcomes),
+        history=tuple(history),
     )
 
 

@@ -136,6 +136,30 @@ def test_integrate_csv_series(tmp_path, capsys):
     assert float(rows[-1][2]) == doc["value"]
 
 
+def write_csv_per_row(path, header, rows):
+    """The per-row CSV writer the array writer replaced: repr of each float."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def test_array_csv_writer_matches_per_row_writer(tmp_path):
+    special = [1e-5, 1e16, -0.0, 3.0, 0.1 + 0.2, 1.2345678901234567, -2.0 / 3.0,
+               5e-324, 1.7976931348623157e308, float("inf"), float("nan")]
+    rng = np.random.default_rng(0)
+    shape = (2 * cli.CSV_CHUNK_ROWS + 808, 3)
+    data = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    data[:len(special), 0] = special
+    data[cli.CSV_CHUNK_ROWS, :] = special[:3]  # first row of the second chunk
+    for rows in (data, data[:1], data[:0]):
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        write_csv_per_row(old, ["t", "a", "b"], rows)
+        cli._write_csv(new, ["t", "a", "b"], rows)
+        assert new.read_bytes() == old.read_bytes()
+
+
 def test_integrate_improper_converged(tmp_path, capsys):
     f = write(tmp_path, LQR_DOC)
     code, doc, _ = run_cli(
@@ -308,10 +332,21 @@ def test_solve_pinned_terminal(tmp_path, capsys):
 
 
 def test_solve_iteration_budget_exit_code(tmp_path, capsys):
-    doc = dict(LQR_DOC, config={"max_iter": 2})
+    # concave but not quadratic: Newton needs 8 iterations here
+    doc = dict(LQR_DOC, lagrangian={"L": "-(v1^2 + u1^4)", "d2": ["-4*u1^3"],
+                                    "d3": ["-2*v1"]},
+               config={"max_iter": 2})
     f = write(tmp_path, doc)
     code, out, _ = run_cli(capsys, ["solve", f, "--T", "8", "--multistart", "1"])
     assert code == 4
+    assert out["converged"] is False
+    assert out["iterations"] == len(out["history"]) == 2
+
+
+def test_solve_unbounded_truncation_exits_4(tmp_path, capsys):
+    f = write(tmp_path, ex_neg().file_form(), "neg.json")
+    code, out, err = run_cli(capsys, ["solve", f, "--T", "8", "--h", "1"])
+    assert code == 4 and not err
     assert out["converged"] is False
 
 

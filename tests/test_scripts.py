@@ -1,0 +1,32 @@
+"""The guarantees the two scripts print: O(h^2) convergence orders and a
+corpus whose every verdict matches its expectation."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_convergence_study_observes_second_order(capsys):
+    orders = load_script("convergence_study").main(["--fast"])
+    capsys.readouterr()
+    assert len(orders) == 3
+    for name, observed in orders.items():
+        assert len(observed) == 2, name
+        assert all(1.8 <= o <= 2.2 for o in observed), (name, observed)
+
+
+def test_corpus_verdicts_all_match(capsys):
+    code = load_script("run_corpus").main(["--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["failures"] == 0
+    assert len(doc["results"]) == 6
+    assert all(row["ok"] and row["verdict"] == row["expected"] for row in doc["results"])

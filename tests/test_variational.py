@@ -58,9 +58,10 @@ from tsvar.problems import (
     lqr_grid,
     lqr_grid_truncation_oracle,
     lqr_ray,
+    lqr_ray_truncation_oracle,
     scalar_traj,
 )
-from tsvar.variational import _Discretization
+from tsvar.variational import _block_tridiagonal_solve, _Discretization, _hessian_blocks
 
 from helpers import quadratic_lagrangian, random_poly
 
@@ -204,6 +205,15 @@ def test_liminf_oscillation_with_settling_floor():
     est = liminf_over_tails(pairs, [1, 5, 9, 13, 17, 21, 25, 29, 33])
     assert est.kind is LimitKind.CONVERGED
     assert abs(est.value - (-1.0 + 1.0 / 39.0)) <= 1e-12
+
+
+def test_liminf_array_input_matches_pairs():
+    ks = np.arange(1.0, 41.0)
+    pairs = tail_pairs((-1.0) ** ks + 1.0 / ks)
+    tails = [1, 5, 9, 13, 17, 21, 25, 29, 33]
+    assert liminf_over_tails(np.array(pairs), tails) == liminf_over_tails(pairs, tails)
+    down = tail_pairs(-np.arange(1.0, 41.0))
+    assert liminf_over_tails(np.array(down), tails) == liminf_over_tails(down, tails)
 
 
 def test_liminf_input_validation():
@@ -433,13 +443,149 @@ def test_solve_respects_pinned_terminal():
     assert abs(res2.trajectory.x.values[1, 0] - 1.5) <= 1e-4
 
 
+def quartic_problem():
+    """-(v^2 + u^4) on the integers from x(0) = 1: concave but not quadratic,
+    so Newton needs several iterations (8 at T = 8)."""
+    lag = Lagrangian(
+        n=1,
+        eval=lambda t, u, v: -(v[:, 0] ** 2 + u[:, 0] ** 4),
+        d2=lambda t, u, v: (-4.0 * u[:, 0] ** 3)[:, None],
+        d3=lambda t, u, v: (-2.0 * v[:, 0])[:, None],
+        vectorized=True,
+    )
+    return Problem(ts=NAT, a=0.0, x_a=np.array([1.0]), lagrangian=lag)
+
+
 def test_solve_iteration_budget():
-    lqr = lqr_grid()
     res = solve_truncated(
-        lqr.problem, 8.0, h=1.0, params=SolveParams(max_iter=2, multistart=1)
+        quartic_problem(), 8.0, h=1.0, params=SolveParams(max_iter=2, multistart=1)
     )
     assert not res.converged
     assert res.iterations == 2
+
+
+def test_solve_history_has_one_entry_per_iteration():
+    res = solve_truncated(quartic_problem(), 8.0, h=1.0, params=SolveParams(multistart=1))
+    assert res.converged and res.iterations == len(res.history) > 1
+    objectives = [f for f, _, _, _ in res.history] + [res.objective]
+    assert all(b >= a for a, b in zip(objectives, objectives[1:]))
+    assert res.history[0][1] > res.history[-1][1] > res.grad_inf_norm
+    assert all(step > 0.0 and shift == 0.0 for _, _, step, shift in res.history)
+    doc = json.loads(json.dumps(res.to_dict()))
+    assert len(doc["history"]) == res.iterations
+    assert set(doc["history"][0]) == {"objective", "grad_inf_norm", "step", "shift"}
+
+
+def test_solve_quadratic_problems_take_one_newton_step():
+    params = SolveParams(multistart=1)
+    res = solve_truncated(lqr_grid().problem, 6.0, h=1.0, params=params)
+    assert res.converged and res.iterations == 1
+    res = solve_truncated(lqr_ray().problem, 3.0, h=0.01, params=params)
+    assert res.converged and res.iterations == 1
+    # seeded starts are rough (slopes near 0.1 / h) and may need a second step
+    res = solve_truncated(lqr_ray().problem, 3.0, h=0.01)
+    assert res.converged and res.iterations <= 2
+
+
+def test_solve_fine_ray_grid_reaches_second_order_accuracy():
+    # the discrete optimum is 1e-7 from the oracle; stopping early shows up
+    # as a larger error
+    h = 0.0025
+    res = solve_truncated(lqr_ray().problem, 3.0, h=h)
+    assert res.converged
+    nodes = res.trajectory.grid.nodes
+    err = np.max(np.abs(res.trajectory.x.values[:, 0] - lqr_ray_truncation_oracle(3.0)(nodes)))
+    assert err <= 0.05 * h * h
+
+
+def test_solve_unbounded_truncation_does_not_converge():
+    # (x_sigma - alpha)^2 + beta x_delta is convex in x: the sup is +infinity
+    res = solve_truncated(ex_neg().problem, 8.0, h=1.0)
+    assert not res.converged
+    assert res.iterations == len(res.history)
+    assert any(shift > 0.0 for _, _, _, shift in res.history)
+
+
+def mixed_scale_problem():
+    ts = union(ClosedInterval(0.0, 1.0), DiscretePoints((1.5, 2.25)), UnboundedRay(3.0))
+    lag = Lagrangian(
+        n=2,
+        eval=lambda t, u, v: -(v[:, 0] ** 2 + 2.0 * v[:, 1] ** 2
+                               + u[:, 0] ** 2 * u[:, 1] ** 2
+                               + np.sin(t) * u[:, 0] * v[:, 1]),
+        d2=lambda t, u, v: -np.stack([2.0 * u[:, 0] * u[:, 1] ** 2 + np.sin(t) * v[:, 1],
+                                      2.0 * u[:, 0] ** 2 * u[:, 1]], axis=1),
+        d3=lambda t, u, v: -np.stack([2.0 * v[:, 0],
+                                      4.0 * v[:, 1] + np.sin(t) * u[:, 0]], axis=1),
+        vectorized=True,
+    )
+    return Problem(ts=ts, a=0.0, x_a=np.array([1.0, -0.5]), lagrangian=lag)
+
+
+def test_coloured_hessian_matches_dense_finite_differences():
+    prob = mixed_scale_problem()
+    grid = prob.ts.build_grid(0.0, 4.0, 0.25)
+    disc = _Discretization(prob, grid)
+    assert grid.scattered[:-1].any() and (~grid.scattered[:-1]).any()
+    m, n = len(grid), prob.n
+    x = np.random.default_rng(3).standard_normal((m, n))
+    g = disc.gradient(x)
+    lo, hi = 1, m - 1  # pinned terminal
+    D, S = _hessian_blocks(disc, x, g, lo, hi)
+
+    k = hi - lo
+    H = np.empty((k * n, k * n))
+    for i in range(lo, hi):
+        for j in range(n):
+            xp = x.copy()
+            delta = disc.lag.fd_step * (1.0 + abs(x[i, j]))
+            xp[i, j] += delta
+            H[:, (i - lo) * n + j] = ((disc.gradient(xp) - g)[lo:hi] / delta).ravel()
+    H = 0.5 * (H + H.T)
+    for i in range(k):
+        blk = slice(i * n, (i + 1) * n)
+        assert np.allclose(D[i], H[blk, blk], rtol=1e-12, atol=1e-12)
+        if i + 1 < k:
+            nxt = slice((i + 1) * n, (i + 2) * n)
+            assert np.allclose(S[i], H[nxt, blk], rtol=1e-12, atol=1e-12)
+    far = np.abs(np.subtract.outer(np.arange(k * n) // n, np.arange(k * n) // n)) > 1
+    assert np.all(H[far] == 0.0)
+
+
+def block_tridiagonal_spd(rng, k, n):
+    """Random SPD block-tridiagonal matrix: B B^T of a lower block-bidiagonal
+    B with a dominant diagonal, returned dense and as (D, S) blocks."""
+    B = np.zeros((k * n, k * n))
+    for i in range(k):
+        blk = slice(i * n, (i + 1) * n)
+        B[blk, blk] = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+        if i:
+            B[blk, (i - 1) * n:i * n] = rng.standard_normal((n, n))
+    A = B @ B.T
+    D = np.stack([A[i * n:(i + 1) * n, i * n:(i + 1) * n] for i in range(k)])
+    S = np.stack([A[(i + 1) * n:(i + 2) * n, i * n:(i + 1) * n] for i in range(k - 1)]
+                 ) if k > 1 else np.empty((0, n, n))
+    return A, D, S
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 33])
+def test_block_tridiagonal_solve_matches_dense(k, n):
+    rng = np.random.default_rng(100 * k + n)
+    A, D, S = block_tridiagonal_spd(rng, k, n)
+    b = rng.standard_normal((k, n))
+    z = _block_tridiagonal_solve(D, S, b)
+    want = np.linalg.solve(A, b.ravel()).reshape(k, n)
+    assert np.allclose(z, want, rtol=1e-10, atol=1e-12)
+
+
+def test_block_tridiagonal_solve_rejects_indefinite():
+    A, D, S = block_tridiagonal_spd(np.random.default_rng(0), 9, 2)
+    with pytest.raises(np.linalg.LinAlgError):
+        _block_tridiagonal_solve(-D, -S, np.ones((9, 2)))
+    D[4] -= 100.0 * np.eye(2)  # one pivot deep inside the reduction
+    with pytest.raises(np.linalg.LinAlgError):
+        _block_tridiagonal_solve(D, S, np.ones((9, 2)))
 
 
 def test_solve_nonfinite_objective():
