@@ -299,53 +299,52 @@ def sigma_shift_all(f):
 
 def _cell_weights(grid):
     """Per-cell quadrature split: cell i integrates to
-    w_prev[i] f(i-1) + w_left[i] f(i) + w_right[i] f(i+1).
+    w_left[i] f(i) + w_right[i] f(i+1), plus w_seam[k] f(i-1) when i is
+    the seam cell seams[k].  Returns (w_left, w_right, seams, w_seam).
 
     Scattered cells contribute mu*f(left) exactly; dense cells the
     trapezoid (dt/2)(f(left)+f(right)).  A dense cell whose right node is
     scattered is the last cell of its branch: the right sample there is the
     post-jump value of a delta-calculus row, so the trapezoid instead uses
     a linear extrapolation from the two preceding branch nodes (still
-    second order, w_prev carries the extrapolation weight).  With no
+    second order, w_seam carries the extrapolation weight).  With no
     usable branch neighbor the cell falls back to the left rectangle.
     """
-    dt = np.diff(grid.nodes)
-    scat = grid.scattered[:-1]
-    w_prev = np.zeros_like(dt)
+    nodes, scattered = grid.nodes, grid.scattered
+    dt = np.diff(nodes)
+    scat = scattered[:-1]
     w_left = np.where(scat, grid.mu[:-1], 0.5 * dt)
     w_right = np.where(scat, 0.0, 0.5 * dt)
-    for i in np.nonzero((~scat) & grid.scattered[1:])[0]:
-        if i >= 1 and not grid.scattered[i - 1]:
-            prev = grid.nodes[i] - grid.nodes[i - 1]
-            w_prev[i] = -(dt[i] * dt[i]) / (2.0 * prev)
-            w_left[i] = dt[i] - w_prev[i]
-        else:
-            w_left[i] = dt[i]
-        w_right[i] = 0.0
-    return w_prev, w_left, w_right
+    ends = np.flatnonzero(~scat & scattered[1:])
+    seams = ends[(ends >= 1) & ~scattered[ends - 1]]
+    w_seam = -(dt[seams] * dt[seams]) / (2.0 * (nodes[seams] - nodes[seams - 1]))
+    w_left[ends] = dt[ends]
+    w_left[seams] = dt[seams] - w_seam
+    w_right[ends] = 0.0
+    return w_left, w_right, seams, w_seam
 
 
-def _cell_values(v, w_prev, w_left, w_right, i0, i1):
+def _cell_values(v, weights, i0, i1):
     """Cell integrals for cells i0..i1-1 of an (m, n) value array."""
-    sl = slice(i0, i1)
-    cells = w_left[sl, None] * v[i0:i1] + w_right[sl, None] * v[i0 + 1 : i1 + 1]
-    for k in np.nonzero(w_prev[sl])[0]:
-        cells[k] += w_prev[i0 + k] * v[i0 + k - 1]
+    w_left, w_right, seams, w_seam = weights
+    cells = w_left[i0:i1, None] * v[i0:i1]
+    cells += w_right[i0:i1, None] * v[i0 + 1 : i1 + 1]
+    lo, hi = np.searchsorted(seams, (i0, i1))
+    cells[seams[lo:hi] - i0] += w_seam[lo:hi, None] * v[seams[lo:hi] - 1]
     return cells
 
 
 def cumulative_delta_integral(f):
     """F(t_i) = integral from the first node to t_i; an (m, n) array."""
-    return _cumulative(f.grid, f.values)
+    return _cumulative(f.values, _cell_weights(f.grid))
 
 
-def _cumulative(grid, rows):
-    """Prefix integrals F[j] = int_{t_0}^{t_j} of rows given at the first
-    K = len(rows) nodes of grid, for j = 0..K-1.  ``rows`` is (K,) or
-    (K, n); F has the same shape.  Rows are not checked for finiteness."""
+def _cumulative(rows, weights):
+    """Prefix integrals F[j] = int_{t_0}^{t_j}, j < K, of (K,) or (K, n)
+    rows at the first K nodes of the grid with _cell_weights ``weights``; F
+    has the shape of rows.  Rows are not checked for finiteness."""
     v = rows.reshape(len(rows), -1)
-    w_prev, w_left, w_right = _cell_weights(grid)
-    cells = _cell_values(v, w_prev, w_left, w_right, 0, len(v) - 1)
+    cells = _cell_values(v, weights, 0, len(v) - 1)
     out = np.zeros_like(v)
     np.cumsum(cells, axis=0, out=out[1:])
     return out.reshape(rows.shape)
@@ -364,9 +363,7 @@ def delta_integral(f, lo, hi):
     sign = 1.0
     if i0 > i1:
         i0, i1, sign = i1, i0, -1.0
-    v = f.values
-    w_prev, w_left, w_right = _cell_weights(f.grid)
-    cells = _cell_values(v, w_prev, w_left, w_right, i0, i1)
+    cells = _cell_values(f.values, _cell_weights(f.grid), i0, i1)
     return sign * cells.sum(axis=0)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ from .calculus import (
     LimitConfig,
     LimitEstimate,
     LimitKind,
+    _cell_weights,
     _cumulative,
     classify_limit,
     delta_derivative_all,
@@ -229,27 +231,58 @@ def sample_trajectory(problem, gen, t_end, h):
 
 
 # ---------------------------------------------------------------------------
-# sampled shift/slope data shared by the first-order operations
+# sampled paths shared by the first-order operations
 
 
-def _shift_and_slope(gf):
-    """(x_sigma, x_delta, K): both arrays valid on the index prefix 0..K-1."""
-    xs, def_s = sigma_shift_all(gf)
-    xd, def_d = delta_derivative_all(gf)
-    both = def_s & def_d
-    K = len(both) if bool(both.all()) else int(np.argmin(both))
-    if K < 1 or not both[:K].all():
-        raise GridTooSmall("no prefix of the grid has sigma-shift and slope defined")
-    return xs[:K], xd[:K], K
+class SampledPath:
+    """A path or variation sampled once on one grid: the samples ``x``, the
+    sigma-shift ``shift`` and slope ``slope`` on the prefix of ``K`` nodes
+    where both are defined and, on first use, the Lagrangian row and the
+    cell weights.  Built by ``of``; the first-order operations take one in
+    place of a generator and read these samples instead of sampling again."""
 
+    def __init__(self, problem, x):
+        xs, def_s = sigma_shift_all(x)
+        xd, def_d = delta_derivative_all(x)
+        both = def_s & def_d
+        K = len(both) if bool(both.all()) else int(np.argmin(both))
+        if K < 1:
+            raise GridTooSmall("no prefix of the grid has sigma-shift and slope defined")
+        self.problem, self.x, self.grid, self.K = problem, x, x.grid, K
+        self.shift, self.slope = xs[:K], xd[:K]
 
-def _as_grid_function(problem, x):
-    if isinstance(x, Trajectory):
-        return x.x
-    if isinstance(x, GridFunction):
-        Trajectory(problem, x)  # runs the admissibility checks
-        return x
-    raise DimensionMismatch("expected a Trajectory or GridFunction")
+    @classmethod
+    def of(cls, problem, x, grid=None, *, variation=False):
+        """``x`` as a path of ``problem`` on ``grid``: a SampledPath is
+        reused, a Trajectory or GridFunction keeps its samples, a generator
+        is sampled.  Paths are checked for admissibility, variations
+        (``variation``) for the problem's dimension and p(a) = 0."""
+        path = x if isinstance(x, cls) and x.problem is problem else None
+        x = x.x if isinstance(x, (cls, Trajectory)) else x
+        if callable(x) and grid is not None:
+            x = GridFunction.from_callable(grid, x)
+        if not isinstance(x, GridFunction):
+            raise DimensionMismatch("expected a Trajectory, GridFunction or SampledPath")
+        if grid is not None and x.grid is not grid:
+            raise DimensionMismatch("the path is sampled on another grid")
+        if not variation:
+            Trajectory(problem, x)  # runs the admissibility checks
+        elif x.dim != problem.n:
+            raise DimensionMismatch("variation dimension does not match the problem")
+        elif np.max(np.abs(x.values[0])) > ADMISSIBLE_TOL:
+            raise InadmissibleVariation("variations must vanish at the left endpoint")
+        return path if path is not None else cls(problem, x)
+
+    @cached_property
+    def lagrangian_row(self):
+        """L(t, x_sigma(t), x_delta(t)) at the first K nodes."""
+        return self.problem.lagrangian.values(self.grid.nodes[: self.K], self.shift,
+                                              self.slope)
+
+    @cached_property
+    def weights(self):
+        """calculus._cell_weights of the grid, for _cumulative."""
+        return _cell_weights(self.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -259,25 +292,29 @@ def _as_grid_function(problem, x):
 def el_residual(problem, x):
     """Residual of (d/dt) dL/dv = dL/du along a sampled path.
 
-    Returns a grid function on the prefix of the path's grid where both the
-    inner slope and the outer delta derivative are computable: the residual
-    at node t is delta[d3-row](t) - d2(t, x_sigma(t), x_delta(t)).
+    ``x`` is a Trajectory, GridFunction or SampledPath.  Returns a grid
+    function on the prefix of the path's grid where both the inner slope
+    and the outer delta derivative are computable: the residual at node t
+    is delta[d3-row](t) - d2(t, x_sigma(t), x_delta(t)).
     """
-    gf = _as_grid_function(problem, x)
-    grid = gf.grid
-    if len(grid) < 3:
+    path = SampledPath.of(problem, x)
+    if len(path.grid) < 3:
         raise GridTooSmall("need at least three nodes for an E-L residual")
-    xs, xd, K = _shift_and_slope(gf)
-    t = grid.nodes[:K]
-    lag = problem.lagrangian
-    p3 = lag.partial3(t, xs, xd)
-    p2 = lag.partial2(t, xs, xd)
-    phi = GridFunction(grid.prefix(K), p3)
-    psi, def_psi = delta_derivative_all(phi)
-    Kr = K if bool(def_psi.all()) else int(np.argmin(def_psi))
+    p2, _, psi, Kr = _el_rows(problem, path.grid, path.shift, path.slope)
     if Kr < 1:
         raise GridTooSmall("no node has a defined outer delta derivative")
-    return GridFunction(grid.prefix(Kr), psi[:Kr] - p2[:Kr])
+    return GridFunction(path.grid.prefix(Kr), psi[:Kr] - p2[:Kr])
+
+
+def _el_rows(problem, grid, xs, xd):
+    """The d2 and d3 rows at the first K = len(xs) nodes of ``grid`` and
+    the delta derivative of the d3 row, defined on its first Kr nodes."""
+    t = grid.nodes[: len(xs)]
+    p3 = problem.lagrangian.partial3(t, xs, xd)
+    p2 = problem.lagrangian.partial2(t, xs, xd)
+    psi, def_psi = delta_derivative_all(GridFunction(grid.prefix(len(xs)), p3))
+    Kr = len(xs) if bool(def_psi.all()) else int(np.argmin(def_psi))
+    return p2, p3, psi, Kr
 
 
 def el_sup_norm(problem, x):
@@ -286,15 +323,15 @@ def el_sup_norm(problem, x):
 
 
 def transversality_term(problem, x, t_prime):
-    """dL/dv (T', x_sigma(T'), x_delta(T')) . x(T') at a grid node T'."""
-    gf = _as_grid_function(problem, x)
-    i = gf.grid.index_of(t_prime)
-    xs, xd, K = _shift_and_slope(gf)
-    if i >= K:
+    """dL/dv (T', x_sigma(T'), x_delta(T')) . x(T') at a grid node T' of a
+    Trajectory, GridFunction or SampledPath ``x``."""
+    path = SampledPath.of(problem, x)
+    i = path.grid.index_of(t_prime)
+    if i >= path.K:
         raise BoundaryUndefined(f"slope undefined at T'={t_prime!r}")
-    t = gf.grid.nodes[i : i + 1]
-    p3 = problem.lagrangian.partial3(t, xs[i : i + 1], xd[i : i + 1])[0]
-    return float(np.dot(p3, gf.values[i]))
+    t = path.grid.nodes[i : i + 1]
+    p3 = problem.lagrangian.partial3(t, path.shift[i : i + 1], path.slope[i : i + 1])[0]
+    return float(np.dot(p3, path.x.values[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -403,28 +440,28 @@ def liminf_over_tails(values, tail_starts, config=LimitConfig()):
     return classify_limit(list(zip(tails, infima)), config)
 
 
-def _sample_on_plan(problem, gen, plan):
-    gf = GridFunction.from_callable(plan.grid, gen)
-    Trajectory(problem, gf)
-    xs, xd, K = _shift_and_slope(gf)
-    if plan.horizon_idx[-1] > K - 1:
+def _on_plan(problem, x, plan, *, variation=False):
+    """SampledPath.of on the plan's grid; every horizon needs a slope."""
+    path = SampledPath.of(problem, x, plan.grid, variation=variation)
+    if plan.horizon_idx[-1] > path.K - 1:
         raise BoundaryUndefined("horizon nodes exceed the defined-slope prefix")
-    return gf, xs, xd, K
+    return path
 
 
 def weak_max_compare(problem, x, x_star, plan, config=LimitConfig()):
-    """Lim-inf estimate of int_a^{T'} [L(x) - L(x*)] against growing tails.
+    """Lim-inf estimate of int_a^{T'} [L(x) - L(x*)] against growing tails,
+    for generators or paths on the plan's grid (a SampledPath of x* is
+    shared across comparisons).
 
     x* is consistent with weak maximality against x when the estimate is
     Converged with value <= tol or DivergesMinus.
     """
-    gfx, xs, xd, K1 = _sample_on_plan(problem, x, plan)
-    gfs, ss, sd, K2 = _sample_on_plan(problem, x_star, plan)
-    K = min(K1, K2)
-    t = plan.grid.nodes[:K]
-    lag = problem.lagrangian
-    rows = lag.values(t, xs[:K], xd[:K]) - lag.values(t, ss[:K], sd[:K])
-    F = _cumulative(plan.grid, rows)
+    px = _on_plan(problem, x, plan)
+    star = _on_plan(problem, x_star, plan)
+    K = min(px.K, star.K)
+    rows = px.lagrangian_row[:K] - star.lagrangian_row[:K]
+    del px  # frees a sampled competitor before the integral: peak memory is gated
+    F = _cumulative(rows, star.weights)
     idx = plan.horizon_idx
     return liminf_over_tails(np.column_stack((plan.grid.nodes[idx], F[idx])),
                              plan.tail_values, config)
@@ -439,11 +476,11 @@ def is_weak_max_consistent(estimate, tol=1e-8):
 
 def _transversality_rows(problem, x_gen, plan):
     """(k, 2) rows (T', transversality term) at the plan's horizon nodes."""
-    gf, xs, xd, K = _sample_on_plan(problem, x_gen, plan)
+    path = _on_plan(problem, x_gen, plan)
     idx = plan.horizon_idx
     t = plan.grid.nodes[idx]
-    p3 = problem.lagrangian.partial3(t, xs[idx], xd[idx])
-    return np.column_stack((t, np.einsum("ij,ij->i", p3, gf.values[idx])))
+    p3 = problem.lagrangian.partial3(t, path.shift[idx], path.slope[idx])
+    return np.column_stack((t, np.einsum("ij,ij->i", p3, path.x.values[idx])))
 
 
 def transversality_sweep(problem, x_gen, plan):
@@ -462,52 +499,48 @@ def transversality_liminf(problem, x_gen, plan, config=LimitConfig()):
 
 
 def _variation_data(problem, x_star, pvar, t_end, h):
+    """Paths of x* and p on [a, t_end] plus a slope margin, their common
+    prefix K and the index of t_end."""
     ts = problem.ts
     t_hi = ts.floor_member(t_end)
     for _ in range(3):
         t_hi = ts.advance(t_hi, h)
     grid = ts.build_grid(problem.a, t_hi, h)
-    gfx = GridFunction.from_callable(grid, x_star)
-    Trajectory(problem, gfx)
-    gfp = GridFunction.from_callable(grid, pvar)
-    if gfp.dim != problem.n:
-        raise DimensionMismatch("variation dimension does not match the problem")
-    if np.max(np.abs(gfp.values[0])) > ADMISSIBLE_TOL:
-        raise InadmissibleVariation("variations must vanish at the left endpoint")
-    xs, xd, K1 = _shift_and_slope(gfx)
-    ps, pd, K2 = _shift_and_slope(gfp)
-    K = min(K1, K2)
-    return grid, gfx, gfp, xs[:K], xd[:K], ps[:K], pd[:K], K
+    star = SampledPath.of(problem, x_star, grid)
+    var = SampledPath.of(problem, pvar, grid, variation=True)
+    K, i = min(star.K, var.K), grid.index_of(ts.snap(t_end))
+    if i > K - 1:
+        raise BoundaryUndefined("T' exceeds the defined-slope prefix")
+    return star, var, K, i
+
+
+def _difference_integral(problem, star, var, eps):
+    """Prefix integrals of L(x* + eps p) - L(x*) over the common prefix of
+    the paths ``star`` of x* and ``var`` of p."""
+    K = min(star.K, var.K)
+    rows = problem.lagrangian.values(star.grid.nodes[:K], star.shift[:K] + eps * var.shift[:K],
+                                     star.slope[:K] + eps * var.slope[:K])
+    rows -= star.lagrangian_row[:K]  # in place: peak memory is gated
+    return _cumulative(rows, star.weights)
 
 
 def variation_quotient(problem, x_star, pvar, eps, t_prime, *, h):
     """A(eps, T') = (1/eps) int_a^{T'} [L(x* + eps p) - L(x*)] dt."""
     if eps == 0:
         raise ZeroEpsilon("the variation parameter must be nonzero")
-    grid, _, _, xs, xd, ps, pd, K = _variation_data(problem, x_star, pvar, t_prime, h)
-    i = grid.index_of(problem.ts.snap(t_prime))
-    if i > K - 1:
-        raise BoundaryUndefined("T' exceeds the defined-slope prefix")
-    t = grid.nodes[:K]
-    lag = problem.lagrangian
-    rows = lag.values(t, xs + eps * ps, xd + eps * pd) - lag.values(t, xs, xd)
-    F = _cumulative(grid, rows)
-    return float(F[i] / eps)
+    star, var, _, i = _variation_data(problem, x_star, pvar, t_prime, h)
+    return float(_difference_integral(problem, star, var, eps)[i] / eps)
 
 
 def first_variation(problem, x_star, pvar, t_prime, *, h):
     """int_a^{T'} [d2 . p_sigma + d3 . p_delta] dt."""
-    grid, _, _, xs, xd, ps, pd, K = _variation_data(problem, x_star, pvar, t_prime, h)
-    i = grid.index_of(problem.ts.snap(t_prime))
-    if i > K - 1:
-        raise BoundaryUndefined("T' exceeds the defined-slope prefix")
-    t = grid.nodes[:K]
+    star, var, K, i = _variation_data(problem, x_star, pvar, t_prime, h)
+    t, xs, xd = star.grid.nodes[:K], star.shift[:K], star.slope[:K]
     lag = problem.lagrangian
-    rows = np.einsum("ij,ij->i", lag.partial2(t, xs, xd), ps) + np.einsum(
-        "ij,ij->i", lag.partial3(t, xs, xd), pd
+    rows = np.einsum("ij,ij->i", lag.partial2(t, xs, xd), var.shift[:K]) + np.einsum(
+        "ij,ij->i", lag.partial3(t, xs, xd), var.slope[:K]
     )
-    F = _cumulative(grid, rows)
-    return float(F[i])
+    return float(_cumulative(rows, star.weights)[i])
 
 
 def parts_decomposition_residual(problem, x_star, pvar, t_prime, *, h):
@@ -524,23 +557,15 @@ def parts_decomposition_residual(problem, x_star, pvar, t_prime, *, h):
     and the returned residual reports that gap; it is not a grid artifact.
     Returns the absolute difference of the two sides on one shared grid.
     """
-    grid, gfx, gfp, xs, xd, ps, pd, K = _variation_data(
-        problem, x_star, pvar, t_prime, h
-    )
-    t = grid.nodes[:K]
-    lag = problem.lagrangian
-    p2 = lag.partial2(t, xs, xd)
-    p3 = lag.partial3(t, xs, xd)
-    phi = GridFunction(grid.prefix(K), p3)
-    psi, def_psi = delta_derivative_all(phi)
-    Kr = K if bool(def_psi.all()) else int(np.argmin(def_psi))
-    i = grid.index_of(problem.ts.snap(t_prime))
+    star, var, K, i = _variation_data(problem, x_star, pvar, t_prime, h)
+    p2, p3, psi, Kr = _el_rows(problem, star.grid, star.shift[:K], star.slope[:K])
+    ps = var.shift[:K]
     if i > Kr - 1:
         raise BoundaryUndefined("T' exceeds the prefix with defined delta(d3)")
-    lhs_rows = np.einsum("ij,ij->i", p2, ps) + np.einsum("ij,ij->i", p3, pd)
+    lhs_rows = np.einsum("ij,ij->i", p2, ps) + np.einsum("ij,ij->i", p3, var.slope[:K])
     rhs_rows = np.einsum("ij,ij->i", p2[:Kr] - psi[:Kr], ps[:Kr])
-    lhs = _cumulative(grid, lhs_rows)[i]
-    rhs = _cumulative(grid, rhs_rows)[i] + float(np.dot(p3[i], gfp.values[i]))
+    lhs = _cumulative(lhs_rows, star.weights)[i]
+    rhs = _cumulative(rhs_rows, star.weights)[i] + float(np.dot(p3[i], var.x.values[i]))
     return abs(float(lhs - rhs))
 
 
@@ -575,19 +600,13 @@ class GateauxReport:
 
 def gateaux_report(problem, x_star, pvar, eps_list, t_list, plan,
                    config=LimitConfig()):
-    """Tabulate A(eps, T') and V(eps, T)/eps over the plan's horizons."""
+    """Tabulate A(eps, T') and V(eps, T)/eps over the plan's horizons, for
+    generators or paths on the plan's grid (a SampledPath of x* is reused)."""
     eps_list = tuple(float(e) for e in eps_list)
     if any(e == 0 for e in eps_list):
         raise ZeroEpsilon("the variation parameter must be nonzero")
-    gfx, xs, xd, K1 = _sample_on_plan(problem, x_star, plan)
-    gfp = GridFunction.from_callable(plan.grid, pvar)
-    if np.max(np.abs(gfp.values[0])) > ADMISSIBLE_TOL:
-        raise InadmissibleVariation("variations must vanish at the left endpoint")
-    ps, pd, K2 = _shift_and_slope(gfp)
-    K = min(K1, K2)
-    t = plan.grid.nodes[:K]
-    lag = problem.lagrangian
-    base = lag.values(t, xs[:K], xd[:K])
+    star = _on_plan(problem, x_star, plan)
+    var = _on_plan(problem, pvar, plan, variation=True)
     idx = plan.horizon_idx
     hz = plan.grid.nodes[idx]
     t_values = tuple(float(hz[np.argmin(np.abs(hz - tv))]) for tv in t_list)
@@ -596,8 +615,7 @@ def gateaux_report(problem, x_star, pvar, eps_list, t_list, plan,
     quot = np.zeros((len(eps_list), len(t_values)))
     avals = np.zeros_like(quot)
     for i, eps in enumerate(eps_list):
-        rows = lag.values(t, xs[:K] + eps * ps[:K], xd[:K] + eps * pd[:K]) - base
-        N = _cumulative(plan.grid, rows)[idx]
+        N = _difference_integral(problem, star, var, eps)[idx]
         suffix_min = np.minimum.accumulate(N[::-1])[::-1]
         for j, p in enumerate(t_pos):
             quot[i, j] = suffix_min[p] / eps
@@ -1140,6 +1158,9 @@ class VerifyConfig:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """verify_candidate's diagnostics and verdict, the tolerances it applied
+    and the plan grid's node count."""
+
     el_sup_norm: float
     el_window_sups: tuple
     transversality: LimitEstimate
@@ -1147,6 +1168,10 @@ class VerificationReport:
     hypothesis_diagnostics: GateauxReport
     verdict: Verdict
     flags: tuple
+    el_tol: float
+    trans_tol: float
+    probe_tol: float
+    nodes: int
 
     def to_dict(self):
         return {
@@ -1160,6 +1185,10 @@ class VerificationReport:
             "hypothesis_diagnostics": self.hypothesis_diagnostics.to_dict(),
             "verdict": self.verdict.value,
             "flags": list(self.flags),
+            "el_tol": self.el_tol,
+            "trans_tol": self.trans_tol,
+            "probe_tol": self.probe_tol,
+            "nodes": self.nodes,
         }
 
 
@@ -1219,7 +1248,8 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
     transversality lim-inf, probes weak maximality against a standard family
     of admissible competitors (smooth tail-constant, decaying and compact
     bump perturbations of the candidate, both signs), and tabulates the
-    Gateaux quotients.  The verdict is derived by classify_report.
+    Gateaux quotients.  The verdict is derived by classify_report.  Every
+    diagnostic reads one SampledPath of the candidate.
     """
     ts, a = problem.ts, problem.a
     plan = make_horizon_plan(
@@ -1227,12 +1257,10 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
         horizon_count=config.horizon_count, n_tails=config.n_tails,
         min_window=config.limits.window,
     )
-    gf = GridFunction.from_callable(plan.grid, x_gen)
-    traj = Trajectory(problem, gf)
+    star = _on_plan(problem, x_gen, plan)
 
-    res = el_residual(problem, traj)
-    res_abs = np.max(np.abs(res.values), axis=1)
-    res_nodes = res.grid.nodes
+    res_abs = np.max(np.abs(el_residual(problem, star).values), axis=1)
+    res_nodes = plan.grid.nodes[: len(res_abs)]
     hz = plan.horizons
     marks = [hz[len(hz) // 4], hz[len(hz) // 2], hz[3 * len(hz) // 4], hz[-1]]
     window_sups = []
@@ -1241,7 +1269,7 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
         window_sups.append((float(w), float(res_abs[sel].max()) if sel.any() else 0.0))
     el_sup = float(res_abs.max())
 
-    trans = transversality_liminf(problem, x_gen, plan, config.limits)
+    trans = transversality_liminf(problem, star, plan, config.limits)
 
     span = hz[-1] - a
     amp = config.probe_amplitude
@@ -1255,12 +1283,12 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
         for c in (amp, -amp):
             q = maker(c, **kw)
             comp = perturbed_generator(x_gen, q)
-            est = weak_max_compare(problem, comp, x_gen, plan, config.limits)
+            est = weak_max_compare(problem, comp, star, plan, config.limits)
             probes.append((f"{name}({c:+g})", est))
 
     t_list = [hz[len(hz) // 4], hz[len(hz) // 2], hz[-1]]
     diag = gateaux_report(
-        problem, x_gen, smoothstep_tail(amp, a, span / 5.0),
+        problem, star, smoothstep_tail(amp, a, span / 5.0),
         config.gateaux_eps, t_list, plan, config.limits,
     )
 
@@ -1279,4 +1307,8 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
         hypothesis_diagnostics=diag,
         verdict=verdict,
         flags=flags,
+        el_tol=el_tol,
+        trans_tol=config.trans_tol,
+        probe_tol=config.probe_tol,
+        nodes=len(plan.grid),
     )

@@ -16,6 +16,15 @@ from tsvar import (
     Lagrangian,
     TimeScaleSpec,
     UnboundedRay,
+    union,
+)
+
+#: a comb of 20 unit-spaced half intervals, an isolated point and a ray: 20
+#: seams where a continuous stretch ends in a jump
+COMB = union(
+    *(ClosedInterval(float(k), k + 0.5) for k in range(20)),
+    DiscretePoints((20.75,)),
+    UnboundedRay(21.0),
 )
 
 
@@ -177,6 +186,38 @@ def reference_dense_runs(grid):
     if s is not None:
         runs.append((s, m - 1))
     return runs
+
+
+def reference_cell_weights(grid):
+    """(w_prev, w_left, w_right) of the delta-integral cells, with a Python
+    loop over the interval-to-jump seams; the reference for
+    calculus._cell_weights.  Cell i integrates to
+    w_prev[i] f(i-1) + w_left[i] f(i) + w_right[i] f(i+1)."""
+    dt = np.diff(grid.nodes)
+    scat = grid.scattered[:-1]
+    w_prev = np.zeros_like(dt)
+    w_left = np.where(scat, grid.mu[:-1], 0.5 * dt)
+    w_right = np.where(scat, 0.0, 0.5 * dt)
+    for i in np.nonzero((~scat) & grid.scattered[1:])[0]:
+        if i >= 1 and not grid.scattered[i - 1]:
+            prev = grid.nodes[i] - grid.nodes[i - 1]
+            w_prev[i] = -(dt[i] * dt[i]) / (2.0 * prev)
+            w_left[i] = dt[i] - w_prev[i]
+        else:
+            w_left[i] = dt[i]
+        w_right[i] = 0.0
+    return w_prev, w_left, w_right
+
+
+def reference_cell_values(grid, v, i0, i1):
+    """Cell integrals for cells i0..i1-1 of an (m, n) value array, adding
+    the seam terms one cell at a time."""
+    w_prev, w_left, w_right = reference_cell_weights(grid)
+    sl = slice(i0, i1)
+    cells = w_left[sl, None] * v[i0:i1] + w_right[sl, None] * v[i0 + 1 : i1 + 1]
+    for k in np.nonzero(w_prev[sl])[0]:
+        cells[k] += w_prev[i0 + k] * v[i0 + k - 1]
+    return cells
 
 
 def random_poly(rng, degree=2, scale=0.5):

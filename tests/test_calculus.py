@@ -30,12 +30,14 @@ from tsvar import (
     sigma_shift,
     union,
 )
-from tsvar.calculus import SampleGrid
+from tsvar.calculus import SampleGrid, _cell_weights, _cumulative
 
 from helpers import (
+    COMB,
     poly_fn,
     random_poly,
     random_scattered_scale,
+    reference_cell_values,
     reference_dense_runs,
 )
 
@@ -281,6 +283,54 @@ def test_cumulative_matches_windows():
     for i in range(len(grid)):
         direct = delta_integral(f, grid.nodes[0], grid.nodes[i])
         assert abs(cum[i, 0] - direct[0]) <= 1e-12
+
+
+def assert_integrals_match_reference(grid, v, windows):
+    """_cumulative on every prefix length in ``windows`` and delta_integral
+    over each (i0, i1) window equal the seam loop's element by element."""
+    weights = _cell_weights(grid)
+    for i0, i1 in windows:
+        ref = reference_cell_values(grid, v, 0, i1)
+        want = np.zeros((i1 + 1, v.shape[1]))
+        np.cumsum(ref, axis=0, out=want[1:])
+        assert np.array_equal(_cumulative(v[: i1 + 1], weights), want)
+        f = GridFunction(grid, v)
+        lo, hi = grid.nodes[i0], grid.nodes[i1]
+        want = reference_cell_values(grid, v, min(i0, i1), max(i0, i1)).sum(axis=0)
+        assert np.array_equal(delta_integral(f, lo, hi), want if i0 <= i1 else -want)
+
+
+@given(
+    st.lists(st.tuples(st.booleans(), st.integers(1, 8)), min_size=2, max_size=60),
+    st.integers(1, 2),
+    st.data(),
+)
+def test_integrals_match_reference_seam_loop(cells, n, data):
+    scat = np.array([c[0] for c in cells])
+    gaps = np.array([c[1] for c in cells], dtype=float) / 8.0
+    nodes = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
+    grid = SampleGrid(nodes, np.where(scat, gaps, 0.0), scat, 0.125)
+    m = len(grid)
+    v = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=(m, n))
+    pair = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+    assert_integrals_match_reference(grid, v, data.draw(st.lists(pair, min_size=1)))
+
+
+@pytest.mark.parametrize("grid, n_seams", [
+    (COMB.build_grid(0.0, 25.0, 0.05), 20),
+    # seams at the first possible cell and at the last cell
+    (SampleGrid(np.array([0.0, 0.25, 0.625, 1.5, 2.0, 2.125]),
+                np.array([0.0, 0.0, 0.875, 0.0, 0.0, 1.0]),
+                np.array([False, False, True, False, False, True]), 0.5), 2),
+], ids=["comb", "edges"])
+def test_integrals_match_reference_seam_loop_on_fixed_grids(grid, n_seams):
+    seams = _cell_weights(grid)[2]
+    assert len(seams) == n_seams
+    v = np.column_stack((np.cos(grid.nodes), grid.nodes**2))
+    m = len(grid)
+    windows = [(0, m - 1), (m - 1, 0), (int(seams[0]), int(seams[-1]) + 1),
+               (int(seams[-1]) + 1, int(seams[-1])), (0, 1)]
+    assert_integrals_match_reference(grid, v, windows)
 
 
 def test_antiderivative_recovers_integrand():

@@ -272,6 +272,7 @@ def test_verify_consistent_exits_zero(tmp_path, capsys):
     assert doc["report"]["verdict"] == "consistent"
     assert doc["report"]["flags"] == []
     assert doc["t_max"] == 25.0
+    assert doc["report"]["el_tol"] == 1e-8  # the lattice default
 
 
 def test_verify_flags_exit_five(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """First-order diagnostics: residuals, transversality, lim-inf estimates,
 variation quotients, the lemma probe, and the truncated direct solver."""
 
+import collections
 import functools
 import json
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from tsvar import (
     ClosedInterval,
+    DimensionMismatch,
     DiscretePoints,
     GridFunction,
     InadmissiblePath,
@@ -24,6 +26,9 @@ from tsvar import (
     PartialsMismatch,
     Problem,
     SampleGrid,
+    SampledPath,
+    Trajectory,
+    VerificationReport,
     SolveParams,
     Verdict,
     VerifyConfig,
@@ -45,6 +50,7 @@ from tsvar import (
     sample_trajectory,
     smoothstep_tail,
     solve_truncated,
+    transversality_liminf,
     transversality_term,
     UnboundedRay,
     union,
@@ -61,9 +67,16 @@ from tsvar.problems import (
     lqr_ray_truncation_oracle,
     scalar_traj,
 )
-from tsvar.variational import _block_tridiagonal_solve, _Discretization, _hessian_blocks
+from tsvar import calculus, variational
+from tsvar.variational import (
+    _block_tridiagonal_solve,
+    _default_el_tol,
+    _Discretization,
+    _hessian_blocks,
+    classify_report,
+)
 
-from helpers import quadratic_lagrangian, random_poly
+from helpers import COMB, quadratic_lagrangian, random_poly
 
 NAT = integer_scale(0)
 
@@ -366,6 +379,32 @@ def test_gateaux_report_layout():
         gateaux_report(neg.problem, gen, pv, (0.1, 0.0), (5.0,), plan)
 
 
+def plane_problem():
+    """L = -|u|^2 + v_1 + v_2 on the integers from x(0) = (1, 2)."""
+    lag = Lagrangian(
+        n=2, eval=lambda t, u, v: -np.sum(u * u, axis=1) + v[:, 0] + v[:, 1],
+        vectorized=True,
+    )
+    return Problem(ts=NAT, a=0.0, x_a=np.array([1.0, 2.0]), lagrangian=lag)
+
+
+def test_variations_must_match_the_problem_dimension():
+    prob = plane_problem()
+    star = lambda t: np.outer(np.ones_like(np.asarray(t, dtype=float)), [1.0, 2.0])
+    plan = make_horizon_plan(NAT, 0.0, 20.0, h=1.0)
+    scalar = lambda t: 0.3 * np.asarray(t, dtype=float)
+    wide = lambda t: np.outer(np.asarray(t, dtype=float), [0.1, 0.2, 0.3])
+    plane = lambda t: np.outer(np.asarray(t, dtype=float), [0.1, 0.2])
+    for pvar in (scalar, wide):
+        with pytest.raises(DimensionMismatch):
+            gateaux_report(prob, star, pvar, (0.1,), (5.0,), plan)
+        with pytest.raises(DimensionMismatch):
+            first_variation(prob, star, pvar, 5.0, h=1.0)
+    report = gateaux_report(prob, star, plane, (0.1,), (5.0,), plan)
+    direct = variation_quotient(prob, star, plane, 0.1, report.t_values[0], h=1.0)
+    assert abs(report.a_values[0, 0] - direct) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # fundamental-lemma probe
 
@@ -637,6 +676,125 @@ def test_verify_finds_dense_runs_once_per_grid(monkeypatch):
     # the plan grid, then el_residual's prefix grid; every other derivative
     # of the verify reuses the plan grid's runs
     assert scans == [m, m - 1]
+
+
+def test_verify_samples_each_path_once(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (calculus, variational):
+        for name in ("delta_derivative_all", "sigma_shift_all", "_cell_weights"):
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    sample = vars(GridFunction)["from_callable"].__func__
+    monkeypatch.setattr(GridFunction, "from_callable",
+                        classmethod(counted("from_callable", sample)))
+    ray = lqr_ray()
+    report = verify_candidate(ray.problem, ray.candidate("decaying-exp").gen,
+                              VerifyConfig(t_max=10.0, h=0.01))
+    assert report.verdict is Verdict.CONSISTENT
+    # x* once, the 6 competitors and the variation once each; the 9th
+    # derivative is el_residual's outer one; one set of cell weights
+    assert calls == {"from_callable": 8, "sigma_shift_all": 8,
+                     "delta_derivative_all": 9, "_cell_weights": 1}
+
+
+def report_from_generators(problem, gen, config):
+    """verify_candidate assembled from the public functions called with the
+    plain generator, so that every diagnostic samples x* itself."""
+    a = problem.a
+    plan = make_horizon_plan(problem.ts, a, config.t_max, h=config.h,
+                             horizon_count=config.horizon_count,
+                             n_tails=config.n_tails, min_window=config.limits.window)
+    traj = Trajectory(problem, GridFunction.from_callable(plan.grid, gen))
+    res = el_residual(problem, traj)
+    res_abs = np.max(np.abs(res.values), axis=1)
+    hz = plan.horizons
+    window_sups = []
+    for w in (hz[len(hz) // 4], hz[len(hz) // 2], hz[3 * len(hz) // 4], hz[-1]):
+        sel = res.grid.nodes <= w + 1e-12
+        window_sups.append((float(w), float(res_abs[sel].max()) if sel.any() else 0.0))
+    trans = transversality_liminf(problem, gen, plan, config.limits)
+    span, amp = hz[-1] - a, config.probe_amplitude
+    families = [
+        ("tail_const", smoothstep_tail, dict(a=a, t_ramp=span / 5.0)),
+        ("decay", decaying_pulse, dict(a=a, rate=5.0 / span)),
+        ("bump", compact_bump, dict(center=a + span / 4.0, width=span / 10.0)),
+    ]
+    probes = []
+    for name, maker, kw in families:
+        for c in (amp, -amp):
+            comp = perturbed_generator(gen, maker(c, **kw))
+            probes.append((f"{name}({c:+g})",
+                           weak_max_compare(problem, comp, gen, plan, config.limits)))
+    diag = gateaux_report(problem, gen, smoothstep_tail(amp, a, span / 5.0),
+                          config.gateaux_eps, [hz[len(hz) // 4], hz[len(hz) // 2], hz[-1]],
+                          plan, config.limits)
+    el_sup = float(res_abs.max())
+    el_tol = _default_el_tol(plan.grid, config.h)
+    verdict, flags = classify_report(el_sup, trans, probes, el_tol=el_tol,
+                                     trans_tol=config.trans_tol,
+                                     probe_tol=config.probe_tol)
+    return VerificationReport(
+        el_sup_norm=el_sup, el_window_sups=tuple(window_sups), transversality=trans,
+        weak_max_probes=tuple(probes), hypothesis_diagnostics=diag, verdict=verdict,
+        flags=flags, el_tol=el_tol, trans_tol=config.trans_tol,
+        probe_tol=config.probe_tol, nodes=len(plan.grid),
+    )
+
+
+@pytest.mark.parametrize("named, label, t_max, h", [
+    (lqr_ray(1.3), "decaying-exp", 10.0, 0.01),
+    (ex_pos(1.7, ts=COMB), "line", 40.0, 0.01),
+    (ex_neg(0.8, 1.2), "const", 25.0, 1.0),
+], ids=["lqr-r", "ex-pos-comb", "ex-neg-Z"])
+def test_shared_path_report_equals_generator_report(named, label, t_max, h):
+    gen = named.candidate(label).gen
+    cfg = VerifyConfig(t_max=t_max, h=h)
+    shared = verify_candidate(named.problem, gen, cfg).to_dict()
+    assert shared == report_from_generators(named.problem, gen, cfg).to_dict()
+    assert shared["verdict"] == named.candidate(label).expected.value
+
+
+def test_verify_reports_the_tolerances_it_applied():
+    ray = lqr_ray()
+    cfg = VerifyConfig(t_max=5.0, h=0.01)
+    doc = verify_candidate(ray.problem, ray.candidate("decaying-exp").gen, cfg).to_dict()
+    assert list(doc)[-4:] == ["el_tol", "trans_tol", "probe_tol", "nodes"]
+    assert doc["el_tol"] == 20.0 * 0.01 * 0.01
+    assert (doc["trans_tol"], doc["probe_tol"]) == (cfg.trans_tol, cfg.probe_tol)
+    assert doc["nodes"] == len(make_horizon_plan(ray.problem.ts, 0.0, 5.0, h=0.01).grid)
+    neg = ex_neg()
+    cfg = VerifyConfig(t_max=25.0, h=1.0, trans_tol=1e-5)
+    doc = verify_candidate(neg.problem, neg.candidate("const").gen, cfg).to_dict()
+    assert (doc["el_tol"], doc["trans_tol"]) == (1e-8, 1e-5)
+
+
+def test_sampled_path_is_checked_where_it_is_used():
+    pos = ex_pos()
+    plan = make_horizon_plan(pos.problem.ts, 0.0, 30.0, h=1.0)
+    gen = pos.candidate("line").gen
+    path = SampledPath.of(pos.problem, gen, plan.grid)
+    traj = Trajectory(pos.problem, path.x)
+    assert np.array_equal(el_residual(pos.problem, path).values,
+                          el_residual(pos.problem, traj).values)
+    assert transversality_term(pos.problem, path, 7.0) == \
+        transversality_term(pos.problem, traj, 7.0)
+    assert weak_max_compare(pos.problem, path, path, plan).value == 0.0
+    with pytest.raises(DimensionMismatch):  # a generator needs a grid
+        el_residual(pos.problem, gen)
+    assert SampledPath.of(pos.problem, path, plan.grid) is path
+    other = ex_pos()  # same path, another Lagrangian object: sampled anew
+    assert SampledPath.of(other.problem, path).problem is other.problem
+    short = make_horizon_plan(pos.problem.ts, 0.0, 20.0, h=1.0)
+    with pytest.raises(DimensionMismatch):  # sampled on another grid
+        weak_max_compare(pos.problem, gen, path, short)
+    with pytest.raises(InadmissibleVariation):  # x(a) = A, not 0
+        gateaux_report(pos.problem, path, path, (0.1,), (5.0,), plan)
 
 
 def test_verify_transversality_failure():
