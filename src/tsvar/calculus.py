@@ -15,9 +15,9 @@ heuristic (see classify_limit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
     InsufficientHorizons,
     NotInTimeScale,
 )
-from .timescale import SampleGrid, TimeScaleSpec
+from .timescale import SampleGrid
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +88,6 @@ class GridFunction:
             s = nodes[-1] + grid.mu[-1]
             sigma_last = _call_on_times(fn, np.array([s]))[0]
         return cls(grid=grid, values=vals, sigma_last=sigma_last)
-
-    def restrict(self, k):
-        """The same function on the first k nodes."""
-        sl = self.sigma_last if k == len(self.grid) else None
-        return GridFunction(self.grid.prefix(k), self.values[:k], sigma_last=sl)
 
 
 def _call_on_times(fn, times):
@@ -211,9 +206,10 @@ def delta_derivative_all(f):
 
     for s, e in grid.dense_runs:
         if e - s >= 2:
-            deriv[s + 1 : e] = (v[s + 2 : e + 1] - v[s : e - 1]) / (
-                t[s + 2 : e + 1] - t[s : e - 1]
-            )[:, None]
+            # central difference written straight into deriv: no (m, n) temporaries
+            inner = deriv[s + 1 : e]
+            np.subtract(v[s + 2 : e + 1], v[s : e - 1], out=inner)
+            inner /= (t[s + 2 : e + 1] - t[s : e - 1])[:, None]
             steps = np.diff(t[s : min(s + 4, e + 1)])
             uniform = len(steps) >= 3 and np.ptp(steps) <= 1e-9 * steps[0]
             if uniform:

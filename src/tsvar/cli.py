@@ -18,7 +18,12 @@ from .calculus import GridFunction, delta_integral, improper_integral
 from .errors import InvalidWindow, ParseError, TsvarError
 from .expressions import compile_expression
 from .problemfile import load_problem_file
-from .variational import el_residual, solve_truncated, verify_candidate
+from .variational import (
+    _slope_margin_grid,
+    el_residual,
+    solve_truncated,
+    verify_candidate,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -186,10 +191,7 @@ def cmd_residual(args):
         win_lo, win_hi = args.window
     else:
         win_lo, win_hi = a, float(pf.config.get("t_max", 40.0))
-    t_hi = ts.floor_member(win_hi)
-    for _ in range(3):
-        t_hi = ts.advance(t_hi, h)
-    grid = ts.build_grid(a, t_hi, h)
+    grid = _slope_margin_grid(ts, a, win_hi, h)
     gf = GridFunction.from_callable(grid, gen)
     res = el_residual(prob, gf)
     nodes = res.grid.nodes
@@ -246,17 +248,12 @@ def cmd_solve(args):
     prob = pf.problem
     h = args.h if args.h is not None else pf.h
     t_end = prob.ts.floor_member(args.T)
-    overrides = {"seed": args.seed}
-    if args.multistart is not None:
-        overrides["multistart"] = args.multistart
-    params = pf.solve_params(**overrides)
-    result = solve_truncated(prob, t_end, args.terminal, h=h, params=params)
+    result = solve_truncated(prob, t_end, args.terminal, h=h, params=pf.solve_params())
     doc = {
         "command": "solve",
         "t_end": float(t_end),
         "h": h,
         "terminal": "free" if args.terminal is None else list(args.terminal),
-        "seed": args.seed,
         **result.to_dict(),
     }
     _print_json(doc)
@@ -318,8 +315,8 @@ def build_parser():
     p_sol.add_argument("--terminal", type=_terminal_arg, default=None,
                        help="'free' (default) or 'pinned=V1[,V2,...]'")
     p_sol.add_argument("--h", type=float, default=None)
-    p_sol.add_argument("--seed", type=int, default=0)
-    p_sol.add_argument("--multistart", type=int, default=None)
+    p_sol.add_argument("--seed", type=int, default=0,
+                       help="accepted for older scripts; has no effect")
     p_sol.add_argument("--csv", default=None, help="write the trajectory here")
     p_sol.set_defaults(func=cmd_solve)
     return parser

@@ -25,7 +25,7 @@ before the file is accepted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -41,14 +41,16 @@ _CONFIG_KEYS = {
     "probe_tol", "probe_amplitude", "gateaux_eps",
     "rel_tol", "abs_floor", "div_threshold", "window", "rate_keep",
     "drift_frac",
-    "g_tol", "max_iter", "multistart", "init_amplitude",
+    "g_tol", "max_iter",
+    # accepted and ignored, so files written for the multistart solver still load
+    "multistart", "init_amplitude",
 }
 
 _LIMIT_KEYS = {"rel_tol", "abs_floor", "div_threshold", "window", "rate_keep",
                "drift_frac"}
 _VERIFY_KEYS = {"t_max", "h", "horizon_count", "n_tails", "el_tol",
                 "trans_tol", "probe_tol", "probe_amplitude", "gateaux_eps"}
-_SOLVE_KEYS = {"g_tol", "max_iter", "multistart", "init_amplitude"}
+_SOLVE_KEYS = {"g_tol", "max_iter"}
 
 
 @dataclass(frozen=True)
@@ -89,9 +91,8 @@ class ProblemFile:
     def solve_params(self, **overrides):
         kw = {k: v for k, v in self.config.items() if k in _SOLVE_KEYS}
         kw.update(overrides)
-        for key in ("max_iter", "multistart"):
-            if key in kw:
-                kw[key] = int(kw[key])
+        if "max_iter" in kw:
+            kw["max_iter"] = int(kw["max_iter"])
         return SolveParams(**kw)
 
 

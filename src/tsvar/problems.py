@@ -17,12 +17,12 @@ Four families with known first-order behavior:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .timescale import TimeScaleSpec, format_timescale, integer_scale, real_ray
+from .timescale import format_timescale, integer_scale, real_ray
 from .variational import Lagrangian, Problem, Verdict
 
 #: decaying root of r^2 - 3r + 1 = 0, the stable mode of the lqr recurrence

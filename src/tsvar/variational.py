@@ -19,10 +19,10 @@ a truncated-horizon direct solver, and a verdict-producing verifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -353,16 +353,22 @@ class HorizonPlan:
         return self.grid.nodes[self.horizon_idx]
 
 
+def _slope_margin_grid(ts, a, t, h):
+    """Grid from a to the last member at or below t plus three sampling
+    steps, so that every node up to that member keeps a defined slope."""
+    t_hi = ts.floor_member(t)
+    for _ in range(3):
+        t_hi = ts.advance(t_hi, h)
+    return ts.build_grid(a, t_hi, h)
+
+
 def make_horizon_plan(ts, a, t_max, *, h, horizon_count=60, n_tails=10,
                       min_window=5):
     """Build the grid/horizon/tail layout for sweeps up to t_max."""
     t_end = ts.floor_member(t_max)
     if not t_end > a:
         raise InvalidWindow("t_max must leave room beyond the start")
-    t_hi = t_end
-    for _ in range(3):  # margin so every horizon node keeps a defined slope
-        t_hi = ts.advance(t_hi, h)
-    grid = ts.build_grid(a, t_hi, h)
+    grid = _slope_margin_grid(ts, a, t_max, h)
     i_end = int(np.searchsorted(grid.nodes, t_end + 1e-12)) - 1
     eligible = np.arange(1, i_end + 1)
     if len(eligible) < min_window:
@@ -502,10 +508,7 @@ def _variation_data(problem, x_star, pvar, t_end, h):
     """Paths of x* and p on [a, t_end] plus a slope margin, their common
     prefix K and the index of t_end."""
     ts = problem.ts
-    t_hi = ts.floor_member(t_end)
-    for _ in range(3):
-        t_hi = ts.advance(t_hi, h)
-    grid = ts.build_grid(problem.a, t_hi, h)
+    grid = _slope_margin_grid(ts, problem.a, t_end, h)
     star = SampledPath.of(problem, x_star, grid)
     var = SampledPath.of(problem, pvar, grid, variation=True)
     K, i = min(star.K, var.K), grid.index_of(ts.snap(t_end))
@@ -773,30 +776,24 @@ def fundamental_lemma_probe(ts, g, a, b, *, h, tol_zero=1e-9):
 @dataclass(frozen=True)
 class SolveParams:
     """Solver settings: stop when the sup-norm of the gradient on the free
-    nodes is at most ``g_tol`` or after ``max_iter`` Newton iterations;
-    ``multistart`` starts, all but the first perturbed by seeded normal noise
-    of size ``init_amplitude``."""
+    nodes is at most ``g_tol`` or after ``max_iter`` Newton iterations."""
 
     g_tol: float = 1e-8
     max_iter: int = 10000
-    multistart: int = 3
-    seed: int = 0
-    init_amplitude: float = 0.1
 
 
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of the direct method; ``converged`` is False when the gradient
-    tolerance was not reached and the best iterate is returned instead.
+    tolerance was not reached and the last iterate is returned instead.
     ``history`` holds one (objective, grad_inf_norm, step, shift) entry per
-    Newton iteration of the returned start."""
+    Newton iteration."""
 
     trajectory: Trajectory
     objective: float
     converged: bool
     iterations: int
     grad_inf_norm: float
-    starts: int
     history: tuple = ()
 
     def to_dict(self):
@@ -806,7 +803,6 @@ class SolveResult:
             "converged": self.converged,
             "iterations": self.iterations,
             "grad_inf_norm": self.grad_inf_norm,
-            "starts": self.starts,
             "history": [dict(zip(keys, entry)) for entry in self.history],
         }
 
@@ -1027,57 +1023,28 @@ def solve_truncated(problem, t_end, terminal=None, *, h, params=SolveParams()):
     """Maximize the discretized functional on [a, t_end].
 
     ``terminal``: None leaves x(t_end) free, a vector pins it.  Runs damped
-    Newton from ``multistart`` starts, a deterministic base guess plus seeded
-    random perturbations, and returns the best; ``converged`` is False when
-    no start reached the gradient tolerance (the best iterate is still
-    returned).
+    Newton from the line joining x_a to the pinned end (constant x_a when the
+    end is free); ``converged`` is False when the gradient tolerance was not
+    reached (the last iterate is still returned).
     """
     grid = problem.ts.build_grid(problem.a, t_end, h)
     m, n = len(grid), problem.n
     if m < 2:
         raise GridTooSmall("truncation window has fewer than two nodes")
-    pinned = None
+    hi, target = m, problem.x_a  # free nodes are 1..hi-1
     if terminal is not None:
-        pinned = np.broadcast_to(np.asarray(terminal, dtype=float), (n,)).astype(float)
-    disc = _Discretization(problem, grid)
-
-    hi = m - 1 if pinned is not None else m  # free nodes are 1..hi-1
-    target = pinned if pinned is not None else problem.x_a
+        hi = m - 1
+        target = np.broadcast_to(np.asarray(terminal, dtype=float), (n,))
     frac = (grid.nodes - grid.nodes[0]) / (grid.nodes[-1] - grid.nodes[0])
-    base = problem.x_a[None, :] + frac[:, None] * (target - problem.x_a)[None, :]
-
-    rng = np.random.default_rng(params.seed)
-    inits = []
-    for k in range(max(1, params.multistart)):
-        init = base.copy()
-        if k > 0:
-            init = init + params.init_amplitude * rng.standard_normal(init.shape)
-            init[0] = problem.x_a
-            if pinned is not None:
-                init[-1] = pinned
-        inits.append(init)
-
-    def run(init):
-        try:
-            return _newton(disc, init, 1, hi, params)
-        except NonFiniteObjective:
-            return None
-
-    outcomes = [o for o in map(run, inits) if o is not None]
-    if not outcomes:
-        raise NonFiniteObjective("no start produced a finite objective")
-    converged = [o for o in outcomes if o[1]]
-    pool_ = converged if converged else outcomes
-    best = max(pool_, key=lambda o: o[4])
-    x, ok, iters, gnorm, f, history = best
-    traj = Trajectory(problem, GridFunction(grid, x))
+    init = problem.x_a[None, :] + frac[:, None] * (target - problem.x_a)[None, :]
+    x, ok, iters, gnorm, f, history = _newton(
+        _Discretization(problem, grid), init, 1, hi, params)
     return SolveResult(
-        trajectory=traj,
+        trajectory=Trajectory(problem, GridFunction(grid, x)),
         objective=f,
         converged=ok,
         iterations=iters,
         grad_inf_norm=gnorm,
-        starts=len(outcomes),
         history=tuple(history),
     )
 

@@ -127,6 +127,28 @@ def test_derivative_dense_matches_classical():
     assert abs(delta_derivative(f, i)[0] - 2.0) <= 1e-6
 
 
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(1, 8)), min_size=3, max_size=60),
+    st.integers(1, 2),
+    st.data(),
+)
+def test_derivative_interior_stencil_matches_sliced_expression(cells, n, data):
+    # about one node in four is right-scattered, so runs of every length occur
+    scat = np.array([c[0] == 0 for c in cells])
+    gaps = np.array([c[1] for c in cells], dtype=float) / 8.0
+    nodes = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
+    grid = SampleGrid(nodes, np.where(scat, gaps, 0.0), scat, 0.125)
+    v = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=(len(grid), n))
+    deriv, _ = delta_derivative_all(GridFunction(grid, v))
+    t = grid.nodes
+    for s, e in grid.dense_runs:
+        if e - s < 2:
+            continue
+        want = (v[s + 2 : e + 1] - v[s : e - 1]) / (t[s + 2 : e + 1] - t[s : e - 1])[:, None]
+        stop = e - 1 if scat[e] else e  # a branch end stencil rewrites node e-1
+        assert np.array_equal(deriv[s + 1 : stop], want[: stop - s - 1])
+
+
 def test_derivative_quadratic_exact_on_dense_run():
     grid = real_ray(0).build_grid(0, 2, 0.05)
     c = random_poly(np.random.default_rng(3), degree=2)

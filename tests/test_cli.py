@@ -338,7 +338,7 @@ def test_solve_iteration_budget_exit_code(tmp_path, capsys):
                                     "d3": ["-2*v1"]},
                config={"max_iter": 2})
     f = write(tmp_path, doc)
-    code, out, _ = run_cli(capsys, ["solve", f, "--T", "8", "--multistart", "1"])
+    code, out, _ = run_cli(capsys, ["solve", f, "--T", "8"])
     assert code == 4
     assert out["converged"] is False
     assert out["iterations"] == len(out["history"]) == 2
@@ -351,15 +351,26 @@ def test_solve_unbounded_truncation_exits_4(tmp_path, capsys):
     assert out["converged"] is False
 
 
-def test_solve_same_seed_is_byte_identical(tmp_path, capsys):
+def test_solve_seed_has_no_effect(tmp_path, capsys):
+    # --seed is still accepted, but the solver has one deterministic start
+    f = write(tmp_path, dict(RAY_DOC, lagrangian=LQR_DOC["lagrangian"]))
+    outputs = []
+    for seed in ("1", "2"):
+        csv_path = tmp_path / f"seed{seed}.csv"
+        argv = ["solve", f, "--T", "3", "--h", "0.02", "--seed", seed,
+                "--csv", str(csv_path)]
+        assert cli.main(argv) == 0
+        outputs.append((capsys.readouterr().out, csv_path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert "seed" not in json.loads(outputs[0][0])
+
+
+def test_solve_multistart_flag_is_rejected(tmp_path, capsys):
     f = write(tmp_path, LQR_DOC)
-    argv = ["solve", f, "--T", "6", "--seed", "7"]
-    code1 = cli.main(argv)
-    out1 = capsys.readouterr().out
-    code2 = cli.main(argv)
-    out2 = capsys.readouterr().out
-    assert code1 == code2 == 0
-    assert out1 == out2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", f, "--T", "6", "--multistart", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_solve_window_too_small(tmp_path, capsys):

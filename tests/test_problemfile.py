@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from tsvar import PartialsMismatch, ProblemFileError
+from tsvar import PartialsMismatch, ProblemFileError, SolveParams, solve_truncated
 from tsvar.problemfile import load_problem_file, problem_from_dict
 from tsvar.timescale import ArithmeticTail, ClosedInterval, union
 
@@ -133,9 +133,19 @@ def test_config_builds_typed_objects():
     assert pf.verify_config(t_max=5.0).t_max == 5.0
     sp = pf.solve_params()
     assert sp.max_iter == 200 and isinstance(sp.max_iter, int)
-    assert sp.multistart == 1
     assert sp.g_tol == 1e-6
     assert pf.solve_params(max_iter=3).max_iter == 3
+
+
+def test_former_multistart_keys_still_load_and_solve(tmp_path):
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(base_doc(config={"multistart": 3, "init_amplitude": 0.1})))
+    pf = load_problem_file(path)
+    assert pf.solve_params() == SolveParams()
+    res = solve_truncated(pf.problem, 6.0, h=1.0, params=pf.solve_params())
+    plain = solve_truncated(problem_from_dict(base_doc()).problem, 6.0, h=1.0)
+    assert res.converged
+    assert np.array_equal(res.trajectory.x.values, plain.trajectory.x.values)
 
 
 def test_load_problem_file(tmp_path):

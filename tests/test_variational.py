@@ -2,6 +2,7 @@
 variation quotients, the lemma probe, and the truncated direct solver."""
 
 import collections
+import dataclasses
 import functools
 import json
 
@@ -496,15 +497,13 @@ def quartic_problem():
 
 
 def test_solve_iteration_budget():
-    res = solve_truncated(
-        quartic_problem(), 8.0, h=1.0, params=SolveParams(max_iter=2, multistart=1)
-    )
+    res = solve_truncated(quartic_problem(), 8.0, h=1.0, params=SolveParams(max_iter=2))
     assert not res.converged
     assert res.iterations == 2
 
 
 def test_solve_history_has_one_entry_per_iteration():
-    res = solve_truncated(quartic_problem(), 8.0, h=1.0, params=SolveParams(multistart=1))
+    res = solve_truncated(quartic_problem(), 8.0, h=1.0)
     assert res.converged and res.iterations == len(res.history) > 1
     objectives = [f for f, _, _, _ in res.history] + [res.objective]
     assert all(b >= a for a, b in zip(objectives, objectives[1:]))
@@ -516,14 +515,17 @@ def test_solve_history_has_one_entry_per_iteration():
 
 
 def test_solve_quadratic_problems_take_one_newton_step():
-    params = SolveParams(multistart=1)
-    res = solve_truncated(lqr_grid().problem, 6.0, h=1.0, params=params)
+    res = solve_truncated(lqr_grid().problem, 6.0, h=1.0)
     assert res.converged and res.iterations == 1
-    res = solve_truncated(lqr_ray().problem, 3.0, h=0.01, params=params)
-    assert res.converged and res.iterations == 1
-    # seeded starts are rough (slopes near 0.1 / h) and may need a second step
     res = solve_truncated(lqr_ray().problem, 3.0, h=0.01)
-    assert res.converged and res.iterations <= 2
+    assert res.converged and res.iterations == 1
+    for x_a in (0.5, 1.0, 2.0):
+        res = solve_truncated(lqr_ray(x_a).problem, 3.0, h=0.02)
+        assert res.converged and res.iterations == len(res.history) == 1
+
+
+def test_solve_params_are_the_two_stopping_rules():
+    assert [f.name for f in dataclasses.fields(SolveParams)] == ["g_tol", "max_iter"]
 
 
 def test_solve_fine_ray_grid_reaches_second_order_accuracy():
@@ -635,7 +637,7 @@ def test_solve_nonfinite_objective():
     lag = Lagrangian(n=1, eval=log_slope, vectorized=True, validate=False)
     prob = Problem(ts=NAT, a=0.0, x_a=np.array([1.0]), lagrangian=lag)
     with pytest.raises(NonFiniteObjective):
-        solve_truncated(prob, 4.0, h=1.0, params=SolveParams(multistart=1))
+        solve_truncated(prob, 4.0, h=1.0)
 
 
 # ---------------------------------------------------------------------------
