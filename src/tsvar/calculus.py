@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    BoundaryUndefined,
     DimensionMismatch,
     EvaluationError,
     GridTooSmall,
@@ -74,12 +73,13 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, grid, fn, extend=True):
-        """Sample ``fn`` at the grid nodes.
+        """Sample the generator ``fn`` at the grid nodes.
 
-        ``fn`` may be vectorized (array of times -> (m,) or (m, n) array) or
-        scalar (float -> float or length-n vector).  When ``extend`` is true
-        and the last node is right-scattered, fn is also evaluated at
-        sigma(last node) -- a member of the scale just past the window.
+        ``fn`` is called on an array of times and must return an (m,) or
+        (m, n) array, or a constant; scalar-only callables such as
+        ``math.exp`` are not supported.  When ``extend`` is true and the
+        last node is right-scattered, fn is also evaluated at sigma(last
+        node) -- a member of the scale just past the window.
         """
         nodes = grid.nodes
         vals = _call_on_times(fn, nodes)
@@ -91,22 +91,21 @@ class GridFunction:
 
 
 def _call_on_times(fn, times):
-    """Evaluate a time -> value callable on an array of times, tolerating
-    scalar-only callables; returns an (m, n) array."""
+    """Call a time -> value generator once on an array of m times; returns
+    an (m, n) array.  An (m,) result is one column, a constant () result is
+    broadcast, and any other shape raises DimensionMismatch; errors raised
+    by fn propagate."""
     m = len(times)
-    try:
-        out = np.asarray(fn(times), dtype=float)
-    except Exception:
-        out = None
-    if out is not None:
-        if out.shape == (m,):
-            return out[:, None]
-        if out.ndim == 2 and out.shape[0] == m:
-            return out.copy()
-        if out.shape == ():  # constant callable
-            return np.full((m, 1), float(out))
-    rows = [np.atleast_1d(np.asarray(fn(float(t)), dtype=float)) for t in times]
-    return np.stack(rows, axis=0)
+    out = np.asarray(fn(times), dtype=float)
+    if out.shape == (m,):
+        return out[:, None]
+    if out.ndim == 2 and out.shape[0] == m:
+        return out.copy()
+    if out.shape == ():  # constant callable
+        return np.full((m, 1), float(out))
+    raise DimensionMismatch(
+        f"generator returned shape {out.shape} for {m} times; expected ({m},) or ({m}, n)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -230,42 +229,6 @@ def delta_derivative_all(f):
             deriv[s] = (v[s + 1] - v[s]) / (t[s + 1] - t[s])
         defined[s:e] = True
     return deriv, defined
-
-
-def delta_derivative(f, i=None):
-    """Delta derivative of a grid function.
-
-    With ``i`` given, the derivative vector at node i (BoundaryUndefined if
-    the node has no usable forward information).  Without ``i``, the pair
-    (deriv, defined) from delta_derivative_all.
-    """
-    if len(f.grid) < 2:
-        raise GridTooSmall("need at least two nodes for a delta derivative")
-    deriv, defined = delta_derivative_all(f)
-    if i is None:
-        return deriv, defined
-    if not defined[i]:
-        raise BoundaryUndefined(
-            f"delta derivative undefined at node {i} (t={f.grid.nodes[i]!r})"
-        )
-    return deriv[i]
-
-
-def sigma_shift(f):
-    """The composition f(sigma(.)) as a grid function.
-
-    At scattered nodes this is the next node's value; at dense nodes it is
-    the value itself.  If the grid ends at a right-scattered node and no
-    sigma_last extension is stored, the result lives on the grid minus its
-    last node.
-    """
-    m = len(f.grid)
-    if m < 2:
-        raise GridTooSmall("need at least two nodes for a sigma shift")
-    out, defined = sigma_shift_all(f)
-    if not defined[-1]:
-        return GridFunction(f.grid.prefix(m - 1), out[: m - 1])
-    return GridFunction(f.grid, out)
 
 
 def sigma_shift_all(f):

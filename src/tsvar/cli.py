@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .calculus import GridFunction, delta_integral, improper_integral
+from .calculus import GridFunction, _call_on_times, delta_integral, improper_integral
 from .errors import InvalidWindow, ParseError, TsvarError
 from .expressions import compile_expression
 from .problemfile import load_problem_file
@@ -139,8 +139,6 @@ def cmd_integrate(args):
     hi = ts.floor_member(hi_v)
     if lo >= hi:
         # int_c^c = 0, and a window holding no complete cell integrates to 0
-        from .calculus import _call_on_times
-
         probe = _call_on_times(fn, np.array([hi if lo > hi else lo]))
         doc = {
             "command": "integrate",

@@ -31,6 +31,7 @@ from .calculus import (
     LimitConfig,
     LimitEstimate,
     LimitKind,
+    _call_on_times,
     _cell_weights,
     _cumulative,
     classify_limit,
@@ -59,7 +60,7 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 # ---------------------------------------------------------------------------
-# Lagrangians, problems, trajectories
+# Lagrangians, problems, sampled paths
 
 
 @dataclass
@@ -202,76 +203,60 @@ class Problem:
         return self.lagrangian.n
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """An admissible path sampled on a grid of the problem's scale."""
-
-    problem: Problem
-    x: GridFunction
-
-    def __post_init__(self):
-        if self.x.dim != self.problem.n:
-            raise DimensionMismatch("trajectory dimension does not match problem")
-        if abs(self.x.grid.nodes[0] - self.problem.a) > 1e-9:
-            raise InadmissiblePath("trajectory grid must start at a")
-        if np.max(np.abs(self.x.values[0] - self.problem.x_a)) > ADMISSIBLE_TOL:
-            raise InadmissiblePath(
-                f"x(a) = {self.x.values[0]} but x_a = {self.problem.x_a}"
-            )
-
-    @property
-    def grid(self):
-        return self.x.grid
-
-
-def sample_trajectory(problem, gen, t_end, h):
-    """Sample a generator t -> x(t) into a Trajectory on [a, t_end]."""
-    grid = problem.ts.build_grid(problem.a, t_end, h)
-    return Trajectory(problem, GridFunction.from_callable(grid, gen))
-
-
-# ---------------------------------------------------------------------------
-# sampled paths shared by the first-order operations
-
-
 class SampledPath:
-    """A path or variation sampled once on one grid: the samples ``x``, the
-    sigma-shift ``shift`` and slope ``slope`` on the prefix of ``K`` nodes
-    where both are defined and, on first use, the Lagrangian row and the
-    cell weights.  Built by ``of``; the first-order operations take one in
-    place of a generator and read these samples instead of sampling again."""
+    """A path, or with ``variation`` a variation, of ``problem`` sampled on
+    one grid: the samples ``x`` (a GridFunction on ``grid``) and, computed
+    together on first read, the sigma-shift ``shift`` and slope ``slope`` on
+    the prefix of ``K`` nodes where both are defined; the Lagrangian row and
+    the cell weights are also computed on first use.  A path must start at
+    a with x(a) = x_a, a variation must have p(a) = 0.  The first-order
+    operations take one in place of a generator and read these samples
+    instead of sampling again.  ``Trajectory`` names the same class."""
 
-    def __init__(self, problem, x):
-        xs, def_s = sigma_shift_all(x)
-        xd, def_d = delta_derivative_all(x)
+    def __init__(self, problem, x, *, variation=False):
+        if x.dim != problem.n:
+            raise DimensionMismatch("path dimension does not match the problem")
+        if variation:
+            if np.max(np.abs(x.values[0])) > ADMISSIBLE_TOL:
+                raise InadmissibleVariation("variations must vanish at the left endpoint")
+        elif abs(x.grid.nodes[0] - problem.a) > 1e-9:
+            raise InadmissiblePath("trajectory grid must start at a")
+        elif np.max(np.abs(x.values[0] - problem.x_a)) > ADMISSIBLE_TOL:
+            raise InadmissiblePath(f"x(a) = {x.values[0]} but x_a = {problem.x_a}")
+        self.problem, self.x, self.grid, self.variation = problem, x, x.grid, variation
+
+    @classmethod
+    def of(cls, problem, x, grid=None, *, variation=False):
+        """``x`` as a path (or variation) of ``problem`` on ``grid``: a
+        SampledPath of the same problem, grid and ``variation`` flag is
+        reused, another keeps its samples, a GridFunction is wrapped and a
+        generator is sampled on ``grid``."""
+        if isinstance(x, cls):
+            same = x.problem is problem and x.variation == variation
+            if same and (grid is None or grid is x.grid):
+                return x
+            x = x.x
+        elif callable(x) and grid is not None:
+            x = GridFunction.from_callable(grid, x)
+        if not isinstance(x, GridFunction):
+            raise DimensionMismatch("expected a GridFunction or SampledPath")
+        if grid is not None and x.grid is not grid:
+            raise DimensionMismatch("the path is sampled on another grid")
+        return cls(problem, x, variation=variation)
+
+    @cached_property
+    def _prefix(self):
+        xs, def_s = sigma_shift_all(self.x)
+        xd, def_d = delta_derivative_all(self.x)
         both = def_s & def_d
         K = len(both) if bool(both.all()) else int(np.argmin(both))
         if K < 1:
             raise GridTooSmall("no prefix of the grid has sigma-shift and slope defined")
-        self.problem, self.x, self.grid, self.K = problem, x, x.grid, K
-        self.shift, self.slope = xs[:K], xd[:K]
+        return K, xs[:K], xd[:K]
 
-    @classmethod
-    def of(cls, problem, x, grid=None, *, variation=False):
-        """``x`` as a path of ``problem`` on ``grid``: a SampledPath is
-        reused, a Trajectory or GridFunction keeps its samples, a generator
-        is sampled.  Paths are checked for admissibility, variations
-        (``variation``) for the problem's dimension and p(a) = 0."""
-        path = x if isinstance(x, cls) and x.problem is problem else None
-        x = x.x if isinstance(x, (cls, Trajectory)) else x
-        if callable(x) and grid is not None:
-            x = GridFunction.from_callable(grid, x)
-        if not isinstance(x, GridFunction):
-            raise DimensionMismatch("expected a Trajectory, GridFunction or SampledPath")
-        if grid is not None and x.grid is not grid:
-            raise DimensionMismatch("the path is sampled on another grid")
-        if not variation:
-            Trajectory(problem, x)  # runs the admissibility checks
-        elif x.dim != problem.n:
-            raise DimensionMismatch("variation dimension does not match the problem")
-        elif np.max(np.abs(x.values[0])) > ADMISSIBLE_TOL:
-            raise InadmissibleVariation("variations must vanish at the left endpoint")
-        return path if path is not None else cls(problem, x)
+    K = property(lambda self: self._prefix[0])
+    shift = property(lambda self: self._prefix[1])
+    slope = property(lambda self: self._prefix[2])
 
     @cached_property
     def lagrangian_row(self):
@@ -285,6 +270,15 @@ class SampledPath:
         return _cell_weights(self.grid)
 
 
+Trajectory = SampledPath
+
+
+def sample_trajectory(problem, gen, t_end, h):
+    """Sample a generator t -> x(t) into a path on [a, t_end]."""
+    grid = problem.ts.build_grid(problem.a, t_end, h)
+    return SampledPath(problem, GridFunction.from_callable(grid, gen))
+
+
 # ---------------------------------------------------------------------------
 # Euler-Lagrange residual and transversality
 
@@ -292,10 +286,10 @@ class SampledPath:
 def el_residual(problem, x):
     """Residual of (d/dt) dL/dv = dL/du along a sampled path.
 
-    ``x`` is a Trajectory, GridFunction or SampledPath.  Returns a grid
-    function on the prefix of the path's grid where both the inner slope
-    and the outer delta derivative are computable: the residual at node t
-    is delta[d3-row](t) - d2(t, x_sigma(t), x_delta(t)).
+    ``x`` is a SampledPath or GridFunction.  Returns a grid function on the
+    prefix of the path's grid where both the inner slope and the outer delta
+    derivative are computable: the residual at node t is
+    delta[d3-row](t) - d2(t, x_sigma(t), x_delta(t)).
     """
     path = SampledPath.of(problem, x)
     if len(path.grid) < 3:
@@ -324,7 +318,7 @@ def el_sup_norm(problem, x):
 
 def transversality_term(problem, x, t_prime):
     """dL/dv (T', x_sigma(T'), x_delta(T')) . x(T') at a grid node T' of a
-    Trajectory, GridFunction or SampledPath ``x``."""
+    SampledPath or GridFunction ``x``."""
     path = SampledPath.of(problem, x)
     i = path.grid.index_of(t_prime)
     if i >= path.K:
@@ -661,8 +655,6 @@ class LemmaWitness:
 
 
 def _scalar_samples(g, times):
-    from .calculus import _call_on_times
-
     vals = _call_on_times(g, np.asarray(times, dtype=float))
     if vals.shape[1] != 1:
         raise DimensionMismatch("the lemma probe works on scalar functions")
@@ -789,7 +781,7 @@ class SolveResult:
     ``history`` holds one (objective, grad_inf_norm, step, shift) entry per
     Newton iteration."""
 
-    trajectory: Trajectory
+    trajectory: SampledPath
     objective: float
     converged: bool
     iterations: int
@@ -1037,10 +1029,11 @@ def solve_truncated(problem, t_end, terminal=None, *, h, params=SolveParams()):
         target = np.broadcast_to(np.asarray(terminal, dtype=float), (n,))
     frac = (grid.nodes - grid.nodes[0]) / (grid.nodes[-1] - grid.nodes[0])
     init = problem.x_a[None, :] + frac[:, None] * (target - problem.x_a)[None, :]
+    init[-1] = target  # exactly: a pinned end is never moved by Newton
     x, ok, iters, gnorm, f, history = _newton(
         _Discretization(problem, grid), init, 1, hi, params)
     return SolveResult(
-        trajectory=Trajectory(problem, GridFunction(grid, x)),
+        trajectory=SampledPath(problem, GridFunction(grid, x)),
         objective=f,
         converged=ok,
         iterations=iters,

@@ -1,17 +1,17 @@
 """Delta derivatives/integrals, limit classification, and the identity pack."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tsvar import (
-    BoundaryUndefined,
     ClosedInterval,
     DimensionMismatch,
     DiscretePoints,
     GridFunction,
-    GridTooSmall,
     InsufficientHorizons,
     LimitConfig,
     LimitKind,
@@ -20,14 +20,13 @@ from tsvar import (
     UnboundedRay,
     classify_limit,
     cumulative_delta_integral,
-    delta_derivative,
     delta_derivative_all,
     delta_integral,
     identity_pack,
     improper_integral,
     integer_scale,
     real_ray,
-    sigma_shift,
+    sigma_shift_all,
     union,
 )
 from tsvar.calculus import SampleGrid, _cell_weights, _cumulative
@@ -52,6 +51,54 @@ def mask_grid(scattered):
     """A grid on 0, 1, ..., m-1 with the given right-scattered mask."""
     scat = np.asarray(scattered, dtype=bool)
     return SampleGrid(np.arange(len(scat), dtype=float), scat.astype(float), scat, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# sampling generators
+
+
+def counting(fn):
+    """fn, counting its calls in ``.calls``."""
+    def gen(t):
+        gen.calls += 1
+        return fn(t)
+    gen.calls = 0
+    return gen
+
+
+def test_generator_results_of_each_accepted_shape():
+    grid = real_ray(0).build_grid(0, 1, 0.25)  # 5 dense nodes
+    t = grid.nodes
+    column = GridFunction.from_callable(grid, lambda s: 2.0 * s)
+    assert np.array_equal(column.values, 2.0 * t[:, None])
+    pair = GridFunction.from_callable(grid, lambda s: np.column_stack((s, -s)))
+    assert np.array_equal(pair.values, np.column_stack((t, -t)))
+    const = GridFunction.from_callable(grid, lambda s: 3.0)
+    assert np.array_equal(const.values, np.full((5, 1), 3.0))
+
+
+def test_generator_of_another_shape_raises():
+    grid = real_ray(0).build_grid(0, 1, 0.25)
+    transposed = counting(lambda s: np.vstack((s, -s)))  # (2, m), not (m, 2)
+    with pytest.raises(DimensionMismatch):
+        GridFunction.from_callable(grid, transposed)
+    assert transposed.calls == 1
+
+
+def test_generator_errors_propagate_after_one_call():
+    def fail(t):
+        raise ValueError("no samples here")
+    gen = counting(fail)
+    with pytest.raises(ValueError, match="no samples here"):
+        GridFunction.from_callable(NAT.build_grid(0, 4, 1.0), gen)
+    assert gen.calls == 1
+
+
+def test_scalar_only_generator_is_not_looped_per_node():
+    gen = counting(math.exp)
+    with pytest.raises(TypeError):
+        GridFunction.from_callable(real_ray(0).build_grid(0, 1, 0.25), gen)
+    assert gen.calls == 1
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +152,11 @@ def test_dense_runs_match_reference_loop(scattered, data):
 
 def test_derivative_integers_square():
     f = nat_fn(lambda t: t**2, 8)
-    deriv, defined = delta_derivative(f)
+    deriv, defined = delta_derivative_all(f)
     assert defined.all()  # sigma_last extension covers the final node
     expect = 2.0 * np.arange(9) + 1.0
     assert np.array_equal(deriv[:, 0], expect)
-    assert delta_derivative(f, 3)[0] == 7.0
+    assert deriv[3, 0] == 7.0
 
 
 def test_derivative_scattered_jump():
@@ -117,14 +164,18 @@ def test_derivative_scattered_jump():
     grid = ts.build_grid(0, 3, 0.25)
     f = GridFunction.from_callable(grid, lambda t: t)
     i = grid.index_of(1.0)
-    assert delta_derivative(f, i)[0] == 1.0  # (2 - 1) / mu with mu = 1
+    deriv, defined = delta_derivative_all(f)
+    assert defined[i]
+    assert deriv[i, 0] == 1.0  # (2 - 1) / mu with mu = 1
 
 
 def test_derivative_dense_matches_classical():
     grid = real_ray(0).build_grid(0, 2, 1e-3)
     f = GridFunction.from_callable(grid, lambda t: t**2)
     i = grid.index_of(1.0)
-    assert abs(delta_derivative(f, i)[0] - 2.0) <= 1e-6
+    deriv, defined = delta_derivative_all(f)
+    assert defined[i]
+    assert abs(deriv[i, 0] - 2.0) <= 1e-6
 
 
 @given(
@@ -164,14 +215,11 @@ def test_derivative_boundary_cases():
     # raw values on a scattered grid: no sigma_last, so the last node is out
     grid = NAT.build_grid(0, 4, 1.0)
     f = GridFunction(grid, np.arange(5.0))
-    deriv, defined = delta_derivative(f)
+    deriv, defined = delta_derivative_all(f)
     assert defined[:-1].all() and not defined[-1]
-    with pytest.raises(BoundaryUndefined):
-        delta_derivative(f, 4)
     tiny = GridFunction(SampleGrid(np.array([0.0]), np.array([1.0]),
                                    np.array([True]), 1.0), np.array([5.0]))
-    with pytest.raises(GridTooSmall):
-        delta_derivative(tiny)
+    assert not delta_derivative_all(tiny)[1].any()  # no forward neighbour
 
 
 @pytest.mark.parametrize("h", [1e-1, 1e-2, 1e-3])
@@ -199,29 +247,34 @@ def test_derivative_convergence_rate():
 
 def test_sigma_shift_integers():
     f = GridFunction(NAT.build_grid(0, 3, 1.0), np.array([0.0, 1.0, 4.0, 9.0]))
-    shifted = sigma_shift(f)
-    # without a sigma_last extension the result drops the final node
-    assert np.array_equal(shifted.values[:, 0], [1.0, 4.0, 9.0])
-    full = sigma_shift(nat_fn(lambda t: t**2, 3))
-    assert np.array_equal(full.values[:, 0], [1.0, 4.0, 9.0, 16.0])
+    shifted, defined = sigma_shift_all(f)
+    # without a sigma_last extension the final node is undefined
+    assert defined.tolist() == [True, True, True, False]
+    assert np.array_equal(shifted[:3, 0], [1.0, 4.0, 9.0])
+    full, defined = sigma_shift_all(nat_fn(lambda t: t**2, 3))
+    assert defined.all()
+    assert np.array_equal(full[:, 0], [1.0, 4.0, 9.0, 16.0])
 
 
 def test_sigma_shift_dense_is_identity():
     grid = real_ray(0).build_grid(0, 1, 0.1)
     f = GridFunction.from_callable(grid, np.exp)
-    assert np.array_equal(sigma_shift(f).values, f.values)
+    shifted, defined = sigma_shift_all(f)
+    assert defined.all()
+    assert np.array_equal(shifted, f.values)
 
 
 def test_shift_rule_on_mixed_scale():
     ts = union(ClosedInterval(0, 1), DiscretePoints((2,)), UnboundedRay(3))
     grid = ts.build_grid(0, 4, 0.05)
     f = GridFunction.from_callable(grid, lambda t: t**2 - 0.5 * t)
-    shifted = sigma_shift(f)
+    shifted, shift_defined = sigma_shift_all(f)
+    assert shift_defined.all()
     deriv, defined = delta_derivative_all(f)
     rule = f.values + grid.mu[:, None] * deriv
     # exact everywhere: mu = 0 kills the dense nodes, scattered nodes use
     # the same jump quotient on both sides
-    err = np.abs(shifted.values - rule)[defined]
+    err = np.abs(shifted - rule)[defined]
     assert err.max() <= 1e-12
 
 

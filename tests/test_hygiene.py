@@ -1,8 +1,12 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene, by stdlib ``ast`` scans, so it needs no linter.
 
-A stdlib ``ast`` scan, so it needs no linter.  ``__init__.py`` is left out
-because its imports are the package's re-exports, and ``from __future__``
-imports are compiler directives, not names.
+No module of the package imports a name it never uses: ``__init__.py`` is
+left out because its imports are the package's re-exports, and ``from
+__future__`` imports are compiler directives, not names.
+
+No handler catches every exception (bare ``except:``, ``except Exception``,
+``except BaseException``) without raising again: such a handler hides the
+caller's errors or switches to a fallback without a word.
 """
 
 import ast
@@ -42,3 +46,92 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_only_names_it_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+BROAD = {"Exception", "BaseException"}
+
+#: handlers allowed to swallow every exception, as (module, function): why
+SWALLOWING_ALLOWED = {
+    ("variational.py", "Lagrangian._validate_partials"):
+        "an integrand that cannot be evaluated on the random probe points "
+        "skips the construction-time cross-check of its partials; ROADMAP "
+        "item 4 replaces that check for problem files",
+}
+
+
+def swallowing_handlers(source):
+    """(line, enclosing qualified name) of every handler that catches all
+    exceptions and whose body holds no ``raise``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            if isinstance(child, ast.ExceptHandler) and _catches_all(child.type):
+                if not any(isinstance(n, ast.Raise) for n in ast.walk(child)):
+                    found.append((child.lineno, ".".join(inner)))
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def _catches_all(kind):
+    if kind is None:
+        return True
+    names = kind.elts if isinstance(kind, ast.Tuple) else [kind]
+    return any(isinstance(n, ast.Name) and n.id in BROAD for n in names)
+
+
+#: the per-node fallback that once sat in calculus._call_on_times (abridged)
+OLD_CALL_ON_TIMES = """
+def _call_on_times(fn, times):
+    m = len(times)
+    try:
+        out = np.asarray(fn(times), dtype=float)
+    except Exception:
+        out = None
+    if out is not None:
+        if out.shape == (m,):
+            return out[:, None]
+    rows = [np.atleast_1d(np.asarray(fn(float(t)), dtype=float)) for t in times]
+    return np.stack(rows, axis=0)
+"""
+
+
+def test_scan_flags_handlers_that_swallow_everything():
+    src = (
+        "class A:\n"
+        "    def f(self):\n"
+        "        try:\n"
+        "            pass\n"
+        "        except:\n"
+        "            pass\n"
+        "def g():\n"
+        "    try:\n"
+        "        pass\n"
+        "    except (ValueError, BaseException):\n"
+        "        return None\n"
+        "    except Exception as exc:\n"
+        "        raise RuntimeError(str(exc)) from exc\n"
+        "try:\n"
+        "    pass\n"
+        "except ValueError:\n"
+        "    pass\n"
+    )
+    assert swallowing_handlers(src) == [(5, "A.f"), (10, "g")]
+    assert swallowing_handlers(OLD_CALL_ON_TIMES) == [(6, "_call_on_times")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_handler_swallows_every_exception(path):
+    found = swallowing_handlers(path.read_text())
+    assert [name for _, name in found if (path.name, name) not in SWALLOWING_ALLOWED] == []
+
+
+def test_allowed_handlers_still_exist():
+    found = {(path.name, name) for path in MODULES
+             for _, name in swallowing_handlers(path.read_text())}
+    assert set(SWALLOWING_ALLOWED) <= found

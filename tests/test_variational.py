@@ -16,6 +16,7 @@ from tsvar import (
     DimensionMismatch,
     DiscretePoints,
     GridFunction,
+    GridTooSmall,
     InadmissiblePath,
     InadmissibleVariation,
     InsufficientHorizons,
@@ -52,6 +53,7 @@ from tsvar import (
     smoothstep_tail,
     solve_truncated,
     transversality_liminf,
+    transversality_sweep,
     transversality_term,
     UnboundedRay,
     union,
@@ -80,6 +82,24 @@ from tsvar.variational import (
 from helpers import COMB, quadratic_lagrangian, random_poly
 
 NAT = integer_scale(0)
+
+
+def counted(calls, name, fn):
+    """fn, counting its calls under ``name`` in the Counter ``calls``."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def count_calls(monkeypatch, names):
+    """A Counter of the calls to the named calculus functions, through their
+    bindings in calculus and in variational."""
+    calls = collections.Counter()
+    for mod in (calculus, variational):
+        for name in names:
+            monkeypatch.setattr(mod, name, counted(calls, name, getattr(mod, name)))
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +209,15 @@ def test_transversality_closed_forms():
     for tp in (2.0, 7.0):
         want = -(tp + 1.0) / np.sqrt(2.0)
         assert abs(transversality_term(pos.problem, traj, tp) - want) <= 1e-12
+
+
+def test_transversality_sweep_is_the_term_at_each_horizon():
+    pos = ex_pos()
+    plan = make_horizon_plan(pos.problem.ts, 0.0, 30.0, h=1.0)
+    path = SampledPath.of(pos.problem, pos.candidate("line").gen, plan.grid)
+    pairs = transversality_sweep(pos.problem, path, plan)
+    assert [t for t, _ in pairs] == list(plan.horizons)
+    assert pairs == [(t, transversality_term(pos.problem, path, t)) for t in plan.horizons]
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +512,25 @@ def test_solve_respects_pinned_terminal():
     assert abs(res2.trajectory.x.values[1, 0] - 1.5) <= 1e-4
 
 
+def test_solve_keeps_a_pinned_end_exactly():
+    # the start's last row is the target itself, not x_a + 1.0 (target - x_a)
+    res = solve_truncated(lqr_grid().problem, 6.0, [0.1], h=1.0)
+    assert res.converged and res.trajectory.x.values[-1, 0] == 0.1
+    res = solve_truncated(lqr_ray().problem, 3.0, [0.3], h=0.02)
+    assert res.converged and res.trajectory.x.values[-1, 0] == 0.3
+
+
+def test_solve_result_samples_its_path_on_first_read(monkeypatch):
+    calls = count_calls(monkeypatch, ("delta_derivative_all", "sigma_shift_all"))
+    res = solve_truncated(lqr_ray().problem, 3.0, h=0.02)
+    assert res.converged and calls == {}
+    slope = res.trajectory.slope
+    assert calls == {"delta_derivative_all": 1, "sigma_shift_all": 1}
+    assert res.trajectory.slope is slope
+    assert res.trajectory.K == len(res.trajectory.shift) == len(slope)
+    assert calls == {"delta_derivative_all": 1, "sigma_shift_all": 1}
+
+
 def quartic_problem():
     """-(v^2 + u^4) on the integers from x(0) = 1: concave but not quadratic,
     so Newton needs several iterations (8 at T = 8)."""
@@ -681,20 +729,11 @@ def test_verify_finds_dense_runs_once_per_grid(monkeypatch):
 
 
 def test_verify_samples_each_path_once(monkeypatch):
-    calls = collections.Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for mod in (calculus, variational):
-        for name in ("delta_derivative_all", "sigma_shift_all", "_cell_weights"):
-            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    calls = count_calls(monkeypatch, ("delta_derivative_all", "sigma_shift_all",
+                                      "_cell_weights"))
     sample = vars(GridFunction)["from_callable"].__func__
     monkeypatch.setattr(GridFunction, "from_callable",
-                        classmethod(counted("from_callable", sample)))
+                        classmethod(counted(calls, "from_callable", sample)))
     ray = lqr_ray()
     report = verify_candidate(ray.problem, ray.candidate("decaying-exp").gen,
                               VerifyConfig(t_max=10.0, h=0.01))
@@ -797,6 +836,24 @@ def test_sampled_path_is_checked_where_it_is_used():
         weak_max_compare(pos.problem, gen, path, short)
     with pytest.raises(InadmissibleVariation):  # x(a) = A, not 0
         gateaux_report(pos.problem, path, path, (0.1,), (5.0,), plan)
+
+
+def test_trajectory_is_the_sampled_path():
+    assert Trajectory is SampledPath
+    lqr = lqr_grid()
+    one = lqr.problem.ts.build_grid(0.0, 4.0, 1.0).prefix(1)  # a single node
+    path = Trajectory(lqr.problem, GridFunction(one, lqr.problem.x_a))
+    assert path.grid is one and not path.variation
+    with pytest.raises(GridTooSmall):  # checked where the slope is read
+        path.K
+    with pytest.raises(InadmissiblePath):
+        Trajectory(lqr.problem, GridFunction(one, [0.5]))
+    with pytest.raises(DimensionMismatch):
+        Trajectory(lqr.problem, GridFunction(one, [[1.0, 1.0]]))
+    pvar = SampledPath(lqr.problem, GridFunction(one, [0.0]), variation=True)
+    assert SampledPath.of(lqr.problem, pvar, variation=True) is pvar
+    with pytest.raises(InadmissiblePath):  # the same samples as a path
+        SampledPath.of(lqr.problem, pvar)
 
 
 def test_verify_transversality_failure():
