@@ -18,6 +18,7 @@ from .calculus import GridFunction, _call_on_times, delta_integral, improper_int
 from .errors import InvalidWindow, ParseError, TsvarError
 from .expressions import compile_expression
 from .problemfile import load_problem_file
+from .timescale import tol_at
 from .variational import (
     _slope_margin_grid,
     el_residual,
@@ -193,7 +194,7 @@ def cmd_residual(args):
     gf = GridFunction.from_callable(grid, gen)
     res = el_residual(prob, gf)
     nodes = res.grid.nodes
-    sel = (nodes >= win_lo - 1e-12) & (nodes <= win_hi + 1e-12)
+    sel = (nodes >= win_lo - tol_at(win_lo)) & (nodes <= win_hi + tol_at(win_hi))
     if not sel.any():
         raise InvalidWindow("the requested window contains no residual nodes")
     sup = float(np.max(np.abs(res.values[sel])))

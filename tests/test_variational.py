@@ -707,6 +707,19 @@ def test_verify_consistent_candidate():
     json.dumps(report.to_dict())
 
 
+def test_verify_on_a_decimal_lattice_far_out():
+    pos = ex_pos(1.0, ts=integer_scale(0, 0.1))
+    report = verify_candidate(
+        pos.problem, pos.candidate("const").gen, VerifyConfig(t_max=20000.0, h=0.1)
+    )
+    assert report.verdict is Verdict.CONSISTENT
+
+
+def test_lattice_horizon_plan_reaches_t_max():
+    plan = make_horizon_plan(integer_scale(), 0.0, 20000.0, h=1.0)
+    assert plan.horizons[-1] == 20000.0
+
+
 def test_verify_finds_dense_runs_once_per_grid(monkeypatch):
     scans = []
     scan = vars(SampleGrid)["dense_runs"].func
