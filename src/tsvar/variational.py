@@ -363,8 +363,6 @@ def make_horizon_plan(ts, a, t_max, *, h, horizon_count=60, n_tails=10,
     grid = _slope_margin_grid(ts, a, t_max, h)
     i_end = int(np.searchsorted(grid.nodes, t_end + tol_at(t_end))) - 1
     eligible = np.arange(1, i_end + 1)
-    if len(eligible) < min_window:
-        raise InsufficientHorizons("window too small for a horizon sweep")
     scattered = eligible[grid.scattered[eligible]]
     dense = eligible[~grid.scattered[eligible]]
     if len(dense) > 0:
@@ -375,6 +373,8 @@ def make_horizon_plan(ts, a, t_max, *, h, horizon_count=60, n_tails=10,
         idx = eligible
     n_tails = max(n_tails, min_window)
     pos = np.unique(np.linspace(0, max(len(idx) - 3, 0), n_tails).round().astype(int))
+    if len(pos) < min_window:
+        raise InsufficientHorizons(f"only {len(pos)} tail starts, need {min_window}")
     tails = grid.nodes[idx[pos]]
     return HorizonPlan(grid=grid, horizon_idx=idx, tail_values=tails)
 
@@ -446,10 +446,33 @@ def _on_plan(problem, x, plan, *, variation=False):
     return path
 
 
+def _difference_integral(problem, star, shift, slope):
+    """Prefix integrals of L(x) - L(x*) on the path ``star`` of x*, for the
+    sigma-shift and slope rows of a competitor x on the first len(shift) nodes."""
+    rows = problem.lagrangian.values(star.grid.nodes[: len(shift)], shift, slope)
+    rows -= star.lagrangian_row[: len(shift)]  # in place: peak memory is gated
+    return _cumulative(rows, star.weights)
+
+
+def _varied(star, var, eps):
+    """The sigma-shift and slope rows of x* + eps p on the common prefix of
+    the paths ``star`` of x* and ``var`` of p, formed in place."""
+    K = min(star.K, var.K)
+    shift, slope = var.shift[:K] * eps, var.slope[:K] * eps
+    shift += star.shift[:K]
+    slope += star.slope[:K]
+    return shift, slope
+
+
+def _horizon_liminf(vals, plan, config):
+    """liminf_over_tails of the values ``vals`` at the plan's horizons."""
+    return liminf_over_tails(np.column_stack((plan.horizons, vals)), plan.tail_values, config)
+
+
 def weak_max_compare(problem, x, x_star, plan, config=LimitConfig()):
     """Lim-inf estimate of int_a^{T'} [L(x) - L(x*)] against growing tails,
     for generators or paths on the plan's grid (a SampledPath of x* is
-    shared across comparisons).
+    shared across comparisons; verify_candidate's probes are x* +- amp p).
 
     x* is consistent with weak maximality against x when the estimate is
     Converged with value <= tol or DivergesMinus.
@@ -457,12 +480,8 @@ def weak_max_compare(problem, x, x_star, plan, config=LimitConfig()):
     px = _on_plan(problem, x, plan)
     star = _on_plan(problem, x_star, plan)
     K = min(px.K, star.K)
-    rows = px.lagrangian_row[:K] - star.lagrangian_row[:K]
-    del px  # frees a sampled competitor before the integral: peak memory is gated
-    F = _cumulative(rows, star.weights)
-    idx = plan.horizon_idx
-    return liminf_over_tails(np.column_stack((plan.grid.nodes[idx], F[idx])),
-                             plan.tail_values, config)
+    F = _difference_integral(problem, star, px.shift[:K], px.slope[:K])
+    return _horizon_liminf(F[plan.horizon_idx], plan, config)
 
 
 def is_weak_max_consistent(estimate, tol=1e-8):
@@ -472,24 +491,21 @@ def is_weak_max_consistent(estimate, tol=1e-8):
     return estimate.kind is LimitKind.CONVERGED and estimate.value <= tol
 
 
-def _transversality_rows(problem, x_gen, plan):
-    """(k, 2) rows (T', transversality term) at the plan's horizon nodes."""
+def _transversality_terms(problem, x_gen, plan):
+    """The transversality term at the plan's horizon nodes."""
     path = _on_plan(problem, x_gen, plan)
     idx = plan.horizon_idx
-    t = plan.grid.nodes[idx]
-    p3 = problem.lagrangian.partial3(t, path.shift[idx], path.slope[idx])
-    return np.column_stack((t, np.einsum("ij,ij->i", p3, path.x.values[idx])))
+    p3 = problem.lagrangian.partial3(plan.horizons, path.shift[idx], path.slope[idx])
+    return np.einsum("ij,ij->i", p3, path.x.values[idx])
 
 
 def transversality_sweep(problem, x_gen, plan):
     """(T', transversality term) at every horizon node of the plan."""
-    rows = _transversality_rows(problem, x_gen, plan)
-    return list(zip(rows[:, 0], rows[:, 1]))
+    return list(zip(plan.horizons, _transversality_terms(problem, x_gen, plan)))
 
 
 def transversality_liminf(problem, x_gen, plan, config=LimitConfig()):
-    rows = _transversality_rows(problem, x_gen, plan)
-    return liminf_over_tails(rows, plan.tail_values, config)
+    return _horizon_liminf(_transversality_terms(problem, x_gen, plan), plan, config)
 
 
 # ---------------------------------------------------------------------------
@@ -509,22 +525,12 @@ def _variation_data(problem, x_star, pvar, t_end, h):
     return star, var, K, i
 
 
-def _difference_integral(problem, star, var, eps):
-    """Prefix integrals of L(x* + eps p) - L(x*) over the common prefix of
-    the paths ``star`` of x* and ``var`` of p."""
-    K = min(star.K, var.K)
-    rows = problem.lagrangian.values(star.grid.nodes[:K], star.shift[:K] + eps * var.shift[:K],
-                                     star.slope[:K] + eps * var.slope[:K])
-    rows -= star.lagrangian_row[:K]  # in place: peak memory is gated
-    return _cumulative(rows, star.weights)
-
-
 def variation_quotient(problem, x_star, pvar, eps, t_prime, *, h):
     """A(eps, T') = (1/eps) int_a^{T'} [L(x* + eps p) - L(x*)] dt."""
     if eps == 0:
         raise ZeroEpsilon("the variation parameter must be nonzero")
     star, var, _, i = _variation_data(problem, x_star, pvar, t_prime, h)
-    return float(_difference_integral(problem, star, var, eps)[i] / eps)
+    return float(_difference_integral(problem, star, *_varied(star, var, eps))[i] / eps)
 
 
 def first_variation(problem, x_star, pvar, t_prime, *, h):
@@ -593,8 +599,7 @@ class GateauxReport:
         }
 
 
-def gateaux_report(problem, x_star, pvar, eps_list, t_list, plan,
-                   config=LimitConfig()):
+def gateaux_report(problem, x_star, pvar, eps_list, t_list, plan):
     """Tabulate A(eps, T') and V(eps, T)/eps over the plan's horizons, for
     generators or paths on the plan's grid (a SampledPath of x* is reused)."""
     eps_list = tuple(float(e) for e in eps_list)
@@ -602,19 +607,16 @@ def gateaux_report(problem, x_star, pvar, eps_list, t_list, plan,
         raise ZeroEpsilon("the variation parameter must be nonzero")
     star = _on_plan(problem, x_star, plan)
     var = _on_plan(problem, pvar, plan, variation=True)
-    idx = plan.horizon_idx
-    hz = plan.grid.nodes[idx]
+    hz = plan.horizons
     t_values = tuple(float(hz[np.argmin(np.abs(hz - tv))]) for tv in t_list)
     t_pos = [int(np.argmin(np.abs(hz - tv))) for tv in t_values]
 
     quot = np.zeros((len(eps_list), len(t_values)))
     avals = np.zeros_like(quot)
     for i, eps in enumerate(eps_list):
-        N = _difference_integral(problem, star, var, eps)[idx]
-        suffix_min = np.minimum.accumulate(N[::-1])[::-1]
-        for j, p in enumerate(t_pos):
-            quot[i, j] = suffix_min[p] / eps
-            avals[i, j] = N[p] / eps
+        N = _difference_integral(problem, star, *_varied(star, var, eps))[plan.horizon_idx]
+        quot[i] = np.minimum.accumulate(N[::-1])[::-1][t_pos] / eps
+        avals[i] = N[t_pos] / eps
     spread = quot.max(axis=0) - quot.min(axis=0)
     return GateauxReport(
         eps=eps_list,
@@ -665,7 +667,7 @@ def _dense_run_end(ts, t, b):
     return min(b, hi) if hi is not None else b
 
 
-def _bump_witness(ts, g, t0, b, tol_zero):
+def _bump_witness(ts, g, t0, b):
     g0 = float(_scalar_samples(g, [t0])[0])
     sgn = 1.0 if g0 > 0 else -1.0
     t1 = _dense_run_end(ts, t0, b)
@@ -710,7 +712,7 @@ def fundamental_lemma_probe(ts, g, a, b, *, h, tol_zero=1e-9):
     for _ in range(64):
         mu0 = ts.mu(t0)
         if mu0 == 0.0:
-            return _bump_witness(ts, g, t0, b, tol_zero)
+            return _bump_witness(ts, g, t0, b)
         g0 = float(_scalar_samples(g, [t0])[0])
         if abs(g0) <= tol_zero:
             # the scan start can sit below threshold after a hop; move on
@@ -1203,11 +1205,11 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
     """Run the full diagnostic battery against a candidate generator.
 
     Measures the E-L residual over growing windows, estimates the
-    transversality lim-inf, probes weak maximality against a standard family
-    of admissible competitors (smooth tail-constant, decaying and compact
-    bump perturbations of the candidate, both signs), and tabulates the
-    Gateaux quotients.  The verdict is derived by classify_report.  Every
-    diagnostic reads one SampledPath of the candidate.
+    transversality lim-inf, probes weak maximality against x* +- amp p for
+    a standard family of variations p (smooth tail-constant, decaying and
+    compact bump, each sampled once), and tabulates the Gateaux quotients of
+    the tail-constant one.  The verdict is derived by classify_report.
+    Every diagnostic reads one SampledPath of the candidate.
     """
     ts, a = problem.ts, problem.a
     plan = make_horizon_plan(
@@ -1232,23 +1234,21 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
     span = hz[-1] - a
     amp = config.probe_amplitude
     families = [
-        ("tail_const", smoothstep_tail, dict(a=a, t_ramp=span / 5.0)),
-        ("decay", decaying_pulse, dict(a=a, rate=5.0 / span)),
-        ("bump", compact_bump, dict(center=a + span / 4.0, width=span / 10.0)),
+        ("tail_const", smoothstep_tail(amp, a, span / 5.0)),
+        ("decay", decaying_pulse(amp, a, 5.0 / span)),
+        ("bump", compact_bump(amp, a + span / 4.0, span / 10.0)),
     ]
-    probes = []
-    for name, maker, kw in families:
-        for c in (amp, -amp):
-            q = maker(c, **kw)
-            comp = perturbed_generator(x_gen, q)
-            est = weak_max_compare(problem, comp, star, plan, config.limits)
-            probes.append((f"{name}({c:+g})", est))
-
     t_list = [hz[len(hz) // 4], hz[len(hz) // 2], hz[-1]]
-    diag = gateaux_report(
-        problem, star, smoothstep_tail(amp, a, span / 5.0),
-        config.gateaux_eps, t_list, plan, config.limits,
-    )
+    ones = np.ones(problem.n)
+    probes = []
+    for name, q in families:
+        var = _on_plan(problem, lambda t: np.outer(q(t), ones), plan, variation=True)
+        for eps in (1.0, -1.0):
+            F = _difference_integral(problem, star, *_varied(star, var, eps))[plan.horizon_idx]
+            probes.append((f"{name}({eps * amp:+g})", _horizon_liminf(F, plan, config.limits)))
+        if name == "tail_const":
+            diag = gateaux_report(problem, star, var, config.gateaux_eps, t_list, plan)
+        del var  # one sampled variation at a time: peak memory is gated
 
     el_tol = config.el_tol if config.el_tol is not None else _default_el_tol(
         plan.grid, config.h

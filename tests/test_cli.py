@@ -291,6 +291,15 @@ def test_verify_flags_exit_five(tmp_path, capsys):
     assert abs(float(rows[0][2]) - 1.0) <= 1e-9
 
 
+def test_verify_short_window_exits_three(tmp_path, capsys):
+    neg = write(tmp_path, ex_neg().file_form(), "neg.json")
+    code, doc, err = run_cli(
+        capsys, ["verify", neg, "--candidate", "const", "--t-max", "5", "--h", "1"]
+    )
+    assert code == 3 and doc is None
+    assert "only 3 tail starts, need 5" in err
+
+
 def test_verify_is_deterministic(tmp_path, capsys):
     pos = write(tmp_path, ex_pos().file_form(), "pos.json")
     argv = ["verify", pos, "--candidate", "line", "--t-max", "20"]

@@ -11,6 +11,11 @@ caller's errors or switches to a fallback without a word.
 No float literal below 1e-10 stands in a module outside the allowed scopes:
 such a literal is an absolute slack between two times, which falls below
 half an ulp once |t| passes about 1.6e4; ``timescale.tol_at`` scales it.
+
+No ``def`` takes a parameter its body never reads: such a parameter looks
+like a setting, but the caller's value changes nothing.  ``self`` and
+``cls`` are exempt, and so are lambdas, which follow fixed calling
+conventions such as ``(t, u, v)``.
 """
 
 import ast
@@ -197,3 +202,51 @@ def test_allowed_tiny_literals_still_exist():
     found = {(path.name, name) for path in MODULES
              for _, name in tiny_literals(path.read_text())}
     assert set(TINY_LITERALS_ALLOWED) <= found
+
+
+def unread_parameters(source):
+    """(line, qualified name, parameter) of every parameter of a ``def``
+    that its body never reads, ``self`` and ``cls`` aside."""
+    found = []
+    for node, scope in scoped_nodes(source):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(node.lineno, scope, p.arg) for p in params
+                  if p.arg not in ("self", "cls") and p.arg not in read]
+    return found
+
+
+#: a parameter that nothing read in variational.py (abridged)
+OLD_BUMP_WITNESS = """
+def _bump_witness(ts, g, t0, b, tol_zero):
+    g0 = float(_scalar_samples(g, [t0])[0])
+    t1 = _dense_run_end(ts, t0, b)
+    return g0, t1
+"""
+
+
+def test_scan_flags_unread_parameters():
+    src = (
+        "class A:\n"
+        "    def f(self, x, *, y=1):\n"
+        "        return x\n"
+        "    @classmethod\n"
+        "    def g(cls, *args, **kw):\n"
+        "        return cls(*args)\n"
+        "def h(t, u, v):\n"
+        "    def inner(w, _u=u):\n"
+        "        return w + _u\n"
+        "    return inner(t), lambda s, r: s\n"
+    )
+    assert unread_parameters(src) == [(2, "A.f", "y"), (5, "A.g", "kw"), (7, "h", "v")]
+    assert unread_parameters(OLD_BUMP_WITNESS) == [(2, "_bump_witness", "tol_zero")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []

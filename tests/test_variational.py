@@ -435,6 +435,18 @@ def test_variations_must_match_the_problem_dimension():
     assert abs(report.a_values[0, 0] - direct) <= 1e-9
 
 
+def test_verify_on_a_plane():
+    # the probe variations run along (1, 1); a scalar one used to fail the
+    # Gateaux table's dimension check for every state of dimension n > 1
+    lag = Lagrangian(n=2, vectorized=True,
+                     eval=lambda t, u, v: -np.sum(u * u, axis=1) - np.sum(v * v, axis=1))
+    prob = Problem(ts=NAT, a=0.0, x_a=np.zeros(2), lagrangian=lag)
+    report = verify_candidate(prob, lambda t: np.zeros((len(t), 2)),
+                              VerifyConfig(t_max=25.0, h=1.0))
+    assert report.verdict is Verdict.CONSISTENT and report.flags == ()
+    assert len(report.weak_max_probes) == 6
+
+
 # ---------------------------------------------------------------------------
 # fundamental-lemma probe
 
@@ -720,6 +732,28 @@ def test_lattice_horizon_plan_reaches_t_max():
     assert plan.horizons[-1] == 20000.0
 
 
+@pytest.mark.parametrize("t_max, tails", [(5.0, 3), (6.0, 4)])
+def test_short_window_is_refused_by_the_plan(t_max, tails):
+    # 5 or 6 horizons pass the window check, but the tail starts come from
+    # all but the last two of them
+    with pytest.raises(InsufficientHorizons, match=f"only {tails} tail starts, need 5"):
+        make_horizon_plan(NAT, 0.0, t_max, h=1.0)
+    neg = ex_neg()
+    with pytest.raises(InsufficientHorizons, match=f"only {tails} tail starts"):
+        verify_candidate(neg.problem, neg.candidate("const").gen,
+                         VerifyConfig(t_max=t_max, h=1.0))
+
+
+def test_shortest_window_still_verifies():
+    plan = make_horizon_plan(NAT, 0.0, 7.0, h=1.0)
+    assert list(plan.horizons) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+    assert list(plan.tail_values) == [1.0, 2.0, 3.0, 4.0, 5.0]
+    neg = ex_neg()
+    report = verify_candidate(neg.problem, neg.candidate("const").gen,
+                              VerifyConfig(t_max=7.0, h=1.0))
+    assert report.verdict is Verdict.EL_FAILS_TRANSVERSALITY
+
+
 def test_verify_finds_dense_runs_once_per_grid(monkeypatch):
     scans = []
     scan = vars(SampleGrid)["dense_runs"].func
@@ -751,15 +785,17 @@ def test_verify_samples_each_path_once(monkeypatch):
     report = verify_candidate(ray.problem, ray.candidate("decaying-exp").gen,
                               VerifyConfig(t_max=10.0, h=0.01))
     assert report.verdict is Verdict.CONSISTENT
-    # x* once, the 6 competitors and the variation once each; the 9th
-    # derivative is el_residual's outer one; one set of cell weights
-    assert calls == {"from_callable": 8, "sigma_shift_all": 8,
-                     "delta_derivative_all": 9, "_cell_weights": 1}
+    # x* once and the 3 probe variations once each (the Gateaux table reads
+    # the tail-constant one); the 5th derivative is el_residual's outer one;
+    # one set of cell weights
+    assert calls == {"from_callable": 4, "sigma_shift_all": 4,
+                     "delta_derivative_all": 5, "_cell_weights": 1}
 
 
 def report_from_generators(problem, gen, config):
-    """verify_candidate assembled from the public functions called with the
-    plain generator, so that every diagnostic samples x* itself."""
+    """verify_candidate assembled from the library's functions called with
+    the plain generator, so that every diagnostic samples x* itself; each
+    probe also samples its variation afresh."""
     a = problem.a
     plan = make_horizon_plan(problem.ts, a, config.t_max, h=config.h,
                              horizon_count=config.horizon_count,
@@ -781,13 +817,16 @@ def report_from_generators(problem, gen, config):
     ]
     probes = []
     for name, maker, kw in families:
-        for c in (amp, -amp):
-            comp = perturbed_generator(gen, maker(c, **kw))
-            probes.append((f"{name}({c:+g})",
-                           weak_max_compare(problem, comp, gen, plan, config.limits)))
+        for eps in (1.0, -1.0):
+            star = SampledPath.of(problem, gen, plan.grid)
+            var = SampledPath.of(problem, maker(amp, **kw), plan.grid, variation=True)
+            F = variational._difference_integral(problem, star,
+                                                 *variational._varied(star, var, eps))
+            probes.append((f"{name}({eps * amp:+g})", variational._horizon_liminf(
+                F[plan.horizon_idx], plan, config.limits)))
     diag = gateaux_report(problem, gen, smoothstep_tail(amp, a, span / 5.0),
                           config.gateaux_eps, [hz[len(hz) // 4], hz[len(hz) // 2], hz[-1]],
-                          plan, config.limits)
+                          plan)
     el_sup = float(res_abs.max())
     el_tol = _default_el_tol(plan.grid, config.h)
     verdict, flags = classify_report(el_sup, trans, probes, el_tol=el_tol,
@@ -801,17 +840,48 @@ def report_from_generators(problem, gen, config):
     )
 
 
-@pytest.mark.parametrize("named, label, t_max, h", [
+REPORT_CASES = pytest.mark.parametrize("named, label, t_max, h", [
     (lqr_ray(1.3), "decaying-exp", 10.0, 0.01),
     (ex_pos(1.7, ts=COMB), "line", 40.0, 0.01),
     (ex_neg(0.8, 1.2), "const", 25.0, 1.0),
 ], ids=["lqr-r", "ex-pos-comb", "ex-neg-Z"])
+
+
+@REPORT_CASES
 def test_shared_path_report_equals_generator_report(named, label, t_max, h):
     gen = named.candidate(label).gen
     cfg = VerifyConfig(t_max=t_max, h=h)
     shared = verify_candidate(named.problem, gen, cfg).to_dict()
     assert shared == report_from_generators(named.problem, gen, cfg).to_dict()
     assert shared["verdict"] == named.candidate(label).expected.value
+
+
+@REPORT_CASES
+def test_variation_probes_match_perturbed_generator_probes(named, label, t_max, h):
+    """x* + eps p from the sampled rows of x* and p agrees, to rounding, with
+    sampling the competitor x* + eps q as one generator and comparing it."""
+    gen = named.candidate(label).gen
+    cfg = VerifyConfig(t_max=t_max, h=h)
+    report = verify_candidate(named.problem, gen, cfg)
+    plan = make_horizon_plan(named.problem.ts, named.problem.a, t_max, h=h)
+    a, span = named.problem.a, plan.horizons[-1] - named.problem.a
+    amp = cfg.probe_amplitude
+    qs = {
+        "tail_const": lambda c: smoothstep_tail(c, a, span / 5.0),
+        "decay": lambda c: decaying_pulse(c, a, 5.0 / span),
+        "bump": lambda c: compact_bump(c, a + span / 4.0, span / 10.0),
+    }
+    probes = iter(report.weak_max_probes)
+    for name, q in qs.items():
+        for c in (amp, -amp):
+            lbl, est = next(probes)
+            assert lbl == f"{name}({c:+g})"
+            ref = weak_max_compare(named.problem, perturbed_generator(gen, q(c)), gen, plan)
+            assert est.kind is ref.kind, lbl
+            assert len(est.evidence) == len(ref.evidence)
+            for (t, v), (t_ref, v_ref) in zip(est.evidence, ref.evidence):
+                assert t == t_ref
+                assert abs(v - v_ref) <= 1e-11 * max(1.0, abs(v_ref)), (lbl, t, v, v_ref)
 
 
 def test_verify_reports_the_tolerances_it_applied():
