@@ -117,8 +117,8 @@ def _edge_derivative(ts, vs):
 
     Lagrange differentiation weights at the left endpoint; used with three
     or four points (second/third order).  The extra order matters when the
-    result is differentiated again, as in an Euler-Lagrange residual: a
-    uniformly O(h^k) error survives one more division by h as O(h^{k-1}).
+    result is differentiated again, as parts_decomposition_residual does to
+    the d3 row: a uniformly O(h^k) error survives one more division by h.
     """
     x0 = ts[0]
     out = np.zeros_like(vs[0])
@@ -149,7 +149,7 @@ def _branch_end_stencils(deriv, t, v, s, e):
     for branch nodes must not reference it.  The end stencil used at e-1
     is the mirror image of the start stencil and carries the identical
     h^2/6 f''' leading error, keeping the error field constant across a
-    uniform run (smooth inputs lose nothing).
+    uniform run (parts_decomposition_residual differences the d3 row).
     """
     nb = e - s  # number of branch nodes
     if nb < 2:
@@ -215,7 +215,7 @@ def delta_derivative_all(f):
                 # cubic-fit derivative plus h^2/6 times the cubic's third
                 # derivative: reproduces the central-difference error field
                 # h^2/6 f''' at the edge, so differencing the result again
-                # (as the E-L residual does) stays O(h^2) instead of O(h)
+                # (parts_decomposition_residual) stays O(h^2) instead of O(h)
                 h_loc = steps[0]
                 deriv[s] = (
                     -4.0 * v[s] + 7.0 * v[s + 1] - 4.0 * v[s + 2] + v[s + 3]

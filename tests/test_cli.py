@@ -11,6 +11,9 @@ import pytest
 
 from tsvar import cli
 from tsvar.problems import LQR_DECAY_ROOT, ex_neg, ex_pos, lqr_grid_truncation_oracle
+from tsvar.timescale import format_timescale
+
+from helpers import COMB
 
 LQR_DOC = {
     "timescale": "arith(0, 1)",
@@ -289,6 +292,21 @@ def test_verify_flags_exit_five(tmp_path, capsys):
     assert header == ["check", "kind", "value"]
     assert rows[0][0] == "transversality"
     assert abs(float(rows[0][2]) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("timescale, slow, h, t_max", [
+    ("arith(0, 1)", "0.5^t", 1.0, 30.0),
+    ("ray(0)", "exp(-0.8*t)", 0.01, 10.0),
+    (format_timescale(COMB), "exp(-0.8*t)", 0.01, 30.0),
+], ids=["Z", "ray", "comb"])
+def test_verify_flags_a_non_stationary_path(tmp_path, capsys, timescale, slow, h, t_max):
+    # the lqr integrand with a decay rate off its Euler-Lagrange solution
+    f = write(tmp_path, dict(LQR_DOC, timescale=timescale, candidates={"slow": [slow]}))
+    code, doc, _ = run_cli(capsys, ["verify", f, "--candidate", "slow", "--h", repr(h),
+                                    "--t-max", repr(t_max)])
+    assert code == 5
+    assert doc["report"]["verdict"] == "el_residual_nonzero"
+    assert any(fl.startswith("el_residual_above_tol(") for fl in doc["report"]["flags"])
 
 
 def test_verify_short_window_exits_three(tmp_path, capsys):

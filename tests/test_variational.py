@@ -150,8 +150,9 @@ def test_value_at_matches_values():
 
 @given(st.integers(0, 10_000))
 def test_el_residual_matches_difference_recurrence(seed):
-    # on the integer lattice the residual is the exact second-order
-    # difference expression; rebuild it by hand from the partials
+    # on the integer lattice the integral residual is the prefix sum of the
+    # exact second-order difference expression; rebuild it by hand from the
+    # partials
     rng = np.random.default_rng(seed)
     q, lag = quadratic_lagrangian(rng)
     c = random_poly(rng)
@@ -167,11 +168,14 @@ def test_el_residual_matches_difference_recurrence(seed):
         args = (t, np.array([[u]]), np.array([[v]]))
         return lag.partial2(*args)[0, 0], lag.partial3(*args)[0, 0]
 
-    assert len(res.grid) == 8
+    terms = []
     for k in range(8):
         p2_k, p3_k = p_rows(k)
         _, p3_next = p_rows(k + 1)
-        assert abs(res.values[k, 0] - (p3_next - p3_k - p2_k)) <= 1e-12
+        terms.append(p3_next - p3_k - p2_k)
+    want = np.concatenate([[0.0], np.cumsum(terms)])
+    assert len(res.grid) == 9
+    assert np.all(np.abs(res.values[:, 0] - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 def test_el_residual_zero_for_known_extremals():
@@ -186,8 +190,10 @@ def test_el_residual_zero_for_known_extremals():
 
 
 def test_el_residual_second_order_on_dense_grids():
+    # down to h = 2.5e-5, where a pointwise residual (the d3 row differenced
+    # again) is dominated by rounding divided by h^2
     ray = lqr_ray()
-    hs = [0.1, 0.05, 0.025]
+    hs = [0.1, 0.05, 0.025, 1e-4, 5e-5, 2.5e-5]
     sups = []
     for h in hs:
         traj = sample_trajectory(
@@ -197,6 +203,23 @@ def test_el_residual_second_order_on_dense_grids():
         assert sups[-1] <= 5.0 * h * h
     slope = np.polyfit(np.log(hs), np.log(sups), 1)[0]
     assert 1.6 <= slope <= 2.4
+
+
+@pytest.mark.parametrize("x_a, h, fd", [
+    (1.0, 5e-5, False),
+    (1.268, 1e-4, False),
+    (1.0, 1e-4, True),
+], ids=["h=5e-5", "x_a=1.268", "fd-partials"])
+def test_lqr_ray_optimum_stays_consistent_on_fine_grids(x_a, h, fd):
+    named = lqr_ray(x_a)
+    problem = named.problem
+    if fd:  # partials left to finite differences
+        lag = Lagrangian(n=1, eval=problem.lagrangian.eval, vectorized=True)
+        problem = dataclasses.replace(problem, lagrangian=lag)
+    report = verify_candidate(problem, named.candidate("decaying-exp").gen,
+                              VerifyConfig(t_max=20.0, h=h))
+    assert report.verdict is Verdict.CONSISTENT, report.flags
+    assert report.el_sup_norm <= 0.1 * report.el_tol
 
 
 def test_transversality_closed_forms():
@@ -770,9 +793,8 @@ def test_verify_finds_dense_runs_once_per_grid(monkeypatch):
     report = verify_candidate(ray.problem, ray.candidate("decaying-exp").gen, cfg)
     assert report.verdict is Verdict.CONSISTENT
     m = len(make_horizon_plan(ray.problem.ts, 0.0, cfg.t_max, h=cfg.h).grid)
-    # the plan grid, then el_residual's prefix grid; every other derivative
-    # of the verify reuses the plan grid's runs
-    assert scans == [m, m - 1]
+    # the plan grid; every derivative of the verify reuses its runs
+    assert scans == [m]
 
 
 def test_verify_samples_each_path_once(monkeypatch):
@@ -786,10 +808,9 @@ def test_verify_samples_each_path_once(monkeypatch):
                               VerifyConfig(t_max=10.0, h=0.01))
     assert report.verdict is Verdict.CONSISTENT
     # x* once and the 3 probe variations once each (the Gateaux table reads
-    # the tail-constant one); the 5th derivative is el_residual's outer one;
-    # one set of cell weights
+    # the tail-constant one); one set of cell weights
     assert calls == {"from_callable": 4, "sigma_shift_all": 4,
-                     "delta_derivative_all": 5, "_cell_weights": 1}
+                     "delta_derivative_all": 4, "_cell_weights": 1}
 
 
 def report_from_generators(problem, gen, config):
