@@ -283,10 +283,11 @@ def _cell_weights(grid):
     return w_left, w_right, seams, w_seam
 
 
-def _cell_values(v, weights, i0, i1):
-    """Cell integrals for cells i0..i1-1 of an (m, n) value array."""
+def _cell_values(v, weights, i0, i1, out=None):
+    """Cell integrals for cells i0..i1-1 of an (m, n) value array, written
+    into ``out`` when given."""
     w_left, w_right, seams, w_seam = weights
-    cells = w_left[i0:i1, None] * v[i0:i1]
+    cells = np.multiply(w_left[i0:i1, None], v[i0:i1], out=out)
     cells += w_right[i0:i1, None] * v[i0 + 1 : i1 + 1]
     lo, hi = np.searchsorted(seams, (i0, i1))
     cells[seams[lo:hi] - i0] += w_seam[lo:hi, None] * v[seams[lo:hi] - 1]
@@ -307,6 +308,45 @@ def _cumulative(rows, weights):
     out = np.zeros_like(v)
     np.cumsum(cells, axis=0, out=out[1:])
     return out.reshape(rows.shape)
+
+
+def _cumulative_at(rows, weights, idx):
+    """_cumulative(rows, weights)[idx] for strictly increasing node indices
+    ``idx``, without the prefix integrals at the other nodes.
+
+    With c_i = w_left[i] + w_right[i-1] the weight of node i in the cells
+    left of it, F[j] = sum_{i<j} c_i v_i + w_right[j-1] v_j plus the seam
+    terms of the seam cells below j.  The first sum is reduced between
+    consecutive horizons and then accumulated over the few horizons, so it
+    rounds differently from the cell-by-cell running sum, by a few ulps of
+    the partial sums.  When there are few nodes per horizon, or no
+    trapezoid cell, the running sum of the cells is taken instead and the
+    result equals _cumulative's exactly."""
+    v = rows.reshape(len(rows), -1)
+    idx = np.asarray(idx, dtype=np.intp)
+    w_left, w_right, seams, w_seam = weights
+    end = int(idx[-1])
+    # reduceat beats the running sum only on segments of more than a few nodes
+    if 8 * len(idx) >= end or not w_right[:end].any():
+        F = np.zeros((end + 1, v.shape[1]))
+        cells = _cell_values(v, weights, 0, end, out=F[1:])
+        np.cumsum(cells, axis=0, out=cells)
+        return F.reshape((end + 1,) + rows.shape[1:])[idx]
+    F = np.zeros((len(idx), v.shape[1]))
+    at = idx[idx > 0]  # F = 0 at node 0
+    Fat = F[len(idx) - len(at) :]
+    c = np.empty((end, 1))
+    c[0] = w_left[0]
+    np.add(w_left[1:end], w_right[: end - 1], out=c[1:, 0])
+    c = np.multiply(c, v[:end], out=c if v.shape[1] == 1 else None)
+    np.cumsum(np.add.reduceat(c, np.concatenate(([0], at[:-1])), axis=0), axis=0, out=Fat)
+    Fat += w_right[at - 1, None] * v[at]
+    n_seams = int(np.searchsorted(seams, end))
+    if n_seams:
+        seam_sums = np.cumsum(w_seam[:n_seams, None] * v[seams[:n_seams] - 1], axis=0)
+        k = np.searchsorted(seams[:n_seams], at)  # seam cells below each horizon
+        Fat[k > 0] += seam_sums[k[k > 0] - 1]
+    return F.reshape((len(idx),) + rows.shape[1:])
 
 
 def delta_integral(f, lo, hi):

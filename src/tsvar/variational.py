@@ -34,6 +34,7 @@ from .calculus import (
     _call_on_times,
     _cell_weights,
     _cumulative,
+    _cumulative_at,
     classify_limit,
     delta_derivative_all,
     sigma_shift_all,
@@ -264,7 +265,8 @@ class SampledPath:
 
     @cached_property
     def weights(self):
-        """calculus._cell_weights of the grid, for _cumulative."""
+        """calculus._cell_weights of the grid, for _cumulative and
+        _cumulative_at."""
         return _cell_weights(self.grid)
 
 
@@ -346,6 +348,21 @@ def _slope_margin_grid(ts, a, t, h):
     return ts.build_grid(a, t_hi, h)
 
 
+def _horizon_idx(scattered, horizon_count, min_window):
+    """Horizon node indices among the nodes 1..i_end, from the ``scattered``
+    flags of nodes 0..i_end: every scattered node, every stride-th dense one
+    and i_end, marked in one mask; all of 1..i_end when that leaves fewer
+    than ``min_window``."""
+    keep = scattered.copy()
+    keep[0] = False
+    dense = np.flatnonzero(~scattered[1:])  # the dense nodes among 1..i_end, minus 1
+    if len(dense) > 0:
+        keep[dense[:: max(1, len(dense) // max(1, horizon_count))] + 1] = True
+    keep[-1] = True
+    idx = np.flatnonzero(keep)
+    return idx if len(idx) >= min_window else np.arange(1, len(scattered))
+
+
 def make_horizon_plan(ts, a, t_max, *, h, horizon_count=60, n_tails=10,
                       min_window=5):
     """Build the grid/horizon/tail layout for sweeps up to t_max."""
@@ -354,15 +371,7 @@ def make_horizon_plan(ts, a, t_max, *, h, horizon_count=60, n_tails=10,
         raise InvalidWindow("t_max must leave room beyond the start")
     grid = _slope_margin_grid(ts, a, t_max, h)
     i_end = int(np.searchsorted(grid.nodes, t_end + tol_at(t_end))) - 1
-    eligible = np.arange(1, i_end + 1)
-    scattered = eligible[grid.scattered[eligible]]
-    dense = eligible[~grid.scattered[eligible]]
-    if len(dense) > 0:
-        stride = max(1, len(dense) // max(1, horizon_count))
-        dense = dense[::stride]
-    idx = np.unique(np.concatenate([scattered, dense, eligible[-1:]]))
-    if len(idx) < min_window:
-        idx = eligible
+    idx = _horizon_idx(grid.scattered[: i_end + 1], horizon_count, min_window)
     n_tails = max(n_tails, min_window)
     pos = np.unique(np.linspace(0, max(len(idx) - 3, 0), n_tails).round().astype(int))
     if len(pos) < min_window:
@@ -438,12 +447,15 @@ def _on_plan(problem, x, plan, *, variation=False):
     return path
 
 
-def _difference_integral(problem, star, shift, slope):
-    """Prefix integrals of L(x) - L(x*) on the path ``star`` of x*, for the
-    sigma-shift and slope rows of a competitor x on the first len(shift) nodes."""
-    rows = problem.lagrangian.values(star.grid.nodes[: len(shift)], shift, slope)
-    rows -= star.lagrangian_row[: len(shift)]  # in place: peak memory is gated
-    return _cumulative(rows, star.weights)
+def _difference_integral(problem, star, shift, slope, idx):
+    """int_a^{T'} [L(x) - L(x*)] at the nodes T' of the strictly increasing
+    indices ``idx`` only (the plan's horizons, or one T'), on the path
+    ``star`` of x*, for the sigma-shift and slope rows of a competitor x;
+    no prefix integral is formed at the nodes in between."""
+    n = int(idx[-1]) + 1
+    rows = problem.lagrangian.values(star.grid.nodes[:n], shift[:n], slope[:n])
+    rows -= star.lagrangian_row[:n]  # in place: peak memory is gated
+    return _cumulative_at(rows, star.weights, idx)
 
 
 def _varied(star, var, eps):
@@ -454,6 +466,16 @@ def _varied(star, var, eps):
     shift += star.shift[:K]
     slope += star.slope[:K]
     return shift, slope
+
+
+def _check_window(plan, config):
+    """Refuse, before any sampling, a plan with fewer tail starts than the
+    classifier window needs."""
+    if len(plan.tail_values) < config.window:
+        raise InsufficientHorizons(
+            f"the plan has {len(plan.tail_values)} tail starts, "
+            f"the limit window needs {config.window}"
+        )
 
 
 def _horizon_liminf(vals, plan, config):
@@ -467,13 +489,14 @@ def weak_max_compare(problem, x, x_star, plan, config=LimitConfig()):
     shared across comparisons; verify_candidate's probes are x* +- amp p).
 
     x* is consistent with weak maximality against x when the estimate is
-    Converged with value <= tol or DivergesMinus.
+    Converged with value <= tol or DivergesMinus.  The difference integral
+    is formed at the plan's horizons only.
     """
+    _check_window(plan, config)
     px = _on_plan(problem, x, plan)
     star = _on_plan(problem, x_star, plan)
-    K = min(px.K, star.K)
-    F = _difference_integral(problem, star, px.shift[:K], px.slope[:K])
-    return _horizon_liminf(F[plan.horizon_idx], plan, config)
+    F = _difference_integral(problem, star, px.shift, px.slope, plan.horizon_idx)
+    return _horizon_liminf(F, plan, config)
 
 
 def is_weak_max_consistent(estimate, tol=1e-8):
@@ -497,6 +520,7 @@ def transversality_sweep(problem, x_gen, plan):
 
 
 def transversality_liminf(problem, x_gen, plan, config=LimitConfig()):
+    _check_window(plan, config)
     return _horizon_liminf(_transversality_terms(problem, x_gen, plan), plan, config)
 
 
@@ -522,7 +546,7 @@ def variation_quotient(problem, x_star, pvar, eps, t_prime, *, h):
     if eps == 0:
         raise ZeroEpsilon("the variation parameter must be nonzero")
     star, var, _, i = _variation_data(problem, x_star, pvar, t_prime, h)
-    return float(_difference_integral(problem, star, *_varied(star, var, eps))[i] / eps)
+    return float(_difference_integral(problem, star, *_varied(star, var, eps), [i])[0] / eps)
 
 
 def first_variation(problem, x_star, pvar, t_prime, *, h):
@@ -530,7 +554,7 @@ def first_variation(problem, x_star, pvar, t_prime, *, h):
     star, var, K, i = _variation_data(problem, x_star, pvar, t_prime, h)
     p2, p3 = _partial_rows(problem, star, K)
     rows = np.einsum("ij,ij->i", p2, var.shift[:K]) + np.einsum("ij,ij->i", p3, var.slope[:K])
-    return float(_cumulative(rows, star.weights)[i])
+    return float(_cumulative_at(rows, star.weights, [i])[0])
 
 
 def parts_decomposition_residual(problem, x_star, pvar, t_prime, *, h):
@@ -555,8 +579,8 @@ def parts_decomposition_residual(problem, x_star, pvar, t_prime, *, h):
     ps = var.shift[:K]
     lhs_rows = np.einsum("ij,ij->i", p2, ps) + np.einsum("ij,ij->i", p3, var.slope[:K])
     rhs_rows = np.einsum("ij,ij->i", p2 - psi, ps)
-    lhs = _cumulative(lhs_rows, star.weights)[i]
-    rhs = _cumulative(rhs_rows, star.weights)[i] + float(np.dot(p3[i], var.x.values[i]))
+    lhs = _cumulative_at(lhs_rows, star.weights, [i])[0]
+    rhs = _cumulative_at(rhs_rows, star.weights, [i])[0] + float(np.dot(p3[i], var.x.values[i]))
     return abs(float(lhs - rhs))
 
 
@@ -591,7 +615,8 @@ class GateauxReport:
 
 def gateaux_report(problem, x_star, pvar, eps_list, t_list, plan):
     """Tabulate A(eps, T') and V(eps, T)/eps over the plan's horizons, for
-    generators or paths on the plan's grid (a SampledPath of x* is reused)."""
+    generators or paths on the plan's grid (a SampledPath of x* is reused).
+    Each eps row's difference integral is formed at the horizons only."""
     eps_list = tuple(float(e) for e in eps_list)
     if any(e == 0 for e in eps_list):
         raise ZeroEpsilon("the variation parameter must be nonzero")
@@ -604,7 +629,7 @@ def gateaux_report(problem, x_star, pvar, eps_list, t_list, plan):
     quot = np.zeros((len(eps_list), len(t_values)))
     avals = np.zeros_like(quot)
     for i, eps in enumerate(eps_list):
-        N = _difference_integral(problem, star, *_varied(star, var, eps))[plan.horizon_idx]
+        N = _difference_integral(problem, star, *_varied(star, var, eps), plan.horizon_idx)
         quot[i] = np.minimum.accumulate(N[::-1])[::-1][t_pos] / eps
         avals[i] = N[t_pos] / eps
     spread = quot.max(axis=0) - quot.min(axis=0)
@@ -1237,7 +1262,7 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
     for name, q in families:
         var = _on_plan(problem, lambda t: np.outer(q(t), ones), plan, variation=True)
         for eps in (1.0, -1.0):
-            F = _difference_integral(problem, star, *_varied(star, var, eps))[plan.horizon_idx]
+            F = _difference_integral(problem, star, *_varied(star, var, eps), plan.horizon_idx)
             probes.append((f"{name}({eps * amp:+g})", _horizon_liminf(F, plan, config.limits)))
         if name == "tail_const":
             diag = gateaux_report(problem, star, var, config.gateaux_eps, t_list, plan)

@@ -220,6 +220,23 @@ def reference_cell_values(grid, v, i0, i1):
     return cells
 
 
+def reference_horizon_idx(scattered, horizon_count, min_window):
+    """make_horizon_plan's horizon indices among the nodes 1..i_end, for the
+    ``scattered`` flags of nodes 0..i_end, by concatenating the scattered
+    nodes, every stride-th dense node and the last node and sorting them
+    with np.unique; the reference for variational._horizon_idx."""
+    eligible = np.arange(1, len(scattered))
+    scat = eligible[scattered[eligible]]
+    dense = eligible[~scattered[eligible]]
+    if len(dense) > 0:
+        stride = max(1, len(dense) // max(1, horizon_count))
+        dense = dense[::stride]
+    idx = np.unique(np.concatenate([scat, dense, eligible[-1:]]))
+    if len(idx) < min_window:
+        idx = eligible
+    return idx
+
+
 def random_poly(rng, degree=2, scale=0.5):
     """Coefficients (c_0 .. c_degree) with |c_k| <= scale, c != 0."""
     while True:

@@ -29,7 +29,7 @@ from tsvar import (
     sigma_shift_all,
     union,
 )
-from tsvar.calculus import SampleGrid, _cell_weights, _cumulative
+from tsvar.calculus import SampleGrid, _cell_weights, _cumulative, _cumulative_at
 
 from helpers import (
     COMB,
@@ -406,6 +406,76 @@ def test_integrals_match_reference_seam_loop_on_fixed_grids(grid, n_seams):
     windows = [(0, m - 1), (m - 1, 0), (int(seams[0]), int(seams[-1]) + 1),
                (int(seams[-1]) + 1, int(seams[-1])), (0, 1)]
     assert_integrals_match_reference(grid, v, windows)
+
+
+def assert_cumulative_at_matches(grid, v, idx):
+    """_cumulative_at equals the prefix integrals of _cumulative at ``idx``,
+    to a few ulps, or exactly when the grid has no dense cell."""
+    weights = _cell_weights(grid)
+    rows = v[: idx[-1] + 1]
+    want = _cumulative(rows, weights)[idx]
+    got = _cumulative_at(rows, weights, idx)
+    assert got.shape == want.shape
+    if grid.scattered[:-1].all():
+        assert np.array_equal(got, want)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def node_subsets(m):
+    """Strictly increasing node-index arrays on m nodes: a single node, the
+    last node, every node, or a random subset."""
+    single = st.integers(0, m - 1).map(lambda i: [i])
+    subset = st.sets(st.integers(0, m - 1), min_size=1).map(sorted)
+    return st.one_of(single, st.just([m - 1]), st.just(list(range(m))), subset).map(
+        lambda ix: np.array(ix, dtype=np.intp))
+
+
+@given(
+    st.lists(st.tuples(st.booleans(), st.integers(1, 8)), min_size=2, max_size=120),
+    st.integers(1, 2),
+    st.booleans(),
+    st.data(),
+)
+def test_cumulative_at_matches_cumulative(cells, n, flat, data):
+    scat = np.array([c[0] for c in cells])
+    gaps = np.array([c[1] for c in cells], dtype=float) / 8.0
+    nodes = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
+    grid = SampleGrid(nodes, np.where(scat, gaps, 0.0), scat, 0.125)
+    m = len(grid)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    v = rng.normal(size=m) if flat and n == 1 else rng.normal(size=(m, n))
+    assert_cumulative_at_matches(grid, v, data.draw(node_subsets(m)))
+
+
+@given(st.lists(st.integers(1, 8), min_size=2, max_size=120), st.data())
+def test_cumulative_at_is_exact_on_scattered_grids(gaps, data):
+    gaps = np.array(gaps, dtype=float) / 8.0
+    nodes = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
+    grid = SampleGrid(nodes, gaps, np.ones(len(gaps), dtype=bool), 0.125)
+    v = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=len(grid))
+    assert_cumulative_at_matches(grid, v, data.draw(node_subsets(len(grid))))
+
+
+@pytest.mark.parametrize("grid", [
+    COMB.build_grid(0.0, 25.0, 0.05),
+    SampleGrid(np.array([0.0, 0.25, 0.625, 1.5, 2.0, 2.125]),
+               np.array([0.0, 0.0, 0.875, 0.0, 0.0, 1.0]),
+               np.array([False, False, True, False, False, True]), 0.5),
+], ids=["comb", "edges"])
+@given(data=st.data())
+def test_cumulative_at_matches_cumulative_on_fixed_grids(grid, data):
+    v = np.column_stack((np.cos(grid.nodes), grid.nodes**2))
+    assert_cumulative_at_matches(grid, v, data.draw(node_subsets(len(grid))))
+
+
+def test_cumulative_at_reads_seam_cells_and_few_horizons():
+    grid = COMB.build_grid(0.0, 25.0, 0.05)
+    seams = _cell_weights(grid)[2]
+    v = np.exp(-grid.nodes) + np.sin(3.0 * grid.nodes)
+    # horizons at, just before and just after each seam cell, and a sparse set
+    around = np.unique(np.concatenate((seams - 1, seams, seams + 1)))
+    for idx in (around, around[::7], seams[[0, -1]], np.arange(0, len(grid), 97)):
+        assert_cumulative_at_matches(grid, v, idx)
 
 
 def test_antiderivative_recovers_integrand():

@@ -79,7 +79,7 @@ from tsvar.variational import (
     classify_report,
 )
 
-from helpers import COMB, quadratic_lagrangian, random_poly
+from helpers import COMB, quadratic_lagrangian, random_poly, reference_horizon_idx
 
 NAT = integer_scale(0)
 
@@ -94,11 +94,12 @@ def counted(calls, name, fn):
 
 def count_calls(monkeypatch, names):
     """A Counter of the calls to the named calculus functions, through their
-    bindings in calculus and in variational."""
+    bindings in calculus and, where it imports them, in variational."""
     calls = collections.Counter()
     for mod in (calculus, variational):
         for name in names:
-            monkeypatch.setattr(mod, name, counted(calls, name, getattr(mod, name)))
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(calls, name, getattr(mod, name)))
     return calls
 
 
@@ -767,6 +768,56 @@ def test_short_window_is_refused_by_the_plan(t_max, tails):
                          VerifyConfig(t_max=t_max, h=1.0))
 
 
+@given(st.lists(st.booleans(), min_size=2, max_size=300), st.integers(1, 80),
+       st.integers(1, 12))
+def test_horizon_indices_match_the_sorted_union(scattered, horizon_count, min_window):
+    scattered = np.array(scattered)
+    got = variational._horizon_idx(scattered, horizon_count, min_window)
+    assert np.array_equal(got, reference_horizon_idx(scattered, horizon_count, min_window))
+
+
+@pytest.mark.parametrize("ts, t_max, h", [
+    (integer_scale(), 20000.0, 1.0), (COMB, 40.0, 0.01), (real_ray(0), 40.0, 2e-4),
+], ids=["Z", "comb", "ray"])
+def test_plan_horizons_match_the_sorted_union(ts, t_max, h):
+    plan = make_horizon_plan(ts, ts.a, t_max, h=h)
+    scattered = plan.grid.scattered[: plan.horizon_idx[-1] + 1]
+    assert np.array_equal(plan.horizon_idx, reference_horizon_idx(scattered, 60, 5))
+
+
+def test_horizon_indices_fall_back_to_every_node():
+    # one stride-th dense node plus the last one are fewer than the window
+    dense = np.zeros(9, dtype=bool)
+    assert list(variational._horizon_idx(dense, 1, 3)) == list(range(1, 9))
+    assert list(variational._horizon_idx(dense, 1, 2)) == [1, 8]
+
+
+def test_window_mismatch_is_refused_before_sampling(monkeypatch):
+    calls = collections.Counter()
+    sample = vars(GridFunction)["from_callable"].__func__
+    monkeypatch.setattr(GridFunction, "from_callable",
+                        classmethod(counted(calls, "from_callable", sample)))
+    neg = ex_neg()
+    const = neg.candidate("const").gen
+    plan = make_horizon_plan(integer_scale(0), 0.0, 7.0, h=1.0)
+    for compare in (lambda cfg: transversality_liminf(neg.problem, const, plan, cfg),
+                    lambda cfg: weak_max_compare(neg.problem, const, const, plan, cfg)):
+        with pytest.raises(InsufficientHorizons, match="5 tail starts.* needs 6"):
+            compare(LimitConfig(window=6))
+        assert calls["from_callable"] == 0
+    transversality_liminf(neg.problem, const, plan, LimitConfig(window=5))
+    assert calls["from_callable"] == 1
+
+
+@pytest.mark.parametrize("named, label, h", [
+    (lqr_ray(), "decaying-exp", 0.01), (ex_neg(), "const", 1.0),
+], ids=["ray", "Z"])
+def test_variation_quotient_vanishes_at_the_start(named, label, h):
+    gen = named.candidate(label).gen
+    pulse = decaying_pulse(0.5, 0.0, 1.0)
+    assert variation_quotient(named.problem, gen, pulse, 0.1, 0.0, h=h) == 0.0
+
+
 def test_shortest_window_still_verifies():
     plan = make_horizon_plan(NAT, 0.0, 7.0, h=1.0)
     assert list(plan.horizons) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
@@ -813,6 +864,17 @@ def test_verify_samples_each_path_once(monkeypatch):
                      "delta_derivative_all": 4, "_cell_weights": 1}
 
 
+def test_verify_reads_competitor_integrals_at_the_horizons_only(monkeypatch):
+    calls = count_calls(monkeypatch, ("_cumulative", "_cumulative_at", "_cell_values"))
+    ray = lqr_ray()
+    report = verify_candidate(ray.problem, ray.candidate("decaying-exp").gen,
+                              VerifyConfig(t_max=10.0, h=0.01))
+    assert report.verdict is Verdict.CONSISTENT
+    # one full prefix array, the E-L residual's; the 6 probes and 3 Gateaux
+    # rows are reduced straight to their horizon values, with no cell array
+    assert calls == {"_cumulative": 1, "_cumulative_at": 9, "_cell_values": 1}
+
+
 def report_from_generators(problem, gen, config):
     """verify_candidate assembled from the library's functions called with
     the plain generator, so that every diagnostic samples x* itself; each
@@ -842,9 +904,10 @@ def report_from_generators(problem, gen, config):
             star = SampledPath.of(problem, gen, plan.grid)
             var = SampledPath.of(problem, maker(amp, **kw), plan.grid, variation=True)
             F = variational._difference_integral(problem, star,
-                                                 *variational._varied(star, var, eps))
+                                                 *variational._varied(star, var, eps),
+                                                 plan.horizon_idx)
             probes.append((f"{name}({eps * amp:+g})", variational._horizon_liminf(
-                F[plan.horizon_idx], plan, config.limits)))
+                F, plan, config.limits)))
     diag = gateaux_report(problem, gen, smoothstep_tail(amp, a, span / 5.0),
                           config.gateaux_eps, [hz[len(hz) // 4], hz[len(hz) // 2], hz[-1]],
                           plan)
