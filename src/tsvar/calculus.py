@@ -304,9 +304,9 @@ def _cumulative(rows, weights):
     rows at the first K nodes of the grid with _cell_weights ``weights``; F
     has the shape of rows.  Rows are not checked for finiteness."""
     v = rows.reshape(len(rows), -1)
-    cells = _cell_values(v, weights, 0, len(v) - 1)
-    out = np.zeros_like(v)
-    np.cumsum(cells, axis=0, out=out[1:])
+    out = np.zeros(v.shape)
+    cells = _cell_values(v, weights, 0, len(v) - 1, out=out[1:])
+    np.cumsum(cells, axis=0, out=cells)
     return out.reshape(rows.shape)
 
 
@@ -328,10 +328,7 @@ def _cumulative_at(rows, weights, idx):
     end = int(idx[-1])
     # reduceat beats the running sum only on segments of more than a few nodes
     if 8 * len(idx) >= end or not w_right[:end].any():
-        F = np.zeros((end + 1, v.shape[1]))
-        cells = _cell_values(v, weights, 0, end, out=F[1:])
-        np.cumsum(cells, axis=0, out=cells)
-        return F.reshape((end + 1,) + rows.shape[1:])[idx]
+        return _cumulative(rows[: end + 1], weights)[idx]
     F = np.zeros((len(idx), v.shape[1]))
     at = idx[idx > 0]  # F = 0 at node 0
     Fat = F[len(idx) - len(at) :]

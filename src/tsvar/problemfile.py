@@ -3,8 +3,8 @@
 Layout::
 
     {
-      "timescale": "union(points(0), arith(1, 1))",   // DSL string or the
-                                                      // structured dict form
+      "timescale": "union(points(0), arith(1, 1))",   // DSL string, or a list
+                                                      // of segment mappings
       "a": 0.0,
       "x_a": [1.0],
       "lagrangian": {
@@ -25,7 +25,7 @@ before the file is accepted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -36,21 +36,20 @@ from .expressions import compile_expression, lagrangian_variables
 from .timescale import parse_timescale, timescale_from_structured
 from .variational import Lagrangian, Problem, SolveParams, VerifyConfig
 
-_CONFIG_KEYS = {
-    "h", "t_max", "horizon_count", "n_tails", "el_tol", "trans_tol",
-    "probe_tol", "probe_amplitude", "gateaux_eps",
-    "rel_tol", "abs_floor", "div_threshold", "window", "rate_keep",
-    "drift_frac",
-    "g_tol", "max_iter",
-    # accepted and ignored, so files written for the multistart solver still load
-    "multistart", "init_amplitude",
+#: config key -> the converter that types its value; the settings object a
+#: key goes to is the one with a field of that name.  multistart and
+#: init_amplitude are accepted and ignored, so files written for the
+#: multistart solver still load.
+_CONFIG = {
+    "h": float, "t_max": float, "horizon_count": int, "n_tails": int,
+    "el_tol": lambda v: None if v is None else float(v), "trans_tol": float,
+    "probe_tol": float, "probe_amplitude": float,
+    "gateaux_eps": lambda v: tuple(float(e) for e in v),
+    "rel_tol": float, "abs_floor": float, "div_threshold": float, "window": int,
+    "rate_keep": float, "drift_frac": float,
+    "g_tol": float, "max_iter": int,
+    "multistart": None, "init_amplitude": None,
 }
-
-_LIMIT_KEYS = {"rel_tol", "abs_floor", "div_threshold", "window", "rate_keep",
-               "drift_frac"}
-_VERIFY_KEYS = {"t_max", "h", "horizon_count", "n_tails", "el_tol",
-                "trans_tol", "probe_tol", "probe_amplitude", "gateaux_eps"}
-_SOLVE_KEYS = {"g_tol", "max_iter"}
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,7 @@ class ProblemFile:
 
     @property
     def h(self):
-        return float(self.config.get("h", 1e-2))
+        return self.config.get("h", 1e-2)
 
     def candidate(self, name):
         if name not in self.candidates:
@@ -72,28 +71,19 @@ class ProblemFile:
             )
         return self.candidates[name]
 
+    def _settings(self, cls, overrides):
+        names = {f.name for f in fields(cls)}
+        return {**{k: v for k, v in self.config.items() if k in names}, **overrides}
+
     def limit_config(self):
-        kw = {k: v for k, v in self.config.items() if k in _LIMIT_KEYS}
-        if "window" in kw:
-            kw["window"] = int(kw["window"])
-        return LimitConfig(**kw)
+        return LimitConfig(**self._settings(LimitConfig, {}))
 
     def verify_config(self, **overrides):
-        kw = {k: v for k, v in self.config.items() if k in _VERIFY_KEYS}
-        kw.update(overrides)
-        if "gateaux_eps" in kw:
-            kw["gateaux_eps"] = tuple(float(e) for e in kw["gateaux_eps"])
-        for key in ("horizon_count", "n_tails"):
-            if key in kw:
-                kw[key] = int(kw[key])
-        return VerifyConfig(limits=self.limit_config(), **kw)
+        return VerifyConfig(limits=self.limit_config(),
+                            **self._settings(VerifyConfig, overrides))
 
     def solve_params(self, **overrides):
-        kw = {k: v for k, v in self.config.items() if k in _SOLVE_KEYS}
-        kw.update(overrides)
-        if "max_iter" in kw:
-            kw["max_iter"] = int(kw["max_iter"])
-        return SolveParams(**kw)
+        return SolveParams(**self._settings(SolveParams, overrides))
 
 
 def _require(doc, key, kind=None):
@@ -133,15 +123,12 @@ def _build_lagrangian(spec, n):
         raise ProblemFileError(f"unknown lagrangian fields {sorted(unknown)}")
 
     def eval_fn(t, U, V):
-        out = L(**_vector_env(n, t, U, V))
-        return np.broadcast_to(out, np.shape(t)).astype(float)
+        return L(**_vector_env(n, t, U, V))
 
     def grad_fn(exprs):
         def fn(t, U, V):
             env = _vector_env(n, t, U, V)
-            cols = [np.broadcast_to(e(**env), np.shape(t)).astype(float)
-                    for e in exprs]
-            return np.stack(cols, axis=-1)
+            return np.stack([np.broadcast_to(e(**env), np.shape(t)) for e in exprs], axis=-1)
         return fn
 
     return Lagrangian(
@@ -154,16 +141,9 @@ def _build_lagrangian(spec, n):
 
 
 def _candidate_generator(exprs):
-    n = len(exprs)
-
     def gen(t):
-        arr = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(arr)
-        cols = [np.broadcast_to(e(t=flat), flat.shape).astype(float) for e in exprs]
-        out = np.stack(cols, axis=-1)
-        if arr.ndim == 0:
-            return out[0]
-        return out
+        t = np.asarray(t, dtype=float)
+        return np.stack([np.broadcast_to(e(t=t), t.shape) for e in exprs], axis=-1)
 
     return gen
 
@@ -189,10 +169,10 @@ def problem_from_dict(doc):
     raw_ts = _require(doc, "timescale")
     if isinstance(raw_ts, str):
         ts = parse_timescale(raw_ts)
-    elif isinstance(raw_ts, (dict, list)):
+    elif isinstance(raw_ts, list):
         ts = timescale_from_structured(raw_ts)
     else:
-        raise ProblemFileError("'timescale' must be a DSL string or structured form")
+        raise ProblemFileError("'timescale' must be a DSL string or a list of segments")
 
     a = float(_require(doc, "a", (int, float)))
     raw_xa = _require(doc, "x_a")
@@ -209,12 +189,7 @@ def problem_from_dict(doc):
     lagrangian = _build_lagrangian(_require(doc, "lagrangian"), n)
     problem = Problem(ts=ts, a=a, x_a=x_a, lagrangian=lagrangian)
 
-    config = doc.get("config", {})
-    if not isinstance(config, dict):
-        raise ProblemFileError("'config' must be an object")
-    bad = set(config) - _CONFIG_KEYS
-    if bad:
-        raise ProblemFileError(f"unknown config keys {sorted(bad)}")
+    config = _typed_config(doc.get("config", {}))
 
     candidates = {}
     candidate_exprs = {}
@@ -230,24 +205,35 @@ def problem_from_dict(doc):
         problem=problem,
         candidates=candidates,
         candidate_exprs=candidate_exprs,
-        config=dict(config),
+        config=config,
         source=doc,
     )
     _probe_finiteness(pf)
     return pf
 
 
+def _typed_config(raw):
+    """The config section, each value converted by its _CONFIG entry; keys
+    that are accepted and ignored are dropped."""
+    if not isinstance(raw, dict):
+        raise ProblemFileError("'config' must be an object")
+    bad = set(raw) - set(_CONFIG)
+    if bad:
+        raise ProblemFileError(f"unknown config keys {sorted(bad)}")
+    config = {}
+    for key, val in raw.items():
+        if _CONFIG[key] is not None:
+            try:
+                config[key] = _CONFIG[key](val)
+            except (TypeError, ValueError) as exc:
+                raise ProblemFileError(f"config key {key!r} has a bad value {val!r}") from exc
+    return config
+
+
 def _probe_finiteness(pf):
-    ts, a, n = pf.problem.ts, pf.problem.a, pf.problem.n
-    t = _probe_points(ts, a, pf.h)
+    t = _probe_points(pf.problem.ts, pf.problem.a, pf.h)
     for name, gen in pf.candidates.items():
-        vals = np.asarray(gen(t), dtype=float)
-        if vals.shape != (len(t), n):
-            raise ProblemFileError(
-                f"candidate {name!r} produced shape {vals.shape}, "
-                f"expected {(len(t), n)}"
-            )
-        if not np.all(np.isfinite(vals)):
+        if not np.all(np.isfinite(gen(t))):
             raise ProblemFileError(f"candidate {name!r} is not finite on probe points")
     U = np.repeat(pf.problem.x_a[None, :], len(t), axis=0)
     for V in (np.zeros_like(U), np.full_like(U, 0.25)):

@@ -664,21 +664,29 @@ def format_timescale(ts):
 
 
 def timescale_from_structured(obj):
-    """Build a scale from a list of {'kind': ..., ...} mappings."""
+    """Build a scale from a list of {'kind': ..., ...} mappings.  A missing
+    key, a non-numeric value, an item that is not such a mapping or an
+    invalid scale raises DSLParseError, as the same mistake in a DSL string
+    does."""
     segs = []
-    for item in obj:
-        kind = item.get("kind")
-        if kind == "interval":
-            segs.append(ClosedInterval(float(item["lo"]), float(item["hi"])))
-        elif kind == "points":
-            segs.append(DiscretePoints(tuple(float(v) for v in item["values"])))
-        elif kind == "ray":
-            segs.append(UnboundedRay(float(item["start"])))
-        elif kind == "arith":
-            segs.append(ArithmeticTail(float(item["start"]), float(item["step"])))
-        else:
-            raise DSLParseError(f"unknown segment kind {kind!r}")
-    return TimeScaleSpec(tuple(segs))
+    try:
+        for item in obj:
+            kind = item.get("kind") if isinstance(item, dict) else None
+            if kind == "interval":
+                segs.append(ClosedInterval(float(item["lo"]), float(item["hi"])))
+            elif kind == "points":
+                segs.append(DiscretePoints(tuple(float(v) for v in item["values"])))
+            elif kind == "ray":
+                segs.append(UnboundedRay(float(item["start"])))
+            elif kind == "arith":
+                segs.append(ArithmeticTail(float(item["start"]), float(item["step"])))
+            else:
+                raise DSLParseError(f"not a segment mapping of a known kind: {item!r}")
+        return TimeScaleSpec(tuple(segs))
+    except KeyError as exc:
+        raise DSLParseError(f"a structured segment is missing the key {exc}") from exc
+    except (TypeError, ValueError, InvalidTimeScale) as exc:
+        raise DSLParseError(str(exc)) from exc
 
 
 def timescale_to_structured(ts):

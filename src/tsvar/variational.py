@@ -62,15 +62,25 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 # Lagrangians, problems, sampled paths
 
 
+def _row_loop(fn):
+    """A scalar (t, u, v) callable as one on all rows: a call per row, each
+    result squeezed of its unit axes."""
+    return lambda t, u, v: np.array(
+        [np.squeeze(fn(float(t[i]), u[i], v[i])) for i in range(len(t))], dtype=float)
+
+
 @dataclass
 class Lagrangian:
     """Integrand L(t, u, v) with u = x(sigma(t)) and v = x_delta(t) in R^n.
 
-    ``eval`` maps (t, u, v) -> real.  With ``vectorized`` set, it must accept
-    (t: (m,), u: (m, n), v: (m, n)) and return (m,); otherwise scalar calls
-    are used.  ``d2``/``d3`` are the partial-gradient callables in u and v
-    (same calling convention, returning (m, n) (vectorized) or length-n);
-    when omitted they fall back to central finite differences with step
+    With ``vectorized`` set, ``eval`` and the partial gradients ``d2`` (in
+    u) and ``d3`` (in v) take all rows at once, t: (m,), u, v: (m, n).
+    ``eval`` returns (m,) or a constant (); ``d2``/``d3`` return (m, n), a
+    constant (n,) or, for n = 1, any array of m entries.  Any other shape
+    raises DimensionMismatch.  Without it they take one row, t a float and
+    u, v of length n, and are wrapped once, at construction, into a loop
+    over the rows; a row's result may carry extra unit axes.
+    Omitted partials fall back to central finite differences with step
     fd_step * (1 + |argument|).  Supplied partials are cross-checked against
     finite differences on a few probe points at construction time.
     """
@@ -86,6 +96,9 @@ class Lagrangian:
     def __post_init__(self):
         if self.n < 1:
             raise DimensionMismatch("state dimension must be >= 1")
+        self._eval, self._d2, self._d3 = (
+            fn if self.vectorized or fn is None else _row_loop(fn)
+            for fn in (self.eval, self.d2, self.d3))
         if self.validate and (self.d2 is not None or self.d3 is not None):
             self._validate_partials()
 
@@ -94,27 +107,22 @@ class Lagrangian:
     def values(self, t, u, v):
         """L at each row; t: (m,), u, v: (m, n) -> (m,)."""
         t = np.asarray(t, dtype=float)
-        if self.vectorized:
-            out = np.asarray(self.eval(t, u, v), dtype=float)
-            return np.broadcast_to(out, t.shape).astype(float)
-        return np.array(
-            [self.eval(float(t[i]), u[i], v[i]) for i in range(len(t))], dtype=float
-        )
-
-    def value_at(self, t, u, v):
-        return float(self.values(np.array([t]), np.asarray(u, float)[None, :],
-                                 np.asarray(v, float)[None, :])[0])
+        out = np.asarray(self._eval(t, u, v), dtype=float)
+        if out.shape not in ((), t.shape):
+            raise DimensionMismatch(f"integrand shape {out.shape}, expected {t.shape} or ()")
+        return np.broadcast_to(out, t.shape).astype(float)
 
     def _grad(self, fn, t, u, v):
         t = np.asarray(t, dtype=float)
-        if self.vectorized:
-            out = np.asarray(fn(t, u, v), dtype=float)
-            if out.shape == (self.n,):  # constant gradient
-                out = np.broadcast_to(out, (len(t), self.n))
-            return out.reshape(len(t), self.n).astype(float)
-        rows = [np.asarray(fn(float(t[i]), u[i], v[i]), dtype=float).reshape(self.n)
-                for i in range(len(t))]
-        return np.stack(rows, axis=0)
+        m, n = len(t), self.n
+        out = np.asarray(fn(t, u, v), dtype=float)
+        if n == 1 and out.size == m:
+            out = out.reshape(m, 1)
+        elif out.shape == (n,):  # constant gradient
+            out = np.broadcast_to(out, (m, n))
+        if out.shape != (m, n):
+            raise DimensionMismatch(f"partial shape {out.shape}, expected {(m, n)} or {(n,)}")
+        return out.astype(float)
 
     def _fd_grad(self, t, u, v, wrt):
         base = u if wrt == 2 else v
@@ -137,14 +145,14 @@ class Lagrangian:
 
     def partial2(self, t, u, v):
         """Gradient of L in its second argument, rowwise; (m, n)."""
-        if self.d2 is not None:
-            return self._grad(self.d2, t, u, v)
+        if self._d2 is not None:
+            return self._grad(self._d2, t, u, v)
         return self._fd_grad(t, u, v, wrt=2)
 
     def partial3(self, t, u, v):
         """Gradient of L in its third argument, rowwise; (m, n)."""
-        if self.d3 is not None:
-            return self._grad(self.d3, t, u, v)
+        if self._d3 is not None:
+            return self._grad(self._d3, t, u, v)
         return self._fd_grad(t, u, v, wrt=3)
 
     # -- construction-time check ---------------------------------------------
@@ -160,7 +168,7 @@ class Lagrangian:
             return  # integrand not evaluable on generic probes; skip the check
         if not np.all(np.isfinite(base)):
             return
-        for name, fn, wrt in (("d2", self.d2, 2), ("d3", self.d3, 3)):
+        for name, fn, wrt in (("d2", self._d2, 2), ("d3", self._d3, 3)):
             if fn is None:
                 continue
             analytic = self._grad(fn, t, u, v)

@@ -225,6 +225,22 @@ def test_integrate_argument_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "timescale",
+    [
+        [{"kind": "interval", "lo": 0}],
+        [{"kind": "ray", "start": "zero"}],
+        {"kind": "ray", "start": 0},
+        [{"kind": "interval", "lo": 0, "hi": 2}, {"kind": "ray", "start": 1}],
+    ],
+    ids=["missing-key", "non-numeric", "lone-mapping", "overlap"],
+)
+def test_malformed_structured_timescale_exits_2(tmp_path, capsys, timescale):
+    f = write(tmp_path, dict(RAY_DOC, timescale=timescale))
+    assert cli.main(["verify", f, "--candidate", "one", "--t-max", "5"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # residual
 

@@ -85,6 +85,10 @@ def test_candidates_are_optional():
         base_doc(lagrangian={"L": "-(v1^2)", "dV": ["-2*v1"]}),
         base_doc(lagrangian={"L": "-(v1^2)", "d3": ["-2*v1", "0"]}),
         base_doc(candidates={"c": ["t", "t"]}),  # two components, n = 1
+        base_doc(config={"h": "abc"}),
+        base_doc(config={"n_tails": "x"}),
+        base_doc(config={"gateaux_eps": 0.1}),
+        base_doc(config={"el_tol": "x"}),
     ],
 )
 def test_rejects_malformed_documents(doc):
@@ -135,6 +139,14 @@ def test_config_builds_typed_objects():
     assert sp.max_iter == 200 and isinstance(sp.max_iter, int)
     assert sp.g_tol == 1e-6
     assert pf.solve_params(max_iter=3).max_iter == 3
+
+
+def test_config_values_are_typed_at_load():
+    pf = problem_from_dict(base_doc(config={"el_tol": None, "t_max": 12, "n_tails": "4"}))
+    assert pf.config == {"el_tol": None, "t_max": 12.0, "n_tails": 4}
+    vc = pf.verify_config()
+    assert vc.el_tol is None and vc.n_tails == 4
+    assert isinstance(vc.t_max, float)
 
 
 def test_former_multistart_keys_still_load_and_solve(tmp_path):

@@ -313,6 +313,24 @@ def test_structured_rejects_unknown_kind():
         timescale_from_structured([{"kind": "spiral", "start": 0}])
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [{"kind": "interval", "lo": 0}],  # missing key
+        [{"kind": "ray", "start": "zero"}],  # non-numeric value
+        [{"kind": "points", "values": 3}, {"kind": "ray", "start": 4}],
+        {"kind": "ray", "start": 0},  # a lone mapping, not a list of them
+        ["ray(0)"],
+        [{"kind": "interval", "lo": 0, "hi": 2}, {"kind": "ray", "start": 1}],  # overlap
+    ],
+    ids=["missing-key", "non-numeric", "non-list-values", "lone-mapping", "string-item",
+         "overlap"],
+)
+def test_structured_rejects_malformed_segments(obj):
+    with pytest.raises(DSLParseError):
+        timescale_from_structured(obj)
+
+
 # ---------------------------------------------------------------------------
 # randomized structural invariants
 

@@ -135,14 +135,114 @@ def test_partials_are_cross_checked():
     assert lag.partial2(np.zeros(1), np.ones((1, 1)), np.zeros((1, 1)))[0, 0] == 1.0
 
 
-def test_value_at_matches_values():
+def polynomial_twins(n, partials):
+    """A polynomial integrand in R^n as a scalar Lagrangian (one row per
+    call) and as its vectorized twin; both do the same float operations on
+    each row.  With ``partials`` False both fall back to finite
+    differences."""
+    if n == 1:
+        scalar = dict(
+            eval=lambda t, u, v: u[0] * u[0] * u[0] - 2.0 * u[0] * v[0] + t * v[0] * v[0],
+            d2=lambda t, u, v: 3.0 * u[0] * u[0] - 2.0 * v[0],
+            d3=lambda t, u, v: -2.0 * u[0] + 2.0 * t * v[0],
+        )
+        rows = dict(
+            eval=lambda t, u, v: (u[:, 0] * u[:, 0] * u[:, 0] - 2.0 * u[:, 0] * v[:, 0]
+                                  + t * v[:, 0] * v[:, 0]),
+            d2=lambda t, u, v: (3.0 * u[:, 0] * u[:, 0] - 2.0 * v[:, 0])[:, None],
+            d3=lambda t, u, v: (-2.0 * u[:, 0] + 2.0 * t * v[:, 0])[:, None],
+        )
+    else:
+        scalar = dict(
+            eval=lambda t, u, v: u[0] * u[1] - v[0] * v[0] + t * v[1],
+            d2=lambda t, u, v: [u[1], u[0]],
+            d3=lambda t, u, v: [-2.0 * v[0], t],
+        )
+        rows = dict(
+            eval=lambda t, u, v: u[:, 0] * u[:, 1] - v[:, 0] * v[:, 0] + t * v[:, 1],
+            d2=lambda t, u, v: np.stack([u[:, 1], u[:, 0]], axis=1),
+            d3=lambda t, u, v: np.stack([-2.0 * v[:, 0], t], axis=1),
+        )
+    if not partials:
+        for fns in (scalar, rows):
+            del fns["d2"], fns["d3"]
+    return Lagrangian(n=n, **scalar), Lagrangian(n=n, vectorized=True, **rows)
+
+
+@pytest.mark.parametrize("partials", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_scalar_lagrangian_matches_its_vectorized_twin(n, partials):
+    scalar, twin = polynomial_twins(n, partials)
+    # the adapted callables are private: fields, repr and == stay as given
+    assert scalar == dataclasses.replace(scalar) and "_eval" not in repr(scalar)
+    assert scalar.vectorized is False
+    rng = np.random.default_rng(7 + n)
+    t = rng.uniform(0.0, 5.0, 9)
+    u, v = rng.standard_normal((9, n)), rng.standard_normal((9, n))
+    for name in ("values", "partial2", "partial3"):
+        got, want = getattr(scalar, name)(t, u, v), getattr(twin, name)(t, u, v)
+        assert got.shape == want.shape == ((9,) if name == "values" else (9, n))
+        assert np.array_equal(got, want), name
+    if n == 2:  # one row
+        t1, u1, v1 = np.array([2.0]), np.array([[1.0, 3.0]]), np.array([[0.5, 0.25]])
+        for lag in (scalar, twin):
+            assert lag.values(t1, u1, v1).tolist() == [3.0 - 0.25 + 0.5]
+
+
+def scalar_lqr_problem():
+    """lqr-z with its integrand given as scalar (one row per call) callables."""
     lag = Lagrangian(
-        n=2,
-        eval=lambda t, u, v: u[:, 0] * u[:, 1] - v[:, 0] ** 2 + t * v[:, 1],
-        vectorized=True,
+        n=1,
+        eval=lambda t, u, v: -(v[0] ** 2 + u[0] ** 2),
+        d2=lambda t, u, v: -2.0 * u[0],
+        d3=lambda t, u, v: -2.0 * v[0],
     )
-    got = lag.value_at(2.0, [1.0, 3.0], [0.5, 0.25])
-    assert abs(got - (3.0 - 0.25 + 0.5)) <= 1e-12
+    return Problem(ts=NAT, a=0.0, x_a=np.array([1.0]), lagrangian=lag)
+
+
+def test_scalar_lagrangian_verifies_and_solves_like_the_builtin():
+    lqr, scalar = lqr_grid(), scalar_lqr_problem()
+    cfg = VerifyConfig(t_max=60.0, h=1.0)
+    gen = lqr.candidate("decaying-mode").gen
+    want = verify_candidate(lqr.problem, gen, cfg).to_dict()
+    assert verify_candidate(scalar, gen, cfg).to_dict() == want
+    a, b = solve_truncated(lqr.problem, 60.0, h=1.0), solve_truncated(scalar, 60.0, h=1.0)
+    assert np.array_equal(a.trajectory.x.values, b.trajectory.x.values)
+    assert (a.objective, a.iterations, a.history) == (b.objective, b.iterations, b.history)
+
+
+def test_lagrangian_results_of_another_shape_are_refused():
+    t, u, v = np.arange(4.0), np.arange(8.0).reshape(4, 2), np.ones((4, 2))
+    # d2 returned as (n, m) instead of (m, n): once silently reshaped
+    transposed = lambda t, u, v: np.stack([2.0 * u[:, 0], 3.0 * u[:, 1]])
+    lag = Lagrangian(n=2, eval=lambda t, u, v: u[:, 0] ** 2 + 1.5 * u[:, 1] ** 2,
+                     d2=transposed, vectorized=True, validate=False)
+    with pytest.raises(DimensionMismatch, match=r"\(2, 4\)"):
+        lag.partial2(t, u, v)
+    # with validation on, the same mistake is named as a shape, not as a
+    # disagreement with finite differences
+    with pytest.raises(DimensionMismatch):
+        Lagrangian(n=2, eval=lag.eval, d2=transposed, vectorized=True)
+    column = Lagrangian(n=2, eval=lambda t, u, v: u[:, :1] * v[:, :1], vectorized=True)
+    with pytest.raises(DimensionMismatch, match=r"\(4, 1\)"):
+        column.values(t, u, v)
+
+
+def test_lagrangian_constants_broadcast():
+    t, u, v = np.arange(3.0), np.ones((3, 2)), np.zeros((3, 2))
+    lag = Lagrangian(n=2, eval=lambda t, u, v: 1.5, d2=lambda t, u, v: np.array([1.0, -2.0]),
+                     vectorized=True, validate=False)
+    assert lag.values(t, u, v).tolist() == [1.5, 1.5, 1.5]
+    assert lag.partial2(t, u, v).tolist() == [[1.0, -2.0]] * 3
+
+
+def test_scalar_lagrangian_may_return_length_one_arrays():
+    # with n = 1, u and v are length-1 rows, so u * u is a length-1 array
+    one = Lagrangian(n=1, eval=lambda t, u, v: u * u, d3=lambda t, u, v: 2.0 * v,
+                     validate=False)
+    t1, u1 = np.arange(3.0), np.array([[1.0], [2.0], [3.0]])
+    assert one.values(t1, u1, u1).tolist() == [1.0, 4.0, 9.0]
+    assert one.partial3(t1, u1, u1).tolist() == [[2.0], [4.0], [6.0]]
 
 
 # ---------------------------------------------------------------------------
