@@ -72,40 +72,54 @@ class GridFunction:
         return self.values.shape[1]
 
     @classmethod
-    def from_callable(cls, grid, fn, extend=True):
+    def from_callable(cls, grid, fn, extend=True, dim=None):
         """Sample the generator ``fn`` at the grid nodes.
 
         ``fn`` is called on an array of times and must return an (m,) or
         (m, n) array, or a constant; scalar-only callables such as
-        ``math.exp`` are not supported.  When ``extend`` is true and the
-        last node is right-scattered, fn is also evaluated at sigma(last
-        node) -- a member of the scale just past the window.
+        ``math.exp`` are not supported.  With ``dim`` the values must have
+        that many components (see _call_on_times).  When ``extend`` is true
+        and the last node is right-scattered, fn is also evaluated at
+        sigma(last node) -- a member of the scale just past the window.
         """
         nodes = grid.nodes
-        vals = _call_on_times(fn, nodes)
+        vals = _call_on_times(fn, nodes, dim)
         sigma_last = None
         if extend and grid.scattered[-1]:
             s = nodes[-1] + grid.mu[-1]
-            sigma_last = _call_on_times(fn, np.array([s]))[0]
+            sigma_last = _call_on_times(fn, np.array([s]), dim)[0]
         return cls(grid=grid, values=vals, sigma_last=sigma_last)
 
 
-def _call_on_times(fn, times):
+def _call_on_times(fn, times, dim=None):
     """Call a time -> value generator once on an array of m times; returns
     an (m, n) array.  An (m,) result is one column, a constant () result is
     broadcast, and any other shape raises DimensionMismatch; errors raised
-    by fn propagate."""
+    by fn propagate.  With the expected dimension ``dim``, n must equal it;
+    where m = dim > 1 an (n, m) result has the shape of an (m, n) one, so fn
+    is called once more, on the first time alone, and must give (1, dim)."""
     m = len(times)
     out = np.asarray(fn(times), dtype=float)
     if out.shape == (m,):
-        return out[:, None]
-    if out.ndim == 2 and out.shape[0] == m:
-        return out.copy()
-    if out.shape == ():  # constant callable
-        return np.full((m, 1), float(out))
-    raise DimensionMismatch(
-        f"generator returned shape {out.shape} for {m} times; expected ({m},) or ({m}, n)"
-    )
+        out = out[:, None]
+    elif out.shape == ():  # constant callable
+        out = np.full((m, 1), float(out))
+    elif out.ndim == 2 and out.shape[0] == m:
+        out = out.copy()
+    else:
+        raise DimensionMismatch(
+            f"generator returned shape {out.shape} for {m} times; expected ({m},) or ({m}, n)"
+        )
+    if dim is not None and out.shape[1] != dim:
+        raise DimensionMismatch(f"generator returned {out.shape[1]} components, expected {dim}")
+    if dim is not None and m == dim > 1:
+        one = np.shape(fn(times[:1]))
+        if one != (1, dim):
+            raise DimensionMismatch(
+                f"generator returned shape {one} for one time, expected (1, {dim}): "
+                f"its ({m}, {m}) result is transposed"
+            )
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -69,17 +69,62 @@ def _row_loop(fn):
         [np.squeeze(fn(float(t[i]), u[i], v[i])) for i in range(len(t))], dtype=float)
 
 
+def _probe_points(n):
+    """Three generic rows (t, u, v) for the construction-time probes."""
+    rng = np.random.default_rng(20240901)
+    return np.array([0.0, 0.7, 1.3]), rng.standard_normal((3, n)), rng.standard_normal((3, n))
+
+
+def _vectorized_partial(fn, n):
+    """A vectorized partial as one with a result per row, decided once from
+    its result shapes on two and on three probe rows.  The same shape on
+    both is a constant gradient, broadcast to every row.  A per-row result
+    that is not (m, n) (nor, for n = 1, m entries) is refused on every
+    call: (n, m), say, has the shape of (m, n) where m = n."""
+    t, u, v = _probe_points(n)
+    with np.errstate(all="ignore"):
+        shapes = [np.shape(fn(t[:k], u[:k], v[:k])) for k in (2, 3)]
+    if shapes[0] == shapes[1]:
+        return _constant_rows(fn, n)
+    if all(s == (k, n) or n == 1 and np.prod(s) == k for k, s in zip((2, 3), shapes)):
+        return fn
+    return _misshapen(fn, n)
+
+
+def _constant_rows(fn, n):
+    """A vectorized partial that returns one (n,) gradient as one on all
+    rows."""
+    def rows(t, u, v):
+        out = np.asarray(fn(t, u, v), dtype=float)
+        if out.shape != (n,):
+            raise DimensionMismatch(f"constant partial shape {out.shape}, expected {(n,)}")
+        return np.tile(out, (len(t), 1))
+    return rows
+
+
+def _misshapen(fn, n):
+    """A vectorized partial whose per-row results are not (m, n), refused."""
+    def refuse(t, u, v):
+        raise DimensionMismatch(f"partial shape {np.shape(fn(t, u, v))}, expected "
+                                f"{(len(t), n)}; on the probe rows it was not (rows, {n})")
+    return refuse
+
+
 @dataclass
 class Lagrangian:
     """Integrand L(t, u, v) with u = x(sigma(t)) and v = x_delta(t) in R^n.
 
     With ``vectorized`` set, ``eval`` and the partial gradients ``d2`` (in
     u) and ``d3`` (in v) take all rows at once, t: (m,), u, v: (m, n).
-    ``eval`` returns (m,) or a constant (); ``d2``/``d3`` return (m, n), a
-    constant (n,) or, for n = 1, any array of m entries.  Any other shape
-    raises DimensionMismatch.  Without it they take one row, t a float and
-    u, v of length n, and are wrapped once, at construction, into a loop
-    over the rows; a row's result may carry extra unit axes.
+    ``eval`` returns (m,) or a constant (); ``d2``/``d3`` return (m, n) or,
+    for n = 1, any array of m entries, or a constant (n,).  Which of these
+    a partial returns is decided once, at construction, from its result
+    shapes on two and on three probe rows (also with ``validate`` off),
+    never from the shape of one call: with m = n, (n,) and (m,) share a
+    shape, and so do (m, n) and (n, m).  Any other shape raises
+    DimensionMismatch.  Without ``vectorized`` they take one row, t
+    a float and u, v of length n, and are wrapped once, at construction,
+    into a loop over the rows; a row's result may carry extra unit axes.
     Omitted partials fall back to central finite differences with step
     fd_step * (1 + |argument|).  Supplied partials are cross-checked against
     finite differences on a few probe points at construction time.
@@ -96,21 +141,27 @@ class Lagrangian:
     def __post_init__(self):
         if self.n < 1:
             raise DimensionMismatch("state dimension must be >= 1")
-        self._eval, self._d2, self._d3 = (
-            fn if self.vectorized or fn is None else _row_loop(fn)
-            for fn in (self.eval, self.d2, self.d3))
+        self._eval = self.eval if self.vectorized else _row_loop(self.eval)
+        self._d2, self._d3 = (
+            fn if fn is None else _vectorized_partial(fn, self.n) if self.vectorized
+            else _row_loop(fn) for fn in (self.d2, self.d3))
         if self.validate and (self.d2 is not None or self.d3 is not None):
             self._validate_partials()
 
     # -- evaluation ----------------------------------------------------------
 
     def values(self, t, u, v):
-        """L at each row; t: (m,), u, v: (m, n) -> (m,)."""
+        """L at each row; t: (m,), u, v: (m, n) -> (m,).  The result may be
+        the integrand's own array (it is copied only to broadcast a constant
+        or to convert to float): a caller that keeps it copies it, and one
+        that writes writes into its own buffer."""
         t = np.asarray(t, dtype=float)
         out = np.asarray(self._eval(t, u, v), dtype=float)
-        if out.shape not in ((), t.shape):
+        if out.shape == ():
+            return np.full(t.shape, out)
+        if out.shape != t.shape:
             raise DimensionMismatch(f"integrand shape {out.shape}, expected {t.shape} or ()")
-        return np.broadcast_to(out, t.shape).astype(float)
+        return out
 
     def _grad(self, fn, t, u, v):
         t = np.asarray(t, dtype=float)
@@ -118,11 +169,9 @@ class Lagrangian:
         out = np.asarray(fn(t, u, v), dtype=float)
         if n == 1 and out.size == m:
             out = out.reshape(m, 1)
-        elif out.shape == (n,):  # constant gradient
-            out = np.broadcast_to(out, (m, n))
         if out.shape != (m, n):
-            raise DimensionMismatch(f"partial shape {out.shape}, expected {(m, n)} or {(n,)}")
-        return out.astype(float)
+            raise DimensionMismatch(f"partial shape {out.shape}, expected {(m, n)}")
+        return out
 
     def _fd_grad(self, t, u, v, wrt):
         base = u if wrt == 2 else v
@@ -158,10 +207,7 @@ class Lagrangian:
     # -- construction-time check ---------------------------------------------
 
     def _validate_partials(self):
-        rng = np.random.default_rng(20240901)
-        t = np.array([0.0, 0.7, 1.3])
-        u = rng.standard_normal((3, self.n))
-        v = rng.standard_normal((3, self.n))
+        t, u, v = _probe_points(self.n)
         try:
             base = self.values(t, u, v)
         except Exception:
@@ -244,7 +290,7 @@ class SampledPath:
                 return x
             x = x.x
         elif callable(x) and grid is not None:
-            x = GridFunction.from_callable(grid, x)
+            x = GridFunction.from_callable(grid, x, dim=problem.n)
         if not isinstance(x, GridFunction):
             raise DimensionMismatch("expected a GridFunction or SampledPath")
         if grid is not None and x.grid is not grid:
@@ -267,14 +313,15 @@ class SampledPath:
 
     @cached_property
     def lagrangian_row(self):
-        """L(t, x_sigma(t), x_delta(t)) at the first K nodes."""
-        return self.problem.lagrangian.values(self.grid.nodes[: self.K], self.shift,
-                                              self.slope)
+        """L(t, x_sigma(t), x_delta(t)) at the first K nodes, in an array of
+        its own: the integrand may hand back one it reuses."""
+        return np.array(self.problem.lagrangian.values(self.grid.nodes[: self.K],
+                                                       self.shift, self.slope))
 
     @cached_property
     def weights(self):
-        """calculus._cell_weights of the grid, for _cumulative and
-        _cumulative_at."""
+        """calculus._cell_weights of the grid, for _cumulative,
+        _cumulative_at and _difference_integral."""
         return _cell_weights(self.grid)
 
 
@@ -284,7 +331,7 @@ Trajectory = SampledPath
 def sample_trajectory(problem, gen, t_end, h):
     """Sample a generator t -> x(t) into a path on [a, t_end]."""
     grid = problem.ts.build_grid(problem.a, t_end, h)
-    return SampledPath(problem, GridFunction.from_callable(grid, gen))
+    return SampledPath(problem, GridFunction.from_callable(grid, gen, dim=problem.n))
 
 
 # ---------------------------------------------------------------------------
@@ -455,25 +502,99 @@ def _on_plan(problem, x, plan, *, variation=False):
     return path
 
 
-def _difference_integral(problem, star, shift, slope, idx):
+#: cells per block of a competitor row: a block's shift, slope, L - L* and
+#: node-weight rows stay in cache from the integrand call to the reduction
+_BLOCK = 1 << 15
+
+
+def _blocks(at):
+    """Blocks (j0, j1, lo, hi) of the horizon segments j0..j1, segment j
+    holding the cells at[j - 1]..at[j] - 1 (from 0 for j = 0), so that the
+    block holds the nodes lo..hi: at most _BLOCK cells, or one segment that
+    is longer on its own."""
+    blocks, j0, lo = [], 0, 0
+    while j0 < len(at):
+        j1 = max(j0, int(np.searchsorted(at, lo + _BLOCK, side="right")) - 1)
+        blocks.append((j0, j1, lo, int(at[j1])))
+        j0, lo = j1 + 1, int(at[j1])
+    return blocks
+
+
+def _difference_integral(problem, star, idx, comp, eps=None):
     """int_a^{T'} [L(x) - L(x*)] at the nodes T' of the strictly increasing
     indices ``idx`` only (the plan's horizons, or one T'), on the path
-    ``star`` of x*, for the sigma-shift and slope rows of a competitor x;
-    no prefix integral is formed at the nodes in between."""
-    n = int(idx[-1]) + 1
-    rows = problem.lagrangian.values(star.grid.nodes[:n], shift[:n], slope[:n])
-    rows -= star.lagrangian_row[:n]  # in place: peak memory is gated
-    return _cumulative_at(rows, star.weights, idx)
+    ``star`` of x*.  The competitor x is the path ``comp``, or with ``eps``
+    x* + eps p for the variation ``comp`` of p.
 
-
-def _varied(star, var, eps):
-    """The sigma-shift and slope rows of x* + eps p on the common prefix of
-    the paths ``star`` of x* and ``var`` of p, formed in place."""
-    K = min(star.K, var.K)
-    shift, slope = var.shift[:K] * eps, var.slope[:K] * eps
-    shift += star.shift[:K]
-    slope += star.slope[:K]
-    return shift, slope
+    Full length stay only the rows the paths hold: the grid, x*'s samples,
+    shift, slope and L row, the cell weights and comp's rows.  The
+    competitor's shift, slope and L - L* rows and the node weights are
+    formed block by block (see _blocks), in buffers reused from block to
+    block, and each block is reduced to its horizons' values before the
+    next is formed; a running sum carries from block to block.  The terms
+    and their order of summation are calculus._cumulative_at's on the whole
+    row, so the values equal its values exactly: on dense grids the node
+    weights c_i = w_left[i] + w_right[i - 1] times L - L*, summed between
+    horizons (np.add.reduceat) and then across them; on lattices, or with
+    few nodes per horizon, the running sum of the cells (_cumulative's)."""
+    idx = np.asarray(idx, dtype=np.intp)
+    at = idx[1:] if idx[0] == 0 else idx  # F = 0 at node 0
+    if len(at) == 0:
+        return np.zeros(len(idx))
+    w_left, w_right, seams, w_seam = star.weights
+    end = int(at[-1])
+    exact = 8 * len(idx) >= end or not w_right[:end].any()
+    blocks = _blocks(at)
+    size = max(hi - lo for _, _, lo, hi in blocks) + 1
+    if eps is None:
+        d_buf, c_buf = np.empty(size), np.empty(size)
+    else:  # the L - L* row and the node weights reuse these once L is formed
+        u_buf, v_buf = np.empty((size, problem.n)), np.empty((size, problem.n))
+        d_buf, c_buf = v_buf.reshape(-1), u_buf.reshape(-1)
+    seams = seams[: int(np.searchsorted(seams, end))]  # the seam cells below end
+    seam_terms = np.empty(len(seams))
+    nodes, lag, star_row = star.grid.nodes, problem.lagrangian, star.lagrangian_row
+    parts = [np.zeros(len(idx) - len(at))]
+    for j0, j1, lo, hi in blocks:
+        rows, m, hz = slice(lo, hi + 1), hi - lo + 1, at[j0 : j1 + 1]
+        u, v = comp.shift[rows], comp.slope[rows]
+        if eps is not None:
+            u = np.multiply(u, eps, out=u_buf[:m])
+            u += star.shift[rows]
+            v = np.multiply(v, eps, out=v_buf[:m])
+            v += star.slope[rows]
+        d = np.subtract(lag.values(nodes[rows], u, v), star_row[rows], out=d_buf[:m])
+        # the seam cell s reads node s - 1, so its term is formed in the
+        # block holding that node: lo < s <= hi
+        s0, s1 = np.searchsorted(seams, (lo + 1, hi + 1))
+        np.multiply(w_seam[s0:s1], d[seams[s0:s1] - 1 - lo], out=seam_terms[s0:s1])
+        if exact:
+            # _cell_values's cells w_left[i] d[i] + w_right[i] d[i + 1] plus
+            # the seam terms; the two products are added the other way
+            # round, which rounds alike, so that d[:-1], read no more, can
+            # be scaled in place
+            sums = np.multiply(w_right[lo:hi], d[1:], out=c_buf[: m - 1])
+            d_left = d[:-1]
+            d_left *= w_left[lo:hi]
+            sums += d_left
+            k0, k1 = np.searchsorted(seams, (lo, hi))
+            sums[seams[k0:k1] - lo] += seam_terms[k0:k1]
+        else:
+            c = c_buf[: m - 1]
+            np.add(w_left[lo + 1 : hi], w_right[lo : hi - 1], out=c[1:])
+            c[0] = w_left[lo] + w_right[lo - 1] if lo else w_left[0]
+            c *= d[:-1]
+            sums = np.add.reduceat(c, np.concatenate(([0], hz[:-1] - lo)))
+        if j0:
+            sums[0] += carry
+        np.cumsum(sums, out=sums)
+        carry = sums[-1]
+        parts.append(sums[hz - (lo + 1)] if exact else sums + w_right[hz - 1] * d[hz - lo])
+    F = np.concatenate(parts)
+    if len(seams) and not exact:  # the seam terms of the cells below each horizon
+        k = np.searchsorted(seams, at)
+        F[len(idx) - len(at) :][k > 0] += np.cumsum(seam_terms)[k[k > 0] - 1]
+    return F
 
 
 def _check_window(plan, config):
@@ -503,7 +624,7 @@ def weak_max_compare(problem, x, x_star, plan, config=LimitConfig()):
     _check_window(plan, config)
     px = _on_plan(problem, x, plan)
     star = _on_plan(problem, x_star, plan)
-    F = _difference_integral(problem, star, px.shift, px.slope, plan.horizon_idx)
+    F = _difference_integral(problem, star, plan.horizon_idx, px)
     return _horizon_liminf(F, plan, config)
 
 
@@ -554,7 +675,7 @@ def variation_quotient(problem, x_star, pvar, eps, t_prime, *, h):
     if eps == 0:
         raise ZeroEpsilon("the variation parameter must be nonzero")
     star, var, _, i = _variation_data(problem, x_star, pvar, t_prime, h)
-    return float(_difference_integral(problem, star, *_varied(star, var, eps), [i])[0] / eps)
+    return float(_difference_integral(problem, star, [i], var, eps)[0] / eps)
 
 
 def first_variation(problem, x_star, pvar, t_prime, *, h):
@@ -637,7 +758,7 @@ def gateaux_report(problem, x_star, pvar, eps_list, t_list, plan):
     quot = np.zeros((len(eps_list), len(t_values)))
     avals = np.zeros_like(quot)
     for i, eps in enumerate(eps_list):
-        N = _difference_integral(problem, star, *_varied(star, var, eps), plan.horizon_idx)
+        N = _difference_integral(problem, star, plan.horizon_idx, var, eps)
         quot[i] = np.minimum.accumulate(N[::-1])[::-1][t_pos] / eps
         avals[i] = N[t_pos] / eps
     spread = quot.max(axis=0) - quot.min(axis=0)
@@ -1229,6 +1350,17 @@ def classify_report(el_sup, trans, probes, *, el_tol, trans_tol, probe_tol):
     return Verdict.CONSISTENT, tuple(flags)
 
 
+def _horizon_sups(r, idx):
+    """max |r| over the rows 0..idx[j] for each horizon j, then over all
+    rows: the maxima of |r| between horizons, accumulated; no row as long
+    as r is kept."""
+    cuts = np.zeros(len(idx) + 1, dtype=np.intp)
+    np.add(idx, 1, out=cuts[1:])
+    if cuts[-1] == len(r):  # no tail after the last horizon
+        cuts = cuts[:-1]
+    return np.maximum.accumulate(np.maximum.reduceat(np.abs(r), cuts).max(axis=1))
+
+
 def verify_candidate(problem, x_gen, config=VerifyConfig()):
     """Run the full diagnostic battery against a candidate generator.
 
@@ -1238,6 +1370,14 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
     compact bump, each sampled once), and tabulates the Gateaux quotients of
     the tail-constant one.  The verdict is derived by classify_report.
     Every diagnostic reads one SampledPath of the candidate.
+
+    Full length, for the whole call, are the plan grid and x*'s samples,
+    shift, slope and L row, and the cell weights; for one family at a time,
+    the variation's samples, shift and slope; and for the residual stage
+    only, the E-L residual r and its d2 and d3 rows.  Of r, only its maxima
+    between horizons are kept.  The nine competitor rows x* +- amp p and
+    x* + eps p are formed and reduced block by block (_difference_integral),
+    so none is ever held at full length.
     """
     ts, a = problem.ts, problem.a
     plan = make_horizon_plan(
@@ -1247,11 +1387,11 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
     )
     star = _on_plan(problem, x_gen, plan)
 
-    # sup of |r| over [a, t] for every t, read at a quarter, half, three
-    # quarters and all of the horizons
-    res_sup = np.maximum.accumulate(np.max(np.abs(el_residual(problem, star).values), axis=1))
+    # sup of |r| over [a, T'] at every horizon T', read at a quarter, half,
+    # three quarters and all of the horizons, and over the whole prefix
+    res_sup = _horizon_sups(el_residual(problem, star).values, plan.horizon_idx)
     hz, n_hz = plan.horizons, len(plan.horizons)
-    window_sups = tuple((float(hz[j]), float(res_sup[plan.horizon_idx[j]]))
+    window_sups = tuple((float(hz[j]), float(res_sup[:n_hz][j]))
                         for j in (n_hz // 4, n_hz // 2, 3 * n_hz // 4, -1))
     el_sup = float(res_sup[-1])
 
@@ -1270,7 +1410,7 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
     for name, q in families:
         var = _on_plan(problem, lambda t: np.outer(q(t), ones), plan, variation=True)
         for eps in (1.0, -1.0):
-            F = _difference_integral(problem, star, *_varied(star, var, eps), plan.horizon_idx)
+            F = _difference_integral(problem, star, plan.horizon_idx, var, eps)
             probes.append((f"{name}({eps * amp:+g})", _horizon_liminf(F, plan, config.limits)))
         if name == "tail_const":
             diag = gateaux_report(problem, star, var, config.gateaux_eps, t_list, plan)

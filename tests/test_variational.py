@@ -5,6 +5,7 @@ import collections
 import dataclasses
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,60 @@ def test_lagrangian_constants_broadcast():
                      vectorized=True, validate=False)
     assert lag.values(t, u, v).tolist() == [1.5, 1.5, 1.5]
     assert lag.partial2(t, u, v).tolist() == [[1.0, -2.0]] * 3
+
+
+def test_partials_are_read_as_constant_only_when_they_are():
+    # m = n = 2: a d2 giving the column 2 u1 returns (2,), the shape of a
+    # constant gradient, and was once broadcast as the row [2, 6]
+    t, u, v = np.arange(2.0), np.array([[1.0, 0.0], [3.0, 0.0]]), np.zeros((2, 2))
+    column = Lagrangian(n=2, eval=lambda t, u, v: u[:, 0] ** 2,
+                        d2=lambda t, u, v: 2.0 * u[:, 0], vectorized=True, validate=False)
+    with pytest.raises(DimensionMismatch, match=r"\(2,\)"):
+        column.partial2(t, u, v)
+    constant = Lagrangian(n=2, eval=lambda t, u, v: u[:, 0] - 2.0 * u[:, 1],
+                          d2=lambda t, u, v: np.array([1.0, -2.0]), vectorized=True)
+    assert constant.partial2(t, u, v).tolist() == [[1.0, -2.0]] * 2
+    # and a transposed d2, (n, m), has the shape of (m, n) on 2 rows
+    transposed = Lagrangian(n=2, eval=column.eval, vectorized=True, validate=False,
+                            d2=lambda t, u, v: np.stack([2.0 * u[:, 0], 3.0 * u[:, 1]]))
+    with pytest.raises(DimensionMismatch, match=r"\(2, 2\)"):
+        transposed.partial2(t, np.array([[1.0, 2.0], [5.0, 7.0]]), v)
+    # one gradient on every row count, so a constant one of the wrong
+    # length is refused on every row count
+    short = Lagrangian(n=2, eval=lambda t, u, v: u[:, 0], d3=lambda t, u, v: np.zeros(3),
+                       vectorized=True, validate=False)
+    with pytest.raises(DimensionMismatch, match="constant"):
+        short.partial3(np.arange(3.0), np.ones((3, 2)), np.ones((3, 2)))
+
+
+def test_lagrangian_results_are_copied_only_to_broadcast_or_convert():
+    t, u, v = np.arange(3.0), np.ones((3, 1)), np.ones((3, 1))
+    own = np.array([1.0, 2.0, 3.0])
+    lag = Lagrangian(n=1, eval=lambda t, u, v: own[: len(t)],
+                     d3=lambda t, u, v: own[: len(t), None], vectorized=True, validate=False)
+    assert np.shares_memory(lag.values(t, u, v), own)
+    assert np.shares_memory(lag.partial3(t, u, v), own)
+    ints = Lagrangian(n=1, eval=lambda t, u, v: np.arange(3), vectorized=True)
+    assert ints.values(t, u, v).dtype == float
+
+
+def test_lagrangian_row_survives_an_integrand_that_reuses_its_output():
+    out = np.empty(0)
+
+    def reused(t, u, v):  # one output array, overwritten by every call
+        nonlocal out
+        if out.shape != t.shape:
+            out = np.empty(t.shape)
+        np.multiply(u[:, 0], u[:, 0], out=out)
+        return out
+
+    lag = Lagrangian(n=1, eval=reused, vectorized=True)
+    prob = Problem(ts=NAT, a=0.0, x_a=np.array([1.0]), lagrangian=lag)
+    path = sample_trajectory(prob, lambda t: 1.0 + np.asarray(t, dtype=float), 6.0, 1.0)
+    row = path.lagrangian_row
+    want = row.copy()
+    lag.values(path.grid.nodes[: path.K], 0.0 * path.shift, path.slope)
+    assert np.array_equal(row, want)
 
 
 def test_scalar_lagrangian_may_return_length_one_arrays():
@@ -557,6 +612,24 @@ def test_variations_must_match_the_problem_dimension():
     report = gateaux_report(prob, star, plane, (0.1,), (5.0,), plan)
     direct = variation_quotient(prob, star, plane, 0.1, report.t_values[0], h=1.0)
     assert abs(report.a_values[0, 0] - direct) <= 1e-9
+
+
+def test_sampling_refuses_a_transposed_generator():
+    # two nodes and n = 2: the (n, m) result of vstack has the shape of an
+    # (m, n) one, and was once taken as the samples [[0, 1], [10, 11]]
+    grid = real_ray(0).build_grid(0.0, 1.0, 1.0)
+    assert len(grid) == 2
+    transposed = lambda t: np.vstack((t, 10.0 + t))
+    with pytest.raises(DimensionMismatch, match="transposed"):
+        GridFunction.from_callable(grid, transposed, dim=2)
+    lag = Lagrangian(n=2, eval=lambda t, u, v: u[:, 0] * v[:, 1], vectorized=True)
+    prob = Problem(ts=real_ray(0), a=0.0, x_a=np.array([0.0, 10.0]), lagrangian=lag)
+    with pytest.raises(DimensionMismatch, match="transposed"):
+        SampledPath.of(prob, transposed, grid)
+    with pytest.raises(DimensionMismatch, match="3 components"):
+        SampledPath.of(prob, lambda t: np.column_stack((t, t, t)), grid)
+    path = SampledPath.of(prob, lambda t: np.column_stack((t, 10.0 + t)), grid)
+    assert path.x.values.tolist() == [[0.0, 10.0], [1.0, 11.0]]
 
 
 def test_verify_on_a_plane():
@@ -965,14 +1038,116 @@ def test_verify_samples_each_path_once(monkeypatch):
 
 
 def test_verify_reads_competitor_integrals_at_the_horizons_only(monkeypatch):
-    calls = count_calls(monkeypatch, ("_cumulative", "_cumulative_at", "_cell_values"))
     ray = lqr_ray()
+    calls = count_calls(monkeypatch, ("_cumulative", "_cumulative_at", "_cell_values"))
+    spans = []
+    values = Lagrangian.values
+    monkeypatch.setattr(Lagrangian, "values",
+                        lambda self, t, u, v: spans.append(len(t)) or values(self, t, u, v))
     report = verify_candidate(ray.problem, ray.candidate("decaying-exp").gen,
-                              VerifyConfig(t_max=10.0, h=0.01))
+                              VerifyConfig(t_max=10.0, h=2.5e-4))
     assert report.verdict is Verdict.CONSISTENT
+    assert report.nodes > 1.2 * variational._BLOCK
     # one full prefix array, the E-L residual's; the 6 probes and 3 Gateaux
-    # rows are reduced straight to their horizon values, with no cell array
-    assert calls == {"_cumulative": 1, "_cumulative_at": 9, "_cell_values": 1}
+    # rows are formed block by block, so that x*'s row is the only one of
+    # full length, and reduced straight to their horizon values
+    assert calls == {"_cumulative": 1, "_cell_values": 1}
+    assert len([m for m in spans if m > variational._BLOCK + 1]) == 1
+    assert len(spans) == 1 + 9 * 2  # x*'s row, then two blocks per competitor row
+
+
+BLOCK_CASES = pytest.mark.parametrize("named, label, t_max, h, blocks", [
+    (lqr_ray(1.3), "decaying-exp", 10.0, 1e-3, (50, 500, 1 << 20)),
+    (ex_pos(1.7, ts=COMB), "line", 40.0, 1e-2, (20, 300, 1 << 20)),
+    (lqr_grid(1.2), "decaying-mode", 400.0, 1.0, (1, 7, 1 << 20)),
+], ids=["lqr-r", "comb-seams", "lqr-z-carry"])
+
+
+@BLOCK_CASES
+def test_competitor_integrals_do_not_depend_on_the_block_size(monkeypatch, named, label,
+                                                              t_max, h, blocks):
+    """The block size sets only the working memory: every probe and Gateaux
+    row, and the report, are the same for blocks shorter than one horizon
+    segment (lqr-r's segments hold up to 166 cells, the comb's up to 48,
+    lqr-z's one, so that there each block is one segment), of a few
+    segments, and of the whole grid."""
+    gen = named.candidate(label).gen
+    rows = []
+    blocked = variational._difference_integral
+    monkeypatch.setattr(variational, "_difference_integral",
+                        lambda *args: rows.append(blocked(*args)) or rows[-1])
+    runs = []
+    for block in blocks:
+        monkeypatch.setattr(variational, "_BLOCK", block)
+        rows.clear()
+        report = verify_candidate(named.problem, gen, VerifyConfig(t_max=t_max, h=h))
+        runs.append((report.to_dict(), list(rows)))
+    assert len(runs[0][1]) == 9
+    for report, F in runs[1:]:
+        assert report == runs[0][0]
+        assert all(np.array_equal(a, b) for a, b in zip(F, runs[0][1]))
+
+
+@BLOCK_CASES
+def test_competitor_integrals_equal_the_full_row_reduced_at_the_horizons(
+        monkeypatch, named, label, t_max, h, blocks):
+    """Block by block, the horizon values are those of the whole row
+    L(x* + eps p) - L(x*) reduced by calculus._cumulative_at, exactly."""
+    problem, a = named.problem, named.problem.a
+    plan = make_horizon_plan(problem.ts, a, t_max, h=h)
+    star = SampledPath.of(problem, named.candidate(label).gen, plan.grid)
+    idx, span = plan.horizon_idx, plan.horizons[-1] - a
+    monkeypatch.setattr(variational, "_BLOCK", blocks[1])
+    for q in (smoothstep_tail(0.5, a, span / 5.0), compact_bump(0.5, a + span / 4.0, span / 10.0)):
+        var = SampledPath.of(problem, q, plan.grid, variation=True)
+        for eps in (1.0, -1.0, 1e-3):
+            n = idx[-1] + 1
+            shift = star.shift[:n] + eps * var.shift[:n]
+            slope = star.slope[:n] + eps * var.slope[:n]
+            row = problem.lagrangian.values(star.grid.nodes[:n], shift, slope)
+            want = calculus._cumulative_at(row - star.lagrangian_row[:n], star.weights, idx)
+            got = variational._difference_integral(problem, star, idx, var, eps)
+            assert np.array_equal(got, want)
+        competitor = SampledPath.of(problem, perturbed_generator(named.candidate(label).gen, q),
+                                    plan.grid)
+        row = problem.lagrangian.values(star.grid.nodes[:n], competitor.shift[:n],
+                                        competitor.slope[:n])
+        want = calculus._cumulative_at(row - star.lagrangian_row[:n], star.weights, idx)
+        assert np.array_equal(variational._difference_integral(problem, star, idx, competitor),
+                              want)
+
+
+@pytest.mark.parametrize("named, label, t_prime, h", [
+    (lqr_ray(1.3), "decaying-exp", 7.3, 1e-3),
+    (ex_pos(1.7, ts=COMB), "line", 23.5, 1e-2),
+    (lqr_grid(1.2), "decaying-mode", 300.0, 1.0),
+], ids=["lqr-r", "comb-seams", "lqr-z"])
+def test_variation_quotient_does_not_depend_on_the_block_size(monkeypatch, named, label,
+                                                              t_prime, h):
+    gen, pulse = named.candidate(label).gen, decaying_pulse(0.5, named.problem.a, 0.2)
+    got = set()
+    for block in (16, 1000, 1 << 20):
+        monkeypatch.setattr(variational, "_BLOCK", block)
+        got.add(variation_quotient(named.problem, gen, pulse, 0.1, t_prime, h=h))
+    assert len(got) == 1
+
+
+def test_verify_memory_stays_within_its_budget():
+    """tracemalloc peak of one lqr-r verify over 160004 nodes: at most 115
+    bytes per node.  The rows that stay full length (grid, x*'s samples,
+    shift, slope and L row, the cell weights, one variation's samples,
+    shift and slope) come to 12 float64 rows, 97 bytes per node; forming
+    the competitor rows at full length read 136."""
+    ray = lqr_ray(1.268)
+    gen = ray.candidate("decaying-exp").gen
+    tracemalloc.start()
+    try:
+        report = verify_candidate(ray.problem, gen, VerifyConfig(t_max=40.0, h=2.5e-4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict is Verdict.CONSISTENT and report.nodes == 160004
+    assert peak / report.nodes <= 115.0
 
 
 def report_from_generators(problem, gen, config):
@@ -1003,9 +1178,7 @@ def report_from_generators(problem, gen, config):
         for eps in (1.0, -1.0):
             star = SampledPath.of(problem, gen, plan.grid)
             var = SampledPath.of(problem, maker(amp, **kw), plan.grid, variation=True)
-            F = variational._difference_integral(problem, star,
-                                                 *variational._varied(star, var, eps),
-                                                 plan.horizon_idx)
+            F = variational._difference_integral(problem, star, plan.horizon_idx, var, eps)
             probes.append((f"{name}({eps * amp:+g})", variational._horizon_liminf(
                 F, plan, config.limits)))
     diag = gateaux_report(problem, gen, smoothstep_tail(amp, a, span / 5.0),
