@@ -324,40 +324,88 @@ def _cumulative(rows, weights):
     return out.reshape(rows.shape)
 
 
-def _cumulative_at(rows, weights, idx):
-    """_cumulative(rows, weights)[idx] for strictly increasing node indices
-    ``idx``, without the prefix integrals at the other nodes.
+#: cells per block of _cumulative_at: a block's row and node weights stay
+#: in cache from the producer's call to the reduction
+_BLOCK = 1 << 15
+
+
+def _blocks(at):
+    """Blocks (j0, j1, lo, hi) of the horizon segments j0..j1, segment j
+    holding the cells at[j - 1]..at[j] - 1 (from 0 for j = 0), so that the
+    block holds the nodes lo..hi: at most _BLOCK cells, or one segment that
+    is longer on its own."""
+    blocks, j0, lo = [], 0, 0
+    while j0 < len(at):
+        j1 = max(j0, int(np.searchsorted(at, lo + _BLOCK, side="right")) - 1)
+        blocks.append((j0, j1, lo, int(at[j1])))
+        j0, lo = j1 + 1, int(at[j1])
+    return blocks
+
+
+def _cumulative_at(weights, idx, rows_at):
+    """_cumulative(row, weights)[idx] for strictly increasing node indices
+    ``idx`` of a scalar row, without the prefix integrals at the other
+    nodes.  The row is handed over block by block (_blocks of idx without
+    node 0, in order): rows_at(lo, hi) returns the row at the nodes lo..hi
+    and a spare buffer of at least hi - lo floats, and this routine may
+    overwrite both, so a producer can reuse its buffers for every block.
+    Each block is reduced to its horizons' values before the next is asked
+    for, and a running sum carries from block to block, so the block size
+    does not change the result.
 
     With c_i = w_left[i] + w_right[i-1] the weight of node i in the cells
     left of it, F[j] = sum_{i<j} c_i v_i + w_right[j-1] v_j plus the seam
     terms of the seam cells below j.  The first sum is reduced between
-    consecutive horizons and then accumulated over the few horizons, so it
-    rounds differently from the cell-by-cell running sum, by a few ulps of
-    the partial sums.  When there are few nodes per horizon, or no
-    trapezoid cell, the running sum of the cells is taken instead and the
-    result equals _cumulative's exactly."""
-    v = rows.reshape(len(rows), -1)
+    consecutive horizons (np.add.reduceat) and then accumulated over the
+    horizons, so it rounds differently from the cell-by-cell running sum,
+    by a few ulps of the partial sums.  When there are few nodes per
+    horizon, or no trapezoid cell, the running sum of the cells is taken
+    instead and the result equals _cumulative's exactly."""
     idx = np.asarray(idx, dtype=np.intp)
+    at = idx[1:] if idx[0] == 0 else idx  # F = 0 at node 0
+    if len(at) == 0:
+        return np.zeros(len(idx))
     w_left, w_right, seams, w_seam = weights
-    end = int(idx[-1])
+    end = int(at[-1])
     # reduceat beats the running sum only on segments of more than a few nodes
-    if 8 * len(idx) >= end or not w_right[:end].any():
-        return _cumulative(rows[: end + 1], weights)[idx]
-    F = np.zeros((len(idx), v.shape[1]))
-    at = idx[idx > 0]  # F = 0 at node 0
-    Fat = F[len(idx) - len(at) :]
-    c = np.empty((end, 1))
-    c[0] = w_left[0]
-    np.add(w_left[1:end], w_right[: end - 1], out=c[1:, 0])
-    c = np.multiply(c, v[:end], out=c if v.shape[1] == 1 else None)
-    np.cumsum(np.add.reduceat(c, np.concatenate(([0], at[:-1])), axis=0), axis=0, out=Fat)
-    Fat += w_right[at - 1, None] * v[at]
-    n_seams = int(np.searchsorted(seams, end))
-    if n_seams:
-        seam_sums = np.cumsum(w_seam[:n_seams, None] * v[seams[:n_seams] - 1], axis=0)
-        k = np.searchsorted(seams[:n_seams], at)  # seam cells below each horizon
-        Fat[k > 0] += seam_sums[k[k > 0] - 1]
-    return F.reshape((len(idx),) + rows.shape[1:])
+    exact = 8 * len(idx) >= end or not w_right[:end].any()
+    blocks = _blocks(at)
+    seams = seams[: int(np.searchsorted(seams, end))]  # the seam cells below end
+    seam_terms = np.empty(len(seams))
+    parts = [np.zeros(len(idx) - len(at))]
+    for j0, j1, lo, hi in blocks:
+        (d, spare), hz = rows_at(lo, hi), at[j0 : j1 + 1]
+        # the seam cell s reads node s - 1, so its term is formed in the
+        # block holding that node: lo < s <= hi
+        s0, s1 = np.searchsorted(seams, (lo + 1, hi + 1))
+        np.multiply(w_seam[s0:s1], d[seams[s0:s1] - 1 - lo], out=seam_terms[s0:s1])
+        if exact:
+            # _cell_values's cells w_left[i] d[i] + w_right[i] d[i + 1] plus
+            # the seam terms; the two products are added the other way
+            # round, which rounds alike, so that d[:-1], read no more, can
+            # be scaled in place
+            sums = np.multiply(w_right[lo:hi], d[1:], out=spare[: hi - lo])
+            d_left = d[:-1]
+            d_left *= w_left[lo:hi]
+            sums += d_left
+            k0, k1 = np.searchsorted(seams, (lo, hi))
+            sums[seams[k0:k1] - lo] += seam_terms[k0:k1]
+        else:
+            c = spare[: hi - lo]
+            np.add(w_left[lo + 1 : hi], w_right[lo : hi - 1], out=c[1:])
+            c[0] = w_left[lo] + w_right[lo - 1] if lo else w_left[0]
+            c *= d[:-1]
+            sums = np.add.reduceat(c, np.concatenate(([0], hz[:-1] - lo)))
+        if j0:
+            sums[0] += carry
+        np.cumsum(sums, out=sums)
+        carry = sums[-1]
+        parts.append(sums[hz - (lo + 1)] if exact else sums + w_right[hz - 1] * d[hz - lo])
+    F = np.concatenate(parts)
+    if len(seams) and not exact:  # the seam terms of the cells below each horizon
+        k = np.searchsorted(seams, at)
+        F[len(idx) - len(at) :][k > 0] += np.cumsum(seam_terms)[k[k > 0] - 1]
+    return F
 
 
 def delta_integral(f, lo, hi):
@@ -408,6 +456,10 @@ class LimitConfig:
     rate_keep: float = 0.5
     drift_frac: float = 0.25
 
+    def __post_init__(self):
+        if self.window < 3:
+            raise InsufficientHorizons("classifier window must be >= 3")
+
 
 @dataclass(frozen=True)
 class LimitEstimate:
@@ -439,8 +491,6 @@ def classify_limit(pairs, config=LimitConfig()):
     """Classify the limit of samples (horizon, value) with growing horizons."""
     pairs = [(float(h), float(v)) for h, v in pairs]
     w = config.window
-    if w < 3:
-        raise InsufficientHorizons("classifier window must be >= 3")
     if len(pairs) < w:
         raise InsufficientHorizons(
             f"need at least {w} horizon samples, got {len(pairs)}"

@@ -31,6 +31,7 @@ from .calculus import (
     LimitConfig,
     LimitEstimate,
     LimitKind,
+    _blocks,
     _call_on_times,
     _cell_weights,
     _cumulative,
@@ -320,8 +321,8 @@ class SampledPath:
 
     @cached_property
     def weights(self):
-        """calculus._cell_weights of the grid, for _cumulative,
-        _cumulative_at and _difference_integral."""
+        """calculus._cell_weights of the grid, for _cumulative and
+        _cumulative_at."""
         return _cell_weights(self.grid)
 
 
@@ -502,24 +503,6 @@ def _on_plan(problem, x, plan, *, variation=False):
     return path
 
 
-#: cells per block of a competitor row: a block's shift, slope, L - L* and
-#: node-weight rows stay in cache from the integrand call to the reduction
-_BLOCK = 1 << 15
-
-
-def _blocks(at):
-    """Blocks (j0, j1, lo, hi) of the horizon segments j0..j1, segment j
-    holding the cells at[j - 1]..at[j] - 1 (from 0 for j = 0), so that the
-    block holds the nodes lo..hi: at most _BLOCK cells, or one segment that
-    is longer on its own."""
-    blocks, j0, lo = [], 0, 0
-    while j0 < len(at):
-        j1 = max(j0, int(np.searchsorted(at, lo + _BLOCK, side="right")) - 1)
-        blocks.append((j0, j1, lo, int(at[j1])))
-        j0, lo = j1 + 1, int(at[j1])
-    return blocks
-
-
 def _difference_integral(problem, star, idx, comp, eps=None):
     """int_a^{T'} [L(x) - L(x*)] at the nodes T' of the strictly increasing
     indices ``idx`` only (the plan's horizons, or one T'), on the path
@@ -528,73 +511,30 @@ def _difference_integral(problem, star, idx, comp, eps=None):
 
     Full length stay only the rows the paths hold: the grid, x*'s samples,
     shift, slope and L row, the cell weights and comp's rows.  The
-    competitor's shift, slope and L - L* rows and the node weights are
-    formed block by block (see _blocks), in buffers reused from block to
-    block, and each block is reduced to its horizons' values before the
-    next is formed; a running sum carries from block to block.  The terms
-    and their order of summation are calculus._cumulative_at's on the whole
-    row, so the values equal its values exactly: on dense grids the node
-    weights c_i = w_left[i] + w_right[i - 1] times L - L*, summed between
-    horizons (np.add.reduceat) and then across them; on lattices, or with
-    few nodes per horizon, the running sum of the cells (_cumulative's)."""
+    competitor's shift, slope and L - L* rows are formed block by block, in
+    buffers reused from block to block, and calculus._cumulative_at reduces
+    each block to its horizons' values before the next is formed."""
     idx = np.asarray(idx, dtype=np.intp)
-    at = idx[1:] if idx[0] == 0 else idx  # F = 0 at node 0
-    if len(at) == 0:
-        return np.zeros(len(idx))
-    w_left, w_right, seams, w_seam = star.weights
-    end = int(at[-1])
-    exact = 8 * len(idx) >= end or not w_right[:end].any()
-    blocks = _blocks(at)
-    size = max(hi - lo for _, _, lo, hi in blocks) + 1
+    at = idx[1:] if idx[0] == 0 else idx  # the longest block _cumulative_at asks for
+    size = max((hi - lo for _, _, lo, hi in _blocks(at)), default=0) + 1
     if eps is None:
-        d_buf, c_buf = np.empty(size), np.empty(size)
-    else:  # the L - L* row and the node weights reuse these once L is formed
+        d_buf, spare = np.empty(size), np.empty(size)
+    else:  # the L - L* row and the spare reuse these once L is formed
         u_buf, v_buf = np.empty((size, problem.n)), np.empty((size, problem.n))
-        d_buf, c_buf = v_buf.reshape(-1), u_buf.reshape(-1)
-    seams = seams[: int(np.searchsorted(seams, end))]  # the seam cells below end
-    seam_terms = np.empty(len(seams))
+        d_buf, spare = v_buf.reshape(-1), u_buf.reshape(-1)
     nodes, lag, star_row = star.grid.nodes, problem.lagrangian, star.lagrangian_row
-    parts = [np.zeros(len(idx) - len(at))]
-    for j0, j1, lo, hi in blocks:
-        rows, m, hz = slice(lo, hi + 1), hi - lo + 1, at[j0 : j1 + 1]
+
+    def rows_at(lo, hi):
+        rows, m = slice(lo, hi + 1), hi - lo + 1
         u, v = comp.shift[rows], comp.slope[rows]
         if eps is not None:
             u = np.multiply(u, eps, out=u_buf[:m])
             u += star.shift[rows]
             v = np.multiply(v, eps, out=v_buf[:m])
             v += star.slope[rows]
-        d = np.subtract(lag.values(nodes[rows], u, v), star_row[rows], out=d_buf[:m])
-        # the seam cell s reads node s - 1, so its term is formed in the
-        # block holding that node: lo < s <= hi
-        s0, s1 = np.searchsorted(seams, (lo + 1, hi + 1))
-        np.multiply(w_seam[s0:s1], d[seams[s0:s1] - 1 - lo], out=seam_terms[s0:s1])
-        if exact:
-            # _cell_values's cells w_left[i] d[i] + w_right[i] d[i + 1] plus
-            # the seam terms; the two products are added the other way
-            # round, which rounds alike, so that d[:-1], read no more, can
-            # be scaled in place
-            sums = np.multiply(w_right[lo:hi], d[1:], out=c_buf[: m - 1])
-            d_left = d[:-1]
-            d_left *= w_left[lo:hi]
-            sums += d_left
-            k0, k1 = np.searchsorted(seams, (lo, hi))
-            sums[seams[k0:k1] - lo] += seam_terms[k0:k1]
-        else:
-            c = c_buf[: m - 1]
-            np.add(w_left[lo + 1 : hi], w_right[lo : hi - 1], out=c[1:])
-            c[0] = w_left[lo] + w_right[lo - 1] if lo else w_left[0]
-            c *= d[:-1]
-            sums = np.add.reduceat(c, np.concatenate(([0], hz[:-1] - lo)))
-        if j0:
-            sums[0] += carry
-        np.cumsum(sums, out=sums)
-        carry = sums[-1]
-        parts.append(sums[hz - (lo + 1)] if exact else sums + w_right[hz - 1] * d[hz - lo])
-    F = np.concatenate(parts)
-    if len(seams) and not exact:  # the seam terms of the cells below each horizon
-        k = np.searchsorted(seams, at)
-        F[len(idx) - len(at) :][k > 0] += np.cumsum(seam_terms)[k[k > 0] - 1]
-    return F
+        return np.subtract(lag.values(nodes[rows], u, v), star_row[rows], out=d_buf[:m]), spare
+
+    return _cumulative_at(star.weights, idx, rows_at)
 
 
 def _check_window(plan, config):
@@ -683,7 +623,13 @@ def first_variation(problem, x_star, pvar, t_prime, *, h):
     star, var, K, i = _variation_data(problem, x_star, pvar, t_prime, h)
     p2, p3 = _partial_rows(problem, star, K)
     rows = np.einsum("ij,ij->i", p2, var.shift[:K]) + np.einsum("ij,ij->i", p3, var.slope[:K])
-    return float(_cumulative_at(rows, star.weights, [i])[0])
+    return float(_prefix_integral(rows, star.weights, i))
+
+
+def _prefix_integral(row, weights, i):
+    """int_a^{t_i} of a scalar row on the grid of ``weights``; the row is
+    overwritten."""
+    return _cumulative_at(weights, [i], lambda lo, hi: (row[lo : hi + 1], np.empty(hi - lo)))[0]
 
 
 def parts_decomposition_residual(problem, x_star, pvar, t_prime, *, h):
@@ -708,8 +654,8 @@ def parts_decomposition_residual(problem, x_star, pvar, t_prime, *, h):
     ps = var.shift[:K]
     lhs_rows = np.einsum("ij,ij->i", p2, ps) + np.einsum("ij,ij->i", p3, var.slope[:K])
     rhs_rows = np.einsum("ij,ij->i", p2 - psi, ps)
-    lhs = _cumulative_at(lhs_rows, star.weights, [i])[0]
-    rhs = _cumulative_at(rhs_rows, star.weights, [i])[0] + float(np.dot(p3[i], var.x.values[i]))
+    lhs = _prefix_integral(lhs_rows, star.weights, i)
+    rhs = _prefix_integral(rhs_rows, star.weights, i) + float(np.dot(p3[i], var.x.values[i]))
     return abs(float(lhs - rhs))
 
 
@@ -752,8 +698,8 @@ def gateaux_report(problem, x_star, pvar, eps_list, t_list, plan):
     star = _on_plan(problem, x_star, plan)
     var = _on_plan(problem, pvar, plan, variation=True)
     hz = plan.horizons
-    t_values = tuple(float(hz[np.argmin(np.abs(hz - tv))]) for tv in t_list)
-    t_pos = [int(np.argmin(np.abs(hz - tv))) for tv in t_values]
+    t_pos = [int(np.argmin(np.abs(hz - tv))) for tv in t_list]
+    t_values = tuple(float(t) for t in hz[t_pos])
 
     quot = np.zeros((len(eps_list), len(t_values)))
     avals = np.zeros_like(quot)
@@ -1376,8 +1322,9 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
     the variation's samples, shift and slope; and for the residual stage
     only, the E-L residual r and its d2 and d3 rows.  Of r, only its maxima
     between horizons are kept.  The nine competitor rows x* +- amp p and
-    x* + eps p are formed and reduced block by block (_difference_integral),
-    so none is ever held at full length.
+    x* + eps p are formed block by block (_difference_integral) and reduced
+    block by block (calculus._cumulative_at), so none is ever held at full
+    length.
     """
     ts, a = problem.ts, problem.a
     plan = make_horizon_plan(

@@ -1,6 +1,7 @@
 """Delta derivatives/integrals, limit classification, and the identity pack."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from tsvar import (
     sigma_shift_all,
     union,
 )
+from tsvar import calculus
 from tsvar.calculus import SampleGrid, _cell_weights, _cumulative, _cumulative_at
 
 from helpers import (
@@ -408,17 +410,25 @@ def test_integrals_match_reference_seam_loop_on_fixed_grids(grid, n_seams):
     assert_integrals_match_reference(grid, v, windows)
 
 
-def assert_cumulative_at_matches(grid, v, idx):
-    """_cumulative_at equals the prefix integrals of _cumulative at ``idx``,
-    to a few ulps, or exactly when the grid has no dense cell."""
+def assert_cumulative_at_matches(grid, v, idx, block):
+    """_cumulative_at, handed the scalar row ``v`` block by block with
+    _BLOCK = ``block``, equals the prefix integrals of _cumulative at
+    ``idx``, to a few ulps, or exactly when the grid has no dense cell.  The
+    blocks it asks for run from node 0 to the last index, each starting
+    where the one before ended."""
     weights = _cell_weights(grid)
-    rows = v[: idx[-1] + 1]
-    want = _cumulative(rows, weights)[idx]
-    got = _cumulative_at(rows, weights, idx)
+    row = v[: idx[-1] + 1]
+    want = _cumulative(row, weights)[idx]
+    asked = []
+    with mock.patch.object(calculus, "_BLOCK", block):
+        got = _cumulative_at(weights, idx, lambda lo, hi: asked.append((lo, hi)) or (
+            row[lo : hi + 1].copy(), np.full(hi - lo, np.nan)))
     assert got.shape == want.shape
     if grid.scattered[:-1].all():
         assert np.array_equal(got, want)
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    ends = [0] + [hi for _, hi in asked]
+    assert [lo for lo, _ in asked] == ends[:-1] and ends[-1] == idx[-1]
 
 
 def node_subsets(m):
@@ -430,30 +440,33 @@ def node_subsets(m):
         lambda ix: np.array(ix, dtype=np.intp))
 
 
+#: _BLOCK values: blocks of one horizon segment each, of a few segments,
+#: and one block for the whole grid
+BLOCK_SIZES = st.one_of(st.integers(1, 3), st.integers(4, 40), st.just(calculus._BLOCK))
+
+
 @given(
     st.lists(st.tuples(st.booleans(), st.integers(1, 8)), min_size=2, max_size=120),
-    st.integers(1, 2),
-    st.booleans(),
+    BLOCK_SIZES,
     st.data(),
 )
-def test_cumulative_at_matches_cumulative(cells, n, flat, data):
+def test_cumulative_at_matches_cumulative(cells, block, data):
     scat = np.array([c[0] for c in cells])
     gaps = np.array([c[1] for c in cells], dtype=float) / 8.0
     nodes = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
     grid = SampleGrid(nodes, np.where(scat, gaps, 0.0), scat, 0.125)
     m = len(grid)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    v = rng.normal(size=m) if flat and n == 1 else rng.normal(size=(m, n))
-    assert_cumulative_at_matches(grid, v, data.draw(node_subsets(m)))
+    v = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=m)
+    assert_cumulative_at_matches(grid, v, data.draw(node_subsets(m)), block)
 
 
-@given(st.lists(st.integers(1, 8), min_size=2, max_size=120), st.data())
-def test_cumulative_at_is_exact_on_scattered_grids(gaps, data):
+@given(st.lists(st.integers(1, 8), min_size=2, max_size=120), BLOCK_SIZES, st.data())
+def test_cumulative_at_is_exact_on_scattered_grids(gaps, block, data):
     gaps = np.array(gaps, dtype=float) / 8.0
     nodes = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
     grid = SampleGrid(nodes, gaps, np.ones(len(gaps), dtype=bool), 0.125)
     v = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=len(grid))
-    assert_cumulative_at_matches(grid, v, data.draw(node_subsets(len(grid))))
+    assert_cumulative_at_matches(grid, v, data.draw(node_subsets(len(grid))), block)
 
 
 @pytest.mark.parametrize("grid", [
@@ -462,10 +475,11 @@ def test_cumulative_at_is_exact_on_scattered_grids(gaps, data):
                np.array([0.0, 0.0, 0.875, 0.0, 0.0, 1.0]),
                np.array([False, False, True, False, False, True]), 0.5),
 ], ids=["comb", "edges"])
-@given(data=st.data())
-def test_cumulative_at_matches_cumulative_on_fixed_grids(grid, data):
-    v = np.column_stack((np.cos(grid.nodes), grid.nodes**2))
-    assert_cumulative_at_matches(grid, v, data.draw(node_subsets(len(grid))))
+@given(block=BLOCK_SIZES, data=st.data())
+def test_cumulative_at_matches_cumulative_on_fixed_grids(grid, block, data):
+    idx = data.draw(node_subsets(len(grid)))
+    for v in (np.cos(grid.nodes), grid.nodes**2):
+        assert_cumulative_at_matches(grid, v, idx, block)
 
 
 def test_cumulative_at_reads_seam_cells_and_few_horizons():
@@ -475,7 +489,8 @@ def test_cumulative_at_reads_seam_cells_and_few_horizons():
     # horizons at, just before and just after each seam cell, and a sparse set
     around = np.unique(np.concatenate((seams - 1, seams, seams + 1)))
     for idx in (around, around[::7], seams[[0, -1]], np.arange(0, len(grid), 97)):
-        assert_cumulative_at_matches(grid, v, idx)
+        for block in (2, 50, calculus._BLOCK):
+            assert_cumulative_at_matches(grid, v, idx, block)
 
 
 def test_antiderivative_recovers_integrand():
@@ -533,6 +548,16 @@ def test_classify_oscillates():
     est = classify_limit(mk([(-1.0) ** k for k in range(20)]))
     assert est.kind is LimitKind.OSCILLATES
     assert est.lo == -1.0 and est.hi == 1.0
+
+
+@pytest.mark.parametrize("window", [2, 0])
+def test_limit_window_below_three_is_refused_when_configured(window):
+    """Refused at construction, whatever the samples: a classifier fed a
+    falling sequence used to return DIVERGES_MINUS before reading the
+    window, and verify sampled x* before the refusal."""
+    with pytest.raises(InsufficientHorizons, match="classifier window must be >= 3"):
+        LimitConfig(window=window)
+    assert LimitConfig(window=3).window == 3
 
 
 def test_classify_errors():

@@ -334,6 +334,13 @@ def test_verify_short_window_exits_three(tmp_path, capsys):
     assert "only 3 tail starts, need 5" in err
 
 
+def test_verify_window_below_three_exits_three(tmp_path, capsys):
+    neg = write(tmp_path, ex_neg().file_form({"window": 2}), "neg.json")
+    code, doc, err = run_cli(capsys, ["verify", neg, "--candidate", "const", "--t-max", "20"])
+    assert code == 3 and doc is None
+    assert "classifier window must be >= 3" in err
+
+
 def test_verify_is_deterministic(tmp_path, capsys):
     pos = write(tmp_path, ex_pos().file_form(), "pos.json")
     argv = ["verify", pos, "--candidate", "line", "--t-max", "20"]

@@ -16,6 +16,10 @@ No ``def`` takes a parameter its body never reads: such a parameter looks
 like a setting, but the caller's value changes nothing.  ``self`` and
 ``cls`` are exempt, and so are lambdas, which follow fixed calling
 conventions such as ``(t, u, v)``.
+
+Every module-level private function or class is named by package code
+outside its own definition: one that only tests call stays alive as a test
+fixture, and the tests that pin it pin nothing the package does.
 """
 
 import ast
@@ -250,3 +254,57 @@ def test_scan_flags_unread_parameters():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text()) == []
+
+
+def private_definitions_unreferenced(sources):
+    """(module, line, name) of every module-level private function or class
+    of ``sources`` (module name -> source) that no package code names
+    outside its own definition: a routine that only tests still call."""
+    names_by_stmt = []
+    private = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+            names_by_stmt.append((stmt, names))
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and stmt.name.startswith("_") and not stmt.name.startswith("__")):
+                private.append((module, stmt))
+    return sorted(
+        (module, stmt.lineno, stmt.name) for module, stmt in private
+        if not any(stmt.name in names for other, names in names_by_stmt if other is not stmt)
+    )
+
+
+def test_scan_flags_private_code_only_tests_use():
+    sources = {
+        "a.py": (
+            "def _used():\n"
+            "    return 1\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1) if n else 0\n"
+            "class _Unused:\n"
+            "    def _method(self):\n"
+            "        return _used()\n"
+            "def public():\n"
+            "    return 2\n"
+        ),
+        "b.py": (
+            "from . import a\n"
+            "from .a import _used\n"
+            "def _helper():\n"
+            "    return _used()\n"
+            "value = a._Unused\n"
+            "def __getattr__(name):\n"
+            "    return _helper\n"
+        ),
+    }
+    assert private_definitions_unreferenced(sources) == [("a.py", 3, "_recursive")]
+    del sources["b.py"]
+    assert private_definitions_unreferenced(sources) == [("a.py", 3, "_recursive"),
+                                                         ("a.py", 5, "_Unused")]
+
+
+def test_private_code_is_used_by_the_package():
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert private_definitions_unreferenced(sources) == []

@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1047,12 +1048,12 @@ def test_verify_reads_competitor_integrals_at_the_horizons_only(monkeypatch):
     report = verify_candidate(ray.problem, ray.candidate("decaying-exp").gen,
                               VerifyConfig(t_max=10.0, h=2.5e-4))
     assert report.verdict is Verdict.CONSISTENT
-    assert report.nodes > 1.2 * variational._BLOCK
+    assert report.nodes > 1.2 * calculus._BLOCK
     # one full prefix array, the E-L residual's; the 6 probes and 3 Gateaux
     # rows are formed block by block, so that x*'s row is the only one of
     # full length, and reduced straight to their horizon values
-    assert calls == {"_cumulative": 1, "_cell_values": 1}
-    assert len([m for m in spans if m > variational._BLOCK + 1]) == 1
+    assert calls == {"_cumulative": 1, "_cell_values": 1, "_cumulative_at": 9}
+    assert len([m for m in spans if m > calculus._BLOCK + 1]) == 1
     assert len(spans) == 1 + 9 * 2  # x*'s row, then two blocks per competitor row
 
 
@@ -1078,7 +1079,7 @@ def test_competitor_integrals_do_not_depend_on_the_block_size(monkeypatch, named
                         lambda *args: rows.append(blocked(*args)) or rows[-1])
     runs = []
     for block in blocks:
-        monkeypatch.setattr(variational, "_BLOCK", block)
+        monkeypatch.setattr(calculus, "_BLOCK", block)
         rows.clear()
         report = verify_candidate(named.problem, gen, VerifyConfig(t_max=t_max, h=h))
         runs.append((report.to_dict(), list(rows)))
@@ -1091,28 +1092,33 @@ def test_competitor_integrals_do_not_depend_on_the_block_size(monkeypatch, named
 @BLOCK_CASES
 def test_competitor_integrals_equal_the_full_row_reduced_at_the_horizons(
         monkeypatch, named, label, t_max, h, blocks):
-    """Block by block, the horizon values are those of the whole row
-    L(x* + eps p) - L(x*) reduced by calculus._cumulative_at, exactly."""
+    """Formed block by block, the horizon values are those of the whole row
+    L(x* + eps p) - L(x*), formed at once and handed to
+    calculus._cumulative_at as one block, exactly."""
     problem, a = named.problem, named.problem.a
     plan = make_horizon_plan(problem.ts, a, t_max, h=h)
     star = SampledPath.of(problem, named.candidate(label).gen, plan.grid)
     idx, span = plan.horizon_idx, plan.horizons[-1] - a
-    monkeypatch.setattr(variational, "_BLOCK", blocks[1])
+    n = idx[-1] + 1
+    monkeypatch.setattr(calculus, "_BLOCK", blocks[1])
+
+    def reduced(shift, slope):
+        row = (problem.lagrangian.values(star.grid.nodes[:n], shift, slope)
+               - star.lagrangian_row[:n])
+        with mock.patch.object(calculus, "_BLOCK", blocks[-1]):
+            return calculus._cumulative_at(star.weights, idx,
+                                           lambda lo, hi: (row[lo : hi + 1], np.empty(hi - lo)))
+
     for q in (smoothstep_tail(0.5, a, span / 5.0), compact_bump(0.5, a + span / 4.0, span / 10.0)):
         var = SampledPath.of(problem, q, plan.grid, variation=True)
         for eps in (1.0, -1.0, 1e-3):
-            n = idx[-1] + 1
-            shift = star.shift[:n] + eps * var.shift[:n]
-            slope = star.slope[:n] + eps * var.slope[:n]
-            row = problem.lagrangian.values(star.grid.nodes[:n], shift, slope)
-            want = calculus._cumulative_at(row - star.lagrangian_row[:n], star.weights, idx)
+            want = reduced(star.shift[:n] + eps * var.shift[:n],
+                           star.slope[:n] + eps * var.slope[:n])
             got = variational._difference_integral(problem, star, idx, var, eps)
             assert np.array_equal(got, want)
         competitor = SampledPath.of(problem, perturbed_generator(named.candidate(label).gen, q),
                                     plan.grid)
-        row = problem.lagrangian.values(star.grid.nodes[:n], competitor.shift[:n],
-                                        competitor.slope[:n])
-        want = calculus._cumulative_at(row - star.lagrangian_row[:n], star.weights, idx)
+        want = reduced(competitor.shift[:n], competitor.slope[:n])
         assert np.array_equal(variational._difference_integral(problem, star, idx, competitor),
                               want)
 
@@ -1127,7 +1133,7 @@ def test_variation_quotient_does_not_depend_on_the_block_size(monkeypatch, named
     gen, pulse = named.candidate(label).gen, decaying_pulse(0.5, named.problem.a, 0.2)
     got = set()
     for block in (16, 1000, 1 << 20):
-        monkeypatch.setattr(variational, "_BLOCK", block)
+        monkeypatch.setattr(calculus, "_BLOCK", block)
         got.add(variation_quotient(named.problem, gen, pulse, 0.1, t_prime, h=h))
     assert len(got) == 1
 
