@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -56,8 +56,7 @@ class GridFunction:
             raise DimensionMismatch(
                 f"values shape {vals.shape} does not match grid of length {len(self.grid)}"
             )
-        if not np.all(np.isfinite(vals)):
-            raise EvaluationError("grid function values must be finite")
+        _require_finite(vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         if self.sigma_last is not None:
@@ -89,6 +88,12 @@ class GridFunction:
             s = nodes[-1] + grid.mu[-1]
             sigma_last = _call_on_times(fn, np.array([s]), dim)[0]
         return cls(grid=grid, values=vals, sigma_last=sigma_last)
+
+
+def _require_finite(vals):
+    """Refuse sampled values that are not all finite (EvaluationError)."""
+    if not np.all(np.isfinite(vals)):
+        raise EvaluationError("grid function values must be finite")
 
 
 def _call_on_times(fn, times, dim=None):
@@ -123,74 +128,197 @@ def _call_on_times(fn, times, dim=None):
 
 
 # ---------------------------------------------------------------------------
-# delta derivative
+# delta derivative and sigma shift
 
 
-def _edge_derivative(ts, vs):
-    """Derivative at ts[0] of the polynomial through (ts[i], vs[i]).
+#: nodes each side of lo..hi whose samples the slopes of lo..hi read: a
+#: dense run's edge stencils reach three nodes into the run
+_HALO = 3
 
-    Lagrange differentiation weights at the left endpoint; used with three
-    or four points (second/third order).  The extra order matters when the
-    result is differentiated again, as parts_decomposition_residual does to
-    the d3 row: a uniformly O(h^k) error survives one more division by h.
+
+class _EdgeStencils(NamedTuple):
+    """The slopes at the edges of a grid's dense runs that are not central
+    differences, in three groups, each as arrays sorted by the node whose
+    slope they give:
+
+    ``forward`` (node, J, div): (v[J1] - v[J0]) / div, with div = t[J1] - t[J0];
+    ``uniform`` (node, J, coef, div): the sum of coef[k] v[Jk], taken in the
+    order k = 0..3, divided by div = 2 h;
+    ``lagrange`` (node, J, w): 0 + the sum of w[k] v[Jk], k = 0..3.
     """
-    x0 = ts[0]
-    out = np.zeros_like(vs[0])
-    k = len(ts)
-    for j in range(k):
-        if j == 0:
-            w = sum(1.0 / (x0 - ts[i]) for i in range(1, k))
+
+    forward: tuple
+    uniform: tuple
+    lagrange: tuple
+
+
+def _lagrange_edge_weights(ts):
+    """Weights at ts[:, 0] of the derivative of the polynomial through the
+    points ts[r] (three or four per row); second/third order.  The extra
+    order matters when the result is differentiated again, as
+    parts_decomposition_residual does to the d3 row: a uniformly O(h^k)
+    error survives one more division by h."""
+    x0, k = ts[:, 0], ts.shape[1]
+    w = np.empty_like(ts)
+    w[:, 0] = 1.0 / (x0 - ts[:, 1])
+    for i in range(2, k):
+        w[:, 0] += 1.0 / (x0 - ts[:, i])
+    for j in range(1, k):
+        num = den = 1.0
+        for i in range(k):
+            if i != j:
+                if i:
+                    num = num * (x0 - ts[:, i])
+                den = den * (ts[:, j] - ts[:, i])
+        w[:, j] = num / den
+    return w
+
+
+def _edge_stencils(grid):
+    """The _EdgeStencils of the grid's dense runs, found for all runs at
+    once; SampleGrid.edge_stencils keeps them with the grid.
+
+    A run (s, e) has nb = e - s dense cells and slopes at s..e-1.  Its start
+    s takes the forward quotient over one cell (nb = 1), the quadratic
+    through s..s+2 (nb = 2), or a cubic through s..s+3; on a uniform start
+    the cubic-fit derivative plus h^2/6 times the cubic's third derivative,
+    (-4 v0 + 7 v1 - 4 v2 + v3) / 2h, which reproduces the central
+    difference's error field h^2/6 f''' at the edge, so that differencing
+    the result again (parts_decomposition_residual) stays O(h^2) instead of
+    O(h).  When the run's final node e is right-scattered, its sample
+    belongs to the jump: for derived rows (sigma shifts, delta quotients,
+    partials along a path) it is the post-jump value and is discontinuous
+    with the branch s..e-1, so no stencil of the run reads it.  Then e-1
+    takes the mirror image of the start stencil, which carries the
+    identical h^2/6 f''' leading error and keeps the error field constant
+    across a uniform run, and a start stencil that would reach e shrinks:
+    with nb = 2 both branch nodes take the forward quotient, with nb = 3 the
+    start takes the quadratic.  A lone branch node (nb = 1) keeps its
+    forward quotient.
+    """
+    t = grid.nodes
+    runs = np.array(grid.dense_runs, dtype=np.intp).reshape(-1, 2)
+    s, e = runs[:, 0], runs[:, 1]
+    nb, branch = e - s, grid.scattered[e]
+    four = np.arange(4)
+
+    def spans(first, step, npts):
+        return first[:, None] + step * four[:npts]
+
+    # forward quotients over the cell s, s+1: at s, and at e-1 = s+1 too
+    # when a two-cell branch ends in a jump
+    two = branch & (nb == 2)
+    fwd_node = np.concatenate((s[(nb == 1) | two], s[two] + 1))
+    fwd_J = spans(np.concatenate((s[(nb == 1) | two], s[two])), 1, 2)
+    # quadratics: a start that cannot take four points, the end of a
+    # three-cell branch
+    q_start = s[((nb == 2) & ~branch) | ((nb == 3) & branch)]
+    q_end = (e - 1)[branch & (nb == 3)]
+    # cubics: the other starts of runs with nb >= 3, the ends of branches
+    # with nb >= 4
+    c_start = s[(nb >= 4) | ((nb == 3) & ~branch)]
+    c_end = (e - 1)[branch & (nb >= 4)]
+    J = np.concatenate((spans(c_start, 1, 4), spans(c_end, -1, 4)))
+    steps = np.abs(np.diff(t[J], axis=1))  # nearest the edge node first
+    lead = np.concatenate((steps[: len(c_start), 0], steps[len(c_start) :, 2]))
+    uni = np.ptp(steps, axis=1) <= 1e-9 * lead
+    sign = np.repeat([1.0, -1.0], (len(c_start), len(c_end)))[uni, None]
+    cubic_J = J[~uni]
+    quad_J = np.concatenate((spans(q_start, 1, 3), spans(q_end, -1, 3)))
+    lag_J = np.concatenate((np.column_stack((quad_J, quad_J[:, 2])), cubic_J))
+    w = np.zeros(lag_J.shape)
+    w[: len(quad_J), :3] = _lagrange_edge_weights(t[quad_J])
+    w[len(quad_J) :] = _lagrange_edge_weights(t[cubic_J])
+
+    def by_node(node, *cols):
+        order = np.argsort(node, kind="stable")
+        return tuple(c[order] for c in (node, *cols))
+
+    return _EdgeStencils(
+        by_node(fwd_node, fwd_J, t[fwd_J[:, 1]] - t[fwd_J[:, 0]]),
+        by_node(J[uni, 0], J[uni], sign * np.array([-4.0, 7.0, -4.0, 1.0]),
+                2.0 * steps[uni, 0]),
+        by_node(lag_J[:, 0], lag_J, w),
+    )
+
+
+def _slopes(grid, v, off, lo, hi, sigma_last=None):
+    """Delta derivative at the nodes lo..hi of ``grid`` as (deriv,
+    defined), from the samples ``v`` of the nodes off, off + 1, ...; they
+    must cover lo - _HALO..hi + _HALO within the grid.  Every node gets the
+    value it gets on the whole grid, bit for bit.
+
+    Scattered nodes use the exact jump quotient (the final node too, when
+    ``sigma_last`` holds the value at its sigma); dense nodes use the
+    central difference inside a dense run and the grid's edge_stencils at
+    its ends; the final node of a grid ending dense is undefined (deriv 0).
+    """
+    t, m = grid.nodes, len(grid)
+    deriv = np.zeros((hi - lo + 1, v.shape[1]))
+    top = min(hi, m - 2)  # the final node has no right neighbour
+    a = max(lo, 1)
+
+    def rows(group):
+        r0, r1 = np.searchsorted(group[0], (lo, hi + 1))
+        return group[0][r0:r1] - lo, v[group[1][r0:r1] - off], [c[r0:r1] for c in group[2:]]
+
+    if grid.dense_runs:
+        # central differences over the whole range, written straight into
+        # deriv; the run edges are rewritten next, the scattered nodes below
+        if a <= top:
+            mid = deriv[a - lo : top - lo + 1]
+            np.subtract(v[a + 1 - off : top + 2 - off], v[a - 1 - off : top - off], out=mid)
+            mid /= (t[a + 1 : top + 2] - t[a - 1 : top])[:, None]
+        stencils = grid.edge_stencils
+        at, V, (div,) = rows(stencils.forward)
+        deriv[at] = (V[:, 1] - V[:, 0]) / div[:, None]
+        at, V, (coef, div) = rows(stencils.uniform)
+        acc = coef[:, 0, None] * V[:, 0]
+        for k in range(1, 4):
+            acc += coef[:, k, None] * V[:, k]
+        deriv[at] = acc / div[:, None]
+        at, V, (w,) = rows(stencils.lagrange)
+        acc = np.zeros((len(at), v.shape[1]))
+        for k in range(4):
+            acc += w[:, k, None] * V[:, k]
+        deriv[at] = acc
+    idx = np.flatnonzero(grid.scattered[lo : top + 1]) + lo
+    deriv[idx - lo] = (v[idx + 1 - off] - v[idx - off]) / grid.mu[idx, None]
+
+    defined = np.ones(hi - lo + 1, dtype=bool)
+    if hi == m - 1:
+        if grid.scattered[-1] and sigma_last is not None:
+            deriv[-1] = (sigma_last - v[m - 1 - off]) / grid.mu[-1]
         else:
-            num = 1.0
-            for i in range(1, k):
-                if i != j:
-                    num *= x0 - ts[i]
-            den = 1.0
-            for i in range(k):
-                if i != j:
-                    den *= ts[j] - ts[i]
-            w = num / den
-        out = out + w * vs[j]
-    return out
+            defined[-1] = False
+    return deriv, defined
 
 
-def _branch_end_stencils(deriv, t, v, s, e):
-    """Recompute slopes near a dense run whose final node e is scattered.
-
-    The sample at node e belongs to the jump: for derived rows (sigma
-    shifts, delta quotients, partials along a path) it is the post-jump
-    value and is discontinuous with the dense branch s..e-1, so stencils
-    for branch nodes must not reference it.  The end stencil used at e-1
-    is the mirror image of the start stencil and carries the identical
-    h^2/6 f''' leading error, keeping the error field constant across a
-    uniform run (parts_decomposition_residual differences the d3 row).
-    """
-    nb = e - s  # number of branch nodes
-    if nb < 2:
-        return  # lone branch node: the forward quotient is all there is
-    if nb == 2:
-        slope = (v[e - 1] - v[e - 2]) / (t[e - 1] - t[e - 2])
-        deriv[s] = slope
-        deriv[e - 1] = slope
-        return
-    if nb == 3:
-        back = np.arange(e - 1, e - 4, -1)
-        deriv[s] = _edge_derivative(t[s : s + 3], v[s : s + 3])
-        deriv[e - 1] = _edge_derivative(t[back], v[back])
-        return
-    steps = np.diff(t[e - 4 : e])
-    if np.ptp(steps) <= 1e-9 * steps[0]:
-        h_loc = steps[-1]
-        deriv[e - 1] = (
-            4.0 * v[e - 1] - 7.0 * v[e - 2] + 4.0 * v[e - 3] - v[e - 4]
-        ) / (2.0 * h_loc)
-    else:
-        back = np.arange(e - 1, e - 5, -1)
-        deriv[e - 1] = _edge_derivative(t[back], v[back])
+def _shifts(grid, v, off, lo, hi, sigma_last=None):
+    """f(sigma(.)) at the nodes lo..hi as (values, defined), from the
+    samples ``v`` of the nodes off, off + 1, ...; they must cover lo..hi + 1
+    within the grid.  With no right-scattered node in lo..hi the values are
+    v's own rows, not a copy.  The final node is undefined when it is
+    right-scattered and ``sigma_last`` is None."""
+    own = v[lo - off : hi + 1 - off]
+    defined = np.ones(hi - lo + 1, dtype=bool)
+    idx = np.flatnonzero(grid.scattered[lo : hi + 1]) + lo
+    if not len(idx):
+        return own, defined
+    out = own.copy()
+    if idx[-1] == len(grid) - 1:
+        idx = idx[:-1]
+        if sigma_last is None:
+            defined[-1] = False
+        else:
+            out[-1] = sigma_last
+    out[idx - lo] = v[idx + 1 - off]
+    return out, defined
 
 
 def delta_derivative_all(f):
-    """Delta derivative at every node where it is computable.
+    """Delta derivative at every node where it is computable: _slopes on
+    the whole grid.
 
     Returns (deriv, defined): an (m, n) array and a boolean mask.  Scattered
     nodes use the exact jump quotient (the final node too, when the function
@@ -200,70 +328,18 @@ def delta_derivative_all(f):
     when that node is scattered, since sampled delta-calculus rows jump
     there.
     """
-    grid, v = f.grid, f.values
-    m, n = v.shape
-    t = grid.nodes
-    deriv = np.zeros((m, n))
-    defined = np.zeros(m, dtype=bool)
-
-    scat = grid.scattered.copy()
-    scat_inner = scat.copy()
-    scat_inner[-1] = False
-    idx = np.nonzero(scat_inner)[0]
-    if len(idx):
-        deriv[idx] = (v[idx + 1] - v[idx]) / grid.mu[idx, None]
-        defined[idx] = True
-    if scat[-1] and f.sigma_last is not None:
-        deriv[-1] = (f.sigma_last - v[-1]) / grid.mu[-1]
-        defined[-1] = True
-
-    for s, e in grid.dense_runs:
-        if e - s >= 2:
-            # central difference written straight into deriv: no (m, n) temporaries
-            inner = deriv[s + 1 : e]
-            np.subtract(v[s + 2 : e + 1], v[s : e - 1], out=inner)
-            inner /= (t[s + 2 : e + 1] - t[s : e - 1])[:, None]
-            steps = np.diff(t[s : min(s + 4, e + 1)])
-            uniform = len(steps) >= 3 and np.ptp(steps) <= 1e-9 * steps[0]
-            if uniform:
-                # cubic-fit derivative plus h^2/6 times the cubic's third
-                # derivative: reproduces the central-difference error field
-                # h^2/6 f''' at the edge, so differencing the result again
-                # (parts_decomposition_residual) stays O(h^2) instead of O(h)
-                h_loc = steps[0]
-                deriv[s] = (
-                    -4.0 * v[s] + 7.0 * v[s + 1] - 4.0 * v[s + 2] + v[s + 3]
-                ) / (2.0 * h_loc)
-            else:
-                stencil = min(4, e - s + 1)
-                deriv[s] = _edge_derivative(t[s : s + stencil], v[s : s + stencil])
-            if scat[e]:
-                _branch_end_stencils(deriv, t, v, s, e)
-        else:  # two-node run: plain forward difference, first order
-            deriv[s] = (v[s + 1] - v[s]) / (t[s + 1] - t[s])
-        defined[s:e] = True
-    return deriv, defined
+    return _slopes(f.grid, f.values, 0, 0, len(f.grid) - 1, f.sigma_last)
 
 
 def sigma_shift_all(f):
-    """f(sigma(.)) as (values, defined) aligned with the full grid.
+    """f(sigma(.)) as (values, defined) aligned with the full grid: _shifts
+    on the whole grid.
 
     The final node is undefined when it is right-scattered and f stores no
-    sigma_last extension.
+    sigma_last extension.  On a grid with no right-scattered node the
+    values are f.values itself (read-only), not a copy.
     """
-    grid, v = f.grid, f.values
-    out = v.copy()
-    defined = np.ones(len(grid), dtype=bool)
-    scat_inner = grid.scattered.copy()
-    scat_inner[-1] = False
-    idx = np.nonzero(scat_inner)[0]
-    out[idx] = v[idx + 1]
-    if grid.scattered[-1]:
-        if f.sigma_last is None:
-            defined[-1] = False
-        else:
-            out[-1] = f.sigma_last
-    return out, defined
+    return _shifts(f.grid, f.values, 0, 0, len(f.grid) - 1, f.sigma_last)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +362,9 @@ def _cell_weights(grid):
     nodes, scattered = grid.nodes, grid.scattered
     dt = np.diff(nodes)
     scat = scattered[:-1]
-    w_left = np.where(scat, grid.mu[:-1], 0.5 * dt)
-    w_right = np.where(scat, 0.0, 0.5 * dt)
+    w_right = 0.5 * dt
+    w_left = np.where(scat, grid.mu[:-1], w_right)
+    w_right[scat] = 0.0
     ends = np.flatnonzero(~scat & scattered[1:])
     seams = ends[(ends >= 1) & ~scattered[ends - 1]]
     w_seam = -(dt[seams] * dt[seams]) / (2.0 * (nodes[seams] - nodes[seams - 1]))
@@ -342,16 +419,18 @@ def _blocks(at):
     return blocks
 
 
-def _cumulative_at(weights, idx, rows_at):
-    """_cumulative(row, weights)[idx] for strictly increasing node indices
-    ``idx`` of a scalar row, without the prefix integrals at the other
-    nodes.  The row is handed over block by block (_blocks of idx without
-    node 0, in order): rows_at(lo, hi) returns the row at the nodes lo..hi
-    and a spare buffer of at least hi - lo floats, and this routine may
-    overwrite both, so a producer can reuse its buffers for every block.
-    Each block is reduced to its horizons' values before the next is asked
-    for, and a running sum carries from block to block, so the block size
-    does not change the result.
+def _cumulative_at(weights, idx, k, rows_at):
+    """_cumulative(row, weights)[idx] for each of k scalar rows, as a (k,
+    len(idx)) array, at strictly increasing node indices ``idx``, without
+    the prefix integrals at the other nodes.  The rows are handed over
+    together, block by block (_blocks of idx without node 0, in order):
+    rows_at(lo, hi) returns k arrays, each a row at the nodes lo..hi, and a
+    spare buffer of at least hi - lo floats, and this routine may overwrite
+    all of them, so a producer can reuse its buffers for every block.  Each
+    block is reduced to its horizons' values before the next is asked for,
+    its node weights formed once for all k rows, and a running sum per row
+    carries from block to block, so neither the block size nor the other
+    rows change a row's result.
 
     With c_i = w_left[i] + w_right[i-1] the weight of node i in the cells
     left of it, F[j] = sum_{i<j} c_i v_i + w_right[j-1] v_j plus the seam
@@ -364,47 +443,56 @@ def _cumulative_at(weights, idx, rows_at):
     idx = np.asarray(idx, dtype=np.intp)
     at = idx[1:] if idx[0] == 0 else idx  # F = 0 at node 0
     if len(at) == 0:
-        return np.zeros(len(idx))
+        return np.zeros((k, len(idx)))
     w_left, w_right, seams, w_seam = weights
     end = int(at[-1])
     # reduceat beats the running sum only on segments of more than a few nodes
     exact = 8 * len(idx) >= end or not w_right[:end].any()
-    blocks = _blocks(at)
     seams = seams[: int(np.searchsorted(seams, end))]  # the seam cells below end
-    seam_terms = np.empty(len(seams))
-    parts = [np.zeros(len(idx) - len(at))]
-    for j0, j1, lo, hi in blocks:
-        (d, spare), hz = rows_at(lo, hi), at[j0 : j1 + 1]
+    seam_terms = np.empty((k, len(seams)))
+    carry = np.zeros(k)
+    F, off = None, len(idx) - len(at)
+    for j0, j1, lo, hi in _blocks(at):
+        rows, spare = rows_at(lo, hi)
+        hz = at[j0 : j1 + 1]
         # the seam cell s reads node s - 1, so its term is formed in the
         # block holding that node: lo < s <= hi
         s0, s1 = np.searchsorted(seams, (lo + 1, hi + 1))
-        np.multiply(w_seam[s0:s1], d[seams[s0:s1] - 1 - lo], out=seam_terms[s0:s1])
-        if exact:
-            # _cell_values's cells w_left[i] d[i] + w_right[i] d[i + 1] plus
-            # the seam terms; the two products are added the other way
-            # round, which rounds alike, so that d[:-1], read no more, can
-            # be scaled in place
-            sums = np.multiply(w_right[lo:hi], d[1:], out=spare[: hi - lo])
-            d_left = d[:-1]
-            d_left *= w_left[lo:hi]
-            sums += d_left
-            k0, k1 = np.searchsorted(seams, (lo, hi))
-            sums[seams[k0:k1] - lo] += seam_terms[k0:k1]
-        else:
+        k0, k1 = np.searchsorted(seams, (lo, hi))
+        if not exact:  # the node weights, for every row
             c = spare[: hi - lo]
             np.add(w_left[lo + 1 : hi], w_right[lo : hi - 1], out=c[1:])
             c[0] = w_left[lo] + w_right[lo - 1] if lo else w_left[0]
-            c *= d[:-1]
-            sums = np.add.reduceat(c, np.concatenate(([0], hz[:-1] - lo)))
-        if j0:
-            sums[0] += carry
-        np.cumsum(sums, out=sums)
-        carry = sums[-1]
-        parts.append(sums[hz - (lo + 1)] if exact else sums + w_right[hz - 1] * d[hz - lo])
-    F = np.concatenate(parts)
+            cuts = np.concatenate(([0], hz[:-1] - lo))
+        if F is None:  # only now, so that it is not held while the first rows are formed
+            F = np.zeros((k, len(idx)))
+        for r, d in enumerate(rows):
+            np.multiply(w_seam[s0:s1], d[seams[s0:s1] - 1 - lo], out=seam_terms[r, s0:s1])
+            sums = d[:-1]
+            if exact:
+                # _cell_values's cells w_left[i] d[i] + w_right[i] d[i + 1]
+                # plus the seam terms, over d[:-1]: the right products go to
+                # the spare before d[:-1] is scaled
+                right = np.multiply(w_right[lo:hi], d[1:], out=spare[: hi - lo])
+                sums *= w_left[lo:hi]
+                sums += right
+                sums[seams[k0:k1] - lo] += seam_terms[r, k0:k1]
+            else:
+                last = w_right[hz - 1] * d[hz - lo]  # read before d is scaled
+                sums *= c
+                sums = np.add.reduceat(sums, cuts)
+            if j0:
+                sums[0] += carry[r]
+            np.cumsum(sums, out=sums)
+            carry[r] = sums[-1]
+            out = F[r, off + j0 : off + j1 + 1]
+            if exact:
+                np.take(sums, hz - (lo + 1), out=out, mode="clip")
+            else:
+                np.add(sums, last, out=out)
     if len(seams) and not exact:  # the seam terms of the cells below each horizon
-        k = np.searchsorted(seams, at)
-        F[len(idx) - len(at) :][k > 0] += np.cumsum(seam_terms)[k[k > 0] - 1]
+        below = np.searchsorted(seams, at)
+        F[:, off:][:, below > 0] += np.cumsum(seam_terms, axis=1)[:, below[below > 0] - 1]
     return F
 
 

@@ -310,6 +310,14 @@ class SampleGrid:
         edges = np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2)
         return tuple(map(tuple, edges.tolist()))
 
+    @cached_property
+    def edge_stencils(self):
+        """The slope stencils at the edges of the dense runs
+        (calculus._edge_stencils), found once per grid."""
+        from .calculus import _edge_stencils
+
+        return _edge_stencils(self)
+
     def index_of(self, t):
         """Index of the node within 1e-9 of t; NodeNotInGrid otherwise.  Not
         tol_at(t): build_grid's dense nodes can sit off the h-lattice (see its

@@ -27,6 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .calculus import (
+    _HALO,
     GridFunction,
     LimitConfig,
     LimitEstimate,
@@ -36,6 +37,9 @@ from .calculus import (
     _cell_weights,
     _cumulative,
     _cumulative_at,
+    _require_finite,
+    _shifts,
+    _slopes,
     classify_limit,
     delta_derivative_all,
     sigma_shift_all,
@@ -271,8 +275,7 @@ class SampledPath:
         if x.dim != problem.n:
             raise DimensionMismatch("path dimension does not match the problem")
         if variation:
-            if np.max(np.abs(x.values[0])) > tol_at(0.0):
-                raise InadmissibleVariation("variations must vanish at the left endpoint")
+            _check_vanishes_at_start(x.values[0])
         elif abs(x.grid.nodes[0] - problem.a) > tol_at(problem.a):
             raise InadmissiblePath("trajectory grid must start at a")
         elif np.any(np.abs(x.values[0] - problem.x_a) > tol_at(problem.x_a)):
@@ -327,6 +330,12 @@ class SampledPath:
 
 
 Trajectory = SampledPath
+
+
+def _check_vanishes_at_start(p_a):
+    """Refuse a variation whose value p(a) is not 0 (InadmissibleVariation)."""
+    if np.max(np.abs(p_a)) > tol_at(0.0):
+        raise InadmissibleVariation("variations must vanish at the left endpoint")
 
 
 def sample_trajectory(problem, gen, t_end, h):
@@ -503,38 +512,84 @@ def _on_plan(problem, x, plan, *, variation=False):
     return path
 
 
-def _difference_integral(problem, star, idx, comp, eps=None):
+def _difference_integral(problem, star, idx, competitors):
     """int_a^{T'} [L(x) - L(x*)] at the nodes T' of the strictly increasing
     indices ``idx`` only (the plan's horizons, or one T'), on the path
-    ``star`` of x*.  The competitor x is the path ``comp``, or with ``eps``
-    x* + eps p for the variation ``comp`` of p.
+    ``star`` of x*, for every competitor x at once: a (rows, len(idx))
+    array.  ``competitors`` lists (comp, eps) pairs.  A path ``comp`` (a
+    SampledPath on star's grid) with eps None gives the row of x = comp; a
+    variation ``comp`` of p with a tuple ``eps`` gives a row x = x* + e p for
+    each e in eps, in that order.  The variation is a SampledPath, whose
+    rows are read in slices, or a generator, which is sampled here.
 
-    Full length stay only the rows the paths hold: the grid, x*'s samples,
-    shift, slope and L row, the cell weights and comp's rows.  The
-    competitor's shift, slope and L - L* rows are formed block by block, in
-    buffers reused from block to block, and calculus._cumulative_at reduces
-    each block to its horizons' values before the next is formed."""
+    One sweep over the blocks of calculus._blocks.  In each block every
+    variation is read or sampled once and forms all its rows; where its
+    shift and slope are all exactly 0, x = x* there, so its rows are 0 and
+    the integrand is not called (compact_bump's p vanishes on four fifths
+    of the span).  calculus._cumulative_at reduces the block's rows
+    together before the next block is formed.  Full length stay only the
+    rows the paths hold: the grid, x*'s samples, shift, slope and L row, the
+    cell weights and the rows of SampledPath competitors; every other row
+    is held one block at a time, in buffers allocated once per sweep."""
+    grid, n = star.grid, problem.n
     idx = np.asarray(idx, dtype=np.intp)
     at = idx[1:] if idx[0] == 0 else idx  # the longest block _cumulative_at asks for
     size = max((hi - lo for _, _, lo, hi in _blocks(at)), default=0) + 1
-    if eps is None:
-        d_buf, spare = np.empty(size), np.empty(size)
-    else:  # the L - L* row and the spare reuse these once L is formed
-        u_buf, v_buf = np.empty((size, problem.n)), np.empty((size, problem.n))
-        d_buf, spare = v_buf.reshape(-1), u_buf.reshape(-1)
-    nodes, lag, star_row = star.grid.nodes, problem.lagrangian, star.lagrangian_row
+    k = sum(1 if eps is None else len(eps) for _, eps in competitors)
+    # a buffer per row, none longer than a full-length row: a k-row block
+    # would be the largest allocation of a verify, and once freed it lifts
+    # glibc's mmap threshold above the full-length rows, which then go to
+    # the heap and fragment it
+    d_rows, spare = [np.empty(size) for _ in range(k)], np.empty(size)
+    u_buf, v_buf = np.empty((size, n)), np.empty((size, n))
+    nodes, lag, star_row = grid.nodes, problem.lagrangian, star.lagrangian_row
 
     def rows_at(lo, hi):
         rows, m = slice(lo, hi + 1), hi - lo + 1
-        u, v = comp.shift[rows], comp.slope[rows]
-        if eps is not None:
-            u = np.multiply(u, eps, out=u_buf[:m])
-            u += star.shift[rows]
-            v = np.multiply(v, eps, out=v_buf[:m])
-            v += star.slope[rows]
-        return np.subtract(lag.values(nodes[rows], u, v), star_row[rows], out=d_buf[:m]), spare
+        t, l_star = nodes[rows], star_row[rows]
+        out = [d[:m] for d in d_rows]
+        free = iter(out)
+        for comp, eps in competitors:
+            if eps is None:
+                np.subtract(lag.values(t, comp.shift[rows], comp.slope[rows]), l_star,
+                            out=next(free))
+                continue
+            if callable(comp):
+                ps, pd = _variation_block(problem, grid, comp, lo, hi)
+            else:
+                ps, pd = comp.shift[rows], comp.slope[rows]
+            unchanged = not (ps.any() or pd.any())  # x = x* on the block
+            for e, d in zip(eps, free):
+                if unchanged:
+                    d.fill(0.0)
+                    continue
+                u = np.multiply(ps, e, out=u_buf[:m])
+                u += star.shift[rows]
+                v = np.multiply(pd, e, out=v_buf[:m])
+                v += star.slope[rows]
+                np.subtract(lag.values(t, u, v), l_star, out=d)
+        return out, spare
 
-    return _cumulative_at(star.weights, idx, rows_at)
+    return _cumulative_at(star.weights, idx, k, rows_at)
+
+
+def _variation_block(problem, grid, gen, lo, hi):
+    """Shift and slope at the nodes lo..hi of the variation generator
+    ``gen``, sampled on those nodes and the _HALO nodes each side their
+    slopes read.  The samples are checked as SampledPath.of checks a
+    sampled variation: finite, of the problem's dimension and p(a) = 0.
+    The grid must go on past hi, as a plan grid does past its horizons:
+    the generator is not called at sigma of the last node."""
+    i0, i1 = max(lo - _HALO, 0), min(hi + _HALO, len(grid) - 1)
+    vals = _call_on_times(gen, grid.nodes[i0 : i1 + 1], problem.n)
+    _require_finite(vals)
+    if lo == 0:
+        _check_vanishes_at_start(vals[0])
+    shift, def_s = _shifts(grid, vals, i0, lo, hi)
+    slope, def_d = _slopes(grid, vals, i0, lo, hi)
+    if not (def_s[-1] and def_d[-1]):
+        raise BoundaryUndefined("horizon nodes exceed the defined-slope prefix")
+    return shift, slope
 
 
 def _check_window(plan, config):
@@ -564,7 +619,7 @@ def weak_max_compare(problem, x, x_star, plan, config=LimitConfig()):
     _check_window(plan, config)
     px = _on_plan(problem, x, plan)
     star = _on_plan(problem, x_star, plan)
-    F = _difference_integral(problem, star, plan.horizon_idx, px)
+    F = _difference_integral(problem, star, plan.horizon_idx, [(px, None)])[0]
     return _horizon_liminf(F, plan, config)
 
 
@@ -615,7 +670,7 @@ def variation_quotient(problem, x_star, pvar, eps, t_prime, *, h):
     if eps == 0:
         raise ZeroEpsilon("the variation parameter must be nonzero")
     star, var, _, i = _variation_data(problem, x_star, pvar, t_prime, h)
-    return float(_difference_integral(problem, star, [i], var, eps)[0] / eps)
+    return float(_difference_integral(problem, star, [i], [(var, (eps,))])[0, 0] / eps)
 
 
 def first_variation(problem, x_star, pvar, t_prime, *, h):
@@ -629,7 +684,8 @@ def first_variation(problem, x_star, pvar, t_prime, *, h):
 def _prefix_integral(row, weights, i):
     """int_a^{t_i} of a scalar row on the grid of ``weights``; the row is
     overwritten."""
-    return _cumulative_at(weights, [i], lambda lo, hi: (row[lo : hi + 1], np.empty(hi - lo)))[0]
+    return _cumulative_at(weights, [i], 1,
+                          lambda lo, hi: (row[None, lo : hi + 1], np.empty(hi - lo)))[0, 0]
 
 
 def parts_decomposition_residual(problem, x_star, pvar, t_prime, *, h):
@@ -691,29 +747,39 @@ class GateauxReport:
 def gateaux_report(problem, x_star, pvar, eps_list, t_list, plan):
     """Tabulate A(eps, T') and V(eps, T)/eps over the plan's horizons, for
     generators or paths on the plan's grid (a SampledPath of x* is reused).
-    Each eps row's difference integral is formed at the horizons only."""
+    The rows of every eps are formed in one sweep (_difference_integral),
+    at the horizons only; a generator pvar is sampled block by block."""
+    eps_list = _nonzero_eps(eps_list)
+    star = _on_plan(problem, x_star, plan)
+    if not callable(pvar):
+        pvar = _on_plan(problem, pvar, plan, variation=True)
+    rows = _difference_integral(problem, star, plan.horizon_idx, [(pvar, eps_list)])
+    return _gateaux_table(eps_list, t_list, plan, rows)
+
+
+def _nonzero_eps(eps_list):
+    """The eps of a Gateaux table as floats; ZeroEpsilon for a zero."""
     eps_list = tuple(float(e) for e in eps_list)
     if any(e == 0 for e in eps_list):
         raise ZeroEpsilon("the variation parameter must be nonzero")
-    star = _on_plan(problem, x_star, plan)
-    var = _on_plan(problem, pvar, plan, variation=True)
+    return eps_list
+
+
+def _gateaux_table(eps_list, t_list, plan, rows):
+    """The GateauxReport of the rows N(eps, T') = int_a^{T'} [L(x* + eps p)
+    - L(x*)] at the plan's horizons, one per eps of ``eps_list``, at the
+    horizons nearest the times ``t_list``."""
     hz = plan.horizons
     t_pos = [int(np.argmin(np.abs(hz - tv))) for tv in t_list]
-    t_values = tuple(float(t) for t in hz[t_pos])
-
-    quot = np.zeros((len(eps_list), len(t_values)))
-    avals = np.zeros_like(quot)
-    for i, eps in enumerate(eps_list):
-        N = _difference_integral(problem, star, plan.horizon_idx, var, eps)
-        quot[i] = np.minimum.accumulate(N[::-1])[::-1][t_pos] / eps
-        avals[i] = N[t_pos] / eps
-    spread = quot.max(axis=0) - quot.min(axis=0)
+    eps = np.array(eps_list)[:, None]
+    rows = np.asarray(rows)
+    quot = np.minimum.accumulate(rows[:, ::-1], axis=1)[:, ::-1][:, t_pos] / eps
     return GateauxReport(
         eps=eps_list,
-        t_values=t_values,
+        t_values=tuple(float(t) for t in hz[t_pos]),
         quotients=quot,
-        a_values=avals,
-        spread_by_t=spread,
+        a_values=rows[:, t_pos] / eps,
+        spread_by_t=quot.max(axis=0) - quot.min(axis=0),
     )
 
 
@@ -1313,18 +1379,20 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
     Measures the integral E-L residual over growing windows, estimates the
     transversality lim-inf, probes weak maximality against x* +- amp p for
     a standard family of variations p (smooth tail-constant, decaying and
-    compact bump, each sampled once), and tabulates the Gateaux quotients of
-    the tail-constant one.  The verdict is derived by classify_report.
-    Every diagnostic reads one SampledPath of the candidate.
+    compact bump), and tabulates the Gateaux quotients of the tail-constant
+    one.  The verdict is derived by classify_report.  Every diagnostic
+    reads one SampledPath of the candidate.
 
     Full length, for the whole call, are the plan grid and x*'s samples,
-    shift, slope and L row, and the cell weights; for one family at a time,
-    the variation's samples, shift and slope; and for the residual stage
-    only, the E-L residual r and its d2 and d3 rows.  Of r, only its maxima
+    shift (the samples themselves on a grid with no right-scattered node),
+    slope and L row, and the cell weights; and for the residual stage only,
+    the E-L residual r and its d2 and d3 rows.  Of r, only its maxima
     between horizons are kept.  The nine competitor rows x* +- amp p and
-    x* + eps p are formed block by block (_difference_integral) and reduced
-    block by block (calculus._cumulative_at), so none is ever held at full
-    length.
+    x* + eps p come from one sweep (_difference_integral): block by block,
+    each variation is sampled on the block and the few nodes each side its
+    slopes read, all nine rows are formed -- the bump's only where it is not
+    0 -- and calculus._cumulative_at reduces them together, so no variation
+    or competitor row is ever held at full length.
     """
     ts, a = problem.ts, problem.a
     plan = make_horizon_plan(
@@ -1351,17 +1419,21 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
         ("decay", decaying_pulse(amp, a, 5.0 / span)),
         ("bump", compact_bump(amp, a + span / 4.0, span / 10.0)),
     ]
-    t_list = [hz[len(hz) // 4], hz[len(hz) // 2], hz[-1]]
+    signs = (1.0, -1.0)
+    gateaux = {"tail_const": _nonzero_eps(config.gateaux_eps)}
     ones = np.ones(problem.n)
+    # one sweep for all nine rows: x* +- amp p for each family p, followed
+    # by the Gateaux rows x* + eps p of the tail-constant one
+    rows = iter(_difference_integral(problem, star, plan.horizon_idx, [
+        (lambda t, q=q: np.outer(q(t), ones), signs + gateaux.get(name, ()))
+        for name, q in families]))
     probes = []
-    for name, q in families:
-        var = _on_plan(problem, lambda t: np.outer(q(t), ones), plan, variation=True)
-        for eps in (1.0, -1.0):
-            F = _difference_integral(problem, star, plan.horizon_idx, var, eps)
-            probes.append((f"{name}({eps * amp:+g})", _horizon_liminf(F, plan, config.limits)))
-        if name == "tail_const":
-            diag = gateaux_report(problem, star, var, config.gateaux_eps, t_list, plan)
-        del var  # one sampled variation at a time: peak memory is gated
+    for name, _ in families:
+        probes += [(f"{name}({eps * amp:+g})", _horizon_liminf(next(rows), plan, config.limits))
+                   for eps in signs]
+        if name in gateaux:
+            t_list = [hz[len(hz) // 4], hz[len(hz) // 2], hz[-1]]
+            diag = _gateaux_table(gateaux[name], t_list, plan, [next(rows) for _ in gateaux[name]])
 
     el_tol = config.el_tol if config.el_tol is not None else _default_el_tol(
         plan.grid, config.h

@@ -220,6 +220,75 @@ def reference_cell_values(grid, v, i0, i1):
     return cells
 
 
+def _reference_edge_derivative(ts, vs):
+    """Derivative at ts[0] of the polynomial through (ts[i], vs[i]), with
+    the Lagrange weights summed one point at a time."""
+    x0, k = ts[0], len(ts)
+    out = np.zeros_like(vs[0])
+    for j in range(k):
+        if j == 0:
+            w = sum(1.0 / (x0 - ts[i]) for i in range(1, k))
+        else:
+            num = 1.0
+            for i in range(1, k):
+                if i != j:
+                    num *= x0 - ts[i]
+            den = 1.0
+            for i in range(k):
+                if i != j:
+                    den *= ts[j] - ts[i]
+            w = num / den
+        out = out + w * vs[j]
+    return out
+
+
+def reference_slopes(f):
+    """(deriv, defined) of the GridFunction f by a Python loop over the
+    dense runs, each run's edge stencils chosen by plain branches; the
+    reference for calculus.delta_derivative_all."""
+    grid, v, t = f.grid, f.values, f.grid.nodes
+    m = len(grid)
+    deriv, defined = np.zeros(v.shape), np.zeros(m, dtype=bool)
+    for i in np.flatnonzero(grid.scattered[:-1]):
+        deriv[i] = (v[i + 1] - v[i]) / grid.mu[i]
+        defined[i] = True
+    if grid.scattered[-1] and f.sigma_last is not None:
+        deriv[-1] = (f.sigma_last - v[-1]) / grid.mu[-1]
+        defined[-1] = True
+    for s, e in reference_dense_runs(grid):
+        nb = e - s
+        defined[s:e] = True
+        if nb == 1:
+            deriv[s] = (v[s + 1] - v[s]) / (t[s + 1] - t[s])
+            continue
+        for i in range(s + 1, e):
+            deriv[i] = (v[i + 1] - v[i - 1]) / (t[i + 1] - t[i - 1])
+        steps = np.diff(t[s : min(s + 4, e + 1)])
+        if len(steps) >= 3 and np.ptp(steps) <= 1e-9 * steps[0]:
+            deriv[s] = (-4.0 * v[s] + 7.0 * v[s + 1] - 4.0 * v[s + 2] + v[s + 3]) / (2.0 * steps[0])
+        else:
+            n_pts = min(4, nb + 1)
+            deriv[s] = _reference_edge_derivative(t[s : s + n_pts], v[s : s + n_pts])
+        if not grid.scattered[e]:
+            continue
+        # the branch s..e-1 ends in a jump: no stencil reads node e
+        if nb == 2:
+            deriv[s] = deriv[e - 1] = (v[e - 1] - v[e - 2]) / (t[e - 1] - t[e - 2])
+        elif nb == 3:
+            back = [e - 1, e - 2, e - 3]
+            deriv[s] = _reference_edge_derivative(t[s : s + 3], v[s : s + 3])
+            deriv[e - 1] = _reference_edge_derivative(t[back], v[back])
+        else:
+            steps = np.diff(t[e - 4 : e])
+            if np.ptp(steps) <= 1e-9 * steps[0]:
+                deriv[e - 1] = (4.0 * v[e - 1] - 7.0 * v[e - 2] + 4.0 * v[e - 3]
+                                - v[e - 4]) / (2.0 * steps[-1])
+            else:
+                back = [e - 1, e - 2, e - 3, e - 4]
+                deriv[e - 1] = _reference_edge_derivative(t[back], v[back])
+    return deriv, defined
+
+
 def reference_horizon_idx(scattered, horizon_count, min_window):
     """make_horizon_plan's horizon indices among the nodes 1..i_end, for the
     ``scattered`` flags of nodes 0..i_end, by concatenating the scattered

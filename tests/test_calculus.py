@@ -40,6 +40,7 @@ from helpers import (
     random_scattered_scale,
     reference_cell_values,
     reference_dense_runs,
+    reference_slopes,
 )
 
 NAT = integer_scale(0)
@@ -202,6 +203,69 @@ def test_derivative_interior_stencil_matches_sliced_expression(cells, n, data):
         assert np.array_equal(deriv[s + 1 : stop], want[: stop - s - 1])
 
 
+def same_bits(a, b):
+    """a and b hold the same float64 values, the signs of zeros included."""
+    a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@given(
+    # about one node in four is right-scattered, so that dense branches of
+    # 1-4 nodes and interval-to-jump seams occur; one gap in three is off
+    # the step h, so that some runs start non-uniformly and others not
+    st.lists(st.tuples(st.integers(0, 3), st.sampled_from([8, 8, 5, 11, 8, 8])),
+             min_size=1, max_size=80),
+    st.integers(1, 2),
+    st.booleans(),
+    st.data(),
+)
+def test_slopes_and_shifts_over_block_splits_equal_the_whole_grid(cells, n, extend, data):
+    """The range kernels _slopes and _shifts, given only the samples of a
+    block and of the _HALO nodes each side, give every node of the block the
+    value delta_derivative_all and sigma_shift_all give it on the whole
+    grid, bit for bit; and the whole-grid slopes equal the per-run loop of
+    the reference.  The last node is right-scattered in about one grid in
+    four, with or without a sigma_last extension."""
+    scat = np.array([c[0] == 0 for c in cells])
+    gaps = np.array([c[1] for c in cells], dtype=float) / 64.0
+    nodes = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
+    grid = SampleGrid(nodes, np.where(scat, gaps, 0.0), scat, 0.125)
+    m = len(grid)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(m, n))
+    values[rng.random((m, n)) < 0.1] = -0.0
+    f = GridFunction(grid, values, sigma_last=rng.normal(size=n) if extend and scat[-1] else None)
+    deriv, defined = delta_derivative_all(f)
+    shift, shift_defined = sigma_shift_all(f)
+    want, want_defined = reference_slopes(f)
+    assert same_bits(deriv, want) and np.array_equal(defined, want_defined)
+    # random blocks, and every node a block of its own: then each stencil
+    # reaches its farthest into the halo
+    cuts = data.draw(st.sets(st.integers(1, m - 1), max_size=8)) if m > 1 else set()
+    blocks = [(lo, end - 1) for lo, end in zip([0, *sorted(cuts)], [*sorted(cuts), m])]
+    for lo, hi in blocks + [(i, i) for i in range(m)]:
+        i0, i1 = max(lo - calculus._HALO, 0), min(hi + calculus._HALO, m - 1)
+        part = f.values[i0 : i1 + 1].copy()
+        got, got_defined = calculus._slopes(grid, part, i0, lo, hi, f.sigma_last)
+        assert same_bits(got, deriv[lo : hi + 1])
+        assert np.array_equal(got_defined, defined[lo : hi + 1])
+        got, got_defined = calculus._shifts(grid, part, i0, lo, hi, f.sigma_last)
+        assert same_bits(got, shift[lo : hi + 1])
+        assert np.array_equal(got_defined, shift_defined[lo : hi + 1])
+
+
+@pytest.mark.parametrize("grid", [
+    COMB.build_grid(0.0, 25.0, 0.05),
+    union(ClosedInterval(0, 1), DiscretePoints((1.5,)), UnboundedRay(2.0)).build_grid(0, 4, 0.1),
+], ids=["comb", "mixed"])
+def test_slopes_equal_the_reference_on_built_grids(grid):
+    f = GridFunction.from_callable(grid, lambda t: np.column_stack((np.sin(t), t**3)))
+    deriv, defined = delta_derivative_all(f)
+    want, want_defined = reference_slopes(f)
+    assert same_bits(deriv, want) and np.array_equal(defined, want_defined)
+    assert grid.edge_stencils is grid.edge_stencils  # found once per grid
+
+
 def test_derivative_quadratic_exact_on_dense_run():
     grid = real_ray(0).build_grid(0, 2, 0.05)
     c = random_poly(np.random.default_rng(3), degree=2)
@@ -264,6 +328,8 @@ def test_sigma_shift_dense_is_identity():
     shifted, defined = sigma_shift_all(f)
     assert defined.all()
     assert np.array_equal(shifted, f.values)
+    # nothing shifts, so the samples themselves are returned, read-only
+    assert np.shares_memory(shifted, f.values) and not shifted.flags.writeable
 
 
 def test_shift_rule_on_mixed_scale():
@@ -410,20 +476,27 @@ def test_integrals_match_reference_seam_loop_on_fixed_grids(grid, n_seams):
     assert_integrals_match_reference(grid, v, windows)
 
 
-def assert_cumulative_at_matches(grid, v, idx, block):
-    """_cumulative_at, handed the scalar row ``v`` block by block with
-    _BLOCK = ``block``, equals the prefix integrals of _cumulative at
-    ``idx``, to a few ulps, or exactly when the grid has no dense cell.  The
-    blocks it asks for run from node 0 to the last index, each starting
-    where the one before ended."""
+def assert_cumulative_at_matches(grid, rows, idx, block):
+    """_cumulative_at, handed the k scalar rows ``rows`` (a (k, m) array)
+    together, block by block with _BLOCK = ``block``, equals the prefix
+    integrals of _cumulative of each row at ``idx``, to a few ulps, or
+    exactly when the grid has no dense cell; and each row equals its
+    reduction on its own exactly.  The blocks it asks for run from node 0
+    to the last index, each starting where the one before ended."""
     weights = _cell_weights(grid)
-    row = v[: idx[-1] + 1]
-    want = _cumulative(row, weights)[idx]
+    rows = rows[:, : idx[-1] + 1]
+    want = np.array([_cumulative(row, weights)[idx] for row in rows])
+
+    def reduce(block_rows, asked):
+        return _cumulative_at(weights, idx, len(block_rows), lambda lo, hi: asked.append(
+            (lo, hi)) or (block_rows[:, lo : hi + 1].copy(), np.full(hi - lo, np.nan)))
+
     asked = []
     with mock.patch.object(calculus, "_BLOCK", block):
-        got = _cumulative_at(weights, idx, lambda lo, hi: asked.append((lo, hi)) or (
-            row[lo : hi + 1].copy(), np.full(hi - lo, np.nan)))
-    assert got.shape == want.shape
+        got = reduce(rows, asked)
+        alone = [reduce(row[None], [])[0] for row in rows]
+    assert np.shape(got) == want.shape
+    assert all(np.array_equal(a, b) for a, b in zip(got, alone))
     if grid.scattered[:-1].all():
         assert np.array_equal(got, want)
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
@@ -456,8 +529,9 @@ def test_cumulative_at_matches_cumulative(cells, block, data):
     nodes = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
     grid = SampleGrid(nodes, np.where(scat, gaps, 0.0), scat, 0.125)
     m = len(grid)
-    v = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=m)
-    assert_cumulative_at_matches(grid, v, data.draw(node_subsets(m)), block)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(data.draw(st.integers(1, 3)), m))
+    assert_cumulative_at_matches(grid, rows, data.draw(node_subsets(m)), block)
 
 
 @given(st.lists(st.integers(1, 8), min_size=2, max_size=120), BLOCK_SIZES, st.data())
@@ -465,8 +539,9 @@ def test_cumulative_at_is_exact_on_scattered_grids(gaps, block, data):
     gaps = np.array(gaps, dtype=float) / 8.0
     nodes = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
     grid = SampleGrid(nodes, gaps, np.ones(len(gaps), dtype=bool), 0.125)
-    v = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=len(grid))
-    assert_cumulative_at_matches(grid, v, data.draw(node_subsets(len(grid))), block)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(data.draw(st.integers(1, 3)), len(grid)))
+    assert_cumulative_at_matches(grid, rows, data.draw(node_subsets(len(grid))), block)
 
 
 @pytest.mark.parametrize("grid", [
@@ -478,8 +553,7 @@ def test_cumulative_at_is_exact_on_scattered_grids(gaps, block, data):
 @given(block=BLOCK_SIZES, data=st.data())
 def test_cumulative_at_matches_cumulative_on_fixed_grids(grid, block, data):
     idx = data.draw(node_subsets(len(grid)))
-    for v in (np.cos(grid.nodes), grid.nodes**2):
-        assert_cumulative_at_matches(grid, v, idx, block)
+    assert_cumulative_at_matches(grid, np.vstack((np.cos(grid.nodes), grid.nodes**2)), idx, block)
 
 
 def test_cumulative_at_reads_seam_cells_and_few_horizons():
@@ -490,7 +564,7 @@ def test_cumulative_at_reads_seam_cells_and_few_horizons():
     around = np.unique(np.concatenate((seams - 1, seams, seams + 1)))
     for idx in (around, around[::7], seams[[0, -1]], np.arange(0, len(grid), 97)):
         for block in (2, 50, calculus._BLOCK):
-            assert_cumulative_at_matches(grid, v, idx, block)
+            assert_cumulative_at_matches(grid, v[None], idx, block)
 
 
 def test_antiderivative_recovers_integrand():

@@ -17,6 +17,7 @@ from tsvar import (
     ClosedInterval,
     DimensionMismatch,
     DiscretePoints,
+    EvaluationError,
     GridFunction,
     GridTooSmall,
     InadmissiblePath,
@@ -1024,18 +1025,19 @@ def test_verify_finds_dense_runs_once_per_grid(monkeypatch):
 
 def test_verify_samples_each_path_once(monkeypatch):
     calls = count_calls(monkeypatch, ("delta_derivative_all", "sigma_shift_all",
-                                      "_cell_weights"))
+                                      "_shifts", "_slopes", "_cell_weights"))
     sample = vars(GridFunction)["from_callable"].__func__
     monkeypatch.setattr(GridFunction, "from_callable",
                         classmethod(counted(calls, "from_callable", sample)))
     ray = lqr_ray()
     report = verify_candidate(ray.problem, ray.candidate("decaying-exp").gen,
                               VerifyConfig(t_max=10.0, h=0.01))
-    assert report.verdict is Verdict.CONSISTENT
-    # x* once and the 3 probe variations once each (the Gateaux table reads
-    # the tail-constant one); one set of cell weights
-    assert calls == {"from_callable": 4, "sigma_shift_all": 4,
-                     "delta_derivative_all": 4, "_cell_weights": 1}
+    assert report.verdict is Verdict.CONSISTENT and report.nodes < calculus._BLOCK
+    # x* once, on the whole grid; the 3 probe variations (the Gateaux rows
+    # read the tail-constant one) once each in the sweep's one block, by
+    # the range kernels; one set of cell weights
+    assert calls == {"from_callable": 1, "sigma_shift_all": 1, "delta_derivative_all": 1,
+                     "_shifts": 4, "_slopes": 4, "_cell_weights": 1}
 
 
 def test_verify_reads_competitor_integrals_at_the_horizons_only(monkeypatch):
@@ -1048,13 +1050,17 @@ def test_verify_reads_competitor_integrals_at_the_horizons_only(monkeypatch):
     report = verify_candidate(ray.problem, ray.candidate("decaying-exp").gen,
                               VerifyConfig(t_max=10.0, h=2.5e-4))
     assert report.verdict is Verdict.CONSISTENT
-    assert report.nodes > 1.2 * calculus._BLOCK
+    assert 1.2 * calculus._BLOCK < report.nodes < 2 * calculus._BLOCK
     # one full prefix array, the E-L residual's; the 6 probes and 3 Gateaux
-    # rows are formed block by block, so that x*'s row is the only one of
-    # full length, and reduced straight to their horizon values
-    assert calls == {"_cumulative": 1, "_cell_values": 1, "_cumulative_at": 9}
+    # rows are formed block by block in one sweep, so that x*'s row is the
+    # only one of full length, and reduced together straight to their
+    # horizon values
+    assert calls == {"_cumulative": 1, "_cell_values": 1, "_cumulative_at": 1}
     assert len([m for m in spans if m > calculus._BLOCK + 1]) == 1
-    assert len(spans) == 1 + 9 * 2  # x*'s row, then two blocks per competitor row
+    # x*'s row, then the 9 rows of the first block and the 7 of the second:
+    # the bump (support [1.5, 3.5] of [0, 10]) is 0 there, so its 2 rows are
+    # not evaluated
+    assert len(spans) == 1 + 9 + 7
 
 
 BLOCK_CASES = pytest.mark.parametrize("named, label, t_max, h, blocks", [
@@ -1067,60 +1073,114 @@ BLOCK_CASES = pytest.mark.parametrize("named, label, t_max, h, blocks", [
 @BLOCK_CASES
 def test_competitor_integrals_do_not_depend_on_the_block_size(monkeypatch, named, label,
                                                               t_max, h, blocks):
-    """The block size sets only the working memory: every probe and Gateaux
-    row, and the report, are the same for blocks shorter than one horizon
-    segment (lqr-r's segments hold up to 166 cells, the comb's up to 48,
-    lqr-z's one, so that there each block is one segment), of a few
-    segments, and of the whole grid."""
+    """The block size sets only the working memory: the nine probe and
+    Gateaux rows of verify's one sweep, and the report, are the same for
+    blocks shorter than one horizon segment (lqr-r's segments hold up to
+    166 cells, the comb's up to 48, lqr-z's one, so that there each block is
+    one segment), of a few segments, and of the whole grid."""
     gen = named.candidate(label).gen
-    rows = []
+    sweeps = []
     blocked = variational._difference_integral
     monkeypatch.setattr(variational, "_difference_integral",
-                        lambda *args: rows.append(blocked(*args)) or rows[-1])
+                        lambda *args: sweeps.append(blocked(*args)) or sweeps[-1])
     runs = []
     for block in blocks:
         monkeypatch.setattr(calculus, "_BLOCK", block)
-        rows.clear()
+        sweeps.clear()
         report = verify_candidate(named.problem, gen, VerifyConfig(t_max=t_max, h=h))
-        runs.append((report.to_dict(), list(rows)))
-    assert len(runs[0][1]) == 9
+        runs.append((report.to_dict(), list(sweeps)))
+    assert len(runs[0][1]) == 1 and len(runs[0][1][0]) == 9
     for report, F in runs[1:]:
         assert report == runs[0][0]
-        assert all(np.array_equal(a, b) for a, b in zip(F, runs[0][1]))
+        assert np.array_equal(F[0], runs[0][1][0])
+
+
+def full_row_integrals(problem, star, idx, shift, slope):
+    """int_a^{T'} [L(x) - L(x*)] at the nodes of idx for the competitor of
+    ``shift`` and ``slope``, its whole row formed at once and handed to
+    calculus._cumulative_at as one block."""
+    n = idx[-1] + 1
+    row = problem.lagrangian.values(star.grid.nodes[:n], shift[:n], slope[:n]) \
+        - star.lagrangian_row[:n]
+    with mock.patch.object(calculus, "_BLOCK", n):
+        return calculus._cumulative_at(star.weights, idx, 1,
+                                       lambda lo, hi: (row[None, lo : hi + 1], np.empty(hi - lo)))[0]
 
 
 @BLOCK_CASES
 def test_competitor_integrals_equal_the_full_row_reduced_at_the_horizons(
         monkeypatch, named, label, t_max, h, blocks):
-    """Formed block by block, the horizon values are those of the whole row
-    L(x* + eps p) - L(x*), formed at once and handed to
-    calculus._cumulative_at as one block, exactly."""
+    """Formed block by block in one sweep, the horizon values are those of
+    each whole row L(x) - L(x*), formed at once and reduced as one block,
+    exactly: for a competitor path, and for x* + eps p with the variation p
+    read from a SampledPath and sampled block by block from its generator."""
     problem, a = named.problem, named.problem.a
     plan = make_horizon_plan(problem.ts, a, t_max, h=h)
-    star = SampledPath.of(problem, named.candidate(label).gen, plan.grid)
+    gen = named.candidate(label).gen
+    star = SampledPath.of(problem, gen, plan.grid)
     idx, span = plan.horizon_idx, plan.horizons[-1] - a
-    n = idx[-1] + 1
     monkeypatch.setattr(calculus, "_BLOCK", blocks[1])
-
-    def reduced(shift, slope):
-        row = (problem.lagrangian.values(star.grid.nodes[:n], shift, slope)
-               - star.lagrangian_row[:n])
-        with mock.patch.object(calculus, "_BLOCK", blocks[-1]):
-            return calculus._cumulative_at(star.weights, idx,
-                                           lambda lo, hi: (row[lo : hi + 1], np.empty(hi - lo)))
-
+    eps_list = (1.0, -1.0, 1e-3)
     for q in (smoothstep_tail(0.5, a, span / 5.0), compact_bump(0.5, a + span / 4.0, span / 10.0)):
         var = SampledPath.of(problem, q, plan.grid, variation=True)
-        for eps in (1.0, -1.0, 1e-3):
-            want = reduced(star.shift[:n] + eps * var.shift[:n],
-                           star.slope[:n] + eps * var.slope[:n])
-            got = variational._difference_integral(problem, star, idx, var, eps)
-            assert np.array_equal(got, want)
-        competitor = SampledPath.of(problem, perturbed_generator(named.candidate(label).gen, q),
-                                    plan.grid)
-        want = reduced(competitor.shift[:n], competitor.slope[:n])
-        assert np.array_equal(variational._difference_integral(problem, star, idx, competitor),
-                              want)
+        competitor = SampledPath.of(problem, perturbed_generator(gen, q), plan.grid)
+        want = [full_row_integrals(problem, star, idx, competitor.shift, competitor.slope)]
+        want += [full_row_integrals(problem, star, idx, star.shift + eps * var.shift,
+                                    star.slope + eps * var.slope) for eps in eps_list] * 2
+        got = variational._difference_integral(problem, star, idx, [
+            (competitor, None), (var, eps_list), (q, eps_list)])
+        assert np.array_equal(got, want)
+
+
+def test_bump_rows_call_the_integrand_only_where_the_bump_is(monkeypatch):
+    """With blocks of 500 cells, the rows x* +- p of a compact bump call the
+    integrand only on the blocks where p's shift or slope is not all 0 --
+    those that meet its support [1.5, 3.5], a fifth of the span -- and
+    equal the rows formed at full length without skipping any, exactly."""
+    ray = lqr_ray(1.3)
+    problem = ray.problem
+    plan = make_horizon_plan(problem.ts, 0.0, 10.0, h=1e-3)
+    star = SampledPath.of(problem, ray.candidate("decaying-exp").gen, plan.grid)
+    idx, nodes = plan.horizon_idx, plan.grid.nodes
+    star.lagrangian_row  # noqa: B018 -- formed before the calls are counted
+    bump = compact_bump(0.5, 2.5, 1.0)
+    var = SampledPath.of(problem, bump, plan.grid, variation=True)
+    monkeypatch.setattr(calculus, "_BLOCK", 500)
+    spans = []
+    values = Lagrangian.values
+    monkeypatch.setattr(Lagrangian, "values",
+                        lambda self, t, u, v: spans.append((t[0], t[-1])) or values(self, t, u, v))
+    got = variational._difference_integral(problem, star, idx, [(bump, (1.0, -1.0))])
+    blocks = calculus._blocks(idx)
+    live = [(nodes[lo], nodes[hi]) for _, _, lo, hi in blocks
+            if var.shift[lo : hi + 1].any() or var.slope[lo : hi + 1].any()]
+    assert spans == [span for span in live for _ in (1.0, -1.0)]
+    assert 0 < len(live) <= len(blocks) // 3
+    assert all(lo <= 3.5 and hi >= 1.5 for lo, hi in live)
+    monkeypatch.setattr(Lagrangian, "values", values)
+    want = [full_row_integrals(problem, star, idx, star.shift + eps * var.shift,
+                               star.slope + eps * var.slope) for eps in (1.0, -1.0)]
+    assert np.array_equal(got, want)
+
+
+def test_variations_sampled_block_by_block_are_checked(monkeypatch):
+    """A variation generator sampled block by block is refused as sampling
+    it on the whole grid refuses it: non-finite samples in a later block,
+    p(a) != 0, or the wrong number of components."""
+    pos = ex_pos()
+    plan = make_horizon_plan(pos.problem.ts, 0.0, 30.0, h=1.0)
+    gen = pos.candidate("line").gen
+    monkeypatch.setattr(calculus, "_BLOCK", 8)
+    bad = {
+        EvaluationError: lambda t: np.where(t > 20.0, np.nan, 0.1 * t),
+        InadmissibleVariation: lambda t: 1.0 + 0.1 * t,
+        DimensionMismatch: lambda t: np.ones((len(t), 2)),
+    }
+    for error, pvar in bad.items():
+        with pytest.raises(error):
+            gateaux_report(pos.problem, gen, pvar, (0.1,), (5.0,), plan)
+        with pytest.raises(error):
+            SampledPath.of(pos.problem, pvar, plan.grid, variation=True)
 
 
 @pytest.mark.parametrize("named, label, t_prime, h", [
@@ -1139,11 +1199,16 @@ def test_variation_quotient_does_not_depend_on_the_block_size(monkeypatch, named
 
 
 def test_verify_memory_stays_within_its_budget():
-    """tracemalloc peak of one lqr-r verify over 160004 nodes: at most 115
-    bytes per node.  The rows that stay full length (grid, x*'s samples,
-    shift, slope and L row, the cell weights, one variation's samples,
-    shift and slope) come to 12 float64 rows, 97 bytes per node; forming
-    the competitor rows at full length read 136."""
+    """tracemalloc peak of one lqr-r verify over 160004 nodes: at most 102
+    bytes per node (96 measured).  The E-L residual stage sets it: the rows
+    held for the whole call (grid nodes and mu, x*'s samples, slope and L
+    row, the cell weights; on the ray x*'s shift is its samples) come to 7
+    float64 rows, 57 bytes per node, and el_residual's d2, d3, prefix
+    integral and r rows add 5 more.  The competitor sweep stays below it:
+    it holds no variation row at full length, only the 9 competitor rows of
+    one block of calculus._BLOCK cells.  Sampling each variation at full
+    length read 108 bytes per node, and forming the competitor rows at full
+    length 136."""
     ray = lqr_ray(1.268)
     gen = ray.candidate("decaying-exp").gen
     tracemalloc.start()
@@ -1153,13 +1218,14 @@ def test_verify_memory_stays_within_its_budget():
     finally:
         tracemalloc.stop()
     assert report.verdict is Verdict.CONSISTENT and report.nodes == 160004
-    assert peak / report.nodes <= 115.0
+    assert peak / report.nodes <= 102.0
 
 
 def report_from_generators(problem, gen, config):
     """verify_candidate assembled from the library's functions called with
     the plain generator, so that every diagnostic samples x* itself; each
-    probe also samples its variation afresh."""
+    probe also samples its variation afresh, on the whole grid, and forms
+    its row on its own."""
     a = problem.a
     plan = make_horizon_plan(problem.ts, a, config.t_max, h=config.h,
                              horizon_count=config.horizon_count,
@@ -1184,12 +1250,13 @@ def report_from_generators(problem, gen, config):
         for eps in (1.0, -1.0):
             star = SampledPath.of(problem, gen, plan.grid)
             var = SampledPath.of(problem, maker(amp, **kw), plan.grid, variation=True)
-            F = variational._difference_integral(problem, star, plan.horizon_idx, var, eps)
+            F = variational._difference_integral(problem, star, plan.horizon_idx,
+                                                 [(var, (eps,))])[0]
             probes.append((f"{name}({eps * amp:+g})", variational._horizon_liminf(
                 F, plan, config.limits)))
-    diag = gateaux_report(problem, gen, smoothstep_tail(amp, a, span / 5.0),
-                          config.gateaux_eps, [hz[len(hz) // 4], hz[len(hz) // 2], hz[-1]],
-                          plan)
+    tail = SampledPath.of(problem, smoothstep_tail(amp, a, span / 5.0), plan.grid, variation=True)
+    diag = gateaux_report(problem, gen, tail, config.gateaux_eps,
+                          [hz[len(hz) // 4], hz[len(hz) // 2], hz[-1]], plan)
     el_sup = float(res_abs.max())
     el_tol = _default_el_tol(plan.grid, config.h)
     verdict, flags = classify_report(el_sup, trans, probes, el_tol=el_tol,
