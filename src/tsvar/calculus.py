@@ -349,7 +349,8 @@ def sigma_shift_all(f):
 def _cell_weights(grid):
     """Per-cell quadrature split: cell i integrates to
     w_left[i] f(i) + w_right[i] f(i+1), plus w_seam[k] f(i-1) when i is
-    the seam cell seams[k].  Returns (w_left, w_right, seams, w_seam).
+    the seam cell seams[k].  Returns (w_left, w_right, seams, w_seam), which
+    SampleGrid.cell_weights keeps with the grid.
 
     Scattered cells contribute mu*f(left) exactly; dense cells the
     trapezoid (dt/2)(f(left)+f(right)).  A dense cell whose right node is
@@ -374,11 +375,10 @@ def _cell_weights(grid):
     return w_left, w_right, seams, w_seam
 
 
-def _cell_values(v, weights, i0, i1, out=None):
-    """Cell integrals for cells i0..i1-1 of an (m, n) value array, written
-    into ``out`` when given."""
+def _cell_values(v, weights, i0, i1):
+    """Cell integrals for cells i0..i1-1 of an (m, n) value array."""
     w_left, w_right, seams, w_seam = weights
-    cells = np.multiply(w_left[i0:i1, None], v[i0:i1], out=out)
+    cells = w_left[i0:i1, None] * v[i0:i1]
     cells += w_right[i0:i1, None] * v[i0 + 1 : i1 + 1]
     lo, hi = np.searchsorted(seams, (i0, i1))
     cells[seams[lo:hi] - i0] += w_seam[lo:hi, None] * v[seams[lo:hi] - 1]
@@ -386,19 +386,9 @@ def _cell_values(v, weights, i0, i1, out=None):
 
 
 def cumulative_delta_integral(f):
-    """F(t_i) = integral from the first node to t_i; an (m, n) array."""
-    return _cumulative(f.values, _cell_weights(f.grid))
-
-
-def _cumulative(rows, weights):
-    """Prefix integrals F[j] = int_{t_0}^{t_j}, j < K, of (K,) or (K, n)
-    rows at the first K nodes of the grid with _cell_weights ``weights``; F
-    has the shape of rows.  Rows are not checked for finiteness."""
-    v = rows.reshape(len(rows), -1)
-    out = np.zeros(v.shape)
-    cells = _cell_values(v, weights, 0, len(v) - 1, out=out[1:])
-    np.cumsum(cells, axis=0, out=cells)
-    return out.reshape(rows.shape)
+    """F(t_i) = integral from the first node to t_i, summed cell by cell
+    with f.grid.cell_weights; an (m, n) array."""
+    return _prefix_integrals(f.grid, f.values.T, np.arange(len(f.grid))).T
 
 
 #: cells per block of _cumulative_at: a block's row and node weights stay
@@ -419,32 +409,39 @@ def _blocks(at):
     return blocks
 
 
-def _cumulative_at(weights, idx, k, rows_at):
-    """_cumulative(row, weights)[idx] for each of k scalar rows, as a (k,
-    len(idx)) array, at strictly increasing node indices ``idx``, without
-    the prefix integrals at the other nodes.  The rows are handed over
-    together, block by block (_blocks of idx without node 0, in order):
-    rows_at(lo, hi) returns k arrays, each a row at the nodes lo..hi, and a
-    spare buffer of at least hi - lo floats, and this routine may overwrite
-    all of them, so a producer can reuse its buffers for every block.  Each
-    block is reduced to its horizons' values before the next is asked for,
-    its node weights formed once for all k rows, and a running sum per row
-    carries from block to block, so neither the block size nor the other
-    rows change a row's result.
+def _block_nodes(idx):
+    """Nodes in the longest block _cumulative_at asks for at ``idx``."""
+    at = idx[1:] if idx[0] == 0 else idx
+    return max((hi - lo for _, _, lo, hi in _blocks(at)), default=0) + 1
 
-    With c_i = w_left[i] + w_right[i-1] the weight of node i in the cells
-    left of it, F[j] = sum_{i<j} c_i v_i + w_right[j-1] v_j plus the seam
-    terms of the seam cells below j.  The first sum is reduced between
-    consecutive horizons (np.add.reduceat) and then accumulated over the
-    horizons, so it rounds differently from the cell-by-cell running sum,
-    by a few ulps of the partial sums.  When there are few nodes per
-    horizon, or no trapezoid cell, the running sum of the cells is taken
-    instead and the result equals _cumulative's exactly."""
+
+def _cumulative_at(grid, idx, k, rows_at):
+    """Prefix integrals F[j] = int_{t_0}^{t_j} of k scalar rows on ``grid``
+    at the strictly increasing node indices ``idx`` only: a (k, len(idx))
+    array.  F[j] sums the cells left of node j, cell i being w_left[i] v_i +
+    w_right[i] v_{i+1} (+ w_seam v_{i-1} at a seam cell) under _cell_weights'
+    rule (grid.cell_weights).  The rows are handed over together, by block
+    (_blocks of idx without node 0, in order): rows_at(lo, hi) returns k
+    arrays, each a row at the nodes lo..hi, and a spare buffer of at least
+    hi - lo floats, and this routine may overwrite all of them, so a
+    producer can reuse its buffers for every block.  Each block is reduced
+    to its horizons' values before the next is asked for, its node weights
+    formed once for all k rows, and a running sum per row carries from
+    block to block, so neither the block size nor the other rows change a
+    row's result.
+
+    The running-sum mode adds the cells one by one, in order.  The horizon
+    mode weights node i by c_i = w_left[i] + w_right[i-1], so that F[j] =
+    sum_{i<j} c_i v_i + w_right[j-1] v_j plus the seam terms below j, and
+    reduces the first sum between consecutive horizons (np.add.reduceat)
+    before accumulating it, which rounds differently, by a few ulps of the
+    partial sums.  The running sum is taken when there are few nodes per
+    horizon (every node, say) or no cell reads its right node."""
     idx = np.asarray(idx, dtype=np.intp)
     at = idx[1:] if idx[0] == 0 else idx  # F = 0 at node 0
     if len(at) == 0:
         return np.zeros((k, len(idx)))
-    w_left, w_right, seams, w_seam = weights
+    w_left, w_right, seams, w_seam = grid.cell_weights
     end = int(at[-1])
     # reduceat beats the running sum only on segments of more than a few nodes
     exact = 8 * len(idx) >= end or not w_right[:end].any()
@@ -483,17 +480,32 @@ def _cumulative_at(weights, idx, k, rows_at):
                 sums = np.add.reduceat(sums, cuts)
             if j0:
                 sums[0] += carry[r]
-            np.cumsum(sums, out=sums)
-            carry[r] = sums[-1]
             out = F[r, off + j0 : off + j1 + 1]
-            if exact:
-                np.take(sums, hz - (lo + 1), out=out, mode="clip")
-            else:
-                np.add(sums, last, out=out)
+            # straight into F when there is one sum per horizon
+            acc = np.cumsum(sums, out=out if len(sums) == len(out) else sums)
+            carry[r] = acc[-1]
+            if not exact:
+                out += last
+            elif acc is not out:
+                np.take(acc, hz - (lo + 1), out=out, mode="clip")
     if len(seams) and not exact:  # the seam terms of the cells below each horizon
         below = np.searchsorted(seams, at)
         F[:, off:][:, below > 0] += np.cumsum(seam_terms, axis=1)[:, below[below > 0] - 1]
     return F
+
+
+def _prefix_integrals(grid, rows, idx):
+    """_cumulative_at of k full-length scalar ``rows`` at the node indices
+    ``idx``, each block copied into buffers allocated once per call: it
+    overwrites them, and a row may be read-only or an integrand's own."""
+    bufs = [np.empty(_block_nodes(idx)) for _ in range(len(rows) + 1)]
+
+    def rows_at(lo, hi):
+        for b, row in zip(bufs, rows):
+            b[: hi - lo + 1] = row[lo : hi + 1]
+        return [b[: hi - lo + 1] for b in bufs[:-1]], bufs[-1]
+
+    return _cumulative_at(grid, idx, len(rows), rows_at)
 
 
 def delta_integral(f, lo, hi):
@@ -509,7 +521,7 @@ def delta_integral(f, lo, hi):
     sign = 1.0
     if i0 > i1:
         i0, i1, sign = i1, i0, -1.0
-    cells = _cell_values(f.values, _cell_weights(f.grid), i0, i1)
+    cells = _cell_values(f.values, f.grid.cell_weights, i0, i1)
     return sign * cells.sum(axis=0)
 
 
@@ -652,6 +664,7 @@ def improper_integral(ts, f, a, horizons, *, h, config=LimitConfig()):
         total += float(delta_integral(gf, grid.nodes[0], grid.nodes[-1])[0])
         partials.append(total)
         prev = b
+        del grid, gf  # with its cell weights, before the next grid is sampled
     return classify_limit(list(zip(horizons, partials)), config)
 
 

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .calculus import GridFunction, _call_on_times, delta_integral, improper_integral
+from .calculus import GridFunction, _call_on_times, cumulative_delta_integral, improper_integral
 from .errors import InvalidWindow, ParseError, TsvarError
 from .expressions import compile_expression
 from .problemfile import load_problem_file
@@ -140,26 +140,15 @@ def cmd_integrate(args):
     hi = ts.floor_member(hi_v)
     if lo >= hi:
         # int_c^c = 0, and a window holding no complete cell integrates to 0
-        probe = _call_on_times(fn, np.array([hi if lo > hi else lo]))
-        doc = {
-            "command": "integrate",
-            "mode": "window",
-            "integrand": label,
-            "from": lo_v if sign > 0 else hi_v,
-            "to": hi_v if sign > 0 else lo_v,
-            "h": h,
-            "value": _scalarize(np.zeros(probe.shape[1])),
-        }
-        _print_json(doc)
-        if args.csv:
-            header = (["t"] + [f"f{j + 1}" for j in range(probe.shape[1])]
-                      + [f"integral{j + 1}" for j in range(probe.shape[1])])
-            _write_csv(args.csv, header, [])
-        return EXIT_OK
-    grid = ts.build_grid(lo, hi, h)
-    gf = GridFunction.from_callable(grid, fn, extend=False)
-    value = sign * np.atleast_1d(delta_integral(gf, lo, hi))
-    doc = {
+        dim = _call_on_times(fn, np.array([hi if lo > hi else lo])).shape[1]
+        value, table, lo, hi = np.zeros(dim), (), lo_v, hi_v
+    else:
+        grid = ts.build_grid(lo, hi, h)
+        gf = GridFunction.from_callable(grid, fn, extend=False)
+        cum = cumulative_delta_integral(gf)  # one reduction: value is the CSV's last row
+        dim, value = gf.dim, sign * cum[-1]
+        table = (grid.nodes, gf.values, cum)
+    _print_json({
         "command": "integrate",
         "mode": "window",
         "integrand": label,
@@ -167,16 +156,11 @@ def cmd_integrate(args):
         "to": hi if sign > 0 else lo,
         "h": h,
         "value": _scalarize(value),
-    }
-    _print_json(doc)
+    })
     if args.csv:
-        from .calculus import cumulative_delta_integral
-
-        cum = cumulative_delta_integral(gf)
-        dim = gf.dim
         header = (["t"] + [f"f{j + 1}" for j in range(dim)]
                   + [f"integral{j + 1}" for j in range(dim)])
-        _write_csv(args.csv, header, np.column_stack((grid.nodes, gf.values, cum)))
+        _write_csv(args.csv, header, np.column_stack(table) if table else [])
     return EXIT_OK
 
 

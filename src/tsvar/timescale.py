@@ -318,6 +318,16 @@ class SampleGrid:
 
         return _edge_stencils(self)
 
+    @cached_property
+    def cell_weights(self):
+        """The cells' weights (calculus._cell_weights), found once; read-only."""
+        from .calculus import _cell_weights
+
+        weights = _cell_weights(self)
+        for w in weights:
+            w.setflags(write=False)
+        return weights
+
     def index_of(self, t):
         """Index of the node within 1e-9 of t; NodeNotInGrid otherwise.  Not
         tol_at(t): build_grid's dense nodes can sit off the h-lattice (see its

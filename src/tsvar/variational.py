@@ -32,11 +32,10 @@ from .calculus import (
     LimitConfig,
     LimitEstimate,
     LimitKind,
-    _blocks,
+    _block_nodes,
     _call_on_times,
-    _cell_weights,
-    _cumulative,
     _cumulative_at,
+    _prefix_integrals,
     _require_finite,
     _shifts,
     _slopes,
@@ -265,11 +264,11 @@ class SampledPath:
     """A path, or with ``variation`` a variation, of ``problem`` sampled on
     one grid: the samples ``x`` (a GridFunction on ``grid``) and, computed
     together on first read, the sigma-shift ``shift`` and slope ``slope`` on
-    the prefix of ``K`` nodes where both are defined; the Lagrangian row and
-    the cell weights are also computed on first use.  A path must start at
-    a with x(a) = x_a, a variation must have p(a) = 0.  The first-order
-    operations take one in place of a generator and read these samples
-    instead of sampling again.  ``Trajectory`` names the same class."""
+    the prefix of ``K`` nodes where both are defined; the Lagrangian row is
+    also computed on first use (the cell weights are the grid's).  A path
+    must start at a with x(a) = x_a, a variation must have p(a) = 0.  The
+    first-order operations take one in place of a generator and read these
+    samples instead of sampling again.  ``Trajectory`` names the same class."""
 
     def __init__(self, problem, x, *, variation=False):
         if x.dim != problem.n:
@@ -322,12 +321,6 @@ class SampledPath:
         return np.array(self.problem.lagrangian.values(self.grid.nodes[: self.K],
                                                        self.shift, self.slope))
 
-    @cached_property
-    def weights(self):
-        """calculus._cell_weights of the grid, for _cumulative and
-        _cumulative_at."""
-        return _cell_weights(self.grid)
-
 
 Trajectory = SampledPath
 
@@ -358,7 +351,8 @@ def el_residual(problem, x):
     """
     path = SampledPath.of(problem, x)
     p2, p3 = _partial_rows(problem, path, path.K)
-    return GridFunction(path.grid.prefix(path.K), p3 - p3[0] - _cumulative(p2, path.weights))
+    cum = _prefix_integrals(path.grid, p2.T, np.arange(path.K)).T  # d2's columns as rows
+    return GridFunction(path.grid.prefix(path.K), p3 - p3[0] - cum)
 
 
 def _partial_rows(problem, path, K):
@@ -399,9 +393,12 @@ class HorizonPlan:
     horizon_idx: np.ndarray
     tail_values: np.ndarray
 
-    @property
+    @cached_property
     def horizons(self):
-        return self.grid.nodes[self.horizon_idx]
+        """The horizon nodes T', gathered once and read-only."""
+        hz = self.grid.nodes[self.horizon_idx]
+        hz.setflags(write=False)
+        return hz
 
 
 def _slope_margin_grid(ts, a, t, h):
@@ -528,13 +525,12 @@ def _difference_integral(problem, star, idx, competitors):
     the integrand is not called (compact_bump's p vanishes on four fifths
     of the span).  calculus._cumulative_at reduces the block's rows
     together before the next block is formed.  Full length stay only the
-    rows the paths hold: the grid, x*'s samples, shift, slope and L row, the
-    cell weights and the rows of SampledPath competitors; every other row
-    is held one block at a time, in buffers allocated once per sweep."""
+    rows the grid (nodes, mu, cell weights) and the paths hold: x*'s
+    samples, shift, slope and L row and the rows of SampledPath competitors;
+    every other row is held one block at a time, in buffers allocated once
+    per sweep."""
     grid, n = star.grid, problem.n
-    idx = np.asarray(idx, dtype=np.intp)
-    at = idx[1:] if idx[0] == 0 else idx  # the longest block _cumulative_at asks for
-    size = max((hi - lo for _, _, lo, hi in _blocks(at)), default=0) + 1
+    size = _block_nodes(idx)
     k = sum(1 if eps is None else len(eps) for _, eps in competitors)
     # a buffer per row, none longer than a full-length row: a k-row block
     # would be the largest allocation of a verify, and once freed it lifts
@@ -570,7 +566,7 @@ def _difference_integral(problem, star, idx, competitors):
                 np.subtract(lag.values(t, u, v), l_star, out=d)
         return out, spare
 
-    return _cumulative_at(star.weights, idx, k, rows_at)
+    return _cumulative_at(grid, idx, k, rows_at)
 
 
 def _variation_block(problem, grid, gen, lo, hi):
@@ -678,14 +674,7 @@ def first_variation(problem, x_star, pvar, t_prime, *, h):
     star, var, K, i = _variation_data(problem, x_star, pvar, t_prime, h)
     p2, p3 = _partial_rows(problem, star, K)
     rows = np.einsum("ij,ij->i", p2, var.shift[:K]) + np.einsum("ij,ij->i", p3, var.slope[:K])
-    return float(_prefix_integral(rows, star.weights, i))
-
-
-def _prefix_integral(row, weights, i):
-    """int_a^{t_i} of a scalar row on the grid of ``weights``; the row is
-    overwritten."""
-    return _cumulative_at(weights, [i], 1,
-                          lambda lo, hi: (row[None, lo : hi + 1], np.empty(hi - lo)))[0, 0]
+    return float(_prefix_integrals(star.grid, [rows], [i])[0, 0])
 
 
 def parts_decomposition_residual(problem, x_star, pvar, t_prime, *, h):
@@ -710,9 +699,8 @@ def parts_decomposition_residual(problem, x_star, pvar, t_prime, *, h):
     ps = var.shift[:K]
     lhs_rows = np.einsum("ij,ij->i", p2, ps) + np.einsum("ij,ij->i", p3, var.slope[:K])
     rhs_rows = np.einsum("ij,ij->i", p2 - psi, ps)
-    lhs = _prefix_integral(lhs_rows, star.weights, i)
-    rhs = _prefix_integral(rhs_rows, star.weights, i) + float(np.dot(p3[i], var.x.values[i]))
-    return abs(float(lhs - rhs))
+    lhs, rhs = _prefix_integrals(star.grid, (lhs_rows, rhs_rows), [i])[:, 0]
+    return abs(float(lhs - (rhs + float(np.dot(p3[i], var.x.values[i])))))
 
 
 # ---------------------------------------------------------------------------
@@ -1383,16 +1371,16 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
     one.  The verdict is derived by classify_report.  Every diagnostic
     reads one SampledPath of the candidate.
 
-    Full length, for the whole call, are the plan grid and x*'s samples,
-    shift (the samples themselves on a grid with no right-scattered node),
-    slope and L row, and the cell weights; and for the residual stage only,
-    the E-L residual r and its d2 and d3 rows.  Of r, only its maxima
-    between horizons are kept.  The nine competitor rows x* +- amp p and
-    x* + eps p come from one sweep (_difference_integral): block by block,
-    each variation is sampled on the block and the few nodes each side its
-    slopes read, all nine rows are formed -- the bump's only where it is not
-    0 -- and calculus._cumulative_at reduces them together, so no variation
-    or competitor row is ever held at full length.
+    Full length, for the whole call, are the plan grid (with its cell
+    weights) and x*'s samples, shift (the samples themselves on a grid with
+    no right-scattered node), slope and L row; and for the residual stage
+    only, r, its d2 and d3 rows and the prefix integral of d2.  Of r, only
+    its maxima between horizons are kept.  The nine competitor rows x* +-
+    amp p and x* + eps p come from one sweep (_difference_integral): block
+    by block, each variation is sampled on the block and the few nodes each
+    side its slopes read, all nine rows are formed -- the bump's only where
+    it is not 0 -- and calculus._cumulative_at reduces them together, so no
+    variation or competitor row is ever held at full length.
     """
     ts, a = problem.ts, problem.a
     plan = make_horizon_plan(

@@ -31,7 +31,7 @@ from tsvar import (
     union,
 )
 from tsvar import calculus
-from tsvar.calculus import SampleGrid, _cell_weights, _cumulative, _cumulative_at
+from tsvar.calculus import SampleGrid, _cumulative_at, _prefix_integrals
 
 from helpers import (
     COMB,
@@ -39,6 +39,7 @@ from helpers import (
     random_poly,
     random_scattered_scale,
     reference_cell_values,
+    reference_cell_weights,
     reference_dense_runs,
     reference_slopes,
 )
@@ -428,15 +429,22 @@ def test_cumulative_matches_windows():
         assert abs(cum[i, 0] - direct[0]) <= 1e-12
 
 
+def reference_prefix_integrals(grid, v, i1):
+    """The running sums of the seam loop's cells of the (m, n) array v at
+    the nodes 0..i1."""
+    want = np.zeros((i1 + 1, v.shape[1]))
+    np.cumsum(reference_cell_values(grid, v, 0, i1), axis=0, out=want[1:])
+    return want
+
+
 def assert_integrals_match_reference(grid, v, windows):
-    """_cumulative on every prefix length in ``windows`` and delta_integral
-    over each (i0, i1) window equal the seam loop's element by element."""
-    weights = _cell_weights(grid)
+    """The prefix integrals at every node up to i1 of each (i0, i1) window
+    in ``windows`` (_prefix_integrals, with v's columns as rows, as
+    el_residual takes them) and delta_integral over the window equal the
+    seam loop's element by element."""
     for i0, i1 in windows:
-        ref = reference_cell_values(grid, v, 0, i1)
-        want = np.zeros((i1 + 1, v.shape[1]))
-        np.cumsum(ref, axis=0, out=want[1:])
-        assert np.array_equal(_cumulative(v[: i1 + 1], weights), want)
+        got = _prefix_integrals(grid, v.T, np.arange(i1 + 1)).T
+        assert np.array_equal(got, reference_prefix_integrals(grid, v, i1))
         f = GridFunction(grid, v)
         lo, hi = grid.nodes[i0], grid.nodes[i1]
         want = reference_cell_values(grid, v, min(i0, i1), max(i0, i1)).sum(axis=0)
@@ -467,7 +475,7 @@ def test_integrals_match_reference_seam_loop(cells, n, data):
                 np.array([False, False, True, False, False, True]), 0.5), 2),
 ], ids=["comb", "edges"])
 def test_integrals_match_reference_seam_loop_on_fixed_grids(grid, n_seams):
-    seams = _cell_weights(grid)[2]
+    seams = grid.cell_weights[2]
     assert len(seams) == n_seams
     v = np.column_stack((np.cos(grid.nodes), grid.nodes**2))
     m = len(grid)
@@ -476,19 +484,41 @@ def test_integrals_match_reference_seam_loop_on_fixed_grids(grid, n_seams):
     assert_integrals_match_reference(grid, v, windows)
 
 
+def test_cell_weights_are_kept_with_the_grid(monkeypatch):
+    """SampleGrid.cell_weights is formed once per grid, read-only, and its
+    weights are the seam loop's; identity_pack's four integrals over one
+    prefix grid share them."""
+    grid = COMB.build_grid(0.0, 25.0, 0.05)
+    w_left, w_right, seams, w_seam = grid.cell_weights
+    assert grid.cell_weights is grid.cell_weights
+    assert not any(w.flags.writeable for w in grid.cell_weights)
+    w_prev, ref_left, ref_right = reference_cell_weights(grid)
+    assert np.array_equal(w_left, ref_left) and np.array_equal(w_right, ref_right)
+    assert np.array_equal(seams, np.flatnonzero(w_prev))
+    assert np.array_equal(w_seam, w_prev[seams])
+    calls = []
+    weights = calculus._cell_weights
+    monkeypatch.setattr(calculus, "_cell_weights", lambda g: calls.append(len(g)) or weights(g))
+    f = GridFunction.from_callable(grid, np.sin)
+    g = GridFunction.from_callable(grid, lambda t: np.cos(t) + 2.0)
+    assert identity_pack(f, g).parts_plain_f <= 1e-3
+    assert len(calls) == 1
+
+
 def assert_cumulative_at_matches(grid, rows, idx, block):
     """_cumulative_at, handed the k scalar rows ``rows`` (a (k, m) array)
-    together, block by block with _BLOCK = ``block``, equals the prefix
-    integrals of _cumulative of each row at ``idx``, to a few ulps, or
-    exactly when the grid has no dense cell; and each row equals its
+    together, block by block with _BLOCK = ``block``, equals the running
+    sums of the seam loop's cells of each row at ``idx``: exactly in its
+    running-sum mode (few nodes per horizon, or no cell that reads its
+    right node), to a few ulps in its horizon mode; and each row equals its
     reduction on its own exactly.  The blocks it asks for run from node 0
     to the last index, each starting where the one before ended."""
-    weights = _cell_weights(grid)
-    rows = rows[:, : idx[-1] + 1]
-    want = np.array([_cumulative(row, weights)[idx] for row in rows])
+    end = idx[-1]
+    rows = rows[:, : end + 1]
+    want = reference_prefix_integrals(grid, rows.T, end)[idx].T
 
     def reduce(block_rows, asked):
-        return _cumulative_at(weights, idx, len(block_rows), lambda lo, hi: asked.append(
+        return _cumulative_at(grid, idx, len(block_rows), lambda lo, hi: asked.append(
             (lo, hi)) or (block_rows[:, lo : hi + 1].copy(), np.full(hi - lo, np.nan)))
 
     asked = []
@@ -497,7 +527,7 @@ def assert_cumulative_at_matches(grid, rows, idx, block):
         alone = [reduce(row[None], [])[0] for row in rows]
     assert np.shape(got) == want.shape
     assert all(np.array_equal(a, b) for a, b in zip(got, alone))
-    if grid.scattered[:-1].all():
+    if 8 * len(idx) >= end or not grid.cell_weights[1][:end].any():
         assert np.array_equal(got, want)
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
     ends = [0] + [hi for _, hi in asked]
@@ -558,7 +588,7 @@ def test_cumulative_at_matches_cumulative_on_fixed_grids(grid, block, data):
 
 def test_cumulative_at_reads_seam_cells_and_few_horizons():
     grid = COMB.build_grid(0.0, 25.0, 0.05)
-    seams = _cell_weights(grid)[2]
+    seams = grid.cell_weights[2]
     v = np.exp(-grid.nodes) + np.sin(3.0 * grid.nodes)
     # horizons at, just before and just after each seam cell, and a sparse set
     around = np.unique(np.concatenate((seams - 1, seams, seams + 1)))

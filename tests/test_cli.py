@@ -139,6 +139,24 @@ def test_integrate_csv_series(tmp_path, capsys):
     assert float(rows[-1][2]) == doc["value"]
 
 
+def test_integrate_value_is_the_csv_last_integral(tmp_path, capsys):
+    """The reported value is the last prefix integral of the CSV, bit for
+    bit, also on a dense window of 20001 nodes, where a pairwise sum of the
+    cells and their running sum round apart; a reversed window reports it
+    negated."""
+    f = write(tmp_path, RAY_DOC)
+    out = tmp_path / "series.csv"
+    for lo, hi, sign in (("0", "20", 1.0), ("20", "0", -1.0)):
+        code, doc, _ = run_cli(capsys, ["integrate", f, "--expr", "exp(-0.1*t)*sin(t)",
+                                        "--from", lo, "--to", hi, "--h", "1e-3",
+                                        "--csv", str(out)])
+        assert code == 0
+        header, rows = read_csv(out)
+        assert header == ["t", "f1", "integral1"] and len(rows) == 20001
+        assert doc["value"] == sign * float(rows[-1][2])
+        assert abs(doc["value"] - sign * 0.92318479961763) <= 1e-12
+
+
 def write_csv_per_row(path, header, rows):
     """The per-row CSV writer the array writer replaced: repr of each float."""
     with open(path, "w", newline="", encoding="utf-8") as fh:

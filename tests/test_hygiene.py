@@ -20,6 +20,11 @@ conventions such as ``(t, u, v)``.
 Every module-level private function or class is named by package code
 outside its own definition: one that only tests call stays alive as a test
 fixture, and the tests that pin it pin nothing the package does.
+
+No prefix sum -- ``cumsum`` as a function or a method, ``np.add.reduceat``
+or ``np.add.accumulate`` -- is formed outside the allowed scopes: a second
+routine that sums cells into prefix integrals rounds in an order of its
+own, and the integrals from a to a node it gives drift from the reducer's.
 """
 
 import ast
@@ -308,3 +313,74 @@ def test_scan_flags_private_code_only_tests_use():
 def test_private_code_is_used_by_the_package():
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
     assert private_definitions_unreferenced(sources) == []
+
+
+#: scopes allowed to form prefix sums, as (module, function): why
+PREFIX_SUMS_ALLOWED = {
+    ("calculus.py", "_cumulative_at"):
+        "the one reducer of rows to their prefix integrals (ROADMAP aim 2): "
+        "the E-L residual, the competitor sweep, the first variation and "
+        "cumulative_delta_integral all go through it",
+}
+
+
+def prefix_sums(source):
+    """(line, enclosing qualified name) of every call of cumsum, as a
+    function or a method, and of add.reduceat or add.accumulate."""
+    return [
+        (node.lineno, scope)
+        for node, scope in scoped_nodes(source)
+        if isinstance(node, ast.Call) and _sums_prefixes(node.func)
+    ]
+
+
+def _sums_prefixes(func):
+    if isinstance(func, ast.Name):
+        return func.id == "cumsum"
+    if not isinstance(func, ast.Attribute):
+        return False
+    owner = func.value
+    added = (isinstance(owner, ast.Attribute) and owner.attr == "add"
+             or isinstance(owner, ast.Name) and owner.id == "add")
+    return func.attr == "cumsum" or func.attr in ("reduceat", "accumulate") and added
+
+
+#: the second prefix-sum routine that once sat in calculus.py (abridged)
+OLD_CUMULATIVE = """
+def _cumulative(rows, weights):
+    v = rows.reshape(len(rows), -1)
+    out = np.zeros(v.shape)
+    cells = _cell_values(v, weights, 0, len(v) - 1, out=out[1:])
+    np.cumsum(cells, axis=0, out=cells)
+    return out.reshape(rows.shape)
+"""
+
+
+def test_scan_flags_prefix_sums():
+    src = (
+        "import numpy as np\n"
+        "from numpy import add, cumsum\n"
+        "def f(v):\n"
+        "    w = np.cumsum(v)\n"
+        "    return v.cumsum(axis=0), cumsum(w), add.accumulate(w)\n"
+        "class A:\n"
+        "    def g(self, v, cuts):\n"
+        "        return np.add.reduceat(v, cuts)\n"
+        "def h(v):\n"
+        "    return np.minimum.accumulate(v), np.maximum.reduceat(v, [0]), np.sum(v)\n"
+        "total = np.add.accumulate([1.0, 2.0])\n"
+    )
+    assert prefix_sums(src) == [(4, "f"), (5, "f"), (5, "f"), (5, "f"), (8, "A.g"), (11, "")]
+    assert prefix_sums(OLD_CUMULATIVE) == [(6, "_cumulative")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_prefix_sums_stay_in_the_one_reducer(path):
+    found = prefix_sums(path.read_text())
+    assert [name for _, name in found if (path.name, name) not in PREFIX_SUMS_ALLOWED] == []
+
+
+def test_allowed_prefix_sums_still_exist():
+    found = {(path.name, name) for path in MODULES
+             for _, name in prefix_sums(path.read_text())}
+    assert set(PREFIX_SUMS_ALLOWED) <= found

@@ -431,6 +431,23 @@ def test_liminf_oscillation_with_settling_floor():
     assert abs(est.value - (-1.0 + 1.0 / 39.0)) <= 1e-12
 
 
+def test_liminf_running_minimum_past_the_threshold_diverges():
+    """Stage 1 returns DIVERGES_MINUS once the running minimum has passed
+    -div_threshold, whatever its rate does: a drop to -1e8 that then stays
+    flat keeps no rate (stage 1's rate test fails, and the tail infima,
+    all -1e8, would converge), yet the estimate diverges, with the running
+    minima at the tail starts as evidence.  A steady drift past it, t ->
+    -1e7 t, diverges by the same rule."""
+    tails = [1, 6, 11, 16, 21, 26]
+    ts = np.arange(1.0, 30.0)
+    est = liminf_over_tails(tail_pairs(-1e7 * np.minimum(ts, 10.0)), tails)
+    assert est.kind is LimitKind.DIVERGES_MINUS
+    assert est.evidence == tuple(zip([1.0, 6.0, 11.0, 16.0, 21.0, 26.0, 29.0],
+                                     [-1e7, -6e7] + [-1e8] * 5))
+    est = liminf_over_tails(tail_pairs(-1e7 * ts), tails)
+    assert est.kind is LimitKind.DIVERGES_MINUS
+
+
 def test_liminf_array_input_matches_pairs():
     ks = np.arange(1.0, 41.0)
     pairs = tail_pairs((-1.0) ** ks + 1.0 / ks)
@@ -798,6 +815,19 @@ def test_solve_fine_ray_grid_reaches_second_order_accuracy():
     assert err <= 0.05 * h * h
 
 
+def test_solve_stops_where_the_hessian_vanishes():
+    """L = u1 + v1 is linear, so with its analytic partials (both 1) the
+    Hessian blocks are exactly 0: Newton has no direction, and the solve
+    stops after one iteration, not converged, with step 0.0."""
+    lag = Lagrangian(n=1, eval=lambda t, u, v: u[:, 0] + v[:, 0],
+                     d2=lambda t, u, v: np.ones(1), d3=lambda t, u, v: np.ones(1),
+                     vectorized=True)
+    problem = Problem(real_ray(0.0), 0.0, [1.0], lag)
+    res = solve_truncated(problem, 3.0, h=0.1)
+    assert not res.converged and res.iterations == 1
+    assert len(res.history) == 1 and res.history[0][2] == 0.0 and res.history[0][3] == 0.0
+
+
 def test_solve_unbounded_truncation_does_not_converge():
     # (x_sigma - alpha)^2 + beta x_delta is convex in x: the sup is +infinity
     res = solve_truncated(ex_neg().problem, 8.0, h=1.0)
@@ -1035,14 +1065,14 @@ def test_verify_samples_each_path_once(monkeypatch):
     assert report.verdict is Verdict.CONSISTENT and report.nodes < calculus._BLOCK
     # x* once, on the whole grid; the 3 probe variations (the Gateaux rows
     # read the tail-constant one) once each in the sweep's one block, by
-    # the range kernels; one set of cell weights
+    # the range kernels; one set of cell weights, kept with the plan grid
     assert calls == {"from_callable": 1, "sigma_shift_all": 1, "delta_derivative_all": 1,
                      "_shifts": 4, "_slopes": 4, "_cell_weights": 1}
 
 
 def test_verify_reads_competitor_integrals_at_the_horizons_only(monkeypatch):
     ray = lqr_ray()
-    calls = count_calls(monkeypatch, ("_cumulative", "_cumulative_at", "_cell_values"))
+    calls = count_calls(monkeypatch, ("_cumulative_at", "_cell_values"))
     spans = []
     values = Lagrangian.values
     monkeypatch.setattr(Lagrangian, "values",
@@ -1051,11 +1081,11 @@ def test_verify_reads_competitor_integrals_at_the_horizons_only(monkeypatch):
                               VerifyConfig(t_max=10.0, h=2.5e-4))
     assert report.verdict is Verdict.CONSISTENT
     assert 1.2 * calculus._BLOCK < report.nodes < 2 * calculus._BLOCK
-    # one full prefix array, the E-L residual's; the 6 probes and 3 Gateaux
-    # rows are formed block by block in one sweep, so that x*'s row is the
-    # only one of full length, and reduced together straight to their
-    # horizon values
-    assert calls == {"_cumulative": 1, "_cell_values": 1, "_cumulative_at": 1}
+    # two reductions: the E-L residual's, at every node, and the sweep's,
+    # where the 6 probes and 3 Gateaux rows are formed block by block, so
+    # that x*'s row is the only one of full length, and reduced together
+    # straight to their horizon values; no cell array of full length
+    assert calls == collections.Counter({"_cumulative_at": 2, "_cell_values": 0})
     assert len([m for m in spans if m > calculus._BLOCK + 1]) == 1
     # x*'s row, then the 9 rows of the first block and the 7 of the second:
     # the bump (support [1.5, 3.5] of [0, 10]) is 0 there, so its 2 rows are
@@ -1103,7 +1133,7 @@ def full_row_integrals(problem, star, idx, shift, slope):
     row = problem.lagrangian.values(star.grid.nodes[:n], shift[:n], slope[:n]) \
         - star.lagrangian_row[:n]
     with mock.patch.object(calculus, "_BLOCK", n):
-        return calculus._cumulative_at(star.weights, idx, 1,
+        return calculus._cumulative_at(star.grid, idx, 1,
                                        lambda lo, hi: (row[None, lo : hi + 1], np.empty(hi - lo)))[0]
 
 
@@ -1199,16 +1229,19 @@ def test_variation_quotient_does_not_depend_on_the_block_size(monkeypatch, named
 
 
 def test_verify_memory_stays_within_its_budget():
-    """tracemalloc peak of one lqr-r verify over 160004 nodes: at most 102
-    bytes per node (96 measured).  The E-L residual stage sets it: the rows
-    held for the whole call (grid nodes and mu, x*'s samples, slope and L
-    row, the cell weights; on the ray x*'s shift is its samples) come to 7
-    float64 rows, 57 bytes per node, and el_residual's d2, d3, prefix
-    integral and r rows add 5 more.  The competitor sweep stays below it:
-    it holds no variation row at full length, only the 9 competitor rows of
-    one block of calculus._BLOCK cells.  Sampling each variation at full
-    length read 108 bytes per node, and forming the competitor rows at full
-    length 136."""
+    """tracemalloc peak of one lqr-r verify over 160004 nodes: at most 99
+    bytes per node (93.1 measured).  The E-L residual stage sets it.  Before
+    it, the grid's nodes, mu and flags and x*'s samples and slope (on the
+    ray x*'s shift is its samples) hold 40 bytes per node; el_residual adds
+    the grid's cell weights, kept for the rest of the call (2 float64
+    rows), its d2, d3, prefix-integral and r rows (4 more) and three block
+    buffers of calculus._BLOCK floats.  The prefix integral is reduced
+    block by block; forming its cells at full length read 96 bytes per
+    node.  The competitor sweep peaks below it, at 91: x*'s L row joins the
+    held rows, but no variation row is held at full length, only the 9
+    competitor rows of one block.  Sampling each variation at full length
+    read 108 bytes per node, and forming the competitor rows at full length
+    136."""
     ray = lqr_ray(1.268)
     gen = ray.candidate("decaying-exp").gen
     tracemalloc.start()
@@ -1218,7 +1251,20 @@ def test_verify_memory_stays_within_its_budget():
     finally:
         tracemalloc.stop()
     assert report.verdict is Verdict.CONSISTENT and report.nodes == 160004
-    assert peak / report.nodes <= 102.0
+    assert peak / report.nodes <= 99.0
+
+
+def test_classify_report_flags_an_oscillating_transversality_last():
+    """With the E-L residual within tolerance, no transversality limit and
+    no positive probe, the last rule fires: an oscillating transversality
+    term fails the candidate, flagged by its kind."""
+    trans = LimitEstimate(LimitKind.OSCILLATES, lo=-1.0, hi=1.0)
+    probes = [("tail_const(+0.5)", LimitEstimate(LimitKind.CONVERGED, value=-0.25)),
+              ("decay(-0.5)", LimitEstimate(LimitKind.DIVERGES_MINUS))]
+    verdict, flags = classify_report(1e-9, trans, probes, el_tol=1e-8, trans_tol=1e-6,
+                                     probe_tol=1e-8)
+    assert verdict is Verdict.EL_FAILS_TRANSVERSALITY
+    assert flags == ("transversality_oscillates",)
 
 
 def report_from_generators(problem, gen, config):
