@@ -28,7 +28,7 @@ from .errors import (
     InsufficientHorizons,
     NotInTimeScale,
 )
-from .timescale import SampleGrid
+from .timescale import SampleGrid, tol_at
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +181,9 @@ def _edge_stencils(grid):
     A run (s, e) has nb = e - s dense cells and slopes at s..e-1.  Its start
     s takes the forward quotient over one cell (nb = 1), the quadratic
     through s..s+2 (nb = 2), or a cubic through s..s+3; on a uniform start
-    the cubic-fit derivative plus h^2/6 times the cubic's third derivative,
+    (its three steps equal within tol_at of s, so that rounding in the
+    nodes far from 0 does not count as a change of step) the cubic-fit
+    derivative plus h^2/6 times the cubic's third derivative,
     (-4 v0 + 7 v1 - 4 v2 + v3) / 2h, which reproduces the central
     difference's error field h^2/6 f''' at the edge, so that differencing
     the result again (parts_decomposition_residual) stays O(h^2) instead of
@@ -220,8 +222,7 @@ def _edge_stencils(grid):
     c_end = (e - 1)[branch & (nb >= 4)]
     J = np.concatenate((spans(c_start, 1, 4), spans(c_end, -1, 4)))
     steps = np.abs(np.diff(t[J], axis=1))  # nearest the edge node first
-    lead = np.concatenate((steps[: len(c_start), 0], steps[len(c_start) :, 2]))
-    uni = np.ptp(steps, axis=1) <= 1e-9 * lead
+    uni = np.ptp(steps, axis=1) <= tol_at(t[J[:, 0]])
     sign = np.repeat([1.0, -1.0], (len(c_start), len(c_end)))[uni, None]
     cubic_J = J[~uni]
     quad_J = np.concatenate((spans(q_start, 1, 3), spans(q_end, -1, 3)))
@@ -282,8 +283,9 @@ def _slopes(grid, v, off, lo, hi, sigma_last=None):
         for k in range(4):
             acc += w[:, k, None] * V[:, k]
         deriv[at] = acc
-    idx = np.flatnonzero(grid.scattered[lo : top + 1]) + lo
-    deriv[idx - lo] = (v[idx + 1 - off] - v[idx - off]) / grid.mu[idx, None]
+    idx = _scattered(grid, lo, top)
+    jump = v[_moved(idx, 1 - off)] - v[_moved(idx, -off)]
+    deriv[_moved(idx, -lo)] = jump / grid.mu[idx, None]
 
     defined = np.ones(hi - lo + 1, dtype=bool)
     if hi == m - 1:
@@ -300,20 +302,37 @@ def _shifts(grid, v, off, lo, hi, sigma_last=None):
     within the grid.  With no right-scattered node in lo..hi the values are
     v's own rows, not a copy.  The final node is undefined when it is
     right-scattered and ``sigma_last`` is None."""
+    m = len(grid)
     own = v[lo - off : hi + 1 - off]
     defined = np.ones(hi - lo + 1, dtype=bool)
-    idx = np.flatnonzero(grid.scattered[lo : hi + 1]) + lo
-    if not len(idx):
+    if not grid.scattered[lo : hi + 1].any():
         return own, defined
     out = own.copy()
-    if idx[-1] == len(grid) - 1:
-        idx = idx[:-1]
+    if hi == m - 1 and grid.scattered[-1]:
         if sigma_last is None:
             defined[-1] = False
         else:
             out[-1] = sigma_last
-    out[idx - lo] = v[idx + 1 - off]
+    idx = _scattered(grid, lo, min(hi, m - 2))
+    out[_moved(idx, -lo)] = v[_moved(idx, 1 - off)]
     return out, defined
+
+
+def _scattered(grid, lo, hi):
+    """The right-scattered nodes among lo..hi: a slice when they are one
+    run (every node of a lattice range, say), so that the range kernels
+    read and write them without a gather, else their index array."""
+    scat = grid.scattered[lo : hi + 1]
+    n = int(np.count_nonzero(scat))
+    i0 = int(np.argmax(scat)) if n else 0
+    if scat[i0 : i0 + n].all():
+        return slice(lo + i0, lo + i0 + n)
+    return np.flatnonzero(scat) + lo
+
+
+def _moved(idx, d):
+    """The indices ``idx`` (a slice or an array) moved by d."""
+    return slice(idx.start + d, idx.stop + d) if isinstance(idx, slice) else idx + d
 
 
 def delta_derivative_all(f):
@@ -415,20 +434,26 @@ def _block_nodes(idx):
     return max((hi - lo for _, _, lo, hi in _blocks(at)), default=0) + 1
 
 
-def _cumulative_at(grid, idx, k, rows_at):
+def _cumulative_at(grid, idx, k, rows_at, put=None):
     """Prefix integrals F[j] = int_{t_0}^{t_j} of k scalar rows on ``grid``
     at the strictly increasing node indices ``idx`` only: a (k, len(idx))
     array.  F[j] sums the cells left of node j, cell i being w_left[i] v_i +
     w_right[i] v_{i+1} (+ w_seam v_{i-1} at a seam cell) under _cell_weights'
-    rule (grid.cell_weights).  The rows are handed over together, by block
-    (_blocks of idx without node 0, in order): rows_at(lo, hi) returns k
-    arrays, each a row at the nodes lo..hi, and a spare buffer of at least
-    hi - lo floats, and this routine may overwrite all of them, so a
-    producer can reuse its buffers for every block.  Each block is reduced
-    to its horizons' values before the next is asked for, its node weights
-    formed once for all k rows, and a running sum per row carries from
-    block to block, so neither the block size nor the other rows change a
-    row's result.
+    rule (grid.cell_weights).  The rows are handed over by block (_blocks
+    of idx without node 0, in order): rows_at(lo, hi) returns the k rows at
+    the nodes lo..hi, as a sequence or an iterator, and a spare buffer of
+    at least hi - lo floats, and this routine may overwrite all of them.
+    Each row is reduced to its horizons' values before the next is taken,
+    so a producer can form them one at a time, in one buffer reused for
+    every row and block.  The block's node weights are formed once for all
+    k rows, and a running sum per row carries from block to block, so
+    neither the block size nor the other rows change a row's result.  With
+    ``put`` the values are handed on instead of kept, and None is returned:
+    put(r, j, vals) receives the values of the rows r, r + 1, ... at
+    idx[j : j + vals.shape[1]], one row of ``vals`` each, block by block in
+    order, in a buffer that is overwritten once the call returns.  The
+    horizon mode, whose values are few per block, hands on all k rows of a
+    block at once, the running-sum mode each row as it is reduced.
 
     The running-sum mode adds the cells one by one, in order.  The horizon
     mode weights node i by c_i = w_left[i] + w_right[i-1], so that F[j] =
@@ -439,18 +464,30 @@ def _cumulative_at(grid, idx, k, rows_at):
     horizon (every node, say) or no cell reads its right node."""
     idx = np.asarray(idx, dtype=np.intp)
     at = idx[1:] if idx[0] == 0 else idx  # F = 0 at node 0
+    off = len(idx) - len(at)
+    F = None
+    if put is None:
+        def put(r, j, vals):
+            nonlocal F
+            if F is None:  # only now, so that it is not held while the first rows are formed
+                F = np.zeros((k, len(idx)))
+            F[r : r + len(vals), j : j + vals.shape[1]] = vals
     if len(at) == 0:
-        return np.zeros((k, len(idx)))
+        put(0, 0, np.zeros((k, 1)))
+        return F
     w_left, w_right, seams, w_seam = grid.cell_weights
     end = int(at[-1])
     # reduceat beats the running sum only on segments of more than a few nodes
     exact = 8 * len(idx) >= end or not w_right[:end].any()
     seams = seams[: int(np.searchsorted(seams, end))]  # the seam cells below end
+    # per row, the seam terms; in the horizon mode accumulated block by
+    # block, as the terms below each horizon are added to it
     seam_terms = np.empty((k, len(seams)))
     carry = np.zeros(k)
-    F, off = None, len(idx) - len(at)
     for j0, j1, lo, hi in _blocks(at):
         rows, spare = rows_at(lo, hi)
+        if off and not j0:
+            put(0, 0, np.zeros((k, 1)))
         hz = at[j0 : j1 + 1]
         # the seam cell s reads node s - 1, so its term is formed in the
         # block holding that node: lo < s <= hi
@@ -461,10 +498,13 @@ def _cumulative_at(grid, idx, k, rows_at):
             np.add(w_left[lo + 1 : hi], w_right[lo : hi - 1], out=c[1:])
             c[0] = w_left[lo] + w_right[lo - 1] if lo else w_left[0]
             cuts = np.concatenate(([0], hz[:-1] - lo))
-        if F is None:  # only now, so that it is not held while the first rows are formed
-            F = np.zeros((k, len(idx)))
+            below = np.searchsorted(seams, hz)  # seams below each horizon
+            seamed = below > 0
+            seam_at = below[seamed] - 1
+            block = np.empty((k, len(hz)))  # the block's values, handed on together
         for r, d in enumerate(rows):
-            np.multiply(w_seam[s0:s1], d[seams[s0:s1] - 1 - lo], out=seam_terms[r, s0:s1])
+            terms = seam_terms[r]
+            np.multiply(w_seam[s0:s1], d[seams[s0:s1] - 1 - lo], out=terms[s0:s1])
             sums = d[:-1]
             if exact:
                 # _cell_values's cells w_left[i] d[i] + w_right[i] d[i + 1]
@@ -473,24 +513,30 @@ def _cumulative_at(grid, idx, k, rows_at):
                 right = np.multiply(w_right[lo:hi], d[1:], out=spare[: hi - lo])
                 sums *= w_left[lo:hi]
                 sums += right
-                sums[seams[k0:k1] - lo] += seam_terms[r, k0:k1]
+                sums[seams[k0:k1] - lo] += terms[k0:k1]
             else:
                 last = w_right[hz - 1] * d[hz - lo]  # read before d is scaled
                 sums *= c
                 sums = np.add.reduceat(sums, cuts)
             if j0:
                 sums[0] += carry[r]
-            out = F[r, off + j0 : off + j1 + 1]
-            # straight into F when there is one sum per horizon
-            acc = np.cumsum(sums, out=out if len(sums) == len(out) else sums)
+            acc = np.cumsum(sums, out=sums)
             carry[r] = acc[-1]
             if not exact:
-                out += last
-            elif acc is not out:
-                np.take(acc, hz - (lo + 1), out=out, mode="clip")
-    if len(seams) and not exact:  # the seam terms of the cells below each horizon
-        below = np.searchsorted(seams, at)
-        F[:, off:][:, below > 0] += np.cumsum(seam_terms, axis=1)[:, below[below > 0] - 1]
+                acc += last
+                if s0 < s1:  # the running sum of the seam terms, on from the last block's
+                    if s0:
+                        terms[s0] += terms[s0 - 1]
+                    np.cumsum(terms[s0:s1], out=terms[s0:s1])
+                if len(seam_at):
+                    acc[seamed] += terms[seam_at]
+                block[r] = acc
+                continue
+            if len(acc) != len(hz):
+                acc = np.take(acc, hz - (lo + 1), out=spare[: len(hz)], mode="clip")
+            put(r, off + j0, acc[None])
+        if not exact:
+            put(0, off + j0, block)
     return F
 
 

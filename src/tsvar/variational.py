@@ -19,6 +19,7 @@ a truncated-horizon direct solver, and a verdict-producing verifier.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -400,6 +401,11 @@ class HorizonPlan:
         hz.setflags(write=False)
         return hz
 
+    @cached_property
+    def tail_pos(self):
+        """The positions of the tail starts among the horizons, found once."""
+        return _tail_positions(self.horizons, self.tail_values)
+
 
 def _slope_margin_grid(ts, a, t, h):
     """Grid from a to the last member at or below t plus three sampling
@@ -455,6 +461,12 @@ def liminf_over_tails(values, tail_starts, config=LimitConfig()):
     to -infinity (an infimum over an unbounded tail never recovers),
     otherwise the sequence of tail infima is classified like a
     partial-integral sequence.
+
+    Both stages read only a few statistics of v (_TailStats): its minima
+    between consecutive tail starts, its values at them and its maximum.
+    They are computed here from the whole array, as one block; verify and
+    weak_max_compare fold the same statistics block by block from their
+    sweep and classify them with the same rules.
     """
     T, V = np.asarray(values, dtype=float).reshape(len(values), 2).T
     if len(T) < config.window:
@@ -466,39 +478,122 @@ def liminf_over_tails(values, tail_starts, config=LimitConfig()):
         raise InsufficientHorizons(
             f"need at least {config.window} tail starts, got {len(tails)}"
         )
+    stats = _TailStats(T, tails, _tail_positions(T, tails))
+    return stats.classify(stats.of(V), config)
+
+
+def _tail_positions(T, tails):
+    """The positions of the sorted ``tails`` among the horizons T;
+    InsufficientHorizons when one is not among them."""
     pos = np.searchsorted(T, tails - tol_at(tails))
     if np.any(pos >= len(T)) or np.any(np.abs(T[pos] - tails) > tol_at(tails)):
         raise InsufficientHorizons("tail starts must be among the sampled horizons")
+    return pos
 
-    # stage 1: running minima over growing windows
-    cutoffs = list(pos)
-    if cutoffs[-1] < len(T) - 1:
-        cutoffs.append(len(T) - 1)
-    cut_T = T[cutoffs]
-    run_min = np.minimum.accumulate(V)
-    Q = run_min[cutoffs]
-    scale = float(np.max(np.abs(V))) if len(V) else 0.0
-    significant = max(config.abs_floor, config.rel_tol * max(1.0, scale))
-    decline = float(Q[0] - Q[-1])
-    if decline > significant and len(Q) >= 3:
-        if Q[-1] < -config.div_threshold:
-            return LimitEstimate(
-                LimitKind.DIVERGES_MINUS, evidence=tuple(zip(cut_T, Q))
-            )
-        mid = len(Q) // 2
-        span1, span2 = cut_T[mid] - cut_T[0], cut_T[-1] - cut_T[mid]
-        if span1 > 0 and span2 > 0:
-            rate1 = (Q[mid] - Q[0]) / span1
-            rate2 = (Q[-1] - Q[mid]) / span2
-            if rate1 < 0 and rate2 <= config.rate_keep * rate1:
+
+class _TailStats:
+    """The statistics of sequences v at the horizons T from which their
+    lim-infs over the tails from ``tails`` (at the positions ``pos`` of T)
+    and their Gateaux table at the positions ``marks`` are read.  The cuts
+    0, each p and p + 1 of pos and of marks split the positions into
+    segments; a row of statistics holds the minimum of v on each segment,
+    twice, then the maximum of v.  The running minimum up to a tail start,
+    the infimum of a tail and the value at a mark are each a minimum over
+    whole segments, and min and max are exact, so a row folded block by
+    block (_difference_integral) equals one formed from the whole array at
+    once (liminf_over_tails).
+
+    The minima are kept twice because 0.0 equals -0.0, and a scan keeps
+    the later of two equal values: the first copy holds the last zero of
+    its segment, as the running minimum (a forward scan) reaches it, the
+    second the first zero, as the tail infimum (a backward scan) does."""
+
+    def __init__(self, T, tails, pos, marks=()):
+        pos, marks = (np.asarray(p, dtype=np.intp) for p in (pos, marks))
+        cuts = np.unique(np.concatenate(([0], pos, pos + 1, marks, marks + 1)))
+        self.T, self.tails, self.marks = T, tails, marks
+        self.cuts = cuts[cuts < len(T)]
+        self.cut_list = self.cuts.tolist()  # for bisect, on every fold
+        # stage 1's cutoffs: the tail starts and the last horizon
+        cutoffs = pos if pos[-1] == len(T) - 1 else np.append(pos, len(T) - 1)
+        self.cut_T = T[cutoffs]
+        self.run_at = np.searchsorted(self.cuts, cutoffs, side="right") - 1
+        self.tail_at = np.searchsorted(self.cuts, pos)
+        self.mark_at = np.searchsorted(self.cuts, marks)
+
+    @classmethod
+    def of_plan(cls, plan, marks=()):
+        """The statistics of sequences at the plan's horizons."""
+        return cls(plan.horizons, plan.tail_values, plan.tail_pos, marks)
+
+    def empty(self, k):
+        """k rows of statistics of no values yet."""
+        out = np.full((k, 2 * len(self.cuts) + 1), np.inf)
+        out[:, -1] = -np.inf
+        return out
+
+    def of(self, values):
+        """The statistics row of the whole sequence ``values``."""
+        rows = self.empty(1)
+        self.fold(rows, 0, values[None])
+        return rows[0]
+
+    def fold(self, rows, j, vals):
+        """Fold the values ``vals``, a row for each of the statistics
+        ``rows``, at the positions j, j + 1, ... into them; blocks are
+        folded in order."""
+        m, n = vals.shape[1], len(self.cuts)
+        first = bisect_right(self.cut_list, j) - 1
+        last = bisect_right(self.cut_list, j + m - 1) - 1
+        starts = self.cuts[first : last + 1] - j
+        starts[0] = 0
+        later = np.minimum.reduceat(vals, starts, axis=1)
+        earlier = later
+        if np.count_nonzero(later) < later.size:  # a zero minimum: the reduction keeps either sign
+            earlier = later.copy()
+            ends = np.append(starts[1:], m)
+            for r, i in zip(*np.nonzero(later == 0)):
+                zeros = np.flatnonzero(vals[r, starts[i] : ends[i]] == 0) + starts[i]
+                later[r, i], earlier[r, i] = vals[r, zeros[-1]], vals[r, zeros[0]]
+        fwd, bwd = rows[:, first : last + 1], rows[:, n + first : n + last + 1]
+        np.minimum(fwd, later, out=fwd)
+        np.minimum(earlier, bwd, out=bwd)
+        np.maximum(rows[:, -1], vals.max(axis=1), out=rows[:, -1])
+
+    def scans(self, rows):
+        """The running minima of the segments of ``rows`` (along the last
+        axis), and their suffix minima."""
+        n = len(self.cuts)
+        run = np.minimum.accumulate(rows[..., :n], axis=-1)
+        suffix = np.minimum.accumulate(rows[..., n : 2 * n][..., ::-1], axis=-1)[..., ::-1]
+        return run, suffix
+
+    def classify(self, row, config):
+        """The lim-inf estimate of the sequence with the statistics ``row``,
+        by liminf_over_tails' two stages."""
+        run, suffix = self.scans(row)
+        # stage 1: running minima over growing windows
+        cut_T, Q = self.cut_T, run[self.run_at]
+        scale = float(np.maximum(row[-1], -run[-1]))  # max |v|
+        significant = max(config.abs_floor, config.rel_tol * max(1.0, scale))
+        decline = float(Q[0] - Q[-1])
+        if decline > significant and len(Q) >= 3:
+            if Q[-1] < -config.div_threshold:
                 return LimitEstimate(
                     LimitKind.DIVERGES_MINUS, evidence=tuple(zip(cut_T, Q))
                 )
+            mid = len(Q) // 2
+            span1, span2 = cut_T[mid] - cut_T[0], cut_T[-1] - cut_T[mid]
+            if span1 > 0 and span2 > 0:
+                rate1 = (Q[mid] - Q[0]) / span1
+                rate2 = (Q[-1] - Q[mid]) / span2
+                if rate1 < 0 and rate2 <= config.rate_keep * rate1:
+                    return LimitEstimate(
+                        LimitKind.DIVERGES_MINUS, evidence=tuple(zip(cut_T, Q))
+                    )
 
-    # stage 2: infima over the sampled tails
-    suffix_min = np.minimum.accumulate(V[::-1])[::-1]
-    infima = suffix_min[pos]
-    return classify_limit(list(zip(tails, infima)), config)
+        # stage 2: infima over the sampled tails
+        return classify_limit(list(zip(self.tails, suffix[self.tail_at])), config)
 
 
 def _on_plan(problem, x, plan, *, variation=False):
@@ -509,11 +604,14 @@ def _on_plan(problem, x, plan, *, variation=False):
     return path
 
 
-def _difference_integral(problem, star, idx, competitors):
+def _difference_integral(problem, star, idx, competitors, stats=None):
     """int_a^{T'} [L(x) - L(x*)] at the nodes T' of the strictly increasing
     indices ``idx`` only (the plan's horizons, or one T'), on the path
     ``star`` of x*, for every competitor x at once: a (rows, len(idx))
-    array.  ``competitors`` lists (comp, eps) pairs.  A path ``comp`` (a
+    array, or with the _TailStats ``stats`` of those horizons, the
+    (rows, S) array of each row's statistics, folded from each block's
+    values as they are formed, so that no row of horizon values is held.
+    ``competitors`` lists (comp, eps) pairs.  A path ``comp`` (a
     SampledPath on star's grid) with eps None gives the row of x = comp; a
     variation ``comp`` of p with a tuple ``eps`` gives a row x = x* + e p for
     each e in eps, in that order.  The variation is a SampledPath, whose
@@ -523,50 +621,51 @@ def _difference_integral(problem, star, idx, competitors):
     variation is read or sampled once and forms all its rows; where its
     shift and slope are all exactly 0, x = x* there, so its rows are 0 and
     the integrand is not called (compact_bump's p vanishes on four fifths
-    of the span).  calculus._cumulative_at reduces the block's rows
-    together before the next block is formed.  Full length stay only the
-    rows the grid (nodes, mu, cell weights) and the paths hold: x*'s
-    samples, shift, slope and L row and the rows of SampledPath competitors;
-    every other row is held one block at a time, in buffers allocated once
-    per sweep."""
+    of the span).  The block's rows are formed one at a time, in one
+    buffer, and calculus._cumulative_at reduces each before the next is
+    formed.  Full length stay only the rows the grid (nodes, mu, cell
+    weights) and the paths hold: x*'s samples, shift, slope and L row and
+    the rows of SampledPath competitors; every other row is held one block
+    at a time, in buffers allocated once per sweep, and one variation's
+    samples at a time."""
     grid, n = star.grid, problem.n
     size = _block_nodes(idx)
     k = sum(1 if eps is None else len(eps) for _, eps in competitors)
-    # a buffer per row, none longer than a full-length row: a k-row block
-    # would be the largest allocation of a verify, and once freed it lifts
-    # glibc's mmap threshold above the full-length rows, which then go to
-    # the heap and fragment it
-    d_rows, spare = [np.empty(size) for _ in range(k)], np.empty(size)
+    d_buf, spare = np.empty(size), np.empty(size)
     u_buf, v_buf = np.empty((size, n)), np.empty((size, n))
     nodes, lag, star_row = grid.nodes, problem.lagrangian, star.lagrangian_row
 
-    def rows_at(lo, hi):
+    def competitor_rows(comp, eps, lo, hi):
         rows, m = slice(lo, hi + 1), hi - lo + 1
-        t, l_star = nodes[rows], star_row[rows]
-        out = [d[:m] for d in d_rows]
-        free = iter(out)
-        for comp, eps in competitors:
-            if eps is None:
-                np.subtract(lag.values(t, comp.shift[rows], comp.slope[rows]), l_star,
-                            out=next(free))
+        t, l_star, d = nodes[rows], star_row[rows], d_buf[:m]
+        if eps is None:
+            yield np.subtract(lag.values(t, comp.shift[rows], comp.slope[rows]), l_star, out=d)
+            return
+        if callable(comp):
+            ps, pd = _variation_block(problem, grid, comp, lo, hi)
+        else:
+            ps, pd = comp.shift[rows], comp.slope[rows]
+        unchanged = not (ps.any() or pd.any())  # x = x* on the block
+        for e in eps:
+            if unchanged:
+                d.fill(0.0)
+                yield d
                 continue
-            if callable(comp):
-                ps, pd = _variation_block(problem, grid, comp, lo, hi)
-            else:
-                ps, pd = comp.shift[rows], comp.slope[rows]
-            unchanged = not (ps.any() or pd.any())  # x = x* on the block
-            for e, d in zip(eps, free):
-                if unchanged:
-                    d.fill(0.0)
-                    continue
-                u = np.multiply(ps, e, out=u_buf[:m])
-                u += star.shift[rows]
-                v = np.multiply(pd, e, out=v_buf[:m])
-                v += star.slope[rows]
-                np.subtract(lag.values(t, u, v), l_star, out=d)
-        return out, spare
+            u = np.multiply(ps, e, out=u_buf[:m])
+            u += star.shift[rows]
+            v = np.multiply(pd, e, out=v_buf[:m])
+            v += star.slope[rows]
+            yield np.subtract(lag.values(t, u, v), l_star, out=d)
 
-    return _cumulative_at(grid, idx, k, rows_at)
+    def rows_at(lo, hi):
+        return (d for comp, eps in competitors for d in competitor_rows(comp, eps, lo, hi)), spare
+
+    if stats is None:
+        return _cumulative_at(grid, idx, k, rows_at)
+    out = stats.empty(k)
+    _cumulative_at(grid, idx, k, rows_at,
+                   lambda r, j, vals: stats.fold(out[r : r + len(vals)], j, vals))
+    return out
 
 
 def _variation_block(problem, grid, gen, lo, hi):
@@ -598,11 +697,6 @@ def _check_window(plan, config):
         )
 
 
-def _horizon_liminf(vals, plan, config):
-    """liminf_over_tails of the values ``vals`` at the plan's horizons."""
-    return liminf_over_tails(np.column_stack((plan.horizons, vals)), plan.tail_values, config)
-
-
 def weak_max_compare(problem, x, x_star, plan, config=LimitConfig()):
     """Lim-inf estimate of int_a^{T'} [L(x) - L(x*)] against growing tails,
     for generators or paths on the plan's grid (a SampledPath of x* is
@@ -615,8 +709,9 @@ def weak_max_compare(problem, x, x_star, plan, config=LimitConfig()):
     _check_window(plan, config)
     px = _on_plan(problem, x, plan)
     star = _on_plan(problem, x_star, plan)
-    F = _difference_integral(problem, star, plan.horizon_idx, [(px, None)])[0]
-    return _horizon_liminf(F, plan, config)
+    stats = _TailStats.of_plan(plan)
+    row = _difference_integral(problem, star, plan.horizon_idx, [(px, None)], stats)[0]
+    return stats.classify(row, config)
 
 
 def is_weak_max_consistent(estimate, tol=1e-8):
@@ -641,7 +736,8 @@ def transversality_sweep(problem, x_gen, plan):
 
 def transversality_liminf(problem, x_gen, plan, config=LimitConfig()):
     _check_window(plan, config)
-    return _horizon_liminf(_transversality_terms(problem, x_gen, plan), plan, config)
+    stats = _TailStats.of_plan(plan)
+    return stats.classify(stats.of(_transversality_terms(problem, x_gen, plan)), config)
 
 
 # ---------------------------------------------------------------------------
@@ -741,8 +837,10 @@ def gateaux_report(problem, x_star, pvar, eps_list, t_list, plan):
     star = _on_plan(problem, x_star, plan)
     if not callable(pvar):
         pvar = _on_plan(problem, pvar, plan, variation=True)
-    rows = _difference_integral(problem, star, plan.horizon_idx, [(pvar, eps_list)])
-    return _gateaux_table(eps_list, t_list, plan, rows)
+    hz = plan.horizons
+    stats = _TailStats.of_plan(plan, [int(np.argmin(np.abs(hz - tv))) for tv in t_list])
+    rows = _difference_integral(problem, star, plan.horizon_idx, [(pvar, eps_list)], stats)
+    return _gateaux_table(eps_list, stats, rows)
 
 
 def _nonzero_eps(eps_list):
@@ -753,20 +851,18 @@ def _nonzero_eps(eps_list):
     return eps_list
 
 
-def _gateaux_table(eps_list, t_list, plan, rows):
+def _gateaux_table(eps_list, stats, rows):
     """The GateauxReport of the rows N(eps, T') = int_a^{T'} [L(x* + eps p)
-    - L(x*)] at the plan's horizons, one per eps of ``eps_list``, at the
-    horizons nearest the times ``t_list``."""
-    hz = plan.horizons
-    t_pos = [int(np.argmin(np.abs(hz - tv))) for tv in t_list]
+    - L(x*)], one per eps of ``eps_list``, given by their _TailStats
+    ``rows``, at the horizons of the marks of ``stats``."""
     eps = np.array(eps_list)[:, None]
     rows = np.asarray(rows)
-    quot = np.minimum.accumulate(rows[:, ::-1], axis=1)[:, ::-1][:, t_pos] / eps
+    quot = stats.scans(rows)[1][:, stats.mark_at] / eps
     return GateauxReport(
         eps=eps_list,
-        t_values=tuple(float(t) for t in hz[t_pos]),
+        t_values=tuple(float(t) for t in stats.T[stats.marks]),
         quotients=quot,
-        a_values=rows[:, t_pos] / eps,
+        a_values=rows[:, stats.mark_at] / eps,
         spread_by_t=quot.max(axis=0) - quot.min(axis=0),
     )
 
@@ -1373,14 +1469,19 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
 
     Full length, for the whole call, are the plan grid (with its cell
     weights) and x*'s samples, shift (the samples themselves on a grid with
-    no right-scattered node), slope and L row; and for the residual stage
-    only, r, its d2 and d3 rows and the prefix integral of d2.  Of r, only
-    its maxima between horizons are kept.  The nine competitor rows x* +-
+    no right-scattered node), slope and L row; for the residual stage only,
+    r, its d2 and d3 rows and the prefix integral of d2, of which only the
+    maxima of r between horizons are kept; and for the transversality
+    stage only, the term at each horizon.  The nine competitor rows x* +-
     amp p and x* + eps p come from one sweep (_difference_integral): block
     by block, each variation is sampled on the block and the few nodes each
-    side its slopes read, all nine rows are formed -- the bump's only where
-    it is not 0 -- and calculus._cumulative_at reduces them together, so no
-    variation or competitor row is ever held at full length.
+    side its slopes read, and the nine rows are formed one at a time -- the
+    bump's only where it is not 0 -- each reduced by
+    calculus._cumulative_at to its horizon values and folded into its tail
+    statistics (_TailStats) before the next is formed.  The probes'
+    lim-infs and the Gateaux table are read from those statistics, so no
+    variation, competitor row or row of horizon values is ever held at full
+    length.
     """
     ts, a = problem.ts, problem.a
     plan = make_horizon_plan(
@@ -1411,17 +1512,18 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
     gateaux = {"tail_const": _nonzero_eps(config.gateaux_eps)}
     ones = np.ones(problem.n)
     # one sweep for all nine rows: x* +- amp p for each family p, followed
-    # by the Gateaux rows x* + eps p of the tail-constant one
+    # by the Gateaux rows x* + eps p of the tail-constant one, each folded
+    # into its tail statistics, with the Gateaux table's horizons marked
+    stats = _TailStats.of_plan(plan, (n_hz // 4, n_hz // 2, n_hz - 1))
     rows = iter(_difference_integral(problem, star, plan.horizon_idx, [
         (lambda t, q=q: np.outer(q(t), ones), signs + gateaux.get(name, ()))
-        for name, q in families]))
+        for name, q in families], stats))
     probes = []
     for name, _ in families:
-        probes += [(f"{name}({eps * amp:+g})", _horizon_liminf(next(rows), plan, config.limits))
+        probes += [(f"{name}({eps * amp:+g})", stats.classify(next(rows), config.limits))
                    for eps in signs]
         if name in gateaux:
-            t_list = [hz[len(hz) // 4], hz[len(hz) // 2], hz[-1]]
-            diag = _gateaux_table(gateaux[name], t_list, plan, [next(rows) for _ in gateaux[name]])
+            diag = _gateaux_table(gateaux[name], stats, [next(rows) for _ in gateaux[name]])
 
     el_tol = config.el_tol if config.el_tol is not None else _default_el_tol(
         plan.grid, config.h

@@ -14,8 +14,12 @@ from tsvar import (
     ClosedInterval,
     DiscretePoints,
     Lagrangian,
+    LimitConfig,
+    LimitEstimate,
+    LimitKind,
     TimeScaleSpec,
     UnboundedRay,
+    classify_limit,
     union,
 )
 
@@ -304,6 +308,44 @@ def reference_horizon_idx(scattered, horizon_count, min_window):
     if len(idx) < min_window:
         idx = eligible
     return idx
+
+
+def same_bits(a, b):
+    """a and b hold the same float64 values, the signs of zeros included."""
+    a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def reference_liminf(T, V, tails, config=LimitConfig()):
+    """The lim-inf of the values V at the horizons T over the tails from
+    the sorted ``tails`` (among T), by the full-length running and suffix
+    minima (np.minimum.accumulate) of V: the reference for the statistics
+    that liminf_over_tails, weak_max_compare and verify classify."""
+    T, V, tails = (np.asarray(a, dtype=float) for a in (T, V, tails))
+    pos = np.searchsorted(T, tails)
+    cutoffs = list(pos) + ([len(T) - 1] if pos[-1] < len(T) - 1 else [])
+    cut_T, Q = T[cutoffs], np.minimum.accumulate(V)[cutoffs]
+    significant = max(config.abs_floor,
+                      config.rel_tol * max(1.0, float(np.max(np.abs(V)))))
+    if float(Q[0] - Q[-1]) > significant and len(Q) >= 3:
+        mid = len(Q) // 2
+        span1, span2 = cut_T[mid] - cut_T[0], cut_T[-1] - cut_T[mid]
+        diverges = Q[-1] < -config.div_threshold or span1 > 0 and span2 > 0 and (
+            (Q[mid] - Q[0]) / span1 < 0
+            and (Q[-1] - Q[mid]) / span2 <= config.rate_keep * (Q[mid] - Q[0]) / span1)
+        if diverges:
+            return LimitEstimate(LimitKind.DIVERGES_MINUS, evidence=tuple(zip(cut_T, Q)))
+    suffix = np.minimum.accumulate(V[::-1])[::-1]
+    return classify_limit(list(zip(tails, suffix[pos])), config)
+
+
+def reference_gateaux(eps_list, t_pos, rows):
+    """(quotients, a_values) of the Gateaux table of the full-length horizon
+    rows N(eps, T'), one per eps, at the horizon positions t_pos: the
+    suffix minima and the values of each row, divided by its eps."""
+    eps, rows = np.array(eps_list)[:, None], np.asarray(rows)
+    quot = np.minimum.accumulate(rows[:, ::-1], axis=1)[:, ::-1][:, t_pos] / eps
+    return quot, rows[:, t_pos] / eps
 
 
 def random_poly(rng, degree=2, scale=0.5):

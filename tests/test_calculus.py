@@ -42,6 +42,7 @@ from helpers import (
     reference_cell_weights,
     reference_dense_runs,
     reference_slopes,
+    same_bits,
 )
 
 NAT = integer_scale(0)
@@ -204,12 +205,6 @@ def test_derivative_interior_stencil_matches_sliced_expression(cells, n, data):
         assert np.array_equal(deriv[s + 1 : stop], want[: stop - s - 1])
 
 
-def same_bits(a, b):
-    """a and b hold the same float64 values, the signs of zeros included."""
-    a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 @given(
     # about one node in four is right-scattered, so that dense branches of
     # 1-4 nodes and interval-to-jump seams occur; one gap in three is off
@@ -245,6 +240,46 @@ def test_slopes_and_shifts_over_block_splits_equal_the_whole_grid(cells, n, exte
     cuts = data.draw(st.sets(st.integers(1, m - 1), max_size=8)) if m > 1 else set()
     blocks = [(lo, end - 1) for lo, end in zip([0, *sorted(cuts)], [*sorted(cuts), m])]
     for lo, hi in blocks + [(i, i) for i in range(m)]:
+        i0, i1 = max(lo - calculus._HALO, 0), min(hi + calculus._HALO, m - 1)
+        part = f.values[i0 : i1 + 1].copy()
+        got, got_defined = calculus._slopes(grid, part, i0, lo, hi, f.sigma_last)
+        assert same_bits(got, deriv[lo : hi + 1])
+        assert np.array_equal(got_defined, defined[lo : hi + 1])
+        got, got_defined = calculus._shifts(grid, part, i0, lo, hi, f.sigma_last)
+        assert same_bits(got, shift[lo : hi + 1])
+        assert np.array_equal(got_defined, shift_defined[lo : hi + 1])
+
+
+#: a scale whose grid has the jump runs 10..40 (the first DiscretePoints
+#: segment, after the jump off [0, 1]) and 46..48
+POINTS = union(ClosedInterval(0, 1), DiscretePoints(tuple(1.25 + 0.125 * np.arange(30))),
+               ClosedInterval(5, 5.5), DiscretePoints((6.0, 6.5)), UnboundedRay(7.0))
+
+
+@pytest.mark.parametrize("grid, blocks", [
+    (integer_scale(0).build_grid(0.0, 203.0, 1.0),
+     [(0, 40, True), (41, 41, True), (42, 199, True), (200, 203, True)]),
+    (POINTS.build_grid(0.0, 8.0, 0.1),
+     [(12, 30, True), (11, 40, True), (0, 15, True), (35, 50, False), (44, 59, True),
+      (41, 45, True)]),
+], ids=["lattice", "points"])
+@pytest.mark.parametrize("extend", [False, True])
+def test_range_kernels_read_a_run_of_jumps_by_slices(grid, blocks, extend):
+    """Where the right-scattered nodes of a block form one run (or none) --
+    every block of a lattice, a block inside a DiscretePoints segment or
+    reaching into a dense run -- _slopes and _shifts read them as a slice,
+    and a block holding two runs by a gather; either way every block gets
+    the values the whole-grid call gives, bit for bit, with and without a
+    sigma_last extension (the lattice grid ends in a jump)."""
+    m = len(grid)
+    rng = np.random.default_rng(m)
+    values = rng.normal(size=(m, 2))
+    values[rng.random((m, 2)) < 0.1] = -0.0
+    f = GridFunction(grid, values, sigma_last=rng.normal(size=2) if extend else None)
+    deriv, defined = delta_derivative_all(f)
+    shift, shift_defined = sigma_shift_all(f)
+    for lo, hi, sliced in blocks:
+        assert isinstance(calculus._scattered(grid, lo, min(hi, m - 2)), slice) == sliced
         i0, i1 = max(lo - calculus._HALO, 0), min(hi + calculus._HALO, m - 1)
         part = f.values[i0 : i1 + 1].copy()
         got, got_defined = calculus._slopes(grid, part, i0, lo, hi, f.sigma_last)

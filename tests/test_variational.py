@@ -82,7 +82,15 @@ from tsvar.variational import (
     classify_report,
 )
 
-from helpers import COMB, quadratic_lagrangian, random_poly, reference_horizon_idx
+from helpers import (
+    COMB,
+    quadratic_lagrangian,
+    random_poly,
+    reference_gateaux,
+    reference_horizon_idx,
+    reference_liminf,
+    same_bits,
+)
 
 NAT = integer_scale(0)
 
@@ -468,6 +476,155 @@ def test_liminf_input_validation():
     bad = [(2.0, 0.0), (1.0, 0.0)] + pairs[2:]
     with pytest.raises(InsufficientHorizons):
         liminf_over_tails(bad, [1, 5, 9, 13, 17])
+
+
+def estimate_json(est):
+    """The estimate as a report holds it: kind, values and evidence, the
+    signs of zeros included."""
+    return json.dumps(est.to_dict())
+
+
+def random_sequence(rng, n):
+    """n values with, by turns, a drift down (stage 1's rules), ties, a
+    floor of zeros, or a converging tail; zeros of both signs throughout."""
+    v = rng.normal(size=n)
+    kind = rng.integers(5)
+    if kind == 1:
+        v = -np.cumsum(np.abs(v)) * 10.0 ** rng.integers(0, 8)
+    elif kind == 2:
+        v = np.round(v)
+    elif kind == 3:
+        v = np.abs(v)
+    elif kind == 4:
+        v = 2.5 + 1e-12 * v
+    zeros = rng.random(n) < 0.3
+    v[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+    return v
+
+
+def same_stats(a, b):
+    """Statistics rows with the same minima, the signs of zeros included,
+    and the same maximum (whose zero, read only for max |v|, may take
+    either sign)."""
+    return same_bits(a[..., :-1], b[..., :-1]) and np.array_equal(a[..., -1], b[..., -1])
+
+
+def fold_in_blocks(stats, values, cuts):
+    """The statistics of ``values`` folded block by block, split at ``cuts``."""
+    rows = stats.empty(1)
+    for lo, end in zip([0, *cuts], [*cuts, len(values)]):
+        stats.fold(rows, lo, values[None, lo:end])
+    return rows[0]
+
+
+def test_tail_statistics_equal_the_full_length_minima():
+    """On random sequences, the lim-inf classified from the tail statistics
+    -- of the whole array (liminf_over_tails) or folded block by block --
+    is the one the full-length running and suffix minima give, its report
+    bytes included, and the Gateaux table from the statistics equals the
+    one from the full rows.  The tail starts are now and then adjacent
+    (p + 1 is the next p) or at the last horizon; the marks may repeat."""
+    rng = np.random.default_rng(20261019)
+    for _ in range(400):
+        n = int(rng.integers(5, 60))
+        T = 0.5 * np.arange(1, n + 1)
+        if rng.random() < 0.3:  # adjacent tail starts up to the last horizon
+            pos = np.arange(n - int(rng.integers(5, n + 1)), n)
+        else:
+            pos = np.sort(rng.choice(n, size=int(rng.integers(5, n + 1)), replace=False))
+        marks = rng.integers(0, n, size=3)
+        stats = variational._TailStats(T, T[pos], pos, marks)
+        cuts = sorted(set(rng.integers(1, n, size=int(rng.integers(0, 6))).tolist()))
+        V = random_sequence(rng, n)
+        want = estimate_json(reference_liminf(T, V, T[pos]))
+        assert estimate_json(liminf_over_tails(np.column_stack((T, V)), T[pos])) == want
+        row = fold_in_blocks(stats, V, cuts)
+        assert same_stats(row, stats.of(V))
+        assert estimate_json(stats.classify(row, LimitConfig())) == want
+        rows = [random_sequence(rng, n) for _ in range(3)]
+        eps = (0.1, -0.01, 1e-3)
+        table = variational._gateaux_table(eps, stats, [fold_in_blocks(stats, r, cuts)
+                                                        for r in rows])
+        quot, a_values = reference_gateaux(eps, marks, rows)
+        assert same_bits(table.quotients, quot) and same_bits(table.a_values, a_values)
+        assert table.t_values == tuple(T[marks])
+
+
+def test_tail_statistics_edges():
+    """Adjacent tail starts and one at the last horizon: the cuts p + 1 and
+    the next p coincide, and a reduceat over an empty segment would return
+    an element, not the identity; each value a block of its own."""
+    T = np.arange(1.0, 13.0)
+    V = np.array([3.0, -0.0, 2.0, 0.0, -1.0, 4.0, -0.0, 0.0, 5.0, 0.0, -0.0, 0.5])
+    pos = np.array([3, 4, 5, 6, 11])
+    stats = variational._TailStats(T, T[pos], pos, (11, 11, 2))
+    assert list(stats.cuts) == [0, 2, 3, 4, 5, 6, 7, 11]
+    row = fold_in_blocks(stats, V, list(range(1, 12)))
+    assert same_stats(row, stats.of(V))
+    est = stats.classify(row, LimitConfig())
+    assert estimate_json(est) == estimate_json(reference_liminf(T, V, T[pos]))
+    # the tails from T = 6 and T = 7 reach their minimum, a zero, first at
+    # T = 7, where it is -0.0: the suffix minimum keeps that first zero
+    assert [float(v) for _, v in est.evidence] == [-1.0, -1.0, -0.0, -0.0, 0.5]
+    assert np.signbit(est.evidence[2][1]) and np.signbit(est.evidence[3][1])
+
+
+STATS_CASES = pytest.mark.parametrize("named, label, t_max, h", [
+    (lqr_grid(1.2), "decaying-mode", 300.0, 1.0),
+    (ex_pos(1.7, ts=COMB), "line", 40.0, 2e-3),
+    (lqr_ray(1.3), "decaying-exp", 10.0, 1e-2),
+], ids=["lqr-z-one-block", "comb-seams", "lqr-r"])
+
+
+@STATS_CASES
+@pytest.mark.parametrize("block", [1, 3, 4, 40, calculus._BLOCK])
+def test_streamed_statistics_equal_the_array_route(monkeypatch, named, label, t_max, h,
+                                                   block):
+    """The sweep's statistics, folded from each block's horizon values as
+    they are formed, classify to the lim-inf that liminf_over_tails gives
+    on the column-stacked horizon values of the same sweep, and give its
+    Gateaux table: for a competitor path, a sampled variation and a
+    variation generator, at blocks of 1-3 cells (one horizon segment each),
+    4-40 and the default (the lattice plan is then one block; the comb's
+    sweep adds its seam terms block by block)."""
+    monkeypatch.setattr(calculus, "_BLOCK", block)
+    problem, a = named.problem, named.problem.a
+    plan = make_horizon_plan(problem.ts, a, t_max, h=h)
+    gen = named.candidate(label).gen
+    star = SampledPath.of(problem, gen, plan.grid)
+    hz, span = plan.horizons, plan.horizons[-1] - a
+    q = smoothstep_tail(0.5, a, span / 5.0)
+    competitors = [
+        (SampledPath.of(problem, perturbed_generator(gen, q), plan.grid), None),
+        (SampledPath.of(problem, q, plan.grid, variation=True), (1.0, -1.0)),
+        (compact_bump(0.5, a + span / 4.0, span / 10.0), (0.1, -1e-3)),
+    ]
+    marks = (len(hz) // 4, len(hz) // 2, len(hz) - 1)
+    stats = variational._TailStats.of_plan(plan, marks)
+    got = variational._difference_integral(problem, star, plan.horizon_idx, competitors, stats)
+    F = variational._difference_integral(problem, star, plan.horizon_idx, competitors)
+    assert got.shape == (5, 2 * len(stats.cuts) + 1) and F.shape == (5, len(hz))
+    for row, values in zip(got, F):
+        assert same_stats(row, stats.of(values))
+        want = liminf_over_tails(np.column_stack((hz, values)), plan.tail_values)
+        assert estimate_json(stats.classify(row, LimitConfig())) == estimate_json(want)
+    table = variational._gateaux_table((0.1, -1e-3), stats, got[3:])
+    quot, a_values = reference_gateaux((0.1, -1e-3), list(marks), F[3:])
+    assert same_bits(table.quotients, quot) and same_bits(table.a_values, a_values)
+
+
+def test_gateaux_report_on_a_short_plan_with_repeated_marks():
+    """Three times that all fall on the last horizon of a seven-horizon
+    plan: the table repeats its column, as the full rows give it."""
+    neg = ex_neg()
+    plan = make_horizon_plan(NAT, 0.0, 7.0, h=1.0)
+    gen, pv, eps = neg.candidate("const").gen, pulse_var(), (0.1, -0.01)
+    report = gateaux_report(neg.problem, gen, pv, eps, (7.0, 6.9, 9.0), plan)
+    star = SampledPath.of(neg.problem, gen, plan.grid)
+    F = variational._difference_integral(neg.problem, star, plan.horizon_idx, [(pv, eps)])
+    quot, a_values = reference_gateaux(eps, [6, 6, 6], F)
+    assert report.t_values == (7.0, 7.0, 7.0)
+    assert same_bits(report.quotients, quot) and same_bits(report.a_values, a_values)
 
 
 # ---------------------------------------------------------------------------
@@ -956,6 +1113,24 @@ def test_verify_on_a_decimal_lattice_far_out():
     assert report.verdict is Verdict.CONSISTENT
 
 
+def test_translated_ray_keeps_its_residual():
+    """lqr-r moved to start at t0 = 1e5 (its scale, start, candidate
+    x = e^{-(t - t0)} and t_max = t0 + 40 all shifted) keeps the residual
+    of t0 = 0 within a factor 1.5.  Node spacing there is good to about
+    1.5e-11, 1.5e-9 of h = 1e-2: judged against 1e-9 h, the run start
+    passed for non-uniform, took the Lagrange cubic in place of the uniform
+    stencil and read 2.15 times the residual."""
+    lag = lqr_ray().problem.lagrangian
+    sups = []
+    for t0 in (0.0, 1e5):
+        prob = Problem(ts=real_ray(t0), a=t0, x_a=np.array([1.0]), lagrangian=lag)
+        gen = scalar_traj(lambda t, t0=t0: np.exp(-(t - t0)))
+        report = verify_candidate(prob, gen, VerifyConfig(t_max=t0 + 40.0, h=1e-2))
+        assert report.verdict is Verdict.CONSISTENT and report.nodes == 4004
+        sups.append(report.el_sup_norm)
+    assert 1.0 / 1.5 <= sups[1] / sups[0] <= 1.5
+
+
 def test_lattice_horizon_plan_reaches_t_max():
     plan = make_horizon_plan(integer_scale(), 0.0, 20000.0, h=1.0)
     assert plan.horizons[-1] == 20000.0
@@ -1237,11 +1412,12 @@ def test_verify_memory_stays_within_its_budget():
     rows), its d2, d3, prefix-integral and r rows (4 more) and three block
     buffers of calculus._BLOCK floats.  The prefix integral is reduced
     block by block; forming its cells at full length read 96 bytes per
-    node.  The competitor sweep peaks below it, at 91: x*'s L row joins the
-    held rows, but no variation row is held at full length, only the 9
-    competitor rows of one block.  Sampling each variation at full length
-    read 108 bytes per node, and forming the competitor rows at full length
-    136."""
+    node.  The competitor sweep peaks below it, at 78: x*'s L row joins the
+    held rows, but no variation row is held at full length, and of the 9
+    competitor rows only one block of the one being formed (91 when the
+    block's 9 rows were held together).  Sampling each variation at full
+    length read 108 bytes per node, and forming the competitor rows at full
+    length 136."""
     ray = lqr_ray(1.268)
     gen = ray.candidate("decaying-exp").gen
     tracemalloc.start()
@@ -1252,6 +1428,26 @@ def test_verify_memory_stays_within_its_budget():
         tracemalloc.stop()
     assert report.verdict is Verdict.CONSISTENT and report.nodes == 160004
     assert peak / report.nodes <= 99.0
+
+
+def test_lattice_verify_memory_stays_within_its_budget():
+    """tracemalloc peak of one lqr-z verify to t = 20000, where every node
+    is a horizon and the plan is one block: at most 175 bytes per node
+    (3.26 MB, 163 per node, measured).  The competitor sweep sets it, with
+    the grid, x*'s rows, one block row and its spare, the u and v buffers
+    and one variation's samples, shift and slope.  Holding the sweep's
+    (9, 20000) horizon values for the lim-inf and Gateaux scans, with the
+    block's 9 rows together, read 5.18 MB."""
+    lattice = lqr_grid(1.2)
+    gen = lattice.candidate("decaying-mode").gen
+    tracemalloc.start()
+    try:
+        report = verify_candidate(lattice.problem, gen, VerifyConfig(t_max=20000.0, h=1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict is Verdict.CONSISTENT and report.nodes == 20004
+    assert peak / report.nodes <= 175.0
 
 
 def test_classify_report_flags_an_oscillating_transversality_last():
@@ -1298,8 +1494,8 @@ def report_from_generators(problem, gen, config):
             var = SampledPath.of(problem, maker(amp, **kw), plan.grid, variation=True)
             F = variational._difference_integral(problem, star, plan.horizon_idx,
                                                  [(var, (eps,))])[0]
-            probes.append((f"{name}({eps * amp:+g})", variational._horizon_liminf(
-                F, plan, config.limits)))
+            probes.append((f"{name}({eps * amp:+g})", liminf_over_tails(
+                np.column_stack((plan.horizons, F)), plan.tail_values, config.limits)))
     tail = SampledPath.of(problem, smoothstep_tail(amp, a, span / 5.0), plan.grid, variation=True)
     diag = gateaux_report(problem, gen, tail, config.gateaux_eps,
                           [hz[len(hz) // 4], hz[len(hz) // 2], hz[-1]], plan)
