@@ -41,17 +41,25 @@ CSV_CHUNK_ROWS = 4096
 
 
 def _write_csv(path, header, rows):
-    """Write ``header`` and ``rows``: a 2-D float array, converted to lists
-    ``CSV_CHUNK_ROWS`` rows at a time, or a list of rows.  The csv module
-    writes floats with repr, so every value round-trips exactly."""
+    """Write a header row, then one row per entry of ``rows``, each line
+    ended by ``\\r\\n``.
+
+    ``rows`` is either a 2-D float array, one row per node, or a list of
+    string rows.  Floats are written as Python ``repr`` (``inf``, ``nan``
+    and ``-0.0`` included), exactly as the csv module writes them, so every
+    value round-trips.  A float repr never needs quoting, so an array is
+    written ``CSV_CHUNK_ROWS`` rows at a time by one ``%`` format per chunk;
+    the header and string rows go through ``csv.writer``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         if not isinstance(rows, np.ndarray):
             writer.writerows(rows)
             return
+        line = ",".join(["%r"] * rows.shape[1]) + writer.dialect.lineterminator
         for start in range(0, len(rows), CSV_CHUNK_ROWS):
-            writer.writerows(rows[start:start + CSV_CHUNK_ROWS].tolist())
+            chunk = rows[start:start + CSV_CHUNK_ROWS]
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def _horizons_arg(text):
@@ -141,7 +149,8 @@ def cmd_integrate(args):
     if lo >= hi:
         # int_c^c = 0, and a window holding no complete cell integrates to 0
         dim = _call_on_times(fn, np.array([hi if lo > hi else lo])).shape[1]
-        value, table, lo, hi = np.zeros(dim), (), lo_v, hi_v
+        value, lo, hi = np.zeros(dim), lo_v, hi_v
+        table = (np.empty((0, 1 + 2 * dim)),)
     else:
         grid = ts.build_grid(lo, hi, h)
         gf = GridFunction.from_callable(grid, fn, extend=False)
@@ -160,7 +169,7 @@ def cmd_integrate(args):
     if args.csv:
         header = (["t"] + [f"f{j + 1}" for j in range(dim)]
                   + [f"integral{j + 1}" for j in range(dim)])
-        _write_csv(args.csv, header, np.column_stack(table) if table else [])
+        _write_csv(args.csv, header, np.column_stack(table))
     return EXIT_OK
 
 
@@ -181,19 +190,20 @@ def cmd_residual(args):
     sel = (nodes >= win_lo - tol_at(win_lo)) & (nodes <= win_hi + tol_at(win_hi))
     if not sel.any():
         raise InvalidWindow("the requested window contains no residual nodes")
-    sup = float(np.max(np.abs(res.values[sel])))
+    t_sel, r_sel = nodes[sel], res.values[sel]
+    sup = float(np.max(np.abs(r_sel)))
     doc = {
         "command": "residual",
         "candidate": args.candidate,
         "window": [float(win_lo), float(win_hi)],
         "h": h,
-        "nodes": int(sel.sum()),
+        "nodes": len(t_sel),
         "sup_norm": sup,
     }
     _print_json(doc)
     if args.csv:
         header = ["t"] + [f"residual{j + 1}" for j in range(res.dim)]
-        _write_csv(args.csv, header, np.column_stack((nodes[sel], res.values[sel])))
+        _write_csv(args.csv, header, np.column_stack((t_sel, r_sel)))
     return EXIT_OK
 
 

@@ -2,16 +2,28 @@
 
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tsvar import cli
-from tsvar.problems import LQR_DECAY_ROOT, ex_neg, ex_pos, lqr_grid_truncation_oracle
-from tsvar.timescale import format_timescale
+from tsvar.calculus import GridFunction, cumulative_delta_integral
+from tsvar.problemfile import load_problem_file
+from tsvar.problems import (
+    LQR_DECAY_ROOT,
+    ex_neg,
+    ex_pos,
+    lqr_grid_truncation_oracle,
+    lqr_ray,
+)
+from tsvar.timescale import format_timescale, tol_at
+from tsvar.variational import _slope_margin_grid, el_residual, solve_truncated
 
 from helpers import COMB
 
@@ -84,11 +96,14 @@ def test_integrate_point_window_is_zero(tmp_path, capsys):
 
 
 def test_integrate_empty_snapped_window_is_zero(tmp_path, capsys):
-    f = write(tmp_path, LQR_DOC)
+    f = write(tmp_path, PAIR_DOC)
+    out = tmp_path / "empty.csv"
     code, doc, _ = run_cli(
-        capsys, ["integrate", f, "--expr", "t", "--from", "2.2", "--to", "2.8"]
+        capsys, ["integrate", f, "--candidate", "flat", "--from", "2.2", "--to", "2.8",
+                 "--csv", str(out)]
     )
-    assert code == 0 and doc["value"] == 0.0
+    assert code == 0 and doc["value"] == [0.0, 0.0]
+    assert out.read_bytes() == b"t,f1,f2,integral1,integral2\r\n"
 
 
 def test_integrate_reversed_window_flips_sign(tmp_path, capsys):
@@ -167,18 +182,80 @@ def write_csv_per_row(path, header, rows):
 
 
 def test_array_csv_writer_matches_per_row_writer(tmp_path):
+    """Byte for byte the csv module's output, at 1 to 5 columns and at row
+    counts on either side of a chunk boundary, down to one row and none."""
     special = [1e-5, 1e16, -0.0, 3.0, 0.1 + 0.2, 1.2345678901234567, -2.0 / 3.0,
                5e-324, 1.7976931348623157e308, float("inf"), float("nan")]
     rng = np.random.default_rng(0)
-    shape = (2 * cli.CSV_CHUNK_ROWS + 808, 3)
-    data = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
-    data[:len(special), 0] = special
-    data[cli.CSV_CHUNK_ROWS, :] = special[:3]  # first row of the second chunk
-    for rows in (data, data[:1], data[:0]):
-        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
-        write_csv_per_row(old, ["t", "a", "b"], rows)
-        cli._write_csv(new, ["t", "a", "b"], rows)
-        assert new.read_bytes() == old.read_bytes()
+    chunk = cli.CSV_CHUNK_ROWS
+    for ncols in (1, 2, 3, 5):
+        shape = (2 * chunk + 808, ncols)
+        data = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+        data[:len(special), 0] = special
+        data[:len(special), -1] = special[::-1]
+        data[chunk, :] = np.resize(special, ncols)  # first row of the second chunk
+        header = ["t"] + [f"c{j}" for j in range(1, ncols)]
+        for n in (len(data), chunk + 1, chunk, chunk - 1, 1, 0):
+            old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+            write_csv_per_row(old, header, data[:n])
+            cli._write_csv(new, header, data[:n])
+            assert new.read_bytes() == old.read_bytes(), (ncols, n)
+
+
+def test_array_csv_writer_memory_is_one_chunk(tmp_path):
+    """Formatting a chunk at a time keeps the writer's peak allocation at a
+    chunk's worth, not the whole array's (about 25 MB of str here)."""
+    rows = np.random.default_rng(1).standard_normal((200001, 2))
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "big.csv", ["t", "residual1"], rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+
+
+def oracle_csv_bytes(tmp_path, header, columns):
+    """The bytes the per-row csv-module writer writes for ``columns``."""
+    path = tmp_path / "oracle.csv"
+    write_csv_per_row(path, header, np.column_stack(columns))
+    return path.read_bytes()
+
+
+def test_csv_series_bytes_match_the_csv_module(tmp_path):
+    """residual, window integrate (two components, five columns) and solve
+    each write exactly what the csv module writes for the same arrays, on
+    dense grids longer than one chunk."""
+    lqr = write(tmp_path, lqr_ray().file_form(), "lqr.json")
+    pf = load_problem_file(lqr)
+    prob, out = pf.problem, tmp_path / "cli.csv"
+
+    assert cli.main(["residual", lqr, "--candidate", "decaying-exp", "--window",
+                     "0", "5", "--h", "1e-3", "--csv", str(out)]) == 0
+    gf = GridFunction.from_callable(_slope_margin_grid(prob.ts, prob.a, 5.0, 1e-3),
+                                    pf.candidate("decaying-exp"))
+    res = el_residual(prob, gf)
+    keep = res.grid.nodes <= 5.0 + tol_at(5.0)
+    assert keep.sum() > cli.CSV_CHUNK_ROWS
+    assert out.read_bytes() == oracle_csv_bytes(
+        tmp_path, ["t", "residual1"], (res.grid.nodes[keep], res.values[keep]))
+
+    wave = write(tmp_path, dict(PAIR_DOC, timescale="ray(0)",
+                                 candidates={"wave": ["exp(-t)", "sin(3*t)"]}),
+                 "wave.json")
+    assert cli.main(["integrate", wave, "--candidate", "wave", "--to", "5",
+                     "--h", "1e-3", "--csv", str(out)]) == 0
+    wave_pf = load_problem_file(wave)
+    grid = wave_pf.problem.ts.build_grid(0.0, 5.0, 1e-3)
+    gf = GridFunction.from_callable(grid, wave_pf.candidate("wave"), extend=False)
+    assert out.read_bytes() == oracle_csv_bytes(
+        tmp_path, ["t", "f1", "f2", "integral1", "integral2"],
+        (grid.nodes, gf.values, cumulative_delta_integral(gf)))
+
+    assert cli.main(["solve", lqr, "--T", "3", "--h", "0.02", "--csv", str(out)]) == 0
+    traj = solve_truncated(prob, 3.0, None, h=0.02, params=pf.solve_params()).trajectory
+    assert out.read_bytes() == oracle_csv_bytes(
+        tmp_path, ["t", "x1"], (traj.grid.nodes, traj.x.values))
 
 
 def test_integrate_improper_converged(tmp_path, capsys):
@@ -502,3 +579,25 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == 3.0
+
+
+def test_package_runs_as_a_module_from_source(tmp_path, capsys):
+    """``python -m tsvar`` with only ``src`` on the path: --help exits 0 and
+    residual writes the same CSV bytes and JSON as the in-process CLI."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "tsvar", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    assert run("--help").returncode == 0
+    f = write(tmp_path, LQR_DOC)
+    sub_csv, in_csv = tmp_path / "sub.csv", tmp_path / "in.csv"
+    argv = ["residual", f, "--candidate", "decay", "--window", "0", "30"]
+    proc = run(*argv, "--csv", str(sub_csv))
+    assert proc.returncode == 0
+    assert cli.main(argv + ["--csv", str(in_csv)]) == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert sub_csv.read_bytes() == in_csv.read_bytes()
