@@ -17,7 +17,7 @@ import numpy as np
 from .calculus import GridFunction, _call_on_times, cumulative_delta_integral, improper_integral
 from .errors import InvalidWindow, ParseError, TsvarError
 from .expressions import compile_expression
-from .problemfile import load_problem_file
+from .problemfile import candidate_generator, load_problem_file
 from .timescale import tol_at
 from .variational import (
     _slope_margin_grid,
@@ -92,18 +92,9 @@ def _scalarize(arr):
     return [float(v) for v in arr]
 
 
-def _expr_generator(src):
-    expr = compile_expression(src, ("t",))
-
-    def fn(t):
-        return expr(t=np.atleast_1d(np.asarray(t, dtype=float)))
-
-    return fn
-
-
 def _integrand(pf, args):
     if args.expr is not None:
-        return _expr_generator(args.expr), f"expr:{args.expr}"
+        return candidate_generator((compile_expression(args.expr),)), f"expr:{args.expr}"
     return pf.candidate(args.candidate), f"candidate:{args.candidate}"
 
 

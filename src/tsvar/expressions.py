@@ -1,23 +1,26 @@
 """Tiny arithmetic expression language for problem files.
 
-Grammar (infix, right-associative power, ``**`` accepted as an alias of
-``^``)::
-
-    expr   := term (("+" | "-") term)*
-    term   := unary (("*" | "/") unary)*
-    unary  := ("+" | "-") unary | power
-    power  := atom (("^" | "**") unary)?
-    atom   := NUMBER | NAME "(" expr ")" | NAME | "(" expr ")"
+The language is the arithmetic subset of Python's expression grammar, read
+by ``ast``: numbers, names, unary ``+``/``-``, ``+ - * /``, power (``^`` and
+``**`` alike, right-associative, binding tighter than a unary minus on its
+left), parentheses, and one-argument calls of exp, log, sqrt, sin, cos,
+tan.  A number has the form ``NUMBER``: decimal digits with an optional
+point and exponent, so hex, underscores, imaginary literals, strings and
+``True`` are refused.
 
 Names resolve to the variables declared at compile time (typically ``t`` and
 ``u1..un`` / ``v1..vn``), the constants ``pi`` and ``e``, or one of the
-functions exp, log, sqrt, sin, cos, tan.  Everything evaluates through numpy,
-so compiled expressions broadcast over arrays.
+functions.  Everything evaluates through numpy, literals and constants as
+float64 scalars, so compiled expressions broadcast over arrays and a
+division by zero gives inf or nan, not an exception.
 """
 
 from __future__ import annotations
 
+import ast
 import re
+import reprlib
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
@@ -34,132 +37,60 @@ _FUNCTIONS = {
     "tan": np.tan,
 }
 
-_CONSTANTS = {"pi": np.pi, "e": np.e}
+_CONSTANTS = {"pi": np.float64(np.pi), "e": np.float64(np.e)}
 
-_TOKEN = re.compile(
-    r"\s*(?:"
-    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/^()])"
-    r")"
-)
+#: the number form of both little languages (the time-scale DSL signs it)
+NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# zeros leading a number, which float() drops and Python's grammar refuses
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
 
-
-def tokenize(src):
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if m is None or m.end() == pos:
-            tail = src[pos:].strip()
-            if not tail:
-                break
-            raise ExpressionError(f"cannot tokenize {tail[:12]!r} in {src!r}")
-        pos = m.end()
-        if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num"))))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name")))
-        else:
-            op = m.group("op")
-            tokens.append(("op", "^" if op == "**" else op))
-    tokens.append(("end", None))
-    return tokens
+# Python operators, not ufunc calls, so numpy reuses the temporaries of big
+# blocks; power stays np.power, which rounds apart from a float64's ``**``.
+_BINARY = {
+    ast.Add: lambda a, b: lambda env: a(env) + b(env),
+    ast.Sub: lambda a, b: lambda env: a(env) - b(env),
+    ast.Mult: lambda a, b: lambda env: a(env) * b(env),
+    ast.Div: lambda a, b: lambda env: a(env) / b(env),
+    ast.Pow: lambda a, b: lambda env: np.power(a(env), b(env)),
+}
 
 
-class _Parser:
-    def __init__(self, src, variables):
-        self.src = src
-        self.variables = frozenset(variables)
-        self.tokens = tokenize(src)
-        self.i = 0
+def parse(src, error):
+    """(tree, text): the ``ast`` expression tree of ``src`` and the text it
+    was read from, for the two little languages.
 
-    def peek(self):
-        return self.tokens[self.i]
+    The text is ``src`` on one line, with whitespace runs collapsed to one
+    space, ``^`` read as ``**``, the zeros leading a number dropped and
+    decimal digits outside ASCII, which ``NUMBER``'s ``\\d`` admits, read as
+    ASCII digits.  Any other character outside ASCII, a digit outside ASCII
+    in a name, and ``#`` are refused: Python would read NFKC-normalised
+    names or a comment there.  A syntax error, a warning of the parser and
+    input nested too deeply raise ``error``.
+    """
+    spelt = _LEADING_ZEROS.sub("", re.sub(r"\s+", " ", src).strip().replace("^", "**"))
+    text = re.sub(r"\d", lambda m: str(int(m[0])), spelt) if not spelt.isascii() else spelt
+    if not text.isascii() or "#" in text:
+        raise error(f"unexpected character in {reprlib.repr(src)}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = ast.parse(text, mode="eval").body
+    except (SyntaxError, ValueError, RecursionError) as exc:
+        raise error(f"cannot parse {reprlib.repr(src)}: {getattr(exc, 'msg', exc)}") from None
+    if spelt != text and any(isinstance(n, ast.Name)
+                             and n.id != spelt[n.col_offset:n.end_col_offset]
+                             for n in ast.walk(tree)):
+        raise error(f"unexpected character in {reprlib.repr(src)}")
+    return tree, text
 
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ExpressionError(f"expected {op!r} in {self.src!r}, got {val!r}")
-
-    def parse(self):
-        fn = self.expr()
-        kind, val = self.peek()
-        if kind != "end":
-            raise ExpressionError(f"trailing input {val!r} in {self.src!r}")
-        return fn
-
-    def expr(self):
-        fn = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            rhs = self.term()
-            if op == "+":
-                fn = (lambda a, b: lambda env: a(env) + b(env))(fn, rhs)
-            else:
-                fn = (lambda a, b: lambda env: a(env) - b(env))(fn, rhs)
-        return fn
-
-    def term(self):
-        fn = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            rhs = self.unary()
-            if op == "*":
-                fn = (lambda a, b: lambda env: a(env) * b(env))(fn, rhs)
-            else:
-                fn = (lambda a, b: lambda env: a(env) / b(env))(fn, rhs)
-        return fn
-
-    def unary(self):
-        if self.peek() == ("op", "+"):
-            self.take()
-            return self.unary()
-        if self.peek() == ("op", "-"):
-            self.take()
-            inner = self.unary()
-            return lambda env: -inner(env)
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            exponent = self.unary()  # right associative
-            return lambda env: np.power(base(env), exponent(env))
-        return base
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "num":
-            return lambda env, _v=val: _v
-        if kind == "name":
-            if self.peek() == ("op", "("):
-                if val not in _FUNCTIONS:
-                    raise ExpressionError(f"unknown function {val!r} in {self.src!r}")
-                self.take()
-                arg = self.expr()
-                self.expect_op(")")
-                f = _FUNCTIONS[val]
-                return lambda env, _f=f, _a=arg: _f(_a(env))
-            if val in _CONSTANTS:
-                return lambda env, _v=_CONSTANTS[val]: _v
-            if val not in self.variables:
-                raise ExpressionError(
-                    f"unknown name {val!r} in {self.src!r}; "
-                    f"allowed variables: {sorted(self.variables)}"
-                )
-            return lambda env, _v=val: env[_v]
-        if kind == "op" and val == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ExpressionError(f"unexpected {val!r} in {self.src!r}")
+def number(node, text, error, form=NUMBER):
+    """The value of the literal ``node`` of ``text`` (from ``parse``): its
+    source must match ``form`` as a whole, else ``error``."""
+    literal = text[node.col_offset:node.end_col_offset]
+    if not re.fullmatch(form, literal):
+        raise error(f"expected a number, got {literal!r}")
+    return float(literal)
 
 
 @dataclass(frozen=True)
@@ -180,6 +111,8 @@ class Expression:
             raise ExpressionError(
                 f"missing variable {exc.args[0]!r} for {self.source!r}"
             ) from None
+        except RecursionError:
+            raise ExpressionError(f"{reprlib.repr(self.source)} is nested too deeply") from None
         return np.asarray(out, dtype=float)
 
 
@@ -187,8 +120,42 @@ def compile_expression(src, variables=("t",)):
     """Compile ``src`` against the allowed variable names."""
     if not isinstance(src, str) or not src.strip():
         raise ExpressionError(f"expected a nonempty expression string, got {src!r}")
-    parser = _Parser(src, variables)
-    return Expression(source=src, variables=tuple(variables), _fn=parser.parse())
+    tree, text = parse(src, ExpressionError)
+    if "," in text:  # a trailing comma leaves no mark in the tree
+        raise ExpressionError(f"unexpected ',' in {src!r}")
+
+    def build(node):
+        if isinstance(node, ast.Constant):
+            return lambda env, _v=np.float64(number(node, text, ExpressionError)): _v
+        if isinstance(node, ast.Name):
+            if node.id in _CONSTANTS:
+                return lambda env, _v=_CONSTANTS[node.id]: _v
+            if node.id not in variables:
+                raise ExpressionError(
+                    f"unknown name {node.id!r} in {src!r}; "
+                    f"allowed variables: {sorted(variables)}"
+                )
+            return lambda env, _k=node.id: env[_k]
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            inner = build(node.operand)
+            return inner if isinstance(node.op, ast.UAdd) else lambda env: -inner(env)
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return _BINARY[type(node.op)](build(node.left), build(node.right))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and len(node.args) == 1 and not node.keywords):
+            if node.func.id not in _FUNCTIONS:
+                raise ExpressionError(f"unknown function {node.func.id!r} in {src!r}")
+            f, arg = _FUNCTIONS[node.func.id], build(node.args[0])
+            return lambda env: f(arg(env))
+        raise ExpressionError(
+            f"unexpected {text[node.col_offset:node.end_col_offset]!r} in {src!r}"
+        )
+
+    try:
+        fn = build(tree)
+    except RecursionError:
+        raise ExpressionError(f"{reprlib.repr(src)} is nested too deeply") from None
+    return Expression(source=src, variables=tuple(variables), _fn=fn)
 
 
 def lagrangian_variables(n):

@@ -140,7 +140,8 @@ def _build_lagrangian(spec, n):
     )
 
 
-def _candidate_generator(exprs):
+def candidate_generator(exprs):
+    """The generator t -> (m, n) array of the t-only expressions ``exprs``."""
     def gen(t):
         t = np.asarray(t, dtype=float)
         return np.stack([np.broadcast_to(e(t=t), t.shape) for e in exprs], axis=-1)
@@ -198,7 +199,7 @@ def problem_from_dict(doc):
         raise ProblemFileError("'candidates' must map names to expressions")
     for name, raw in raw_cands.items():
         exprs = _expr_list(raw, n, f"candidate {name!r}", ("t",))
-        candidates[name] = _candidate_generator(exprs)
+        candidates[name] = candidate_generator(exprs)
         candidate_exprs[name] = tuple(e.source for e in exprs)
 
     pf = ProblemFile(

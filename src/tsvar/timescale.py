@@ -21,12 +21,16 @@ Tolerance policy: two times are compared to rounding only through ``tol_at``,
 whose slack scales with |t|, so membership and window edges hold at t = 1e9 as
 near 0.  Arithmetic-tail members come from their index, start + k*step, never
 from adding steps, so stepping by sigma cannot drift off the tail.
+
+A scale is written as a description such as ``union(interval(0, 1), ray(2))``,
+read by ``expressions.parse``, or as a list of segment mappings; one table of
+segment kinds serves both forms.
 """
 
 from __future__ import annotations
 
+import ast
 import math
-import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -42,6 +46,7 @@ from .errors import (
     NotInTimeScale,
     StepNotPositive,
 )
+from .expressions import NUMBER, number, parse
 
 
 def tol_at(t):
@@ -554,128 +559,76 @@ def real_ray(start=0.0):
 
 
 # ---------------------------------------------------------------------------
-# textual description language
+# textual and structured descriptions; a textual one is one segment call, or
+# ``union`` of them, each taking signed numbers
 #
 #   union(interval(0, 1), points(2, 3), ray(5))
 #   union(points(0), arith(1, 0.5))
 #   arith(0, 1)
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_]+)"
-    r"|(?P<num>[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)"
-    r"|(?P<punct>[(),]))"
-)
+#: segment kind -> (class, fields), for the DSL, format_timescale and the
+#: structured form; the one field of points holds all of its numbers
+SEGMENT_KINDS = {
+    "interval": (ClosedInterval, ("lo", "hi")),
+    "points": (DiscretePoints, ("values",)),
+    "ray": (UnboundedRay, ("start",)),
+    "arith": (ArithmeticTail, ("start", "step")),
+}
+_KIND = {cls: kind for kind, (cls, _) in SEGMENT_KINDS.items()}
+_SIGNED = r"[-+]?" + NUMBER
 
 
-def _tokenize_dsl(text):
-    tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise DSLParseError(f"unexpected character at position {pos}: {text[pos]!r}")
-        if m.group("name"):
-            tokens.append(("name", m.group("name")))
-        elif m.group("num"):
-            tokens.append(("num", float(m.group("num"))))
-        else:
-            tokens.append(("punct", m.group("punct")))
-        pos = m.end()
-    return tokens
+def _segment(kind, numbers):
+    """The segment ``kind(*numbers)`` of a description, or DSLParseError."""
+    if kind not in SEGMENT_KINDS:
+        raise DSLParseError(f"unknown segment kind {kind!r}")
+    cls, fields = SEGMENT_KINDS[kind]
+    if kind == "points":
+        numbers = (tuple(numbers),)
+    if len(numbers) != len(fields):
+        raise DSLParseError(f"{kind}() takes {len(fields)} number(s)")
+    return cls(*numbers)
 
 
-class _DSLParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
+def _numbers(seg):
+    """(kind, numbers) of the segment's call in a description."""
+    kind = _KIND[type(seg)]
+    if kind == "points":
+        return kind, seg.values
+    return kind, [getattr(seg, f) for f in SEGMENT_KINDS[kind][1]]
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
 
-    def take(self, kind, value=None):
-        k, v = self.peek()
-        if k != kind or (value is not None and v != value):
-            want = value if value is not None else kind
-            raise DSLParseError(f"expected {want!r}, got {v!r}")
-        self.i += 1
-        return v
-
-    def numbers(self):
-        self.take("punct", "(")
-        out = [self.take("num")]
-        while self.peek() == ("punct", ","):
-            self.take("punct", ",")
-            out.append(self.take("num"))
-        self.take("punct", ")")
-        return out
-
-    def segment(self):
-        name = self.take("name")
-        args = self.numbers()
-        if name == "interval":
-            if len(args) != 2:
-                raise DSLParseError("interval() takes exactly two numbers")
-            return ClosedInterval(args[0], args[1])
-        if name == "points":
-            return DiscretePoints(tuple(args))
-        if name == "ray":
-            if len(args) != 1:
-                raise DSLParseError("ray() takes exactly one number")
-            return UnboundedRay(args[0])
-        if name == "arith":
-            if len(args) != 2:
-                raise DSLParseError("arith() takes exactly two numbers")
-            return ArithmeticTail(args[0], args[1])
-        raise DSLParseError(f"unknown segment kind {name!r}")
-
-    def parse(self):
-        k, v = self.peek()
-        if (k, v) == ("name", "union"):
-            self.take("name")
-            self.take("punct", "(")
-            segs = [self.segment()]
-            while self.peek() == ("punct", ","):
-                self.take("punct", ",")
-                segs.append(self.segment())
-            self.take("punct", ")")
-        else:
-            segs = [self.segment()]
-        if self.i != len(self.tokens):
-            raise DSLParseError("trailing input after time-scale description")
-        return segs
+def _call(node):
+    """(name, arguments) of a call ``name(...)`` with positional arguments."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and not node.keywords):
+        raise DSLParseError("expected a segment call such as ray(0)")
+    return node.func.id, node.args
 
 
 def parse_timescale(text):
     """Parse a description like ``union(interval(0,1), ray(2))``."""
-    try:
-        segs = _DSLParser(_tokenize_dsl(text)).parse()
-    except DSLParseError:
-        raise
-    except Exception as exc:  # defensive: normalize stray errors
-        raise DSLParseError(str(exc)) from exc
+    tree, parsed = parse(text, DSLParseError)
+    name, args = _call(tree)
+    calls = [_call(arg) for arg in args] if name == "union" else [(name, args)]
+    segs = [_segment(kind, [number(arg, parsed, DSLParseError, _SIGNED) for arg in nums])
+            for kind, nums in calls]
+    # redundant parentheses and trailing commas leave no mark in the tree
+    if (parsed.count("(") != len(calls) + (name == "union")
+            or parsed.count(",") != max(sum(len(nums) for _, nums in calls) - 1, 0)):
+        raise DSLParseError(f"unexpected parenthesis or comma in {text!r}")
     try:
         return TimeScaleSpec(tuple(segs))
     except InvalidTimeScale as exc:
         raise DSLParseError(str(exc)) from exc
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def format_timescale(ts):
     """Inverse of parse_timescale (up to float formatting)."""
     parts = []
     for seg in ts.segments:
-        if isinstance(seg, ClosedInterval):
-            parts.append(f"interval({_fmt(seg.lo)}, {_fmt(seg.hi)})")
-        elif isinstance(seg, DiscretePoints):
-            parts.append(f"points({', '.join(_fmt(v) for v in seg.values)})")
-        elif isinstance(seg, UnboundedRay):
-            parts.append(f"ray({_fmt(seg.start)})")
-        else:
-            parts.append(f"arith({_fmt(seg.start)}, {_fmt(seg.step)})")
+        kind, numbers = _numbers(seg)
+        parts.append(f"{kind}({', '.join(repr(float(v)) for v in numbers)})")
     if len(parts) == 1:
         return parts[0]
     return f"union({', '.join(parts)})"
@@ -690,16 +643,11 @@ def timescale_from_structured(obj):
     try:
         for item in obj:
             kind = item.get("kind") if isinstance(item, dict) else None
-            if kind == "interval":
-                segs.append(ClosedInterval(float(item["lo"]), float(item["hi"])))
-            elif kind == "points":
-                segs.append(DiscretePoints(tuple(float(v) for v in item["values"])))
-            elif kind == "ray":
-                segs.append(UnboundedRay(float(item["start"])))
-            elif kind == "arith":
-                segs.append(ArithmeticTail(float(item["start"]), float(item["step"])))
-            else:
+            if kind not in SEGMENT_KINDS:
                 raise DSLParseError(f"not a segment mapping of a known kind: {item!r}")
+            numbers = (item["values"] if kind == "points"
+                       else [item[f] for f in SEGMENT_KINDS[kind][1]])
+            segs.append(_segment(kind, [float(v) for v in numbers]))
         return TimeScaleSpec(tuple(segs))
     except KeyError as exc:
         raise DSLParseError(f"a structured segment is missing the key {exc}") from exc
@@ -708,14 +656,6 @@ def timescale_from_structured(obj):
 
 
 def timescale_to_structured(ts):
-    out = []
-    for seg in ts.segments:
-        if isinstance(seg, ClosedInterval):
-            out.append({"kind": "interval", "lo": seg.lo, "hi": seg.hi})
-        elif isinstance(seg, DiscretePoints):
-            out.append({"kind": "points", "values": list(seg.values)})
-        elif isinstance(seg, UnboundedRay):
-            out.append({"kind": "ray", "start": seg.start})
-        else:
-            out.append({"kind": "arith", "start": seg.start, "step": seg.step})
-    return out
+    return [{"kind": kind, **dict(zip(SEGMENT_KINDS[kind][1],
+                                      [list(nums)] if kind == "points" else nums))}
+            for kind, nums in map(_numbers, ts.segments)]

@@ -320,6 +320,29 @@ def test_integrate_argument_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_candidate_dividing_by_zero_is_refused_by_the_probe(tmp_path, capsys):
+    f = write(tmp_path, {**LQR_DOC, "candidates": {"bad": ["1/0 + t"]}})
+    code, _, err = run_cli(capsys, ["integrate", f, "--candidate", "bad", "--to", "3"])
+    assert code == 2 and "not finite" in err
+
+
+def test_expr_dividing_by_zero_exits_3(tmp_path, capsys):
+    f = write(tmp_path, LQR_DOC)
+    code, _, err = run_cli(capsys, ["integrate", f, "--expr", "1/0", "--to", "3"])
+    assert code == 3 and "grid function values must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["(" * 300 + "t" + ")" * 300, "-" * 3000 + "t", "+".join(["t"] * 5000)],
+    ids=["parentheses", "unary-minus", "sum"],
+)
+def test_expr_nested_too_deeply_exits_2(tmp_path, capsys, expr):
+    f = write(tmp_path, LQR_DOC)
+    code, _, err = run_cli(capsys, ["integrate", f, f"--expr={expr}", "--to", "3"])
+    assert code == 2 and err.startswith("error: ") and len(err) < 200
+
+
 @pytest.mark.parametrize(
     "timescale",
     [

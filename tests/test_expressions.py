@@ -1,10 +1,14 @@
 """The arithmetic expression language used by problem files."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from tsvar import ExpressionError
-from tsvar.expressions import compile_expression, lagrangian_variables
+from tsvar.expressions import _FUNCTIONS, compile_expression, lagrangian_variables
 
 
 def ev(src, **values):
@@ -29,6 +33,13 @@ def ev(src, **values):
         ("1e-3", 1e-3),
         ("2.5E2", 250.0),
         (".5 + 1.", 1.5),
+        ("1 +\n 2", 3.0),  # a newline stands where a space may
+        ("1.e5", 1e5),
+        ("- 2", -2.0),
+        ("2^-3^2", 2.0**-9),
+        ("2**3^2", 512.0),  # ^ and ** mix
+        ("007.5 + 01", 8.5),  # leading zeros, which Python's grammar refuses
+        ("\uff11 + \u0663.5", 4.5),  # decimal digits outside ASCII
     ],
 )
 def test_arithmetic(src, want):
@@ -85,15 +96,133 @@ def test_lagrangian_variable_names():
         "2) + 1",  # trailing input
         "2 +",  # dangling operator
         "sin(1",  # missing closing paren
-        "2 @ 3",  # cannot tokenize
+        "2 @ 3",  # an operator of Python's outside the whitelist
         "",
         "   ",
         "()",
+        "t.real",  # attribute
+        "t[0]",  # subscript
+        "t < 1",  # compare
+        "(t, t)",  # tuple
+        "t,",
+        "lambda: 1",
+        "sin(x=t)",  # keyword call
+        "sin(t, t)",  # two-argument call
+        "sin(t,)",  # trailing comma
+        "sin(*t)",
+        "None",
+        "True",
+        "'1'",
+        "1j",
+        "0x10",
+        "1_000",
+        "...",
+        "t if t else 1",
+        "t // 2",
+        "t % 2",
+        "\x00",
+        "t\x00",
+        "t # a comment",
+        "\uff54",  # fullwidth t, which Python would read as t
+        "1 + \\\n 2",  # line continuation
+        "1;",
     ],
 )
 def test_rejects_malformed_input(src):
     with pytest.raises(ExpressionError):
         compile_expression(src)
+
+
+def test_digits_outside_ascii_stay_out_of_names():
+    with pytest.raises(ExpressionError):
+        compile_expression("u\u0661", ("t", "u1"))
+    with pytest.raises(ExpressionError):
+        compile_expression("t\uff11", ("t", "t1"))
+
+
+def test_division_by_zero_follows_ieee():
+    assert ev("1/0") == np.inf
+    assert ev("-1/0") == -np.inf
+    assert np.isnan(ev("0/0"))
+    assert ev("pi/0") == np.inf
+    assert ev("0^-1") == np.inf
+
+
+@pytest.mark.parametrize(
+    "src",
+    ["(" * 300 + "t" + ")" * 300, "-" * 3000 + "t", "+".join(["t"] * 5000)],
+    ids=["parentheses", "unary-minus", "sum"],
+)
+def test_input_nested_too_deeply_is_refused(src):
+    with pytest.raises(ExpressionError):
+        compile_expression(src)
+
+
+def test_evaluation_too_deep_for_the_stack_is_refused():
+    expr = compile_expression("+".join(["t"] * 600))
+    assert float(expr(t=1.0)) == 600.0
+
+    def nested(depth):
+        return nested(depth - 1) if depth else expr(t=1.0)
+
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        nested(sys.getrecursionlimit() - 500)
+
+
+# Expressions over the documented grammar, as (text, holds a variable).  The
+# oracle is Python's own evaluation of the text, so literals are written
+# with a point or an exponent (Python reads 2 as an int, -0 and 2**60 exactly),
+# none is 0 (Python raises on a division by a constant zero), and a power has
+# a variable on one side (Python's float ** rounds apart from np.power).
+_CONSTANTS = st.sampled_from(["pi", "e", "3.", "1.5", ".25", "1e-3", "2.5E2", "7.75", "0.3"])
+_SPACES = st.sampled_from(["", " "])
+
+
+def _unary(sign, x):
+    return sign + x[0], x[1]
+
+
+def _binary(x, space, op, y):
+    return f"{x[0]}{space}{op}{space}{y[0]}", x[1] or y[1]
+
+
+def _power(x, op, y):
+    return f"({x[0]}){op}({y[0]})", True
+
+
+def _call(name, x):
+    return f"{name}({x[0]})", x[1]
+
+
+EXPRESSIONS = st.recursive(
+    st.one_of(st.sampled_from(["t", "u1"]).map(lambda s: (s, True)),
+              _CONSTANTS.map(lambda s: (s, False))),
+    lambda kids: st.one_of(
+        st.builds(_unary, st.sampled_from("+-"), kids),
+        st.builds(_binary, kids, _SPACES, st.sampled_from("+-*/"), kids),
+        st.tuples(kids, st.sampled_from(["^", "**"]), kids)
+        .filter(lambda p: p[0][1] or p[2][1]).map(lambda p: _power(*p)),
+        st.builds(_call, st.sampled_from(sorted(_FUNCTIONS)), kids),
+    ),
+    max_leaves=12,
+)
+
+T = np.array([-1.5, 0.0, 0.75, 2.0, 10.0])
+U1 = np.array([0.3, -2.0, 1.0, 5.5, -0.125])
+
+
+@given(EXPRESSIONS)
+def test_values_are_bit_equal_to_python_evaluation(expr):
+    text = expr[0]
+    names = {"t": T, "u1": U1, "pi": np.pi, "e": np.e, **_FUNCTIONS}
+    with np.errstate(all="ignore"):
+        try:
+            want = eval(text.replace("^", "**"), {"__builtins__": {}}, names)
+        except ZeroDivisionError:  # a constant subexpression that is 0
+            assume(False)
+    want = np.asarray(want, dtype=float)
+    got = compile_expression(text, ("t", "u1"))(t=T, u1=U1)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), text
 
 
 def test_missing_variable_at_call_time():

@@ -32,6 +32,12 @@ No running or segment minimum or maximum -- ``minimum``/``maximum``
 lim-inf and Gateaux evidence is read from the tail statistics, which the
 sweep folds block by block, and a full-length min-scan of horizon values
 beside them would need the horizon array they replace.
+
+No text is read as Python -- ``ast.parse``, or the builtins ``compile``,
+``eval`` and ``exec`` -- outside the allowed scopes: both little languages
+go through ``expressions.parse``, which holds the whitelist's front door
+(whitespace, ``^``, ASCII, comments, nesting depth); a second reader would
+skip it.
 """
 
 import ast
@@ -488,3 +494,55 @@ def test_allowed_min_max_scans_still_exist():
     found = {(path.name, name) for path in MODULES
              for _, name in min_max_scans(path.read_text())}
     assert set(MIN_MAX_SCANS_ALLOWED) <= found
+
+
+#: scopes allowed to read text as Python, as (module, function): why
+PYTHON_READERS_ALLOWED = {
+    ("expressions.py", "parse"):
+        "the one reader of both little languages (ROADMAP aim 2): the "
+        "expression language and the time-scale DSL walk the tree it returns",
+}
+
+
+def python_readers(source):
+    """(line, enclosing qualified name) of every call of ``ast.parse`` and
+    of the builtins compile, eval and exec."""
+    return [
+        (node.lineno, scope)
+        for node, scope in scoped_nodes(source)
+        if isinstance(node, ast.Call) and _reads_python(node.func)
+    ]
+
+
+def _reads_python(func):
+    if isinstance(func, ast.Name):
+        return func.id in ("compile", "eval", "exec")
+    return (isinstance(func, ast.Attribute) and func.attr == "parse"
+            and isinstance(func.value, ast.Name) and func.value.id == "ast")
+
+
+def test_scan_flags_python_readers():
+    src = (
+        "import ast, re\n"
+        "def f(text):\n"
+        "    return ast.parse(text, mode='eval'), eval(text, {})\n"
+        "class A:\n"
+        "    def g(self, text):\n"
+        "        return compile(text, '<a>', 'eval'), exec(text)\n"
+        "def h(text):\n"
+        "    return re.compile(text), parse(text), json.loads(text), ast.walk(text)\n"
+        "tree = ast.parse('1')\n"
+    )
+    assert python_readers(src) == [(3, "f"), (3, "f"), (6, "A.g"), (6, "A.g"), (9, "")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_text_is_read_as_python_in_one_place(path):
+    found = python_readers(path.read_text())
+    assert [name for _, name in found if (path.name, name) not in PYTHON_READERS_ALLOWED] == []
+
+
+def test_allowed_python_readers_still_exist():
+    found = {(path.name, name) for path in MODULES
+             for _, name in python_readers(path.read_text())}
+    assert set(PYTHON_READERS_ALLOWED) <= found

@@ -1,5 +1,7 @@
 """Structural operators (sigma, rho, mu), sampled grids, and the DSL."""
 
+import typing
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -25,7 +27,7 @@ from tsvar import (
     timescale_to_structured,
     union,
 )
-from tsvar.timescale import NodeKind, Side
+from tsvar.timescale import SEGMENT_KINDS, NodeKind, Segment, Side
 
 from helpers import random_member, random_mixed_scale
 
@@ -278,6 +280,15 @@ def test_parse_examples():
     ts3 = parse_timescale("arith(0, 1)")
     assert ts3.segments == (ArithmeticTail(0, 1),)
     assert parse_timescale(" ray( -2.5 ) ").a == -2.5
+    assert parse_timescale("ray(+1.e1)").a == 10.0
+    assert parse_timescale("ray(-01)").a == -1.0  # leading zeros, as float() reads them
+    assert parse_timescale("ray(-\uff11.5)").a == -1.5  # a decimal digit outside ASCII
+    ts4 = parse_timescale("union(interval(0,\n 1),\tpoints( .5e1 ), arith(6, 1))")
+    assert ts4.segments == (ClosedInterval(0, 1), DiscretePoints((5,)), ArithmeticTail(6, 1))
+
+
+def test_segment_kinds_cover_every_segment_class():
+    assert {cls for cls, _ in SEGMENT_KINDS.values()} == set(typing.get_args(Segment))
 
 
 @pytest.mark.parametrize(
@@ -294,6 +305,32 @@ def test_parse_examples():
         "arith(0)",
         "union(interval(0,2), ray(1))",
         "ray(0);",
+        "ray(- 1)",  # a sign stands next to its number
+        "ray(--1)",
+        "ray(-(1))",
+        "ray((1))",  # no parentheses beyond the calls'
+        "(ray(1))",
+        "union((ray(1)))",
+        "ray(1,)",  # no trailing comma
+        "union(ray(1),)",
+        "union(union(ray(1)))",
+        "union(ray(start=1))",
+        "union(ray(1), tail=2)",
+        "ray(1)(2)",
+        "ray",
+        "union()",
+        "ray(2^3)",
+        "ray(0x1)",
+        "ray(1_0)",
+        "ray(1j)",
+        "ray(True)",
+        "ray('1')",
+        "ray(pi)",
+        "ray(1) # a comment",
+        "ray(\x00)",
+        "ray(\uff54)",  # fullwidth t
+        "ray(" + "-" * 3000 + "1)",  # nested too deeply for the parser
+        "union(" * 300 + ")" * 300,
     ],
 )
 def test_parse_rejects(text):
