@@ -17,6 +17,7 @@ import numpy as np
 from .calculus import GridFunction, _call_on_times, cumulative_delta_integral, improper_integral
 from .errors import InvalidWindow, ParseError, TsvarError
 from .expressions import compile_expression
+from .floatcsv import csv_bytes
 from .problemfile import candidate_generator, load_problem_file
 from .timescale import tol_at
 from .variational import (
@@ -48,18 +49,18 @@ def _write_csv(path, header, rows):
     string rows.  Floats are written as Python ``repr`` (``inf``, ``nan``
     and ``-0.0`` included), exactly as the csv module writes them, so every
     value round-trips.  A float repr never needs quoting, so an array is
-    written ``CSV_CHUNK_ROWS`` rows at a time by one ``%`` format per chunk;
-    the header and string rows go through ``csv.writer``."""
+    encoded ``CSV_CHUNK_ROWS`` rows at a time by ``floatcsv.csv_bytes``, a
+    vectorized shortest round-trip encoder (Schubfach), and written to the
+    file's binary layer; the header and string rows go through
+    ``csv.writer``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
         if not isinstance(rows, np.ndarray):
-            writer.writerows(rows)
+            csv.writer(fh).writerows([header, *rows])
             return
-        line = ",".join(["%r"] * rows.shape[1]) + writer.dialect.lineterminator
+        csv.writer(fh).writerow(header)
+        fh.flush()
         for start in range(0, len(rows), CSV_CHUNK_ROWS):
-            chunk = rows[start:start + CSV_CHUNK_ROWS]
-            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+            fh.buffer.write(csv_bytes(rows[start:start + CSV_CHUNK_ROWS]))
 
 
 def _horizons_arg(text):

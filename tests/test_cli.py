@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from tsvar import cli
-from tsvar.calculus import GridFunction, cumulative_delta_integral
+from tsvar.calculus import GridFunction, cumulative_delta_integral, improper_integral
 from tsvar.problemfile import load_problem_file
 from tsvar.problems import (
     LQR_DECAY_ROOT,
@@ -185,7 +185,11 @@ def test_array_csv_writer_matches_per_row_writer(tmp_path):
     """Byte for byte the csv module's output, at 1 to 5 columns and at row
     counts on either side of a chunk boundary, down to one row and none."""
     special = [1e-5, 1e16, -0.0, 3.0, 0.1 + 0.2, 1.2345678901234567, -2.0 / 3.0,
-               5e-324, 1.7976931348623157e308, float("inf"), float("nan")]
+               5e-324, 1.7976931348623157e308, float("inf"), float("nan"),
+               1e-4, 9.999999999999999e-05, 9999999999999998.0,
+               np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf),
+               2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0.0),
+               *(2.0**-1074 * k for k in (2, 3, 7, 10)), float("-inf")]
     rng = np.random.default_rng(0)
     chunk = cli.CSV_CHUNK_ROWS
     for ncols in (1, 2, 3, 5):
@@ -225,7 +229,8 @@ def oracle_csv_bytes(tmp_path, header, columns):
 def test_csv_series_bytes_match_the_csv_module(tmp_path):
     """residual, window integrate (two components, five columns) and solve
     each write exactly what the csv module writes for the same arrays, on
-    dense grids longer than one chunk."""
+    dense grids longer than one chunk, and so does the improper integral's
+    evidence."""
     lqr = write(tmp_path, lqr_ray().file_form(), "lqr.json")
     pf = load_problem_file(lqr)
     prob, out = pf.problem, tmp_path / "cli.csv"
@@ -256,6 +261,13 @@ def test_csv_series_bytes_match_the_csv_module(tmp_path):
     traj = solve_truncated(prob, 3.0, None, h=0.02, params=pf.solve_params()).trajectory
     assert out.read_bytes() == oracle_csv_bytes(
         tmp_path, ["t", "x1"], (traj.grid.nodes, traj.x.values))
+
+    assert cli.main(["integrate", lqr, "--candidate", "decaying-exp", "--improper",
+                     "--horizons", "10,20,30,40,50", "--csv", str(out)]) == 0
+    est = improper_integral(prob.ts, pf.candidate("decaying-exp"), prob.a,
+                            [10.0, 20.0, 30.0, 40.0, 50.0], h=pf.h, config=pf.limit_config())
+    assert out.read_bytes() == oracle_csv_bytes(
+        tmp_path, ["t_prime", "partial_integral"], tuple(np.array(est.evidence).T))
 
 
 def test_integrate_improper_converged(tmp_path, capsys):
