@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Measure the peak memory of verify and of the residual CSV command.
+
+Runs each case once under tracemalloc and prints its peak allocation, the
+peak per grid node (per CSV row for the residual command) and its wall
+time.  The cases are ROADMAP item 8's table:
+
+  lqr-r    verify_candidate of lqr_ray(1.268)'s decaying-exp at t_max=40,
+           h=2.5e-4 (160004 nodes) and at t_max=2000, h=1e-3 (2000004);
+  lqr-z    verify_candidate of lqr_grid(1.2)'s decaying-mode at t_max=20000,
+           h=1 (20004 nodes);
+  residual ``tsvar residual --csv`` in process, on lqr_ray(1.268) with
+           finite-difference partials, window [0, 20] at h=1e-4 (200001 rows).
+
+With --fast the t_max=2000 run stops at t_max=200 and the residual window
+at t=5.  Times include tracemalloc's own overhead.
+
+    python3 scripts/peak_memory.py
+    python3 scripts/peak_memory.py --fast --json
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+import time
+import tracemalloc
+
+from tsvar import VerifyConfig, cli, lqr_grid, lqr_ray, verify_candidate
+
+
+def traced(run):
+    """(result, peak bytes, seconds) of one call of ``run`` under tracemalloc."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        result = run()
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak, seconds
+
+
+def verify_case(label, named, candidate, t_max, h):
+    gen = named.candidate(candidate).gen
+    report, peak, seconds = traced(
+        lambda: verify_candidate(named.problem, gen, VerifyConfig(t_max=t_max, h=h)))
+    return {"case": f"{label} verify t_max={t_max:g} h={h:g}", "nodes": report.nodes,
+            "peak_bytes": peak, "seconds": seconds, "verdict": report.verdict.value}
+
+
+def residual_case(workdir, t_hi, h):
+    doc = lqr_ray(1.268).file_form()
+    del doc["lagrangian"]["d2"], doc["lagrangian"]["d3"]  # finite-difference partials
+    path, csv_path = os.path.join(workdir, "lqr-r-fd.json"), os.path.join(workdir, "r.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    argv = ["residual", path, "--candidate", "decaying-exp", "--window", "0", repr(t_hi),
+            "--h", repr(h), "--csv", csv_path]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code, peak, seconds = traced(lambda: cli.main(argv))
+    if code != cli.EXIT_OK:
+        raise SystemExit(f"residual exited {code}")
+    return {"case": f"lqr-r residual --csv window=[0, {t_hi:g}] h={h:g}",
+            "nodes": json.loads(out.getvalue())["nodes"], "peak_bytes": peak,
+            "seconds": seconds, "csv_bytes": os.path.getsize(csv_path)}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--fast", action="store_true", help="shorter long run and window")
+    ap.add_argument("--json", action="store_true", help="emit one JSON document")
+    args = ap.parse_args(argv)
+
+    ray, lattice = lqr_ray(1.268), lqr_grid(1.2)
+    rows = [
+        verify_case("lqr-r", ray, "decaying-exp", 40.0, 2.5e-4),
+        verify_case("lqr-r", ray, "decaying-exp", 200.0 if args.fast else 2000.0, 1e-3),
+        verify_case("lqr-z", lattice, "decaying-mode", 20000.0, 1.0),
+    ]
+    with tempfile.TemporaryDirectory() as workdir:
+        rows.append(residual_case(workdir, 5.0 if args.fast else 20.0, 1e-4))
+    for row in rows:
+        row["bytes_per_node"] = row["peak_bytes"] / row["nodes"]
+
+    if args.json:
+        print(json.dumps({"results": rows}, indent=2))
+    else:
+        print(f"{'case':<48} {'nodes':>8} {'peak':>9} {'per node':>9} {'time':>7}")
+        for r in rows:
+            print(f"{r['case']:<48} {r['nodes']:>8} {r['peak_bytes'] / 1e6:>6.2f} MB "
+                  f"{r['bytes_per_node']:>7.1f} B {r['seconds']:>6.2f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

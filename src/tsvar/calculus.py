@@ -15,6 +15,7 @@ heuristic (see classify_limit).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -380,16 +381,17 @@ def _cell_weights(grid):
     usable branch neighbor the cell falls back to the left rectangle.
     """
     nodes, scattered = grid.nodes, grid.scattered
-    dt = np.diff(nodes)
     scat = scattered[:-1]
-    w_right = 0.5 * dt
-    w_left = np.where(scat, grid.mu[:-1], w_right)
-    w_right[scat] = 0.0
     ends = np.flatnonzero(~scat & scattered[1:])
     seams = ends[(ends >= 1) & ~scattered[ends - 1]]
-    w_seam = -(dt[seams] * dt[seams]) / (2.0 * (nodes[seams] - nodes[seams - 1]))
-    w_left[ends] = dt[ends]
-    w_left[seams] = dt[seams] - w_seam
+    w_right = np.diff(nodes)  # the cell lengths dt, halved in place below
+    dt_ends, dt_seams = w_right[ends], w_right[seams]
+    w_seam = -(dt_seams * dt_seams) / (2.0 * (nodes[seams] - nodes[seams - 1]))
+    w_right *= 0.5
+    w_left = np.where(scat, grid.mu[:-1], w_right)
+    w_right[scat] = 0.0
+    w_left[ends] = dt_ends
+    w_left[seams] = dt_seams - w_seam
     w_right[ends] = 0.0
     return w_left, w_right, seams, w_seam
 
@@ -407,7 +409,7 @@ def _cell_values(v, weights, i0, i1):
 def cumulative_delta_integral(f):
     """F(t_i) = integral from the first node to t_i, summed cell by cell
     with f.grid.cell_weights; an (m, n) array."""
-    return _prefix_integrals(f.grid, f.values.T, np.arange(len(f.grid))).T
+    return _prefix_integrals(f.grid, f.values.T, range(len(f.grid))).T
 
 
 #: cells per block of _cumulative_at: a block's row and node weights stay
@@ -419,10 +421,10 @@ def _blocks(at):
     """Blocks (j0, j1, lo, hi) of the horizon segments j0..j1, segment j
     holding the cells at[j - 1]..at[j] - 1 (from 0 for j = 0), so that the
     block holds the nodes lo..hi: at most _BLOCK cells, or one segment that
-    is longer on its own."""
+    is longer on its own.  ``at`` is an array or a range."""
     blocks, j0, lo = [], 0, 0
     while j0 < len(at):
-        j1 = max(j0, int(np.searchsorted(at, lo + _BLOCK, side="right")) - 1)
+        j1 = max(j0, bisect_right(at, lo + _BLOCK) - 1)
         blocks.append((j0, j1, lo, int(at[j1])))
         j0, lo = j1 + 1, int(at[j1])
     return blocks
@@ -437,15 +439,16 @@ def _block_nodes(idx):
 def _cumulative_at(grid, idx, k, rows_at, put=None):
     """Prefix integrals F[j] = int_{t_0}^{t_j} of k scalar rows on ``grid``
     at the strictly increasing node indices ``idx`` only: a (k, len(idx))
-    array.  F[j] sums the cells left of node j, cell i being w_left[i] v_i +
-    w_right[i] v_{i+1} (+ w_seam v_{i-1} at a seam cell) under _cell_weights'
-    rule (grid.cell_weights).  The rows are handed over by block (_blocks
-    of idx without node 0, in order): rows_at(lo, hi) returns the k rows at
-    the nodes lo..hi, as a sequence or an iterator, and a spare buffer of
-    at least hi - lo floats, and this routine may overwrite all of them.
-    Each row is reduced to its horizons' values before the next is taken,
-    so a producer can form them one at a time, in one buffer reused for
-    every row and block.  The block's node weights are formed once for all
+    array.  ``idx`` is an array, or range(K) for every node of the first
+    K, which then holds no index array.  F[j] sums the cells left of node
+    j, cell i being w_left[i] v_i + w_right[i] v_{i+1} (+ w_seam v_{i-1} at
+    a seam cell) under _cell_weights' rule (grid.cell_weights).  The rows
+    are handed over by block (_blocks of idx without node 0, in order):
+    rows_at(lo, hi) returns the k rows at the nodes lo..hi, as a sequence
+    or an iterator, and a spare buffer of at least hi - lo floats, and this
+    routine may overwrite all of them.  Each row is reduced to its
+    horizons' values before the next is taken, so a producer can form them
+    one at a time, in one buffer reused for every row and block.  The block's node weights are formed once for all
     k rows, and a running sum per row carries from block to block, so
     neither the block size nor the other rows change a row's result.  With
     ``put`` the values are handed on instead of kept, and None is returned:
@@ -462,7 +465,8 @@ def _cumulative_at(grid, idx, k, rows_at, put=None):
     before accumulating it, which rounds differently, by a few ulps of the
     partial sums.  The running sum is taken when there are few nodes per
     horizon (every node, say) or no cell reads its right node."""
-    idx = np.asarray(idx, dtype=np.intp)
+    if not isinstance(idx, range):
+        idx = np.asarray(idx, dtype=np.intp)
     at = idx[1:] if idx[0] == 0 else idx  # F = 0 at node 0
     off = len(idx) - len(at)
     F = None

@@ -8,8 +8,12 @@ converge, 5 verification raised flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
+import secrets
+import stat
 import sys
 
 import numpy as np
@@ -21,8 +25,9 @@ from .floatcsv import csv_bytes
 from .problemfile import candidate_generator, load_problem_file
 from .timescale import tol_at
 from .variational import (
+    SampledPath,
+    _residual_blocks,
     _slope_margin_grid,
-    el_residual,
     solve_truncated,
     verify_candidate,
 )
@@ -41,26 +46,67 @@ def _print_json(doc):
 CSV_CHUNK_ROWS = 4096
 
 
+@contextlib.contextmanager
+def _csv_file(path, header):
+    """The text file of a CSV at ``path``, its header row written, for the
+    caller to write the rows into.  A regular file is written as a
+    temporary file beside it, which replaces it (``os.replace``) once the
+    block exits without an error and is removed otherwise, so that a
+    failed command leaves ``path`` as it was.  The temporary file gets the
+    mode plain ``open`` gives: an existing file's, or 0o666 less the umask.
+    A symbolic link is followed, and a path that is not a regular file (a
+    device or a pipe) is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield _with_header(fh, header)
+        return
+    path = os.path.realpath(path)  # a link's target, which a plain open writes
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # 0o666 less the umask
+    try:
+        with open(fd, "w", newline="", encoding="utf-8") as fh:
+            if os.path.exists(path):
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+            yield _with_header(fh, header)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _with_header(fh, header):
+    """``fh`` with the CSV row ``header`` written and flushed, so that rows
+    may go on in its binary layer."""
+    csv.writer(fh).writerow(header)
+    fh.flush()
+    return fh
+
+
+def _write_rows(fh, *columns):
+    """Write the rows of the float ``columns``, arrays of one length (1-D or
+    2-D) side by side, to the CSV file ``fh``: ``CSV_CHUNK_ROWS`` rows at a
+    time, encoded by ``floatcsv.csv_bytes``, a vectorized shortest
+    round-trip encoder (Schubfach), into the file's binary layer."""
+    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        part = slice(start, start + CSV_CHUNK_ROWS)
+        fh.buffer.write(csv_bytes(np.column_stack([c[part] for c in columns])))
+
+
 def _write_csv(path, header, rows):
     """Write a header row, then one row per entry of ``rows``, each line
-    ended by ``\\r\\n``.
+    ended by ``\\r\\n``, through _csv_file.
 
     ``rows`` is either a 2-D float array, one row per node, or a list of
     string rows.  Floats are written as Python ``repr`` (``inf``, ``nan``
     and ``-0.0`` included), exactly as the csv module writes them, so every
-    value round-trips.  A float repr never needs quoting, so an array is
-    encoded ``CSV_CHUNK_ROWS`` rows at a time by ``floatcsv.csv_bytes``, a
-    vectorized shortest round-trip encoder (Schubfach), and written to the
-    file's binary layer; the header and string rows go through
-    ``csv.writer``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if not isinstance(rows, np.ndarray):
-            csv.writer(fh).writerows([header, *rows])
-            return
-        csv.writer(fh).writerow(header)
-        fh.flush()
-        for start in range(0, len(rows), CSV_CHUNK_ROWS):
-            fh.buffer.write(csv_bytes(rows[start:start + CSV_CHUNK_ROWS]))
+    value round-trips.  A float repr never needs quoting, so an array goes
+    through _write_rows; string rows go through ``csv.writer``."""
+    with _csv_file(path, header) as fh:
+        if isinstance(rows, np.ndarray):
+            _write_rows(fh, rows)
+        else:
+            csv.writer(fh).writerows(rows)
 
 
 def _horizons_arg(text):
@@ -166,6 +212,13 @@ def cmd_integrate(args):
 
 
 def cmd_residual(args):
+    """The E-L residual of a candidate on a window: its node count and sup
+    norm on stdout and, with --csv, its rows.  The residual is formed block
+    by block (variational._residual_blocks); each block's rows in the
+    window are folded into the count and the sup and written to the CSV
+    straight away, so that no row of the residual is held at full length.
+    The CSV appears at its path only once every row is written
+    (_csv_file)."""
     pf = load_problem_file(args.file)
     prob = pf.problem
     ts, a = prob.ts, prob.a
@@ -176,26 +229,32 @@ def cmd_residual(args):
     else:
         win_lo, win_hi = a, float(pf.config.get("t_max", 40.0))
     grid = _slope_margin_grid(ts, a, win_hi, h)
-    gf = GridFunction.from_callable(grid, gen)
-    res = el_residual(prob, gf)
-    nodes = res.grid.nodes
-    sel = (nodes >= win_lo - tol_at(win_lo)) & (nodes <= win_hi + tol_at(win_hi))
-    if not sel.any():
-        raise InvalidWindow("the requested window contains no residual nodes")
-    t_sel, r_sel = nodes[sel], res.values[sel]
-    sup = float(np.max(np.abs(r_sel)))
-    doc = {
+    path = SampledPath.of(prob, GridFunction.from_callable(grid, gen))
+    lo, hi = win_lo - tol_at(win_lo), win_hi + tol_at(win_hi)
+    counts, sups = [], []  # per block that meets the window: its rows there, max |r|
+
+    def window(i, r):
+        t = grid.nodes[i : i + len(r)]
+        first, last = np.searchsorted(t, lo), np.searchsorted(t, hi, side="right")
+        if first < last:
+            counts.append(last - first)
+            sups.append(float(np.max(np.abs(r[first:last]))))
+            if fh is not None:
+                _write_rows(fh, t[first:last], r[first:last])
+
+    header = ["t"] + [f"residual{j + 1}" for j in range(prob.n)]
+    with _csv_file(args.csv, header) if args.csv else contextlib.nullcontext() as fh:
+        _residual_blocks(prob, path, window)
+        if not counts:
+            raise InvalidWindow("the requested window contains no residual nodes")
+    _print_json({
         "command": "residual",
         "candidate": args.candidate,
         "window": [float(win_lo), float(win_hi)],
         "h": h,
-        "nodes": len(t_sel),
-        "sup_norm": sup,
-    }
-    _print_json(doc)
-    if args.csv:
-        header = ["t"] + [f"residual{j + 1}" for j in range(res.dim)]
-        _write_csv(args.csv, header, np.column_stack((t_sel, r_sel)))
+        "nodes": int(sum(counts)),
+        "sup_norm": max(sups),
+    })
     return EXIT_OK
 
 

@@ -181,20 +181,26 @@ class Lagrangian:
     def _fd_grad(self, t, u, v, wrt):
         base = u if wrt == 2 else v
         out = np.empty((len(np.atleast_1d(t)), self.n))
+        moved = base.copy()  # base with its column j moved by +-delta
+
+        def at_moved():
+            return self.values(t, moved, v) if wrt == 2 else self.values(t, u, moved)
+
         # nonfinite quotients (e.g. from an integrand that blows up) are
-        # propagated as-is; callers check finiteness where it matters
+        # propagated as-is; callers check finiteness where it matters.  L
+        # at the upper point is copied into ``out`` before L at the lower
+        # one is formed: the integrand may hand back one array for both
         with np.errstate(all="ignore"):
             for j in range(self.n):
                 delta = self.fd_step * (1.0 + np.abs(base[:, j]))
-                hi = base.copy()
-                lo = base.copy()
-                hi[:, j] += delta
-                lo[:, j] -= delta
-                if wrt == 2:
-                    f_hi, f_lo = self.values(t, hi, v), self.values(t, lo, v)
-                else:
-                    f_hi, f_lo = self.values(t, u, hi), self.values(t, u, lo)
-                out[:, j] = (f_hi - f_lo) / (2.0 * delta)
+                quotient = out[:, j]
+                np.add(base[:, j], delta, out=moved[:, j])
+                quotient[...] = at_moved()
+                np.subtract(base[:, j], delta, out=moved[:, j])
+                quotient -= at_moved()
+                delta *= 2.0
+                quotient /= delta
+                moved[:, j] = base[:, j]
         return out
 
     def partial2(self, t, u, v):
@@ -349,11 +355,73 @@ def el_residual(problem, x):
     GridFunction; r lives on the prefix of its grid where the sigma-shift
     and slope are defined.  It reads the slope of x once: differencing the
     d3 row again would divide its rounding by h twice.
+
+    r is formed block by block (_residual_blocks) and collected: beside
+    the path, only r is held at full length, and the d2 and d3 rows and
+    the prefix integral one block at a time.
     """
     path = SampledPath.of(problem, x)
-    p2, p3 = _partial_rows(problem, path, path.K)
-    cum = _prefix_integrals(path.grid, p2.T, np.arange(path.K)).T  # d2's columns as rows
-    return GridFunction(path.grid.prefix(path.K), p3 - p3[0] - cum)
+    r = np.empty((path.K, problem.n))
+
+    def collect(i, block):
+        r[i : i + len(block)] = block
+
+    _residual_blocks(problem, path, collect)
+    return GridFunction(path.grid.prefix(path.K), r)
+
+
+def _residual_blocks(problem, path, consume):
+    """el_residual's r along ``path``, handed on block by block:
+    consume(i, r) receives r at the nodes i, i + 1, ... of the prefix, a
+    (rows, n) array in a buffer that is overwritten once the call returns;
+    in order, the blocks cover the prefix once.  A block's r is checked
+    finite, as GridFunction checks values (EvaluationError), before it is
+    handed on, so a consumer never sees a block past a non-finite one.
+
+    Per block of calculus._blocks (the nodes lo..hi), the d2 and d3 rows
+    are formed on that block only, and calculus._cumulative_at reduces d2
+    at every node in its running-sum mode, which carries each column's sum
+    from block to block exactly: no block size changes a bit of r.  r =
+    (d3 - d3(a)) - int_a d2, in buffers of one block allocated once."""
+    K, n, lag = path.K, problem.n, problem.lagrangian
+    nodes, shift, slope = path.grid.nodes, path.shift, path.slope
+    idx = range(K)  # every node, held as no array
+    size = _block_nodes(idx)
+    d2_rows, res, spare = np.empty((n, size)), np.empty((size, n)), np.empty(size)
+    d3_a = np.empty(n)
+
+    def rows_at(lo, hi):
+        m, rows = hi - lo + 1, slice(lo, hi + 1)
+        t, xs, xd = nodes[rows], shift[rows], slope[rows]
+        d2 = d2_rows[:, :m]
+        d2[...] = lag.partial2(t, xs, xd).T  # a copy: the reducer overwrites it
+        d3 = lag.partial3(t, xs, xd)
+        if lo == 0:
+            d3_a[...] = d3[0]
+        np.subtract(d3, d3_a, out=res[:m])
+        return d2, spare
+
+    def put(c, j, vals):
+        # the integral of column c at the nodes j, j + 1, ..., the rows
+        # 1, 2, ... of the block's r; node 0's is 0, and r(a) is final
+        if j == 0:
+            return
+        m = vals.shape[1]
+        res[1 : m + 1, c] -= vals[0]
+        if c == n - 1:
+            emit(j - 1, m)
+
+    def emit(lo, m):
+        first = 0 if lo == 0 else 1  # a later block's node lo is the last one's hi
+        block = res[first : m + 1]
+        _require_finite(block)
+        consume(lo + first, block)
+
+    if K == 1:  # no cell: r(a) = d3(a) - d3(a) only
+        rows_at(0, 0)
+        emit(0, 0)
+        return
+    _cumulative_at(path.grid, idx, n, rows_at, put)
 
 
 def _partial_rows(problem, path, K):
@@ -364,8 +432,11 @@ def _partial_rows(problem, path, K):
 
 
 def el_sup_norm(problem, x):
-    res = el_residual(problem, x)
-    return float(np.max(np.abs(res.values)))
+    """max |r| of el_residual's r along ``x``, kept block by block."""
+    sups = []
+    _residual_blocks(problem, SampledPath.of(problem, x),
+                     lambda i, block: sups.append(float(np.max(np.abs(block)))))
+    return max(sups)
 
 
 def transversality_term(problem, x, t_prime):
@@ -623,22 +694,34 @@ def _difference_integral(problem, star, idx, competitors, stats=None):
     the integrand is not called (compact_bump's p vanishes on four fifths
     of the span).  The block's rows are formed one at a time, in one
     buffer, and calculus._cumulative_at reduces each before the next is
-    formed.  Full length stay only the rows the grid (nodes, mu, cell
-    weights) and the paths hold: x*'s samples, shift, slope and L row and
-    the rows of SampledPath competitors; every other row is held one block
-    at a time, in buffers allocated once per sweep, and one variation's
+    formed.  x*'s L row is formed on a block at the first row there that
+    needs it, into a buffer of its own, as the integrand may hand back an
+    array it reuses.  Full length stay only the rows the grid (nodes, mu,
+    cell weights) and the paths hold: x*'s samples, shift and slope and the
+    rows of SampledPath competitors; every other row is held one block at
+    a time, in buffers allocated once per sweep, and one variation's
     samples at a time."""
     grid, n = star.grid, problem.n
     size = _block_nodes(idx)
     k = sum(1 if eps is None else len(eps) for _, eps in competitors)
-    d_buf, spare = np.empty(size), np.empty(size)
+    d_buf, spare, l_buf = np.empty(size), np.empty(size), np.empty(size)
     u_buf, v_buf = np.empty((size, n)), np.empty((size, n))
-    nodes, lag, star_row = grid.nodes, problem.lagrangian, star.lagrangian_row
+    nodes, lag = grid.nodes, problem.lagrangian
+    l_lo = None  # the first node of the block whose L row l_buf holds
+
+    def star_row(lo, hi):
+        nonlocal l_lo
+        rows, l_star = slice(lo, hi + 1), l_buf[: hi - lo + 1]
+        if l_lo != lo:
+            l_star[...] = lag.values(nodes[rows], star.shift[rows], star.slope[rows])
+            l_lo = lo
+        return l_star
 
     def competitor_rows(comp, eps, lo, hi):
         rows, m = slice(lo, hi + 1), hi - lo + 1
-        t, l_star, d = nodes[rows], star_row[rows], d_buf[:m]
+        t, d = nodes[rows], d_buf[:m]
         if eps is None:
+            l_star = star_row(lo, hi)
             yield np.subtract(lag.values(t, comp.shift[rows], comp.slope[rows]), l_star, out=d)
             return
         if callable(comp):
@@ -655,6 +738,7 @@ def _difference_integral(problem, star, idx, competitors, stats=None):
             u += star.shift[rows]
             v = np.multiply(pd, e, out=v_buf[:m])
             v += star.slope[rows]
+            l_star = star_row(lo, hi)
             yield np.subtract(lag.values(t, u, v), l_star, out=d)
 
     def rows_at(lo, hi):
@@ -1446,15 +1530,25 @@ def classify_report(el_sup, trans, probes, *, el_tol, trans_tol, probe_tol):
     return Verdict.CONSISTENT, tuple(flags)
 
 
-def _horizon_sups(r, idx):
-    """max |r| over the rows 0..idx[j] for each horizon j, then over all
-    rows: the maxima of |r| between horizons, accumulated; no row as long
-    as r is kept."""
+def _horizon_sups(problem, path, idx):
+    """The maxima of |r|, el_residual's r along ``path``, between the
+    horizons of the node indices ``idx``: over the nodes 0..idx[0], then
+    idx[j - 1] + 1..idx[j] for each later horizon j, then the nodes past
+    the last horizon (0 when there are none).  Folded from each block of
+    _residual_blocks as it is formed, so that no row of r is held."""
     cuts = np.zeros(len(idx) + 1, dtype=np.intp)
     np.add(idx, 1, out=cuts[1:])
-    if cuts[-1] == len(r):  # no tail after the last horizon
-        cuts = cuts[:-1]
-    return np.maximum.accumulate(np.maximum.reduceat(np.abs(r), cuts).max(axis=1))
+    sups = np.zeros(len(cuts))
+
+    def fold(i, r):
+        first, last = np.searchsorted(cuts, (i, i + len(r) - 1), side="right") - 1
+        starts = cuts[first : last + 1] - i
+        starts[0] = 0
+        seg = sups[first : last + 1]
+        np.maximum(seg, np.maximum.reduceat(np.abs(r).max(axis=1), starts), out=seg)
+
+    _residual_blocks(problem, path, fold)
+    return sups
 
 
 def verify_candidate(problem, x_gen, config=VerifyConfig()):
@@ -1467,21 +1561,21 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
     one.  The verdict is derived by classify_report.  Every diagnostic
     reads one SampledPath of the candidate.
 
-    Full length, for the whole call, are the plan grid (with its cell
+    Full length, for the whole call, are only the plan grid (with its cell
     weights) and x*'s samples, shift (the samples themselves on a grid with
-    no right-scattered node), slope and L row; for the residual stage only,
-    r, its d2 and d3 rows and the prefix integral of d2, of which only the
-    maxima of r between horizons are kept; and for the transversality
-    stage only, the term at each horizon.  The nine competitor rows x* +-
-    amp p and x* + eps p come from one sweep (_difference_integral): block
-    by block, each variation is sampled on the block and the few nodes each
-    side its slopes read, and the nine rows are formed one at a time -- the
-    bump's only where it is not 0 -- each reduced by
+    no right-scattered node) and slope; for the transversality stage, the
+    term at each horizon.  The residual stage forms r block by block
+    (_residual_blocks) and keeps only the maxima of |r| between horizons
+    (_horizon_sups).  The nine competitor rows x* +- amp p and x* + eps p
+    come from one sweep (_difference_integral): block by block, x*'s L
+    row is formed on the block, each variation is sampled on the block and
+    the few nodes each side its slopes read, and the nine rows are formed
+    one at a time -- the bump's only where it is not 0 -- each reduced by
     calculus._cumulative_at to its horizon values and folded into its tail
     statistics (_TailStats) before the next is formed.  The probes'
     lim-infs and the Gateaux table are read from those statistics, so no
-    variation, competitor row or row of horizon values is ever held at full
-    length.
+    row of r, of L, of a variation or of horizon values is ever held at
+    full length.
     """
     ts, a = problem.ts, problem.a
     plan = make_horizon_plan(
@@ -1491,13 +1585,13 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
     )
     star = _on_plan(problem, x_gen, plan)
 
-    # sup of |r| over [a, T'] at every horizon T', read at a quarter, half,
-    # three quarters and all of the horizons, and over the whole prefix
-    res_sup = _horizon_sups(el_residual(problem, star).values, plan.horizon_idx)
+    # sup of |r| over [a, T'] at a quarter, half, three quarters and all of
+    # the horizons T', and over the whole prefix
+    res_sup = _horizon_sups(problem, star, plan.horizon_idx)
     hz, n_hz = plan.horizons, len(plan.horizons)
-    window_sups = tuple((float(hz[j]), float(res_sup[:n_hz][j]))
-                        for j in (n_hz // 4, n_hz // 2, 3 * n_hz // 4, -1))
-    el_sup = float(res_sup[-1])
+    window_sups = tuple((float(hz[j]), float(res_sup[: j + 1].max()))
+                        for j in (n_hz // 4, n_hz // 2, 3 * n_hz // 4, n_hz - 1))
+    el_sup = float(res_sup.max())
 
     trans = transversality_liminf(problem, star, plan, config.limits)
 

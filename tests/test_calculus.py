@@ -687,6 +687,10 @@ def test_classify_oscillates():
     est = classify_limit(mk([(-1.0) ** k for k in range(20)]))
     assert est.kind is LimitKind.OSCILLATES
     assert est.lo == -1.0 and est.hi == 1.0
+    doc = est.to_dict()
+    assert list(doc) == ["kind", "lo", "hi", "evidence"]
+    assert (doc["kind"], doc["lo"], doc["hi"]) == ("oscillates", -1.0, 1.0)
+    assert doc["evidence"] == [[float(t), float(v)] for t, v in est.evidence]
 
 
 @pytest.mark.parametrize("window", [2, 0])
@@ -768,6 +772,8 @@ def test_identity_pack_integers_exact():
     g = nat_fn(lambda t: t, 9)
     report = identity_pack(f, g)
     assert report.max_residual() == 0.0
+    assert report.to_dict() == {"shift_rule": 0.0, "product_left": 0.0, "product_right": 0.0,
+                                "parts_sigma_f": 0.0, "parts_plain_f": 0.0}
 
 
 def test_identity_pack_constant_shift_rule():

@@ -4,15 +4,17 @@ import csv
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tsvar import cli
+from tsvar import EvaluationError, VerifyConfig, cli, verify_candidate
 from tsvar.calculus import GridFunction, cumulative_delta_integral, improper_integral
 from tsvar.problemfile import load_problem_file
 from tsvar.problems import (
@@ -406,6 +408,134 @@ def test_residual_window_without_nodes(tmp_path, capsys):
         capsys, ["residual", f, "--candidate", "one", "--window", "0.2", "0.8"]
     )
     assert code == 3 and "window" in err
+
+
+#: a ray problem whose integrand is not finite past t = 5: its residual is
+#: finite on the first block of the grid (calculus._BLOCK cells, t <= 3.2768
+#: at h = 1e-4) and not on the second
+LATE_NAN_DOC = {
+    "timescale": "ray(0)",
+    "a": 0.0,
+    "x_a": [1.0],
+    "lagrangian": {"L": "-(v1^2 + u1^2) * sqrt(5 - t)"},
+    "candidates": {"decay": ["exp(-t)"]},
+}
+
+
+def test_failed_residual_leaves_the_csv_as_it_was(tmp_path, capsys, monkeypatch):
+    """The residual's rows are written block by block, so a residual that
+    turns non-finite in a later block fails after rows were written: the
+    command exits 3, the file at the CSV path keeps its bytes and mode, a
+    path with no file gets none, and no temporary file is left.  verify on
+    the same problem fails with the same error."""
+    f = write(tmp_path, LATE_NAN_DOC)
+    old = tmp_path / "old.csv"
+    old.write_bytes(b"t,residual1\r\n1.0,2.0\r\n")
+    old.chmod(0o640)
+    written = []
+    write_rows = cli._write_rows
+    monkeypatch.setattr(cli, "_write_rows",
+                        lambda fh, *cols: written.append(len(cols[0])) or write_rows(fh, *cols))
+    for out in (old, tmp_path / "new.csv"):
+        written.clear()
+        code, doc, err = run_cli(capsys, ["residual", f, "--candidate", "decay", "--window",
+                                          "0", "8", "--h", "1e-4", "--csv", str(out)])
+        assert (code, doc) == (3, None) and err == "error: grid function values must be finite\n"
+        assert sum(written) == 32769  # the first block's rows, t = 0 .. 3.2768
+    assert old.read_bytes() == b"t,residual1\r\n1.0,2.0\r\n"
+    assert old.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv", "problem.json"]
+    code, doc, _ = run_cli(capsys, ["residual", f, "--candidate", "decay",
+                                    "--window", "0", "3", "--h", "1e-4", "--csv", str(old)])
+    assert code == 0 and doc["nodes"] == 30001
+    code, doc, err2 = run_cli(capsys, ["verify", f, "--candidate", "decay", "--t-max", "8",
+                                       "--h", "1e-4"])
+    assert (code, doc, err2) == (3, None, err)
+    pf = load_problem_file(f)
+    with pytest.raises(EvaluationError, match="finite"):
+        verify_candidate(pf.problem, pf.candidate("decay"), VerifyConfig(t_max=8.0, h=1e-4))
+
+
+def test_csv_file_gets_the_mode_plain_open_gives(tmp_path, capsys):
+    """A new CSV gets mode 0o666 less the umask, a CSV replacing a file
+    keeps that file's mode, and a CSV named by a symbolic link is written
+    to the link's target, the link left as it is."""
+    f = write(tmp_path, LQR_DOC)
+    argv = ["residual", f, "--candidate", "decay", "--window", "0", "5", "--csv"]
+    umask = os.umask(0o027)
+    try:
+        assert cli.main(argv + [str(tmp_path / "new.csv")]) == 0
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "new.csv").stat().st_mode & 0o777 == 0o640
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old")
+    kept.chmod(0o604)
+    assert cli.main(argv + [str(kept)]) == 0
+    assert kept.stat().st_mode & 0o777 == 0o604
+    link = tmp_path / "link.csv"
+    link.symlink_to(kept)
+    kept.write_text("old")
+    assert cli.main(argv + [str(link)]) == 0
+    assert link.is_symlink() and kept.read_bytes() == (tmp_path / "new.csv").read_bytes()
+    capsys.readouterr()
+
+
+def test_csv_to_a_pipe_is_written_in_place(tmp_path, capsys):
+    """A path that is not a regular file is opened and written as it is,
+    not replaced by a file: a named pipe, and /dev/stdout when it is a pipe
+    (whose resolved name, /proc/<pid>/fd/pipe:[...], names no file)."""
+    f = write(tmp_path, LQR_DOC)
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    assert cli.main(["residual", f, "--candidate", "decay", "--window", "0", "5",
+                     "--csv", str(pipe)]) == 0
+    reader.join(timeout=30)
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
+    assert cli.main(["residual", f, "--candidate", "decay", "--window", "0", "5",
+                     "--csv", str(tmp_path / "file.csv")]) == 0
+    assert got == [(tmp_path / "file.csv").read_bytes()]
+    capsys.readouterr()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "tsvar", "residual", f, "--candidate", "decay", "--window",
+         "0", "5", "--csv", "/dev/stdout"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=60)
+    assert cli.main(["residual", f, "--candidate", "decay", "--window", "0", "5"]) == 0
+    doc = capsys.readouterr().out.encode()
+    assert proc.returncode == 0 and proc.stdout == got[0] + doc
+
+
+def test_residual_csv_memory_is_block_sized(tmp_path, capsys):
+    """tracemalloc peak of tsvar residual --csv on 100001 rows of lqr-r
+    with finite-difference partials: at most 80 bytes per row (70.6
+    measured; 105.5 when r, its d2, d3 and prefix-integral rows, its window
+    rows and their column stack were held at full length).  Full length are
+    the grid (nodes, mu, flags and cell weights, 33 bytes per node) and x's
+    samples and slope; the rest is one block's partial rows, their finite
+    differences, r and the CSV chunks, whose 2 MB weigh 20 bytes per row
+    here.  An untraced run on a short window first takes the one-time costs
+    (the encoder's tables, numpy.ma) out of the traced one."""
+    doc = lqr_ray(1.268).file_form()
+    del doc["lagrangian"]["d2"], doc["lagrangian"]["d3"]
+    f = write(tmp_path, doc)
+    argv = ["residual", f, "--candidate", "decaying-exp", "--h", "1e-4",
+            "--csv", str(tmp_path / "r.csv"), "--window", "0"]
+    assert cli.main(argv + ["0.1"]) == 0
+    capsys.readouterr()
+    argv.append("10")
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = json.loads(capsys.readouterr().out)["nodes"]
+    assert code == 0 and rows == 100001
+    assert peak / rows <= 80.0
 
 
 # ---------------------------------------------------------------------------

@@ -432,9 +432,9 @@ MIN_MAX_SCANS_ALLOWED = {
     ("variational.py", "_TailStats.scans"):
         "the running and suffix minima over the few segments of the tail "
         "statistics, from which both lim-inf stages and the Gateaux table read",
-    ("variational.py", "_horizon_sups"):
-        "the maxima of |r| between horizons, accumulated: the E-L residual's "
-        "window sups",
+    ("variational.py", "_horizon_sups.fold"):
+        "the maxima of |r| between horizons, folded from each block of the "
+        "E-L residual as it is formed: the residual's window sups",
 }
 
 

@@ -1,5 +1,6 @@
-"""The guarantees the two scripts print: O(h^2) convergence orders and a
-corpus whose every verdict matches its expectation."""
+"""The guarantees the scripts print: O(h^2) convergence orders, a corpus
+whose every verdict matches its expectation, and a peak-memory table of
+one row per case."""
 
 import importlib.util
 import json
@@ -30,3 +31,15 @@ def test_corpus_verdicts_all_match(capsys):
     assert code == 0 and doc["failures"] == 0
     assert len(doc["results"]) == 6
     assert all(row["ok"] and row["verdict"] == row["expected"] for row in doc["results"])
+
+
+def test_peak_memory_prints_its_table(capsys):
+    code = load_script("peak_memory").main(["--fast", "--json"])
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert code == 0
+    assert [row["nodes"] for row in rows] == [160004, 200004, 20004, 50001]
+    assert all(row["verdict"] == "consistent" for row in rows[:3])
+    assert rows[3]["csv_bytes"] > 0
+    for row in rows:
+        assert row["peak_bytes"] > 0 and row["seconds"] > 0
+        assert row["bytes_per_node"] == row["peak_bytes"] / row["nodes"]

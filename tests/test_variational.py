@@ -73,7 +73,7 @@ from tsvar.problems import (
     lqr_ray_truncation_oracle,
     scalar_traj,
 )
-from tsvar import calculus, variational
+from tsvar import calculus, cli, variational
 from tsvar.variational import (
     _block_tridiagonal_solve,
     _default_el_tol,
@@ -369,6 +369,73 @@ def test_el_residual_second_order_on_dense_grids():
         assert sups[-1] <= 5.0 * h * h
     slope = np.polyfit(np.log(hs), np.log(sups), 1)[0]
     assert 1.6 <= slope <= 2.4
+
+
+def test_el_residual_on_a_one_node_prefix():
+    """A path whose slope is defined at a alone: r(a) = d3(a) - d3(a) = 0,
+    with no cell to integrate."""
+    lqr = lqr_grid()
+    path = SampledPath(lqr.problem, GridFunction(NAT.build_grid(0.0, 1.0, 1.0), [[1.0], [0.5]]))
+    assert path.K == 1
+    assert el_residual(lqr.problem, path).values.tolist() == [[0.0]]
+    assert el_sup_norm(lqr.problem, path) == 0.0
+
+
+def reusing_integrand(fn):
+    """The vectorized integrand ``fn`` handing back one output array, which
+    every call overwrites."""
+    out = np.empty(0)
+
+    def reused(t, u, v):
+        nonlocal out
+        if out.shape != t.shape:
+            out = np.empty(t.shape)
+        out[...] = fn(t, u, v)
+        return out
+
+    return reused
+
+
+def test_fd_partials_survive_an_integrand_that_reuses_its_output():
+    """Finite-difference partials copy L at the upper point before L at the
+    lower one is formed: with an integrand that hands back one array for
+    both, they equal those of the same integrand returning fresh arrays,
+    bit for bit (they read 0 when the two results were the one array)."""
+    def fn(t, u, v):
+        return (np.sin(u[:, 1]) + v[:, 1] ** 3
+                - (v[:, 0] ** 2 + u[:, 0] ** 2 + u[:, 0] * v[:, 1]) * np.exp(-0.1 * t))
+
+    fresh = Lagrangian(n=2, eval=fn, vectorized=True)
+    reused = Lagrangian(n=2, eval=reusing_integrand(fn), vectorized=True)
+    rng = np.random.default_rng(3)
+    t, u, v = np.linspace(0.0, 5.0, 40), rng.standard_normal((40, 2)), rng.standard_normal((40, 2))
+    for partial in ("partial2", "partial3"):
+        want = getattr(fresh, partial)(t, u, v)
+        assert np.array_equal(getattr(reused, partial)(t, u, v), want)
+        assert np.all(want != 0.0)
+
+
+def test_sweep_survives_an_integrand_that_reuses_its_output(monkeypatch):
+    """x*'s L row, formed per block in a buffer of the sweep's own, is not
+    overwritten by the competitor rows of an integrand that hands back one
+    array for every call: the horizon values equal those of the integrand
+    returning fresh arrays, for blocks of 9 cells and for one block."""
+    ray = lqr_ray(1.3)
+    fresh = ray.problem
+    lag = fresh.lagrangian
+    reused = dataclasses.replace(fresh, lagrangian=Lagrangian(
+        n=1, eval=reusing_integrand(lag.eval), d2=lag.d2, d3=lag.d3, vectorized=True))
+    plan = make_horizon_plan(fresh.ts, 0.0, 5.0, h=1e-2)
+    gen, q = ray.candidate("decaying-exp").gen, smoothstep_tail(0.5, 0.0, 1.0)
+    for block in (9, calculus._BLOCK):
+        monkeypatch.setattr(calculus, "_BLOCK", block)
+        got = []
+        for problem in (fresh, reused):
+            star = SampledPath.of(problem, gen, plan.grid)
+            competitor = SampledPath.of(problem, perturbed_generator(gen, q), plan.grid)
+            got.append(variational._difference_integral(
+                problem, star, plan.horizon_idx, [(competitor, None), (q, (1.0, -0.1))]))
+        assert np.array_equal(got[1], got[0]) and np.all(got[0][:, -1] != 0.0)
 
 
 @pytest.mark.parametrize("x_a, h, fd", [
@@ -832,6 +899,8 @@ def test_lemma_probe_point_mass():
     assert w.integral == 4.0  # mu * g(3)^2
     assert float(np.asarray(w.eta(4.0))) == 2.0
     assert float(np.asarray(w.eta(3.0))) == 0.0
+    assert json.loads(json.dumps(w.to_dict())) == {
+        "t0": 3.0, "kind": "point_mass", "support": [4.0, 4.0], "integral": 4.0}
 
 
 def test_lemma_probe_bump_on_dense_run():
@@ -1257,15 +1326,15 @@ def test_verify_reads_competitor_integrals_at_the_horizons_only(monkeypatch):
     assert report.verdict is Verdict.CONSISTENT
     assert 1.2 * calculus._BLOCK < report.nodes < 2 * calculus._BLOCK
     # two reductions: the E-L residual's, at every node, and the sweep's,
-    # where the 6 probes and 3 Gateaux rows are formed block by block, so
-    # that x*'s row is the only one of full length, and reduced together
-    # straight to their horizon values; no cell array of full length
+    # where x*'s row, the 6 probes and the 3 Gateaux rows are formed block
+    # by block and reduced together straight to their horizon values; no
+    # integrand call and no cell array of full length
     assert calls == collections.Counter({"_cumulative_at": 2, "_cell_values": 0})
-    assert len([m for m in spans if m > calculus._BLOCK + 1]) == 1
-    # x*'s row, then the 9 rows of the first block and the 7 of the second:
-    # the bump (support [1.5, 3.5] of [0, 10]) is 0 there, so its 2 rows are
-    # not evaluated
-    assert len(spans) == 1 + 9 + 7
+    assert max(spans) <= calculus._BLOCK + 1
+    # per block, x*'s row, then the 9 rows of the first block and the 7 of
+    # the second: the bump (support [1.5, 3.5] of [0, 10]) is 0 there, so
+    # its 2 rows are not evaluated
+    assert len(spans) == 2 + 9 + 7
 
 
 BLOCK_CASES = pytest.mark.parametrize("named, label, t_max, h, blocks", [
@@ -1279,10 +1348,11 @@ BLOCK_CASES = pytest.mark.parametrize("named, label, t_max, h, blocks", [
 def test_competitor_integrals_do_not_depend_on_the_block_size(monkeypatch, named, label,
                                                               t_max, h, blocks):
     """The block size sets only the working memory: the nine probe and
-    Gateaux rows of verify's one sweep, and the report, are the same for
-    blocks shorter than one horizon segment (lqr-r's segments hold up to
-    166 cells, the comb's up to 48, lqr-z's one, so that there each block is
-    one segment), of a few segments, and of the whole grid."""
+    Gateaux rows of verify's one sweep, and the report (with the residual's
+    window sups, folded block by block), are the same for blocks shorter
+    than one horizon segment (lqr-r's segments hold up to 166 cells, the
+    comb's up to 48, lqr-z's one, so that there each block is one
+    segment), of a few segments, and of the whole grid."""
     gen = named.candidate(label).gen
     sweeps = []
     blocked = variational._difference_integral
@@ -1298,6 +1368,35 @@ def test_competitor_integrals_do_not_depend_on_the_block_size(monkeypatch, named
     for report, F in runs[1:]:
         assert report == runs[0][0]
         assert np.array_equal(F[0], runs[0][1][0])
+
+
+@BLOCK_CASES
+def test_residual_does_not_depend_on_the_block_size(monkeypatch, tmp_path, capsys, named,
+                                                    label, t_max, h, blocks):
+    """The residual is formed block by block (variational._residual_blocks),
+    and el_residual's r, el_sup_norm (its max |r|) and tsvar residual's
+    stdout and CSV bytes, on a window that starts and ends inside a block,
+    are the same for the three block sizes; verify's report is compared by
+    test_competitor_integrals_do_not_depend_on_the_block_size."""
+    problem = named.problem
+    path = sample_trajectory(problem, named.candidate(label).gen, t_max, h)
+    f = tmp_path / "problem.json"
+    f.write_text(json.dumps(named.file_form()))
+    lo, hi = problem.a + 0.13 * t_max, problem.a + 0.7921 * t_max
+    inside = np.searchsorted(path.grid.nodes, (lo, hi))
+    assert np.all(inside % blocks[1] > 1)  # neither end is at a block's edge
+    out = tmp_path / "r.csv"
+    runs = []
+    for block in blocks:
+        monkeypatch.setattr(calculus, "_BLOCK", block)
+        r = el_residual(problem, path).values
+        assert cli.main(["residual", str(f), "--candidate", label, "--window", repr(lo),
+                         repr(hi), "--h", repr(h), "--csv", str(out)]) == 0
+        runs.append((r.tobytes(), el_sup_norm(problem, path), capsys.readouterr().out,
+                     out.read_bytes()))
+    assert runs[1:] == runs[:1] * 2
+    assert runs[0][1] == float(np.max(np.abs(r)))
+    assert json.loads(runs[0][2])["nodes"] == len(out.read_text().splitlines()) - 1 > blocks[1]
 
 
 def full_row_integrals(problem, star, idx, shift, slope):
@@ -1340,14 +1439,14 @@ def test_competitor_integrals_equal_the_full_row_reduced_at_the_horizons(
 def test_bump_rows_call_the_integrand_only_where_the_bump_is(monkeypatch):
     """With blocks of 500 cells, the rows x* +- p of a compact bump call the
     integrand only on the blocks where p's shift or slope is not all 0 --
-    those that meet its support [1.5, 3.5], a fifth of the span -- and
-    equal the rows formed at full length without skipping any, exactly."""
+    those that meet its support [1.5, 3.5], a fifth of the span -- once for
+    x*'s row and once for each row, and equal the rows formed at full
+    length without skipping any, exactly."""
     ray = lqr_ray(1.3)
     problem = ray.problem
     plan = make_horizon_plan(problem.ts, 0.0, 10.0, h=1e-3)
     star = SampledPath.of(problem, ray.candidate("decaying-exp").gen, plan.grid)
     idx, nodes = plan.horizon_idx, plan.grid.nodes
-    star.lagrangian_row  # noqa: B018 -- formed before the calls are counted
     bump = compact_bump(0.5, 2.5, 1.0)
     var = SampledPath.of(problem, bump, plan.grid, variation=True)
     monkeypatch.setattr(calculus, "_BLOCK", 500)
@@ -1359,7 +1458,7 @@ def test_bump_rows_call_the_integrand_only_where_the_bump_is(monkeypatch):
     blocks = calculus._blocks(idx)
     live = [(nodes[lo], nodes[hi]) for _, _, lo, hi in blocks
             if var.shift[lo : hi + 1].any() or var.slope[lo : hi + 1].any()]
-    assert spans == [span for span in live for _ in (1.0, -1.0)]
+    assert spans == [span for span in live for _ in ("x*", 1.0, -1.0)]
     assert 0 < len(live) <= len(blocks) // 3
     assert all(lo <= 3.5 and hi >= 1.5 for lo, hi in live)
     monkeypatch.setattr(Lagrangian, "values", values)
@@ -1403,49 +1502,52 @@ def test_variation_quotient_does_not_depend_on_the_block_size(monkeypatch, named
     assert len(got) == 1
 
 
-def test_verify_memory_stays_within_its_budget():
-    """tracemalloc peak of one lqr-r verify over 160004 nodes: at most 99
-    bytes per node (93.1 measured).  The E-L residual stage sets it.  Before
-    it, the grid's nodes, mu and flags and x*'s samples and slope (on the
-    ray x*'s shift is its samples) hold 40 bytes per node; el_residual adds
-    the grid's cell weights, kept for the rest of the call (2 float64
-    rows), its d2, d3, prefix-integral and r rows (4 more) and three block
-    buffers of calculus._BLOCK floats.  The prefix integral is reduced
-    block by block; forming its cells at full length read 96 bytes per
-    node.  The competitor sweep peaks below it, at 78: x*'s L row joins the
-    held rows, but no variation row is held at full length, and of the 9
-    competitor rows only one block of the one being formed (91 when the
-    block's 9 rows were held together).  Sampling each variation at full
-    length read 108 bytes per node, and forming the competitor rows at full
-    length 136."""
-    ray = lqr_ray(1.268)
-    gen = ray.candidate("decaying-exp").gen
+def traced_verify(named, label, t_max, h):
+    """The report and tracemalloc peak of one verify, after an untraced
+    verify of the same candidate on a short window, which takes the
+    process's one-time costs (numpy.ma, which np.unique imports on first
+    use, about 1 MB) out of the traced one."""
+    gen = named.candidate(label).gen
+    verify_candidate(named.problem, gen, VerifyConfig(t_max=t_max / 100.0, h=h))
     tracemalloc.start()
     try:
-        report = verify_candidate(ray.problem, gen, VerifyConfig(t_max=40.0, h=2.5e-4))
+        report = verify_candidate(named.problem, gen, VerifyConfig(t_max=t_max, h=h))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return report, peak
+
+
+def test_verify_memory_stays_within_its_budget():
+    """tracemalloc peak of one lqr-r verify over 160004 nodes: at most 75
+    bytes per node (65.2 measured; 86.3 when the residual stage held r, its
+    d2 and d3 rows and the prefix integral at full length and the sweep
+    held x*'s L row).  Full length are the grid's nodes, mu and flags and
+    x*'s samples and slope (on the ray x*'s shift is its samples), 33
+    bytes per node, and, from the residual stage on, the grid's cell
+    weights (2 float64 rows).  The residual stage reads 57 at its peak: its
+    d2 and d3 rows, r and the reducer's spare are held one block at a time
+    and its window maxima folded block by block.  The competitor sweep sets
+    the peak, with one block of x*'s L row, of the row being formed and of
+    one variation's samples, shift and slope: buffers of calculus._BLOCK
+    floats whose 2.6 MB weigh 16 bytes per node here (the block's 9 rows
+    held together read 91 bytes per node, each variation sampled at full
+    length 108, and the competitor rows formed at full length 136)."""
+    report, peak = traced_verify(lqr_ray(1.268), "decaying-exp", 40.0, 2.5e-4)
     assert report.verdict is Verdict.CONSISTENT and report.nodes == 160004
-    assert peak / report.nodes <= 99.0
+    assert peak / report.nodes <= 75.0
 
 
 def test_lattice_verify_memory_stays_within_its_budget():
     """tracemalloc peak of one lqr-z verify to t = 20000, where every node
-    is a horizon and the plan is one block: at most 175 bytes per node
-    (3.26 MB, 163 per node, measured).  The competitor sweep sets it, with
-    the grid, x*'s rows, one block row and its spare, the u and v buffers
-    and one variation's samples, shift and slope.  Holding the sweep's
-    (9, 20000) horizon values for the lim-inf and Gateaux scans, with the
-    block's 9 rows together, read 5.18 MB."""
-    lattice = lqr_grid(1.2)
-    gen = lattice.candidate("decaying-mode").gen
-    tracemalloc.start()
-    try:
-        report = verify_candidate(lattice.problem, gen, VerifyConfig(t_max=20000.0, h=1.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    is a horizon and the plan is one block: at most 175 bytes per node,
+    3.50 MB (3.26 MB, 163 per node, measured).  The competitor sweep sets
+    it, with the grid, x*'s rows, one block row and its spare, x*'s L row
+    on the block, the u and v buffers and one variation's samples, shift
+    and slope.  Holding the sweep's (9, 20000) horizon values for the
+    lim-inf and Gateaux scans, with the block's 9 rows together, read
+    5.18 MB."""
+    report, peak = traced_verify(lqr_grid(1.2), "decaying-mode", 20000.0, 1.0)
     assert report.verdict is Verdict.CONSISTENT and report.nodes == 20004
     assert peak / report.nodes <= 175.0
 
