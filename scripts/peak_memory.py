@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Measure the peak memory of verify and of the residual CSV command.
+"""Measure the peak memory of verify and of the residual and integrate CSV commands.
 
 Runs each case once under tracemalloc and prints its peak allocation, the
-peak per grid node (per CSV row for the residual command) and its wall
+peak per grid node (per CSV row for the CSV commands) and its wall
 time.  The cases are ROADMAP item 8's table:
 
   lqr-r    verify_candidate of lqr_ray(1.268)'s decaying-exp at t_max=40,
@@ -10,10 +10,12 @@ time.  The cases are ROADMAP item 8's table:
   lqr-z    verify_candidate of lqr_grid(1.2)'s decaying-mode at t_max=20000,
            h=1 (20004 nodes);
   residual ``tsvar residual --csv`` in process, on lqr_ray(1.268) with
-           finite-difference partials, window [0, 20] at h=1e-4 (200001 rows).
+           finite-difference partials, window [0, 20] at h=1e-4 (200001 rows);
+  integrate ``tsvar integrate --csv`` in process, of exp(-0.1*t)*sin(t) on
+           ray(0), window [0, 20] at h=1e-4 (200001 rows).
 
-With --fast the t_max=2000 run stops at t_max=200 and the residual window
-at t=5.  Times include tracemalloc's own overhead.
+With --fast the t_max=2000 run stops at t_max=200 and the CSV windows at
+t=5.  Times include tracemalloc's own overhead.
 
     python3 scripts/peak_memory.py
     python3 scripts/peak_memory.py --fast --json
@@ -53,22 +55,38 @@ def verify_case(label, named, candidate, t_max, h):
             "peak_bytes": peak, "seconds": seconds, "verdict": report.verdict.value}
 
 
+def csv_case(workdir, case, doc, command, *options):
+    """The row of one in-process ``tsvar <command> <file> <options> --csv``
+    run, the file holding the problem ``doc``.  Its node count is the CSV's
+    row count."""
+    path, csv_path = os.path.join(workdir, "problem.json"), os.path.join(workdir, "out.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    argv = [command, path, *options, "--csv", csv_path]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code, peak, seconds = traced(lambda: cli.main(argv))
+    if code != cli.EXIT_OK:
+        raise SystemExit(f"{command} exited {code}")
+    with open(csv_path, "rb") as fh:
+        rows = fh.read().count(b"\n") - 1
+    return {"case": case, "nodes": rows, "peak_bytes": peak, "seconds": seconds,
+            "csv_bytes": os.path.getsize(csv_path)}
+
+
 def residual_case(workdir, t_hi, h):
     doc = lqr_ray(1.268).file_form()
     del doc["lagrangian"]["d2"], doc["lagrangian"]["d3"]  # finite-difference partials
-    path, csv_path = os.path.join(workdir, "lqr-r-fd.json"), os.path.join(workdir, "r.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-    argv = ["residual", path, "--candidate", "decaying-exp", "--window", "0", repr(t_hi),
-            "--h", repr(h), "--csv", csv_path]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code, peak, seconds = traced(lambda: cli.main(argv))
-    if code != cli.EXIT_OK:
-        raise SystemExit(f"residual exited {code}")
-    return {"case": f"lqr-r residual --csv window=[0, {t_hi:g}] h={h:g}",
-            "nodes": json.loads(out.getvalue())["nodes"], "peak_bytes": peak,
-            "seconds": seconds, "csv_bytes": os.path.getsize(csv_path)}
+    return csv_case(workdir, f"lqr-r residual --csv window=[0, {t_hi:g}] h={h:g}", doc,
+                    "residual", "--candidate", "decaying-exp", "--window", "0", repr(t_hi),
+                    "--h", repr(h))
+
+
+def integrate_case(workdir, t_hi, h):
+    doc = {"timescale": "ray(0)", "a": 0.0, "x_a": [1.0],
+           "lagrangian": {"L": "-(v1^2 + u1^2)"}, "candidates": {}}
+    return csv_case(workdir, f"ray integrate --csv window=[0, {t_hi:g}] h={h:g}", doc,
+                    "integrate", "--expr", "exp(-0.1*t)*sin(t)", "--to", repr(t_hi),
+                    "--h", repr(h))
 
 
 def main(argv=None):
@@ -83,8 +101,10 @@ def main(argv=None):
         verify_case("lqr-r", ray, "decaying-exp", 200.0 if args.fast else 2000.0, 1e-3),
         verify_case("lqr-z", lattice, "decaying-mode", 20000.0, 1.0),
     ]
+    t_hi = 5.0 if args.fast else 20.0
     with tempfile.TemporaryDirectory() as workdir:
-        rows.append(residual_case(workdir, 5.0 if args.fast else 20.0, 1e-4))
+        rows.append(residual_case(workdir, t_hi, 1e-4))
+        rows.append(integrate_case(workdir, t_hi, 1e-4))
     for row in rows:
         row["bytes_per_node"] = row["peak_bytes"] / row["nodes"]
 

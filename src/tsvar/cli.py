@@ -87,26 +87,14 @@ def _write_rows(fh, *columns):
     """Write the rows of the float ``columns``, arrays of one length (1-D or
     2-D) side by side, to the CSV file ``fh``: ``CSV_CHUNK_ROWS`` rows at a
     time, encoded by ``floatcsv.csv_bytes``, a vectorized shortest
-    round-trip encoder (Schubfach), into the file's binary layer."""
+    round-trip encoder (Schubfach), into the file's binary layer.  Each
+    float is written as its Python ``repr`` (``inf``, ``nan`` and ``-0.0``
+    included), as the csv module writes it, so every value round-trips.
+    Only one chunk's rows are ever stacked, so no command builds a table as
+    long as its series."""
     for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
         part = slice(start, start + CSV_CHUNK_ROWS)
         fh.buffer.write(csv_bytes(np.column_stack([c[part] for c in columns])))
-
-
-def _write_csv(path, header, rows):
-    """Write a header row, then one row per entry of ``rows``, each line
-    ended by ``\\r\\n``, through _csv_file.
-
-    ``rows`` is either a 2-D float array, one row per node, or a list of
-    string rows.  Floats are written as Python ``repr`` (``inf``, ``nan``
-    and ``-0.0`` included), exactly as the csv module writes them, so every
-    value round-trips.  A float repr never needs quoting, so an array goes
-    through _write_rows; string rows go through ``csv.writer``."""
-    with _csv_file(path, header) as fh:
-        if isinstance(rows, np.ndarray):
-            _write_rows(fh, rows)
-        else:
-            csv.writer(fh).writerows(rows)
 
 
 def _horizons_arg(text):
@@ -171,8 +159,8 @@ def cmd_integrate(args):
         }
         _print_json(doc)
         if args.csv:
-            _write_csv(args.csv, ["t_prime", "partial_integral"],
-                       np.array(est.evidence, dtype=float).reshape(-1, 2))
+            with _csv_file(args.csv, ["t_prime", "partial_integral"]) as fh:
+                _write_rows(fh, np.array(est.evidence, dtype=float).reshape(-1, 2))
         return EXIT_OK
 
     if args.to is None:
@@ -188,13 +176,13 @@ def cmd_integrate(args):
         # int_c^c = 0, and a window holding no complete cell integrates to 0
         dim = _call_on_times(fn, np.array([hi if lo > hi else lo])).shape[1]
         value, lo, hi = np.zeros(dim), lo_v, hi_v
-        table = (np.empty((0, 1 + 2 * dim)),)
+        columns = (np.empty(0),)
     else:
         grid = ts.build_grid(lo, hi, h)
         gf = GridFunction.from_callable(grid, fn, extend=False)
         cum = cumulative_delta_integral(gf)  # one reduction: value is the CSV's last row
         dim, value = gf.dim, sign * cum[-1]
-        table = (grid.nodes, gf.values, cum)
+        columns = (grid.nodes, gf.values, cum)
     _print_json({
         "command": "integrate",
         "mode": "window",
@@ -207,7 +195,8 @@ def cmd_integrate(args):
     if args.csv:
         header = (["t"] + [f"f{j + 1}" for j in range(dim)]
                   + [f"integral{j + 1}" for j in range(dim)])
-        _write_csv(args.csv, header, np.column_stack(table))
+        with _csv_file(args.csv, header) as fh:
+            _write_rows(fh, *columns)
     return EXIT_OK
 
 
@@ -283,7 +272,8 @@ def cmd_verify(args):
             (f"weak_max:{label}", est.kind.value, repr(est.value))
             for label, est in report.weak_max_probes
         ]
-        _write_csv(args.csv, ["check", "kind", "value"], rows)
+        with _csv_file(args.csv, ["check", "kind", "value"]) as fh:
+            csv.writer(fh).writerows(rows)
     return EXIT_FLAGS if report.flags else EXIT_OK
 
 
@@ -304,7 +294,8 @@ def cmd_solve(args):
     if args.csv:
         traj = result.trajectory
         header = ["t"] + [f"x{j + 1}" for j in range(traj.x.dim)]
-        _write_csv(args.csv, header, np.column_stack((traj.grid.nodes, traj.x.values)))
+        with _csv_file(args.csv, header) as fh:
+            _write_rows(fh, traj.grid.nodes, traj.x.values)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 

@@ -56,6 +56,13 @@ def tol_at(t):
     return np.maximum(1e-12, 16.0 * np.spacing(np.abs(np.asarray(t, dtype=float))))
 
 
+def _check_finite(x):
+    """NotInTimeScale unless the time x is finite: the scale has no member
+    at +-inf, and no member is nearest to nan."""
+    if not math.isfinite(x):
+        raise NotInTimeScale(f"{x!r} is not a finite time")
+
+
 # ---------------------------------------------------------------------------
 # segments
 
@@ -451,7 +458,8 @@ class TimeScaleSpec:
     # -- member navigation --------------------------------------------------
 
     def floor_member(self, x):
-        """Largest member <= x; NotInTimeScale if x < a."""
+        """Largest member <= x; NotInTimeScale if x < a or x is not finite."""
+        _check_finite(x)
         for seg in reversed(self.segments):
             m = seg.floor(x)
             if m is not None:
@@ -459,12 +467,13 @@ class TimeScaleSpec:
         raise NotInTimeScale(f"no member of the scale lies at or below {x!r}")
 
     def ceil_member(self, x):
-        """Smallest member >= x (always exists since sup T = +inf)."""
+        """Smallest member >= x; NotInTimeScale if x is not finite.  The last
+        segment is a ray or an arithmetic tail, whose ceil is never None."""
+        _check_finite(x)
         for seg in self.segments:
             m = seg.ceil(x)
             if m is not None:
                 return m
-        return self.segments[-1].ceil(x)
 
     def advance(self, t, h):
         """One sampling step forward: sigma(t) if t is right-scattered,
@@ -483,10 +492,12 @@ class TimeScaleSpec:
 
         Scattered points are included exactly; each continuous stretch of
         length L contributes ceil(L/h) uniform subintervals.  lo and hi must
-        be members with lo < hi.
+        be finite members with lo < hi.
         """
         if not h > 0:
             raise StepNotPositive(f"dense step must be > 0, got {h!r}")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InvalidWindow(f"the window [{lo!r}, {hi!r}] is not finite")
         lo = self.snap(lo)
         hi = self.snap(hi)
         if not lo < hi:

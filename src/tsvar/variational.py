@@ -218,6 +218,13 @@ class Lagrangian:
     # -- construction-time check ---------------------------------------------
 
     def _validate_partials(self):
+        """Refuse a supplied d2 or d3 that differs from central differences
+        on the probe points by more than 1e-4 * (1 + |analytic|) plus the
+        differences' rounding, 2 eps |L| / delta (eps = 2**-52, delta the
+        step of the argument moved): with each value of L off by up to
+        2 eps |L|, the quotient (L(+delta) - L(-delta)) / (2 delta) is off
+        by up to that much.  Without it a large constant in L, 1e7 say,
+        gets exact partials refused."""
         t, u, v = _probe_points(self.n)
         try:
             base = self.values(t, u, v)
@@ -231,7 +238,9 @@ class Lagrangian:
             analytic = self._grad(fn, t, u, v)
             fd = self._fd_grad(t, u, v, wrt)
             err = np.abs(analytic - fd)
-            bound = 1e-4 * (1.0 + np.abs(analytic))
+            delta = self.fd_step * (1.0 + np.abs(u if wrt == 2 else v))
+            rounding = 2.0 * np.finfo(float).eps * np.abs(base)[:, None] / delta
+            bound = 1e-4 * (1.0 + np.abs(analytic)) + rounding
             if not np.all(err <= bound):
                 worst = float(np.max(err - bound))
                 raise PartialsMismatch(
@@ -1424,7 +1433,8 @@ class VerifyConfig:
     """Controls for verify_candidate.
 
     ``el_tol`` bounds el_residual's r: 1e-8 on purely scattered grids, where
-    r is exact to rounding, else 20 h^2.  For a smooth extremal x, r holds
+    r is exact to rounding, else max(1e-9, 20 h^2), the floor reached for
+    h below about 7e-6.  For a smooth extremal x, r holds
     the slope error h^2/6 x''' of the d3 row at t and at a, and the
     trapezoid error of int_a^t d2, which telescopes to h^2/12 [d2'] over
     each continuous stretch (Euler-Maclaurin): end terms, so the tolerance

@@ -204,7 +204,8 @@ def test_array_csv_writer_matches_per_row_writer(tmp_path):
         for n in (len(data), chunk + 1, chunk, chunk - 1, 1, 0):
             old, new = tmp_path / "old.csv", tmp_path / "new.csv"
             write_csv_per_row(old, header, data[:n])
-            cli._write_csv(new, header, data[:n])
+            with cli._csv_file(new, header) as fh:
+                cli._write_rows(fh, data[:n])
             assert new.read_bytes() == old.read_bytes(), (ncols, n)
 
 
@@ -214,7 +215,8 @@ def test_array_csv_writer_memory_is_one_chunk(tmp_path):
     rows = np.random.default_rng(1).standard_normal((200001, 2))
     tracemalloc.start()
     try:
-        cli._write_csv(tmp_path / "big.csv", ["t", "residual1"], rows)
+        with cli._csv_file(tmp_path / "big.csv", ["t", "residual1"]) as fh:
+            cli._write_rows(fh, rows)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -270,6 +272,31 @@ def test_csv_series_bytes_match_the_csv_module(tmp_path):
                             [10.0, 20.0, 30.0, 40.0, 50.0], h=pf.h, config=pf.limit_config())
     assert out.read_bytes() == oracle_csv_bytes(
         tmp_path, ["t_prime", "partial_integral"], tuple(np.array(est.evidence).T))
+
+
+def test_integrate_csv_memory_has_no_table(tmp_path, capsys):
+    """tracemalloc peak of tsvar integrate --csv over a 200001-node window
+    of the ray: at most 65 bytes per row (55.3 measured; 79.3 when the nodes,
+    samples and prefix integral were stacked into one full-length table for
+    the CSV).  Full length are the grid (nodes, mu, flags), the samples and
+    the prefix integral; the rest is the CSV chunks.  An untraced run on a
+    short window first takes the one-time costs out of the traced one."""
+    f = write(tmp_path, RAY_DOC)
+    out = tmp_path / "i.csv"
+    argv = ["integrate", f, "--expr", "exp(-0.1*t)*sin(t)", "--h", "1e-4",
+            "--csv", str(out), "--to"]
+    assert cli.main(argv + ["0.1"]) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = cli.main(argv + ["20"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = out.read_bytes().count(b"\n") - 1
+    assert code == 0 and rows == 200001
+    assert json.loads(capsys.readouterr().out)["to"] == 20.0
+    assert peak / rows <= 65.0
 
 
 def test_integrate_improper_converged(tmp_path, capsys):
@@ -332,6 +359,15 @@ def test_integrate_argument_errors(tmp_path, capsys):
         cli.main(["integrate", f, "--to", "3"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("horizons", ["10,x,30,40,50", "10;20;30"])
+def test_malformed_horizons_exit_2(tmp_path, capsys, horizons):
+    f = write(tmp_path, LQR_DOC)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["integrate", f, "--expr", "t", "--improper", "--horizons", horizons])
+    assert exc.value.code == 2
+    assert "horizons must be a comma-separated list of numbers" in capsys.readouterr().err
 
 
 def test_candidate_dividing_by_zero_is_refused_by_the_probe(tmp_path, capsys):
@@ -538,6 +574,27 @@ def test_residual_csv_memory_is_block_sized(tmp_path, capsys):
     assert peak / rows <= 80.0
 
 
+@pytest.mark.parametrize("offset", ["1e7", "1e8"])
+def test_residual_with_a_constant_added_to_l(tmp_path, capsys, offset):
+    """A constant added to L leaves its exact partials, so the construction
+    check accepts them and the residual reads the same; the check once
+    refused them from 1e7 up, its central differences' rounding ~u |L| /
+    delta above its bound.  A d2 10% off is still refused."""
+    doc = lqr_ray(1.268).file_form()
+    lag = doc["lagrangian"]
+
+    def residual(**lagrangian):
+        f = write(tmp_path, dict(doc, lagrangian=dict(lag, **lagrangian)))
+        return run_cli(capsys, ["residual", f, "--candidate", "decaying-exp",
+                                "--window", "0", "5", "--h", "1e-3"])
+
+    code, plain, _ = residual()
+    assert code == 0
+    assert residual(L=f"{offset} + {lag['L']}") == (0, plain, "")
+    code, out, err = residual(L=f"{offset} + {lag['L']}", d2=["-2.2*u1"])
+    assert (code, out) == (3, None) and "d2 disagrees with finite differences" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -695,6 +752,75 @@ def test_solve_bad_terminal_spec(tmp_path, capsys):
         cli.main(["solve", f, "--T", "4", "--terminal", "clamped"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("pinned", ["pinned=1,a", "pinned=", "pinned=1,,2"])
+def test_solve_malformed_pinned_list_exits_2(tmp_path, capsys, pinned):
+    f = write(tmp_path, LQR_DOC)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", f, "--T", "4", "--terminal", pinned])
+    assert exc.value.code == 2
+    assert "bad pinned value list" in capsys.readouterr().err
+
+
+def test_solve_terminal_free_is_the_default(tmp_path, capsys):
+    """--terminal free writes the same JSON and CSV as no --terminal."""
+    f = write(tmp_path, LQR_DOC)
+    outputs = []
+    for extra in ([], ["--terminal", "free"]):
+        out = tmp_path / f"traj{len(extra)}.csv"
+        assert cli.main(["solve", f, "--T", "6", "--csv", str(out)] + extra) == 0
+        outputs.append((capsys.readouterr().out, out.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[1][0])["terminal"] == "free"
+
+
+# ---------------------------------------------------------------------------
+# non-finite times
+
+#: (problem file, candidate) on the ray and on the integers
+SCALES = {"ray": (lqr_ray(1.268).file_form(), "decaying-exp"), "Z": (LQR_DOC, "decay")}
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify", "--t-max", "inf"], id="verify-t_max"),
+    pytest.param(["residual", "--window", "0", "inf"], id="residual-window"),
+    pytest.param(["integrate", "--expr", "t", "--to", "inf"], id="integrate-to"),
+    pytest.param(["integrate", "--expr", "t", "--from=-inf", "--to", "1"], id="integrate-from"),
+    pytest.param(["integrate", "--expr", "t", "--from", "nan", "--to", "1"], id="integrate-nan"),
+    pytest.param(["integrate", "--expr", "t", "--improper", "--horizons", "1,2,3,4,inf"],
+                 id="integrate-horizons"),
+    pytest.param(["solve", "--T", "inf"], id="solve-T"),
+])
+def test_non_finite_time_exits_3(tmp_path, capsys, scale, argv):
+    """A time at +-inf or nan is refused with exit 3 and an error line, not
+    a traceback (OverflowError at the integers' member index or the ray's
+    dense cell count)."""
+    doc, candidate = SCALES[scale]
+    f = write(tmp_path, doc)
+    command, *rest = argv
+    if command in ("verify", "residual"):
+        rest = ["--candidate", candidate, *rest]
+    out = tmp_path / "out.csv"
+    code, doc, err = run_cli(capsys, [command, f, *rest, "--csv", str(out)])
+    assert (code, doc) == (3, None)
+    assert err.startswith("error: ") and "finite" in err
+    assert not out.exists()
+
+
+def test_verify_with_an_infinite_step(tmp_path, capsys):
+    """--h inf: on the ray the slope margin past t_max is infinite, which
+    build_grid refuses (exit 3); the integers step by their jumps and do
+    not read h."""
+    doc, candidate = SCALES["ray"]
+    code, out, err = run_cli(capsys, ["verify", write(tmp_path, doc), "--candidate",
+                                      candidate, "--h", "inf"])
+    assert (code, out, err) == (3, None, "error: the window [0.0, inf] is not finite\n")
+    doc, candidate = SCALES["Z"]
+    code, out, _ = run_cli(capsys, ["verify", write(tmp_path, doc), "--candidate",
+                                    candidate, "--h", "inf"])
+    assert code == 0 and out["report"]["verdict"] == "consistent"
 
 
 # ---------------------------------------------------------------------------

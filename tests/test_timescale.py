@@ -133,6 +133,23 @@ def test_floor_ceil_member():
         MIXED.floor_member(-0.5)
 
 
+@pytest.mark.parametrize("ts", [MIXED, integer_scale(0), real_ray(0)],
+                         ids=["mixed", "Z", "ray"])
+@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_times_are_refused(ts, x):
+    """No member lies at +-inf and none is nearest to nan: floor_member and
+    ceil_member raise NotInTimeScale and build_grid InvalidWindow.  The
+    integers' member indices and the ray's dense cell count once ended in
+    an OverflowError, and the ray's floor and ceil of inf were inf."""
+    with pytest.raises(NotInTimeScale, match="not a finite time"):
+        ts.floor_member(x)
+    with pytest.raises(NotInTimeScale, match="not a finite time"):
+        ts.ceil_member(x)
+    for window in ((0.0, x), (x, 5.0)):
+        with pytest.raises(InvalidWindow, match="not finite"):
+            ts.build_grid(*window, 0.1)
+
+
 def test_advance():
     assert integer_scale(0).advance(3.0, 0.1) == 4.0
     assert real_ray(0).advance(0.0, 0.25) == 0.25

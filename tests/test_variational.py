@@ -5,6 +5,7 @@ import collections
 import dataclasses
 import functools
 import json
+import math
 import tracemalloc
 from unittest import mock
 
@@ -79,6 +80,7 @@ from tsvar.variational import (
     _default_el_tol,
     _Discretization,
     _hessian_blocks,
+    _newton,
     classify_report,
 )
 
@@ -144,6 +146,54 @@ def test_partials_are_cross_checked():
         validate=False,
     )
     assert lag.partial2(np.zeros(1), np.ones((1, 1)), np.zeros((1, 1)))[0, 0] == 1.0
+
+
+def offset_quadratic(offset, d2_factor=2.0):
+    """offset - (u^2 + v^2), vectorized, with d2 = -d2_factor u and the
+    exact d3."""
+    return Lagrangian(
+        n=1,
+        eval=lambda t, u, v: offset - (v[:, 0] ** 2 + u[:, 0] ** 2),
+        d2=lambda t, u, v: -d2_factor * u,
+        d3=lambda t, u, v: -2.0 * v,
+        vectorized=True,
+    )
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e7, 1e8, 1e10, -1e9])
+def test_exact_partials_pass_the_check_under_a_large_constant(offset):
+    """The central differences of offset - (u^2 + v^2) lose about
+    eps |L| / delta to rounding (2.3e-4 above the relative bound at 1e7,
+    2.8e-3 at 1e8); the check's rounding term admits that, and a d2 10%
+    off stays refused up to 1e8."""
+    lag = offset_quadratic(offset)
+    t, u, v = np.zeros(2), np.array([[0.5], [-1.0]]), np.array([[2.0], [0.0]])
+    assert np.array_equal(lag.partial2(t, u, v), -2.0 * u)
+    if abs(offset) <= 1e8:
+        with pytest.raises(PartialsMismatch, match="d2 disagrees"):
+            offset_quadratic(offset, d2_factor=2.2)
+
+
+def log_or_raise(t, u, v):
+    """log u on one row, raising where u <= 0."""
+    if u[0] <= 0:
+        raise ValueError("u must be positive")
+    return math.log(u[0])
+
+
+@pytest.mark.parametrize("eval_, vectorized", [
+    (lambda t, u, v: np.log(u[:, 0]) + v[:, 0], True),  # nan at the negative probe rows
+    (lambda t, u, v: np.zeros(len(t)) + 1.0 / (u[:, 0] > 5.0).sum(), True),  # inf
+    (log_or_raise, False),
+], ids=["nan", "inf", "raises"])
+def test_partials_check_is_skipped_where_l_is_not_finite(eval_, vectorized):
+    """An integrand that is not finite at the probe points, or raises there,
+    has no finite differences to compare with: the check is skipped and the
+    partials are kept as supplied."""
+    with np.errstate(all="ignore"):
+        lag = Lagrangian(n=1, eval=eval_, d2=lambda t, u, v: 7.0 * u, vectorized=vectorized)
+    u = np.ones((1, 1))
+    assert lag.partial2(np.zeros(1), u, u)[0, 0] == 7.0
 
 
 def polynomial_twins(n, partials):
@@ -925,6 +975,18 @@ def test_lemma_probe_point_mass_ramp():
     assert float(np.asarray(w.eta(2.5))) == 0.0
 
 
+def test_lemma_probe_ramp_retries_as_a_bump_where_g_comes_back():
+    """g vanishes at the jump target sigma(0) = 1 but not just right of it:
+    the ramp's first sample past 1 exceeds tol_zero, so the probe moves t0
+    there and builds a bump on the dense run."""
+    ts = union(DiscretePoints((0.0,)), UnboundedRay(1.0))
+    g = lambda t: np.where(np.asarray(t, float) < 0.5, 1.0, np.asarray(t, float) - 1.0)
+    w = fundamental_lemma_probe(ts, g, 0.0, 3.0, h=0.01)
+    assert w.kind == "bump"
+    assert w.t0 == 1.0 + 1.0 / 200.0 and w.support == (w.t0, 3.0)
+    assert w.integral > 0
+
+
 def test_lemma_probe_null_function():
     zero = lambda t: np.zeros_like(np.asarray(t, float))
     assert fundamental_lemma_probe(NAT, zero, 0.0, 10.0, h=1.0) is None
@@ -951,6 +1013,41 @@ def test_solve_lqr_lattice_matches_linear_system():
         d = 1e-3 * rng.standard_normal(x.shape)
         d[0] = 0.0
         assert disc.objective(x + d) <= res.objective + 1e-12
+
+
+@pytest.mark.parametrize("t_end", [1.0, 2.0])
+def test_solve_with_fewer_free_nodes_than_colours(t_end):
+    """One or two free nodes leave _hessian_blocks' third (and second)
+    colour of every-third-node perturbations empty; the quadratic lqr-z
+    truncation still converges in one Newton iteration to its exact
+    maximizer."""
+    res = solve_truncated(lqr_grid().problem, t_end, h=1.0)
+    assert res.converged and res.iterations == 1
+    want = lqr_grid_truncation_oracle(t_end)
+    assert np.max(np.abs(res.trajectory.x.values[:, 0] - want)) <= 1e-9
+
+
+def test_newton_takes_a_full_step_the_objective_cannot_resolve():
+    """Near the optimum the predicted gain drops below the objective's
+    rounding, so the Armijo test can refuse the exact Newton step.  With L
+    rounded to multiples of 2**-10 (its partials exact), lqr-z started 1e-6
+    off its maximizer takes the full step though the objective does not
+    rise, because the gradient there meets g_tol."""
+    q = 2.0 ** -10
+    lag = Lagrangian(n=1, eval=lambda t, u, v: q * np.round(-(v[:, 0] ** 2 + u[:, 0] ** 2) / q),
+                     d2=lambda t, u, v: -2.0 * u, d3=lambda t, u, v: -2.0 * v,
+                     vectorized=True, validate=False)
+    prob = Problem(ts=integer_scale(0), a=0.0, x_a=np.array([1.0]), lagrangian=lag)
+    disc = _Discretization(prob, prob.ts.build_grid(0.0, 6.0, 1.0))
+    want = lqr_grid_truncation_oracle(6.0)[:, None]
+    x0 = want + 1e-6 * np.arange(7.0)[:, None]
+    x0[0] = 1.0
+    f0 = disc.objective(x0)
+    x, converged, iterations, gnorm, f, history = _newton(disc, x0, 1, 7, SolveParams())
+    assert converged and iterations == 1 and gnorm <= 1e-8
+    assert history == [(f0, history[0][1], 1.0, 0.0)] and history[0][1] >= 1e-5
+    assert f == f0  # no rise: the Armijo test alone would have refused the step
+    assert np.max(np.abs(x - want)) <= 1e-12
 
 
 def test_solve_respects_pinned_terminal():
@@ -1628,6 +1725,19 @@ def test_shared_path_report_equals_generator_report(named, label, t_max, h):
     shared = verify_candidate(named.problem, gen, cfg).to_dict()
     assert shared == report_from_generators(named.problem, gen, cfg).to_dict()
     assert shared["verdict"] == named.candidate(label).expected.value
+
+
+def test_perturbed_generator_at_a_scalar_time():
+    """A scalar t gives gen(t) + q(t) on every component, as one row of the
+    array call does."""
+    gen = lambda t: np.stack([np.exp(-np.asarray(t)), np.asarray(t) ** 2], axis=-1)
+    q = compact_bump(0.5, 2.0, 1.0)
+    g = perturbed_generator(gen, q)
+    times = np.array([0.0, 1.5, 2.0, 2.7])
+    rows = g(times)
+    for i, t in enumerate(times):
+        assert np.array_equal(g(float(t)), rows[i])
+    assert np.array_equal(g(2.0), gen(2.0) + 0.5)
 
 
 @REPORT_CASES
