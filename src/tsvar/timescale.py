@@ -22,6 +22,14 @@ whose slack scales with |t|, so membership and window edges hold at t = 1e9 as
 near 0.  Arithmetic-tail members come from their index, start + k*step, never
 from adding steps, so stepping by sigma cannot drift off the tail.
 
+Membership has one rule, for every segment kind: the floor member of t is
+the largest member at or below t + tol_at(t), and t is a member exactly when
+it lies within tol_at(t) of its floor member, which is then its snap.  A
+non-finite t is never a member.  Where two members lie closer than
+2 tol_at(t), a t between them snaps to the upper one (point sets once
+snapped it to the lower); the scale's validation keeps points farther apart
+than tol_at, not twice that.
+
 A scale is written as a description such as ``union(interval(0, 1), ray(2))``,
 read by ``expressions.parse``, or as a list of segment mappings; one table of
 segment kinds serves both forms.
@@ -30,6 +38,7 @@ segment kinds serves both forms.
 from __future__ import annotations
 
 import ast
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -63,6 +72,13 @@ def _check_finite(x):
         raise NotInTimeScale(f"{x!r} is not a finite time")
 
 
+def _check_dense_step(h):
+    """StepNotPositive unless h can sample a dense stretch: an infinite step
+    would leap past every later member, and one <= 0 never moves."""
+    if not 0 < h < math.inf:
+        raise StepNotPositive(f"a dense stretch needs a finite step > 0, got {h!r}")
+
+
 # ---------------------------------------------------------------------------
 # segments
 
@@ -82,13 +98,6 @@ class ClosedInterval:
     def maximum(self):
         return self.hi
 
-    def contains(self, t):
-        tol = tol_at(t)
-        return self.lo - tol <= t <= self.hi + tol
-
-    def snap(self, t):
-        return min(max(t, self.lo), self.hi)
-
     def sigma_within(self, t):
         # every point left of hi is right-dense
         return t if t < self.hi else None
@@ -97,10 +106,10 @@ class ClosedInterval:
         return t if t > self.lo else None
 
     def floor(self, x):
-        return None if x < self.lo - tol_at(x) else self.snap(x)
+        return None if x < self.lo - tol_at(x) else min(max(x, self.lo), self.hi)
 
     def ceil(self, x):
-        return None if x > self.hi + tol_at(x) else self.snap(x)
+        return None if x > self.hi + tol_at(x) else min(max(x, self.lo), self.hi)
 
 
 @dataclass(frozen=True)
@@ -120,34 +129,20 @@ class DiscretePoints:
     def maximum(self):
         return self.values[-1]
 
-    def _index(self, t):
-        j = int(np.searchsorted(self.values, t))
-        for c in (j - 1, j):
-            if 0 <= c < len(self.values) and abs(self.values[c] - t) <= tol_at(t):
-                return c
-        return None
-
-    def contains(self, t):
-        return self._index(t) is not None
-
-    def snap(self, t):
-        j = self._index(t)
-        return self.values[j]
-
     def sigma_within(self, t):
-        j = self._index(t)
-        return self.values[j + 1] if j + 1 < len(self.values) else None
+        j = bisect.bisect_right(self.values, t)
+        return self.values[j] if j < len(self.values) else None
 
     def rho_within(self, t):
-        j = self._index(t)
+        j = bisect.bisect_left(self.values, t)
         return self.values[j - 1] if j >= 1 else None
 
     def floor(self, x):
-        j = int(np.searchsorted(self.values, x + tol_at(x))) - 1
+        j = bisect.bisect_right(self.values, x + tol_at(x)) - 1
         return self.values[j] if j >= 0 else None
 
     def ceil(self, x):
-        j = int(np.searchsorted(self.values, x - tol_at(x)))
+        j = bisect.bisect_left(self.values, x - tol_at(x))
         return self.values[j] if j < len(self.values) else None
 
 
@@ -165,12 +160,6 @@ class UnboundedRay:
     def maximum(self):
         return None
 
-    def contains(self, t):
-        return t >= self.start - tol_at(t)
-
-    def snap(self, t):
-        return max(t, self.start)
-
     def sigma_within(self, t):
         return t
 
@@ -178,10 +167,10 @@ class UnboundedRay:
         return t if t > self.start else None
 
     def floor(self, x):
-        return None if x < self.start - tol_at(x) else self.snap(x)
+        return None if x < self.start - tol_at(x) else max(x, self.start)
 
     def ceil(self, x):
-        return self.snap(x)
+        return max(x, self.start)
 
 
 @dataclass(frozen=True)
@@ -211,13 +200,6 @@ class ArithmeticTail:
     def member(self, k):
         """The k-th member start + k*step, computed from its index."""
         return self.start + self.step * k
-
-    def contains(self, t):
-        k = self._k(t)
-        return k >= 0 and abs(t - self.member(k)) <= tol_at(t)
-
-    def snap(self, t):
-        return self.member(self._k(t))
 
     def sigma_within(self, t):
         return self.member(self._k(t) + 1)
@@ -400,37 +382,52 @@ class TimeScaleSpec:
         """The smallest element of the scale."""
         return self.segments[0].minimum()
 
+    def _floor(self, x):
+        """(index, segment, member) of the largest member at or below x, to
+        tol_at(x), or None if x < a; NotInTimeScale if x is not finite."""
+        _check_finite(x)
+        for i in range(len(self.segments) - 1, -1, -1):
+            m = self.segments[i].floor(x)
+            if m is not None:
+                return i, self.segments[i], m
+        return None
+
+    def _locate(self, t):
+        """(index, segment, member) of the member t names: its floor member,
+        if t lies within tol_at(t) of it.  The one membership rule."""
+        found = self._floor(t)
+        if found is None or not abs(t - found[2]) <= tol_at(t):
+            raise NotInTimeScale(f"{t!r} is not in the time scale")
+        return found
+
     def contains(self, t):
-        return any(seg.contains(t) for seg in self.segments)
+        try:
+            self._locate(t)
+        except NotInTimeScale:
+            return False
+        return True
 
     def __contains__(self, t):
         return self.contains(t)
 
-    def _locate(self, t):
-        for i, seg in enumerate(self.segments):
-            if seg.contains(t):
-                return i, seg
-        raise NotInTimeScale(f"{t!r} is not in the time scale")
-
     def snap(self, t):
-        """Exact member nearest to t (within tol_at(t)); NotInTimeScale otherwise."""
-        _, seg = self._locate(t)
-        return seg.snap(t)
+        """The member t names (its floor member, within tol_at(t));
+        NotInTimeScale otherwise."""
+        return self._locate(t)[2]
 
     # -- jump operators -----------------------------------------------------
 
     def sigma(self, t):
         """Forward jump sigma(t) = inf {s in T : s > t}."""
-        i, seg = self._locate(t)
-        s = seg.sigma_within(seg.snap(t))
+        i, seg, t = self._locate(t)
+        s = seg.sigma_within(t)
         if s is not None:
             return s
         return self.segments[i + 1].minimum()
 
     def rho(self, t):
         """Backward jump rho(t) = sup {s in T : s < t}, with rho(a) = a."""
-        i, seg = self._locate(t)
-        t = seg.snap(t)
+        i, seg, t = self._locate(t)
         r = seg.rho_within(t)
         if r is not None:
             return r
@@ -445,10 +442,10 @@ class TimeScaleSpec:
         end of a bounded segment it is the gap to the next segment; at
         right-dense points it is exactly 0.
         """
-        _, seg = self._locate(t)
+        _, seg, t = self._locate(t)
         if isinstance(seg, ArithmeticTail):
             return seg.step
-        return self.sigma(t) - seg.snap(t)
+        return self.sigma(t) - t
 
     def classify(self, t):
         right = Side.SCATTERED if self.sigma(t) > t else Side.DENSE
@@ -459,12 +456,10 @@ class TimeScaleSpec:
 
     def floor_member(self, x):
         """Largest member <= x; NotInTimeScale if x < a or x is not finite."""
-        _check_finite(x)
-        for seg in reversed(self.segments):
-            m = seg.floor(x)
-            if m is not None:
-                return m
-        raise NotInTimeScale(f"no member of the scale lies at or below {x!r}")
+        found = self._floor(x)
+        if found is None:
+            raise NotInTimeScale(f"no member of the scale lies at or below {x!r}")
+        return found[2]
 
     def ceil_member(self, x):
         """Smallest member >= x; NotInTimeScale if x is not finite.  The last
@@ -478,10 +473,10 @@ class TimeScaleSpec:
     def advance(self, t, h):
         """One sampling step forward: sigma(t) if t is right-scattered,
         otherwise min(t + h, end of the continuous piece)."""
-        _, seg = self._locate(t)
-        t = seg.snap(t)
+        _, seg, t = self._locate(t)
         if self.mu(t) > 0:
             return self.sigma(t)
+        _check_dense_step(h)
         hi = seg.maximum()
         return t + h if hi is None else min(t + h, hi)
 
@@ -516,14 +511,10 @@ class TimeScaleSpec:
                 vals = np.asarray(seg.values)
                 j0 = int(np.searchsorted(vals, lo - tol_at(lo), side="left"))
                 j1 = int(np.searchsorted(vals, hi + tol_at(hi), side="right"))
-                if j1 <= j0:
-                    continue
                 node_chunks.append(vals[j0:j1])
                 mu_chunks.append(np.diff(np.append(vals, nxt_min))[j0:j1])
             elif isinstance(seg, ArithmeticTail):
                 k0, k1 = max(0, seg._k_ceil(lo)), seg._k_floor(hi)
-                if k1 < k0:
-                    continue
                 pts = seg.member(np.arange(k0, k1 + 1, dtype=float))
                 node_chunks.append(pts)
                 mu_chunks.append(np.full(len(pts), seg.step))
@@ -535,6 +526,7 @@ class TimeScaleSpec:
                 if w_hi == w_lo:
                     pts = np.array([w_lo])
                 else:
+                    _check_dense_step(h)
                     # This 1e-12 rounds away for large L/h: the count gains a
                     # cell and node j drifts j*h/n off the h-lattice.  index_of's
                     # 1e-9 covers small drifts; mending the count changes the

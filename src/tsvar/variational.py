@@ -995,7 +995,7 @@ def _scalar_samples(g, times):
 
 
 def _dense_run_end(ts, t, b):
-    _, seg = ts._locate(t)
+    _, seg, _ = ts._locate(t)
     hi = seg.maximum()
     return min(b, hi) if hi is not None else b
 
@@ -1290,8 +1290,9 @@ def _newton(disc, x0, lo, hi, params):
     Each iteration builds the block-tridiagonal Hessian, takes the Newton
     direction (with a Levenberg shift where the Hessian is not negative
     definite) and backtracks on the objective until the Armijo condition
-    holds, or, for a full unshifted step, until the gradient there meets
-    ``g_tol``; a non-finite objective counts as a failed trial.  Returns
+    holds, or, for a full unshifted step, until the gradient's sup norm
+    there falls below the current one; a non-finite objective counts as a
+    failed trial.  Returns
     (x, converged, iterations, grad_inf_norm, objective, history) with one
     (objective, grad_inf_norm, step, shift) history entry per iteration,
     taken at the iterate the step starts from; step 0.0 marks an iteration
@@ -1326,11 +1327,12 @@ def _newton(disc, x0, lo, hi, params):
                     step = trial
                     break
                 if trial == 1.0 and shift == 0.0 and np.isfinite(f_new):
-                    # near the optimum the predicted gain drops below the
-                    # objective's rounding; a full Newton step that meets the
-                    # gradient tolerance is taken without the Armijo test
+                    # near the optimum, or on an objective large against its
+                    # gain, the predicted gain drops below the objective's
+                    # rounding; a full Newton step that shrinks the gradient
+                    # is taken without the Armijo test
                     g_new = disc.gradient(x_new)
-                    if _sup_norm(g_new[lo:hi]) <= params.g_tol:
+                    if _sup_norm(g_new[lo:hi]) < gnorm:
                         step = trial
                         break
                     g_new = None

@@ -17,11 +17,13 @@ from tsvar import (
     LimitConfig,
     LimitEstimate,
     LimitKind,
+    NotInTimeScale,
     TimeScaleSpec,
     UnboundedRay,
     classify_limit,
     union,
 )
+from tsvar.timescale import PointClass, Side, tol_at
 
 #: a comb of 20 unit-spaced half intervals, an isolated point and a ray: 20
 #: seams where a continuous stretch ends in a jump
@@ -107,6 +109,99 @@ def structural_members(ts, lo, hi):
                 out.append(t)
                 t += seg.step
     return sorted(out)
+
+
+def translated(ts, t0):
+    """``ts`` moved right by t0; exact for the 1/128-lattice scales above
+    while t0 + t needs at most 53 bits."""
+    segs = []
+    for seg in ts.segments:
+        if isinstance(seg, ClosedInterval):
+            segs.append(ClosedInterval(seg.lo + t0, seg.hi + t0))
+        elif isinstance(seg, DiscretePoints):
+            segs.append(DiscretePoints(tuple(v + t0 for v in seg.values)))
+        elif isinstance(seg, UnboundedRay):
+            segs.append(UnboundedRay(seg.start + t0))
+        else:
+            segs.append(ArithmeticTail(seg.start + t0, seg.step))
+    return TimeScaleSpec(tuple(segs))
+
+
+def reference_snap(seg, t):
+    """The member of ``seg`` that t names, or None: the membership test and
+    snap that each segment kind once kept for itself."""
+    tol = tol_at(t)
+    if isinstance(seg, ClosedInterval):
+        return min(max(t, seg.lo), seg.hi) if seg.lo - tol <= t <= seg.hi + tol else None
+    if isinstance(seg, UnboundedRay):
+        return max(t, seg.start) if t >= seg.start - tol else None
+    if isinstance(seg, DiscretePoints):
+        j = int(np.searchsorted(seg.values, t))
+        for c in (j - 1, j):
+            if 0 <= c < len(seg.values) and abs(seg.values[c] - t) <= tol:
+                return seg.values[c]
+        return None
+    k = int(round((t - seg.start) / seg.step))
+    m = seg.member(k)
+    return m if k >= 0 and abs(t - m) <= tol else None
+
+
+class ReferenceScale:
+    """The queries of TimeScaleSpec as they were when t belonged to the
+    first segment whose own test (reference_snap) accepted it."""
+
+    def __init__(self, ts):
+        self.segments = ts.segments
+
+    def locate(self, t):
+        for i, seg in enumerate(self.segments):
+            m = reference_snap(seg, t)
+            if m is not None:
+                return i, seg, m
+        raise NotInTimeScale(f"{t!r} is not in the time scale")
+
+    def contains(self, t):
+        return any(reference_snap(seg, t) is not None for seg in self.segments)
+
+    def snap(self, t):
+        return self.locate(t)[2]
+
+    def sigma(self, t):
+        i, seg, m = self.locate(t)
+        s = seg.sigma_within(m)
+        return s if s is not None else self.segments[i + 1].minimum()
+
+    def rho(self, t):
+        i, seg, m = self.locate(t)
+        r = seg.rho_within(m)
+        if r is not None:
+            return r
+        return m if i == 0 else self.segments[i - 1].maximum()
+
+    def mu(self, t):
+        _, seg, m = self.locate(t)
+        return seg.step if isinstance(seg, ArithmeticTail) else self.sigma(t) - m
+
+    def classify(self, t):
+        return PointClass(right=Side.SCATTERED if self.sigma(t) > t else Side.DENSE,
+                          left=Side.SCATTERED if self.rho(t) < t else Side.DENSE)
+
+    def advance(self, t, h):
+        _, seg, m = self.locate(t)
+        if self.mu(t) > 0:
+            return self.sigma(t)
+        hi = seg.maximum()
+        return m + h if hi is None else min(m + h, hi)
+
+    def floor_member(self, x):
+        for seg in reversed(self.segments):
+            m = seg.floor(x)
+            if m is not None:
+                return m
+        raise NotInTimeScale(f"no member of the scale lies at or below {x!r}")
+
+    def ceil_member(self, x):
+        return next(m for m in (seg.ceil(x) for seg in self.segments) if m is not None)
 
 
 def delta_smooth_path(ts, x_a, w_coeffs):

@@ -810,17 +810,40 @@ def test_non_finite_time_exits_3(tmp_path, capsys, scale, argv):
 
 
 def test_verify_with_an_infinite_step(tmp_path, capsys):
-    """--h inf: on the ray the slope margin past t_max is infinite, which
-    build_grid refuses (exit 3); the integers step by their jumps and do
-    not read h."""
+    """--h inf: on the ray the slope margin past t_max takes a dense step,
+    which refuses an infinite h (exit 3); the integers step by their jumps
+    and do not read h."""
     doc, candidate = SCALES["ray"]
     code, out, err = run_cli(capsys, ["verify", write(tmp_path, doc), "--candidate",
                                       candidate, "--h", "inf"])
-    assert (code, out, err) == (3, None, "error: the window [0.0, inf] is not finite\n")
+    assert (code, out, err) == (3, None,
+                                "error: a dense stretch needs a finite step > 0, got inf\n")
     doc, candidate = SCALES["Z"]
     code, out, _ = run_cli(capsys, ["verify", write(tmp_path, doc), "--candidate",
                                     candidate, "--h", "inf"])
     assert code == 0 and out["report"]["verdict"] == "consistent"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["integrate", "--expr", "t^2", "--to", "1"], id="integrate"),
+    pytest.param(["solve", "--T", "3"], id="solve"),
+    pytest.param(["verify", "--candidate", "decaying-exp"], id="verify"),
+    pytest.param(["residual", "--candidate", "decaying-exp", "--window", "0", "1"],
+                 id="residual"),
+])
+@pytest.mark.parametrize("h", ["inf", "nan"])
+def test_a_dense_stretch_refuses_a_non_finite_step(tmp_path, capsys, argv, h):
+    """On the ray every command samples a dense stretch, so --h inf or nan
+    exits 3 with an error line: integrate and solve once printed
+    "h": Infinity and exited 0."""
+    doc, _ = SCALES["ray"]
+    command, *rest = argv
+    out = tmp_path / "out.csv"
+    code, doc, err = run_cli(capsys, [command, write(tmp_path, doc), *rest, "--h", h,
+                                      "--csv", str(out)])
+    assert (code, doc) == (3, None)
+    assert err.startswith("error: ") and "step" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """The guarantees the scripts print: O(h^2) convergence orders, a corpus
-whose every verdict matches its expectation, and a peak-memory table of
-one row per case."""
+whose every verdict matches its expectation, a peak-memory table of one row
+per case, and the lines of the package a test run leaves unreached."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -43,3 +45,24 @@ def test_peak_memory_prints_its_table(capsys):
     for row in rows:
         assert row["peak_bytes"] > 0 and row["seconds"] > 0
         assert row["bytes_per_node"] == row["peak_bytes"] / row["nodes"]
+
+
+def test_line_reach_lists_what_a_test_subset_leaves_unreached():
+    """In a fresh interpreter, as the script asks: there the import of the
+    package runs under its tracer."""
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "line_reach.py"), "--json",
+         "tests/test_timescale.py", "-k", "membership or advance"],
+        cwd=SCRIPTS.parent, capture_output=True, text=True, timeout=300,
+    )
+    doc = json.loads(proc.stdout)
+    assert proc.returncode == doc["pytest_exit"] == 0, proc.stderr[-2000:]
+    lines = doc["lines"]
+    assert doc["unreached"] == len(lines) == doc["allowed"] + doc["open"]
+    assert 0 < doc["unreached"] < doc["executable"]
+    missed = {(row["module"], row["source"]) for row in lines}
+    # the membership rule ran; the solver, which no selected test calls, did not
+    assert ("timescale.py", "found = self._floor(t)") not in missed
+    assert ("variational.py", "g_new = disc.gradient(x_new)") in missed
+    main = [row for row in lines if row["module"] == "__main__.py"]
+    assert main and all(row["allowed"] for row in main)

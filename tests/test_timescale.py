@@ -14,8 +14,10 @@ from tsvar import (
     DSLParseError,
     InvalidTimeScale,
     InvalidWindow,
+    Lagrangian,
     NodeNotInGrid,
     NotInTimeScale,
+    Problem,
     StepNotPositive,
     TimeScaleSpec,
     UnboundedRay,
@@ -29,7 +31,13 @@ from tsvar import (
 )
 from tsvar.timescale import SEGMENT_KINDS, NodeKind, Segment, Side
 
-from helpers import random_member, random_mixed_scale
+from helpers import (
+    ReferenceScale,
+    random_member,
+    random_mixed_scale,
+    structural_members,
+    translated,
+)
 
 MIXED = union(ClosedInterval(0, 1), DiscretePoints((2, 3)), UnboundedRay(5))
 
@@ -148,6 +156,60 @@ def test_non_finite_times_are_refused(ts, x):
     for window in ((0.0, x), (x, 5.0)):
         with pytest.raises(InvalidWindow, match="not finite"):
             ts.build_grid(*window, 0.1)
+
+
+@pytest.mark.parametrize("ts", [real_ray(0), union(ClosedInterval(0, 1), UnboundedRay(2)),
+                                integer_scale(0)], ids=["ray", "interval-ray", "Z"])
+@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_times_are_never_members(ts, x):
+    """The ray once held -inf (its tol_at is inf) and snapped it to 0.0,
+    advance(inf, 0.3) on interval-ray returned 2.0, and the integers raised
+    OverflowError or ValueError."""
+    assert not ts.contains(x) and x not in ts
+    for query in (ts.snap, ts.sigma, ts.rho, ts.mu, ts.classify,
+                  lambda t: ts.advance(t, 0.3)):
+        with pytest.raises(NotInTimeScale):
+            query(x)
+
+
+def test_a_problem_cannot_start_at_minus_infinity():
+    lag = Lagrangian(n=1, eval=lambda t, u, v: -(v[:, 0] ** 2), vectorized=True)
+    with pytest.raises(NotInTimeScale):
+        Problem(ts=real_ray(0), a=float("-inf"), x_a=np.array([1.0]), lagrangian=lag)
+
+
+def outcome(query, *args):
+    """What a query gives: its value, or the type of error it raises."""
+    try:
+        return query(*args)
+    except NotInTimeScale as exc:
+        return type(exc)
+
+
+@given(st.integers(0, 10_000), st.sampled_from([-3.0, 0.0, 1.0, 1e3, 1e6, 1e9]))
+def test_one_membership_rule_matches_each_kinds_own(seed, t0):
+    """Every query decided from the floor member agrees with the per-kind
+    membership tests it replaced (helpers.ReferenceScale), on scales whose
+    members lie far more than 2 tol_at apart: at members, 1e-13 and 5e-12
+    either side of them, and between them."""
+    rng = np.random.default_rng(seed)
+    ts = translated(random_mixed_scale(rng), t0)
+    ref = ReferenceScale(ts)
+    members = structural_members(ts, ts.a, ts.a + 6.0)
+    members += [random_member(rng, ts) for _ in range(4)]
+    times = [ts.a - 1.0, *(m + d for m in members
+                           for d in (0.0, -1e-13, 1e-13, -5e-12, 5e-12))]
+    times += [(x + y) / 2 for x, y in zip(members, members[1:])]
+    h = float(rng.choice([0.1, 0.37]))
+    for t in times:
+        for name in ("contains", "snap", "sigma", "rho", "mu", "classify",
+                     "floor_member", "ceil_member"):
+            assert outcome(getattr(ts, name), t) == outcome(getattr(ref, name), t), (name, t)
+        assert outcome(ts.advance, t, h) == outcome(ref.advance, t, h), ("advance", t)
+    lo, hi = ts.a + 1e-13, ts.floor_member(ts.a + 6.0) - 1e-13
+    grid = ts.build_grid(lo, hi, h)
+    assert np.array_equal(grid.nodes, ts.build_grid(ref.snap(lo), ref.snap(hi), h).nodes)
+    assert grid.mu.tolist() == [ref.mu(t) for t in grid.nodes]
 
 
 def test_advance():
@@ -306,6 +368,13 @@ def test_parse_examples():
 
 def test_segment_kinds_cover_every_segment_class():
     assert {cls for cls, _ in SEGMENT_KINDS.values()} == set(typing.get_args(Segment))
+
+
+def test_segments_leave_membership_to_the_scale():
+    """TimeScaleSpec decides contains and snap from the floor member, for
+    every segment kind alike."""
+    for cls in typing.get_args(Segment):
+        assert {"contains", "snap", "_index"}.isdisjoint(vars(cls)), cls
 
 
 @pytest.mark.parametrize(

@@ -75,6 +75,7 @@ from tsvar.problems import (
     scalar_traj,
 )
 from tsvar import calculus, cli, variational
+from tsvar.problemfile import problem_from_dict
 from tsvar.variational import (
     _block_tridiagonal_solve,
     _default_el_tol,
@@ -1111,6 +1112,40 @@ def test_solve_history_has_one_entry_per_iteration():
     doc = json.loads(json.dumps(res.to_dict()))
     assert len(doc["history"]) == res.iterations
     assert set(doc["history"][0]) == {"objective", "grad_inf_norm", "step", "shift"}
+
+
+def test_solve_is_not_stalled_by_a_large_constant_objective():
+    """On 1e10 - (v^2 + u^4) the gain of a Newton step near the optimum is
+    below the objective's rounding, so Armijo fails; a full step that
+    shrinks the gradient is taken, and the solve is the one without the
+    constant (it once ran out of iterations at a gradient of 2.57e-5)."""
+    def solve(L):
+        doc = {"timescale": "ray(0)", "a": 0, "x_a": [1.0],
+               "lagrangian": {"L": L, "d2": ["-4*u1^3"], "d3": ["-2*v1"]}}
+        return solve_truncated(problem_from_dict(doc).problem, 5.0, h=0.05,
+                               params=SolveParams(max_iter=60))
+
+    big, plain = solve("1e10 - (v1^2 + u1^4)"), solve("-(v1^2 + u1^4)")
+    assert big.converged and big.iterations == plain.iterations == 7
+    assert np.array_equal(big.trajectory.x.values, plain.trajectory.x.values)
+
+
+def test_solve_refuses_a_full_step_that_grows_the_gradient():
+    """-sqrt(1 + u^2) flattens away from 0, so the first full Newton step
+    from x = 2 overshoots: it fails Armijo and grows the gradient, and the
+    line search halves it."""
+    lag = Lagrangian(
+        n=1,
+        eval=lambda t, u, v: -(v[:, 0] ** 2) - np.sqrt(1.0 + u[:, 0] ** 2),
+        d2=lambda t, u, v: (-u[:, 0] / np.sqrt(1.0 + u[:, 0] ** 2))[:, None],
+        d3=lambda t, u, v: (-2.0 * v[:, 0])[:, None],
+        vectorized=True,
+    )
+    res = solve_truncated(Problem(ts=NAT, a=0.0, x_a=np.array([2.0]), lagrangian=lag),
+                          6.0, h=1.0)
+    assert res.converged
+    assert [(step, shift) for _, _, step, shift in res.history][:2] == [(0.5, 0.0),
+                                                                       (1.0, 0.0)]
 
 
 def test_solve_quadratic_problems_take_one_newton_step():
