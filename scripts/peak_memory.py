@@ -9,13 +9,17 @@ time.  The cases are ROADMAP item 8's table:
            h=2.5e-4 (160004 nodes) and at t_max=2000, h=1e-3 (2000004);
   lqr-z    verify_candidate of lqr_grid(1.2)'s decaying-mode at t_max=20000,
            h=1 (20004 nodes);
+  comb     verify_candidate of ex_pos(1.0)'s line on the comb of 20 half
+           intervals, a point and a ray (21 dense runs, 20 of them ending in
+           a jump) at t_max=40, h=2e-4 (145025 nodes), as the benchmark's
+           comb ops run it;
   residual ``tsvar residual --csv`` in process, on lqr_ray(1.268) with
            finite-difference partials, window [0, 20] at h=1e-4 (200001 rows);
   integrate ``tsvar integrate --csv`` in process, of exp(-0.1*t)*sin(t) on
            ray(0), window [0, 20] at h=1e-4 (200001 rows).
 
-With --fast the t_max=2000 run stops at t_max=200 and the CSV windows at
-t=5.  Times include tracemalloc's own overhead.
+With --fast the t_max=2000 run stops at t_max=200, the comb runs at h=1e-3
+(29025 nodes) and the CSV windows stop at t=5.  Times include tracemalloc's own overhead.
 
     python3 scripts/peak_memory.py
     python3 scripts/peak_memory.py --fast --json
@@ -31,7 +35,22 @@ import tempfile
 import time
 import tracemalloc
 
-from tsvar import VerifyConfig, cli, lqr_grid, lqr_ray, verify_candidate
+from tsvar import (
+    ClosedInterval,
+    DiscretePoints,
+    UnboundedRay,
+    VerifyConfig,
+    cli,
+    ex_pos,
+    lqr_grid,
+    lqr_ray,
+    union,
+    verify_candidate,
+)
+
+#: the benchmark's comb: 20 unit-spaced half intervals, an isolated point, a ray
+COMB = union(*(ClosedInterval(float(k), k + 0.5) for k in range(20)),
+             DiscretePoints((20.75,)), UnboundedRay(21.0))
 
 
 def traced(run):
@@ -100,6 +119,7 @@ def main(argv=None):
         verify_case("lqr-r", ray, "decaying-exp", 40.0, 2.5e-4),
         verify_case("lqr-r", ray, "decaying-exp", 200.0 if args.fast else 2000.0, 1e-3),
         verify_case("lqr-z", lattice, "decaying-mode", 20000.0, 1.0),
+        verify_case("comb", ex_pos(1.0, ts=COMB), "line", 40.0, 1e-3 if args.fast else 2e-4),
     ]
     t_hi = 5.0 if args.fast else 20.0
     with tempfile.TemporaryDirectory() as workdir:

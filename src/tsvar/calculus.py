@@ -82,11 +82,10 @@ class GridFunction:
         and the last node is right-scattered, fn is also evaluated at
         sigma(last node) -- a member of the scale just past the window.
         """
-        nodes = grid.nodes
-        vals = _call_on_times(fn, nodes, dim)
-        sigma_last = None
-        if extend and grid.scattered[-1]:
-            s = nodes[-1] + grid.mu[-1]
+        vals = _call_on_times(fn, grid.nodes, dim)
+        sigma_last, last = None, len(grid) - 1
+        if extend and grid.scattered_at(last):
+            s = grid.nodes_at(last) + grid.mu_at(last)
             sigma_last = _call_on_times(fn, np.array([s]), dim)[0]
         return cls(grid=grid, values=vals, sigma_last=sigma_last)
 
@@ -100,7 +99,9 @@ def _require_finite(vals):
 def _call_on_times(fn, times, dim=None):
     """Call a time -> value generator once on an array of m times; returns
     an (m, n) array.  An (m,) result is one column, a constant () result is
-    broadcast, and any other shape raises DimensionMismatch; errors raised
+    broadcast, an (m, n) result is kept, as a view, unless it is a view of
+    other data (np.broadcast_to, say), which is copied, and any other shape
+    raises DimensionMismatch; errors raised
     by fn propagate.  With the expected dimension ``dim``, n must equal it;
     where m = dim > 1 an (n, m) result has the shape of an (m, n) one, so fn
     is called once more, on the first time alone, and must give (1, dim)."""
@@ -111,7 +112,7 @@ def _call_on_times(fn, times, dim=None):
     elif out.shape == ():  # constant callable
         out = np.full((m, 1), float(out))
     elif out.ndim == 2 and out.shape[0] == m:
-        out = out.copy()
+        out = out.copy() if out.base is not None else out[:]
     else:
         raise DimensionMismatch(
             f"generator returned shape {out.shape} for {m} times; expected ({m},) or ({m}, n)"
@@ -199,10 +200,10 @@ def _edge_stencils(grid):
     start takes the quadratic.  A lone branch node (nb = 1) keeps its
     forward quotient.
     """
-    t = grid.nodes
     runs = np.array(grid.dense_runs, dtype=np.intp).reshape(-1, 2)
     s, e = runs[:, 0], runs[:, 1]
-    nb, branch = e - s, grid.scattered[e]
+    # a maximal dense run ends at a right-scattered node or at the last node
+    nb, branch = e - s, (e < len(grid) - 1) | grid.scattered_at(len(grid) - 1)
     four = np.arange(4)
 
     def spans(first, step, npts):
@@ -222,40 +223,44 @@ def _edge_stencils(grid):
     c_start = s[(nb >= 4) | ((nb == 3) & ~branch)]
     c_end = (e - 1)[branch & (nb >= 4)]
     J = np.concatenate((spans(c_start, 1, 4), spans(c_end, -1, 4)))
-    steps = np.abs(np.diff(t[J], axis=1))  # nearest the edge node first
-    uni = np.ptp(steps, axis=1) <= tol_at(t[J[:, 0]])
+    t = grid.nodes_at(J)
+    steps = np.abs(np.diff(t, axis=1))  # nearest the edge node first
+    uni = np.ptp(steps, axis=1) <= tol_at(t[:, 0])
     sign = np.repeat([1.0, -1.0], (len(c_start), len(c_end)))[uni, None]
     cubic_J = J[~uni]
     quad_J = np.concatenate((spans(q_start, 1, 3), spans(q_end, -1, 3)))
     lag_J = np.concatenate((np.column_stack((quad_J, quad_J[:, 2])), cubic_J))
     w = np.zeros(lag_J.shape)
-    w[: len(quad_J), :3] = _lagrange_edge_weights(t[quad_J])
-    w[len(quad_J) :] = _lagrange_edge_weights(t[cubic_J])
+    w[: len(quad_J), :3] = _lagrange_edge_weights(grid.nodes_at(quad_J))
+    w[len(quad_J) :] = _lagrange_edge_weights(t[~uni])
+    fwd_t = grid.nodes_at(fwd_J)
 
     def by_node(node, *cols):
         order = np.argsort(node, kind="stable")
         return tuple(c[order] for c in (node, *cols))
 
     return _EdgeStencils(
-        by_node(fwd_node, fwd_J, t[fwd_J[:, 1]] - t[fwd_J[:, 0]]),
+        by_node(fwd_node, fwd_J, fwd_t[:, 1] - fwd_t[:, 0]),
         by_node(J[uni, 0], J[uni], sign * np.array([-4.0, 7.0, -4.0, 1.0]),
                 2.0 * steps[uni, 0]),
         by_node(lag_J[:, 0], lag_J, w),
     )
 
 
-def _slopes(grid, v, off, lo, hi, sigma_last=None):
+def _slopes(grid, v, off, lo, hi, sigma_last=None, t=None):
     """Delta derivative at the nodes lo..hi of ``grid`` as (deriv,
     defined), from the samples ``v`` of the nodes off, off + 1, ...; they
-    must cover lo - _HALO..hi + _HALO within the grid.  Every node gets the
-    value it gets on the whole grid, bit for bit.
+    must cover lo - _HALO..hi + _HALO within the grid.  ``t``, when the
+    caller holds them, are the nodes of v's rows; else the nodes are formed
+    a block at a time.  Every node gets the value it gets on the whole
+    grid, bit for bit.
 
     Scattered nodes use the exact jump quotient (the final node too, when
     ``sigma_last`` holds the value at its sigma); dense nodes use the
     central difference inside a dense run and the grid's edge_stencils at
     its ends; the final node of a grid ending dense is undefined (deriv 0).
     """
-    t, m = grid.nodes, len(grid)
+    m = len(grid)
     deriv = np.zeros((hi - lo + 1, v.shape[1]))
     top = min(hi, m - 2)  # the final node has no right neighbour
     a = max(lo, 1)
@@ -265,12 +270,16 @@ def _slopes(grid, v, off, lo, hi, sigma_last=None):
         return group[0][r0:r1] - lo, v[group[1][r0:r1] - off], [c[r0:r1] for c in group[2:]]
 
     if grid.dense_runs:
-        # central differences over the whole range, written straight into
-        # deriv; the run edges are rewritten next, the scattered nodes below
-        if a <= top:
-            mid = deriv[a - lo : top - lo + 1]
-            np.subtract(v[a + 1 - off : top + 2 - off], v[a - 1 - off : top - off], out=mid)
-            mid /= (t[a + 1 : top + 2] - t[a - 1 : top])[:, None]
+        # central differences over the whole range, a block of nodes at a
+        # time, written straight into deriv; the run edges are rewritten
+        # next, the scattered nodes below
+        for c0 in range(a, top + 1, _BLOCK):
+            c1 = min(c0 + _BLOCK, top + 1)
+            tc = (grid.nodes_at(slice(c0 - 1, c1 + 1)) if t is None
+                  else t[c0 - 1 - off : c1 + 1 - off])
+            mid = deriv[c0 - lo : c1 - lo]
+            np.subtract(v[c0 + 1 - off : c1 + 1 - off], v[c0 - 1 - off : c1 - 1 - off], out=mid)
+            mid /= (tc[2:] - tc[:-2])[:, None]
         stencils = grid.edge_stencils
         at, V, (div,) = rows(stencils.forward)
         deriv[at] = (V[:, 1] - V[:, 0]) / div[:, None]
@@ -284,14 +293,14 @@ def _slopes(grid, v, off, lo, hi, sigma_last=None):
         for k in range(4):
             acc += w[:, k, None] * V[:, k]
         deriv[at] = acc
-    idx = _scattered(grid, lo, top)
+    idx, mu = grid.jumps(lo, top + 1)
     jump = v[_moved(idx, 1 - off)] - v[_moved(idx, -off)]
-    deriv[_moved(idx, -lo)] = jump / grid.mu[idx, None]
+    deriv[_moved(idx, -lo)] = jump / mu[:, None]
 
     defined = np.ones(hi - lo + 1, dtype=bool)
     if hi == m - 1:
-        if grid.scattered[-1] and sigma_last is not None:
-            deriv[-1] = (sigma_last - v[m - 1 - off]) / grid.mu[-1]
+        if grid.scattered_at(m - 1) and sigma_last is not None:
+            deriv[-1] = (sigma_last - v[m - 1 - off]) / grid.mu_at(m - 1)
         else:
             defined[-1] = False
     return deriv, defined
@@ -306,29 +315,18 @@ def _shifts(grid, v, off, lo, hi, sigma_last=None):
     m = len(grid)
     own = v[lo - off : hi + 1 - off]
     defined = np.ones(hi - lo + 1, dtype=bool)
-    if not grid.scattered[lo : hi + 1].any():
+    idx = grid.jumps(lo, min(hi, m - 2) + 1)[0]
+    last = hi == m - 1 and grid.scattered_at(m - 1)
+    if not last and isinstance(idx, slice) and idx.start == idx.stop:
         return own, defined
     out = own.copy()
-    if hi == m - 1 and grid.scattered[-1]:
+    if last:
         if sigma_last is None:
             defined[-1] = False
         else:
             out[-1] = sigma_last
-    idx = _scattered(grid, lo, min(hi, m - 2))
     out[_moved(idx, -lo)] = v[_moved(idx, 1 - off)]
     return out, defined
-
-
-def _scattered(grid, lo, hi):
-    """The right-scattered nodes among lo..hi: a slice when they are one
-    run (every node of a lattice range, say), so that the range kernels
-    read and write them without a gather, else their index array."""
-    scat = grid.scattered[lo : hi + 1]
-    n = int(np.count_nonzero(scat))
-    i0 = int(np.argmax(scat)) if n else 0
-    if scat[i0 : i0 + n].all():
-        return slice(lo + i0, lo + i0 + n)
-    return np.flatnonzero(scat) + lo
 
 
 def _moved(idx, d):
@@ -366,11 +364,39 @@ def sigma_shift_all(f):
 # delta integral
 
 
-def _cell_weights(grid):
-    """Per-cell quadrature split: cell i integrates to
-    w_left[i] f(i) + w_right[i] f(i+1), plus w_seam[k] f(i-1) when i is
-    the seam cell seams[k].  Returns (w_left, w_right, seams, w_seam), which
-    SampleGrid.cell_weights keeps with the grid.
+def _branch_ends(grid):
+    """(ends, seams, w_seam) of the grid, from its dense runs, read-only:
+    SampleGrid.branch_ends keeps them with the grid.  ``ends`` are the
+    cells that end a dense run in a jump: dense cells whose right node is
+    right-scattered.  ``seams`` are those of runs of two cells or more,
+    whose left node is dense too: their trapezoid extrapolates the branch
+    linearly from the two nodes before the jump, and w_seam weights the
+    earlier one (see _cell_weights)."""
+    runs = np.array(grid.dense_runs, dtype=np.intp).reshape(-1, 2)
+    runs = runs[(runs[:, 1] < len(grid) - 1) | grid.scattered_at(len(grid) - 1)]  # as _edge_stencils
+    ends = runs[:, 1] - 1
+    seams = ends[runs[:, 1] - runs[:, 0] >= 2]
+    t = grid.nodes_at(seams[:, None] + np.arange(-1, 2))
+    dt = t[:, 2] - t[:, 1]
+    found = ends, seams, -(dt * dt) / (2.0 * (t[:, 1] - t[:, 0]))
+    for arr in found:
+        arr.setflags(write=False)
+    return found
+
+
+def _seams_in(grid, lo, hi):
+    """(seams, w_seam) of the seam cells among the cells lo..hi-1."""
+    _, seams, w_seam = grid.branch_ends
+    k0, k1 = np.searchsorted(seams, (lo, hi))
+    return seams[k0:k1], w_seam[k0:k1]
+
+
+def _cell_weights(grid, lo, hi, t=None):
+    """Quadrature split of the cells lo..hi-1, formed from the nodes lo..hi
+    (``t``, when the caller holds them) and the graininess of their jumps:
+    cell i integrates to w_left[i - lo] f(i) + w_right[i - lo] f(i+1), plus
+    w_seam[k] f(i-1) when i is the seam cell seams[k].  Returns (w_left,
+    w_right, seams, w_seam), read-only.
 
     Scattered cells contribute mu*f(left) exactly; dense cells the
     trapezoid (dt/2)(f(left)+f(right)).  A dense cell whose right node is
@@ -379,36 +405,50 @@ def _cell_weights(grid):
     a linear extrapolation from the two preceding branch nodes (still
     second order, w_seam carries the extrapolation weight).  With no
     usable branch neighbor the cell falls back to the left rectangle.
+    Every weight is a function of its own cell and the one before, so the
+    weights of a block are those of the whole grid, bit for bit.
     """
-    nodes, scattered = grid.nodes, grid.scattered
-    scat = scattered[:-1]
-    ends = np.flatnonzero(~scat & scattered[1:])
-    seams = ends[(ends >= 1) & ~scattered[ends - 1]]
-    w_right = np.diff(nodes)  # the cell lengths dt, halved in place below
-    dt_ends, dt_seams = w_right[ends], w_right[seams]
-    w_seam = -(dt_seams * dt_seams) / (2.0 * (nodes[seams] - nodes[seams - 1]))
+    seams, w_seam = _seams_in(grid, lo, hi)
+    ends = grid.branch_ends[0]
+    ends = ends[np.searchsorted(ends, lo) : np.searchsorted(ends, hi)] - lo
+    at, (jumps, mu) = seams - lo, grid.jumps(lo, hi)
+    jumps = _moved(jumps, -lo)
+    t = grid.nodes_at(slice(lo, hi + 1)) if t is None else t
+    w_right = np.diff(t)  # the cell lengths dt, halved below
+    dt_ends, dt_seams = w_right[ends], w_right[at]
     w_right *= 0.5
-    w_left = np.where(scat, grid.mu[:-1], w_right)
-    w_right[scat] = 0.0
+    w_left = w_right.copy()
+    w_left[jumps] = mu
+    w_right[jumps] = 0.0
     w_left[ends] = dt_ends
-    w_left[seams] = dt_seams - w_seam
+    w_left[at] = dt_seams - w_seam
     w_right[ends] = 0.0
+    for w in (w_left, w_right):
+        w.setflags(write=False)
     return w_left, w_right, seams, w_seam
 
 
-def _cell_values(v, weights, i0, i1):
-    """Cell integrals for cells i0..i1-1 of an (m, n) value array."""
-    w_left, w_right, seams, w_seam = weights
-    cells = w_left[i0:i1, None] * v[i0:i1]
-    cells += w_right[i0:i1, None] * v[i0 + 1 : i1 + 1]
-    lo, hi = np.searchsorted(seams, (i0, i1))
-    cells[seams[lo:hi] - i0] += w_seam[lo:hi, None] * v[seams[lo:hi] - 1]
+def _reads_right(grid, end):
+    """Whether a cell below ``end`` weights its right node: a dense cell
+    whose right node is dense too, read from the grid's dense runs.  The
+    cell ending a run reads its right node only where that node is the
+    grid's dense last node."""
+    return any(s < end and (e - s >= 2 or not grid.scattered_at(e))
+               for s, e in grid.dense_runs)
+
+
+def _cell_values(grid, v, i0, i1):
+    """Cell integrals for cells i0..i1-1 of an (m, n) value array on grid."""
+    w_left, w_right, seams, w_seam = _cell_weights(grid, i0, i1)
+    cells = w_left[:, None] * v[i0:i1]
+    cells += w_right[:, None] * v[i0 + 1 : i1 + 1]
+    cells[seams - i0] += w_seam[:, None] * v[seams - 1]
     return cells
 
 
 def cumulative_delta_integral(f):
     """F(t_i) = integral from the first node to t_i, summed cell by cell
-    with f.grid.cell_weights; an (m, n) array."""
+    under _cell_weights' rule; an (m, n) array."""
     return _prefix_integrals(f.grid, f.values.T, range(len(f.grid))).T
 
 
@@ -442,15 +482,17 @@ def _cumulative_at(grid, idx, k, rows_at, put=None):
     array.  ``idx`` is an array, or range(K) for every node of the first
     K, which then holds no index array.  F[j] sums the cells left of node
     j, cell i being w_left[i] v_i + w_right[i] v_{i+1} (+ w_seam v_{i-1} at
-    a seam cell) under _cell_weights' rule (grid.cell_weights).  The rows
-    are handed over by block (_blocks of idx without node 0, in order):
-    rows_at(lo, hi) returns the k rows at the nodes lo..hi, as a sequence
-    or an iterator, and a spare buffer of at least hi - lo floats, and this
-    routine may overwrite all of them.  Each row is reduced to its
+    a seam cell) under _cell_weights' rule.  The rows are handed over by
+    block (_blocks of idx without node 0, in order): rows_at(lo, hi, t)
+    returns the k rows at the nodes lo..hi, as a sequence or an iterator,
+    and a spare buffer of at least hi - lo floats, and this routine may
+    overwrite all of them.  ``t`` holds the nodes lo..hi, formed once per
+    block for the rows and the cell weights.  Each row is reduced to its
     horizons' values before the next is taken, so a producer can form them
-    one at a time, in one buffer reused for every row and block.  The block's node weights are formed once for all
-    k rows, and a running sum per row carries from block to block, so
-    neither the block size nor the other rows change a row's result.  With
+    one at a time, in one buffer reused for every row and block.  The
+    block's cell weights are formed once for all k rows, and a running sum
+    per row carries from block to block, so neither the block size nor the
+    other rows change a row's result.  With
     ``put`` the values are handed on instead of kept, and None is returned:
     put(r, j, vals) receives the values of the rows r, r + 1, ... at
     idx[j : j + vals.shape[1]], one row of ``vals`` each, block by block in
@@ -479,17 +521,22 @@ def _cumulative_at(grid, idx, k, rows_at, put=None):
     if len(at) == 0:
         put(0, 0, np.zeros((k, 1)))
         return F
-    w_left, w_right, seams, w_seam = grid.cell_weights
     end = int(at[-1])
     # reduceat beats the running sum only on segments of more than a few nodes
-    exact = 8 * len(idx) >= end or not w_right[:end].any()
-    seams = seams[: int(np.searchsorted(seams, end))]  # the seam cells below end
+    exact = 8 * len(idx) >= end or not _reads_right(grid, end)
+    seams, w_seam = _seams_in(grid, 0, end)  # the seam cells below end
     # per row, the seam terms; in the horizon mode accumulated block by
     # block, as the terms below each horizon are added to it
     seam_terms = np.empty((k, len(seams)))
     carry = np.zeros(k)
     for j0, j1, lo, hi in _blocks(at):
-        rows, spare = rows_at(lo, hi)
+        # the weights of the cells lo..hi-1, and of lo-1 before them, whose
+        # right weight the horizon mode adds to node lo's
+        c0 = lo - 1 if lo else 0
+        t = grid.nodes_at(slice(c0, hi + 1))
+        rows, spare = rows_at(lo, hi, t[lo - c0 :])
+        w_left, w_right, _, _ = _cell_weights(grid, c0, hi, t)
+        wl, wr = (w_left[1:], w_right[1:]) if lo else (w_left, w_right)
         if off and not j0:
             put(0, 0, np.zeros((k, 1)))
         hz = at[j0 : j1 + 1]
@@ -499,8 +546,8 @@ def _cumulative_at(grid, idx, k, rows_at, put=None):
         k0, k1 = np.searchsorted(seams, (lo, hi))
         if not exact:  # the node weights, for every row
             c = spare[: hi - lo]
-            np.add(w_left[lo + 1 : hi], w_right[lo : hi - 1], out=c[1:])
-            c[0] = w_left[lo] + w_right[lo - 1] if lo else w_left[0]
+            np.add(wl[1:], wr[:-1], out=c[1:])
+            c[0] = wl[0] + w_right[0] if lo else wl[0]
             cuts = np.concatenate(([0], hz[:-1] - lo))
             below = np.searchsorted(seams, hz)  # seams below each horizon
             seamed = below > 0
@@ -514,12 +561,12 @@ def _cumulative_at(grid, idx, k, rows_at, put=None):
                 # _cell_values's cells w_left[i] d[i] + w_right[i] d[i + 1]
                 # plus the seam terms, over d[:-1]: the right products go to
                 # the spare before d[:-1] is scaled
-                right = np.multiply(w_right[lo:hi], d[1:], out=spare[: hi - lo])
-                sums *= w_left[lo:hi]
+                right = np.multiply(wr, d[1:], out=spare[: hi - lo])
+                sums *= wl
                 sums += right
                 sums[seams[k0:k1] - lo] += terms[k0:k1]
             else:
-                last = w_right[hz - 1] * d[hz - lo]  # read before d is scaled
+                last = wr[hz - 1 - lo] * d[hz - lo]  # read before d is scaled
                 sums *= c
                 sums = np.add.reduceat(sums, cuts)
             if j0:
@@ -550,10 +597,10 @@ def _prefix_integrals(grid, rows, idx):
     overwrites them, and a row may be read-only or an integrand's own."""
     bufs = [np.empty(_block_nodes(idx)) for _ in range(len(rows) + 1)]
 
-    def rows_at(lo, hi):
+    def rows_at(lo, hi, t):
         for b, row in zip(bufs, rows):
-            b[: hi - lo + 1] = row[lo : hi + 1]
-        return [b[: hi - lo + 1] for b in bufs[:-1]], bufs[-1]
+            b[: len(t)] = row[lo : hi + 1]
+        return [b[: len(t)] for b in bufs[:-1]], bufs[-1]
 
     return _cumulative_at(grid, idx, len(rows), rows_at)
 
@@ -571,7 +618,7 @@ def delta_integral(f, lo, hi):
     sign = 1.0
     if i0 > i1:
         i0, i1, sign = i1, i0, -1.0
-    cells = _cell_values(f.values, f.grid.cell_weights, i0, i1)
+    cells = _cell_values(f.grid, f.values, i0, i1)
     return sign * cells.sum(axis=0)
 
 
@@ -711,10 +758,10 @@ def improper_integral(ts, f, a, horizons, *, h, config=LimitConfig()):
         gf = GridFunction.from_callable(grid, f, extend=False)
         if gf.dim != 1:
             raise DimensionMismatch("improper integrand must be scalar-valued")
-        total += float(delta_integral(gf, grid.nodes[0], grid.nodes[-1])[0])
+        total += float(delta_integral(gf, *grid.window)[0])
         partials.append(total)
         prev = b
-        del grid, gf  # with its cell weights, before the next grid is sampled
+        del grid, gf  # before the next grid is sampled
     return classify_limit(list(zip(horizons, partials)), config)
 
 
@@ -807,8 +854,8 @@ def identity_pack(f, g):
     v_f, v_g = f.values[:K], g.values[:K]
     fd, gd, pd = fd[:K], gd[:K], pd[:K]
     fs, gs = fs[:K], gs[:K]
-    mu = grid.mu[:K, None]
-    scat = grid.scattered[:K]
+    mu = grid.mu_at(slice(0, K))[:, None]
+    scat = grid.scattered_at(slice(0, K))
 
     r_shift = fs - (v_f + mu * fd)
     r_left = pd - (fd * gs + v_f * gd)
@@ -819,7 +866,7 @@ def identity_pack(f, g):
 
     # integration by parts over [t_0, t_{K-1}]
     sub = grid.prefix(K)
-    lo, hi = sub.nodes[0], sub.nodes[-1]
+    lo, hi = sub.window
     boundary = float((f.values[K - 1] * g.values[K - 1] - f.values[0] * g.values[0])[0])
 
     def integ(vals):

@@ -223,7 +223,7 @@ def cmd_residual(args):
     counts, sups = [], []  # per block that meets the window: its rows there, max |r|
 
     def window(i, r):
-        t = grid.nodes[i : i + len(r)]
+        t = grid.nodes_at(slice(i, i + len(r)))
         first, last = np.searchsorted(t, lo), np.searchsorted(t, hi, side="right")
         if first < last:
             counts.append(last - first)

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -253,56 +253,296 @@ class NodeKind(Enum):
 # sampled grids
 
 
-@dataclass(frozen=True)
+class _Run(NamedTuple):
+    """A dense stretch: the first ``count`` nodes of the uniform run of n
+    cells from start to stop.  Node j is j * ((stop - start) / n) + start
+    and node n is stop, the bits np.linspace(start, stop, n + 1) gives.
+    Every node is right-dense but node n, whose graininess is mu_last."""
+
+    start: float
+    stop: float
+    n: int
+    count: int
+    mu_last: float
+
+    @property
+    def step(self):
+        return (self.stop - self.start) / self.n
+
+    def take(self, what, j):
+        """``what`` (nodes, mu or scattered) at the local nodes j: a slice
+        with step 1 or an index array."""
+        if isinstance(j, slice):  # node n is among them only at one place
+            last = [self.n - j.start] if j.start <= self.n < j.stop else []
+            j = np.arange(j.start, j.stop, dtype=float)
+        else:
+            j = j.astype(float)
+            last = j == self.n
+        if what == "nodes":
+            j *= self.step
+            j += self.start
+            j[last] = self.stop
+            return j
+        mu = np.zeros(j.shape)
+        mu[last] = self.mu_last
+        return mu if what == "mu" else mu > 0
+
+    def node(self, j):
+        return float(self.take("nodes", slice(j, j + 1))[0])
+
+    def rank(self, x):
+        """The count of nodes below x: from the node that x names
+        arithmetically, moved to the first node at or above x, which the
+        rounding of the nodes may shift by one."""
+        g = (x - self.start) / self.step
+        j = min(max(math.ceil(g), 0), self.count) if math.isfinite(g) else self.count * (g > 0)
+        while j > 0 and not self.node(j - 1) < x:
+            j -= 1
+        while j < self.count and self.node(j) < x:
+            j += 1
+        return j
+
+    def increasing(self):
+        """Whether the nodes increase strictly.  Rounding j * step and then
+        adding start moves a node by at most an ulp of the length and one of
+        the larger end, so a step above 8 of each keeps every two nodes
+        apart; a finer run is checked node by node."""
+        length = self.stop - self.start
+        if self.step > 8 * (math.ulp(length) + math.ulp(max(abs(self.start), abs(self.stop)))):
+            return True
+        block = 1 << 16
+        return all(np.all(np.diff(self.take("nodes", slice(j, min(j + block + 1, self.count)))) > 0)
+                   for j in range(0, self.count - 1, block))
+
+    def head(self, k):
+        return self._replace(count=k)
+
+
+class _Points(NamedTuple):
+    """A stretch that keeps its points: a lattice, a point set, a lone
+    point, or a grid given as arrays."""
+
+    nodes: np.ndarray
+    mu: np.ndarray
+    scattered: np.ndarray
+
+    @classmethod
+    def of(cls, t, dt, scat=None):
+        """The stretch of the points t of graininess dt, right-scattered
+        where ``scat`` says (where dt > 0 without it); its arrays are made
+        read-only."""
+        stretch = cls(t, dt, dt > 0 if scat is None else scat)
+        for arr in stretch:
+            arr.setflags(write=False)
+        return stretch
+
+    @property
+    def count(self):
+        return len(self.nodes)
+
+    def take(self, what, j):
+        return getattr(self, what)[j]
+
+    def node(self, j):
+        return float(self.nodes[j])
+
+    def rank(self, x):
+        return int(np.searchsorted(self.nodes, x))
+
+    def increasing(self):
+        return bool(np.all(np.diff(self.nodes) > 0))
+
+    def head(self, k):
+        return _Points(*(arr[:k] for arr in self))
+
+
 class SampleGrid:
     """A finite sampling of a window [lo, hi] of a time scale.
 
-    ``nodes`` is strictly increasing; every right-scattered point of the
+    The nodes are strictly increasing; every right-scattered point of the
     scale inside the window appears exactly (kind SCATTERED_EXACT, with its
     true graininess in ``mu``), continuous stretches are sampled uniformly
     with spacing <= h (kind DENSE_SAMPLE, mu = 0).  ``mu`` always holds the
     graininess of the underlying scale, also at the last node.
+
+    A grid is a short table of stretches, not arrays as long as the grid: a
+    dense stretch is its ends and cell count (_Run), whose nodes are formed
+    from their index when asked for, and a lattice or point-set stretch
+    keeps its points (_Points); a grid given as arrays,
+    ``SampleGrid(nodes, mu, scattered, h)``, is one stretch of points.  The
+    kernels ask for the nodes, mu and scattered flags of a node range or an
+    index array (nodes_at, mu_at, scattered_at), and for the jumps of a
+    range (jumps), and get the bits the whole arrays hold; ``nodes``, ``mu``
+    and ``scattered`` form the whole arrays for callers that want them.
+    Every request forms its values afresh: the grid holds no array formed
+    from a dense stretch.
     """
 
-    nodes: np.ndarray
-    mu: np.ndarray
-    scattered: np.ndarray  # boolean mask, True where mu > 0
-    h: float
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        mu = np.asarray(self.mu, dtype=float)
-        scat = np.asarray(self.scattered, dtype=bool)
-        for name, arr in (("nodes", nodes), ("mu", mu), ("scattered", scat)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    def __init__(self, nodes, mu, scattered, h):
+        nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 1 or len(nodes) < 1:
             raise InvalidWindow("grid needs at least one node")
-        if len(nodes) > 1 and not np.all(np.diff(nodes) > 0):
+        self._set((_Points.of(nodes, np.asarray(mu, dtype=float),
+                              np.asarray(scattered, dtype=bool)),), h)
+
+    @classmethod
+    def _of(cls, stretches, h):
+        """The grid made of ``stretches``, each of at least one node."""
+        grid = cls.__new__(cls)
+        grid._set(tuple(stretches), h)
+        return grid
+
+    def _set(self, stretches, h):
+        self._stretches, self.h = stretches, h
+        starts, size = [], 0
+        for s in stretches:
+            starts.append(size)
+            size += s.count
+        self._starts, self._size = starts, size
+        runs = [isinstance(s, _Run) for s in stretches]
+        self._points = [(f, s) for f, s, run in zip(starts, stretches, runs) if not run]
+        # the last nodes of dense stretches that jump: their indices, as a
+        # list for bisect and as an array, and their graininess
+        jumps = [(f + s.n, s.mu_last) for f, s, run in zip(starts, stretches, runs)
+                 if run and s.count == s.n + 1 and s.mu_last > 0]
+        self._run_jumps = ([i for i, _ in jumps], np.array([i for i, _ in jumps], dtype=np.intp),
+                           np.array([mu for _, mu in jumps], dtype=float))
+        self._heads = [s.node(0) for s in stretches]
+        ends = [s.node(s.count - 1) for s in stretches]
+        if not (all(s.increasing() for s in stretches)
+                and all(end < head for end, head in zip(ends, self._heads[1:]))):
             raise InvalidWindow("grid nodes must be strictly increasing")
 
     def __len__(self):
-        return len(self.nodes)
+        return self._size
 
     @property
     def window(self):
-        return float(self.nodes[0]), float(self.nodes[-1])
+        last = self._stretches[-1]
+        return self._heads[0], float(last.node(last.count - 1))
+
+    def _take(self, what, key):
+        """``what`` (nodes, mu or scattered) at the nodes ``key``: a slice
+        with step 1, an index array or an index; read-only."""
+        stretches, starts, m = self._stretches, self._starts, self._size
+        if len(stretches) == 1 and isinstance(stretches[0], _Points):  # held whole
+            out = getattr(stretches[0], what)[key]
+        elif np.ndim(key) == 0 and not isinstance(key, slice):  # an index: a range of one
+            i = int(key) + m if key < 0 else int(key)
+            if not 0 <= i < m:
+                raise IndexError(f"node index out of range for a grid of {m} nodes")
+            return self._take(what, slice(i, i + 1))[0]
+        elif isinstance(key, slice):
+            i0, i1, step = key.indices(m)
+            if step != 1:
+                raise IndexError("a grid range has step 1")
+            i1 = max(i0, i1)
+            s0 = bisect.bisect_right(starts, i0) - 1
+            s1 = max(bisect.bisect_left(starts, i1), s0 + 1)
+            parts = [stretches[s].take(what, slice(max(i0 - f, 0), min(i1 - f, stretches[s].count)))
+                     for s, f in zip(range(s0, s1), starts[s0:s1])]
+            out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        else:  # each stretch takes the indices that fall in it
+            idx = np.asarray(key)
+            if idx.size and (idx.min() < 0 or idx.max() >= m):
+                raise IndexError(f"node index out of range for a grid of {m} nodes")
+            which = np.searchsorted(starts, idx, side="right") - 1
+            out = np.empty(idx.shape, dtype=bool if what == "scattered" else float)
+            for s in np.unique(which).tolist():
+                at = which == s
+                out[at] = stretches[s].take(what, idx[at] - starts[s])
+        if isinstance(out, np.ndarray) and out.flags.writeable:
+            out.setflags(write=False)
+        return out
+
+    def nodes_at(self, key):
+        """The nodes ``key`` (a slice with step 1, an index array or an
+        index), read-only."""
+        return self._take("nodes", key)
+
+    def mu_at(self, key):
+        """The graininess at the nodes ``key``, read-only."""
+        return self._take("mu", key)
+
+    def scattered_at(self, key):
+        """Whether the nodes ``key`` are right-scattered, read-only."""
+        return self._take("scattered", key)
+
+    def jumps(self, lo, hi):
+        """(where, mu) of the right-scattered nodes among lo..hi-1, in
+        order: ``where`` is a slice when they are one run (every node of a
+        lattice range, say, or none), so that the range kernels read and
+        write them without a gather, else their index array, and ``mu`` is
+        their graininess.  Found with no mask of the range: a dense stretch
+        holds at most one jump, its last node, which the grid keeps in a
+        table, and a stretch of points reads its own flags."""
+        at, run_idx, run_mu = self._run_jumps
+        k0, k1 = bisect.bisect_left(at, lo), bisect.bisect_left(at, hi)
+        parts = []  # (indices, a range or an array; graininess), in order
+        for f, s in self._points:
+            j0, j1 = max(lo - f, 0), min(hi - f, s.count)
+            if j0 < j1:
+                k = bisect.bisect_left(at, f)
+                parts.append((run_idx[k0:k], run_mu[k0:k]))
+                if s.scattered[j0:j1].all():
+                    parts.append((range(f + j0, f + j1), s.mu[j0:j1]))
+                else:
+                    j = np.flatnonzero(s.scattered[j0:j1]) + j0
+                    parts.append((j + f, s.mu[j]))
+                k0 = k
+        parts.append((run_idx[k0:k1], run_mu[k0:k1]))
+        parts = [p for p in parts if len(p[0])]
+        if not parts:
+            return slice(lo, lo), run_mu[:0]
+        if len(parts) == 1:
+            where, mu = parts[0]
+        else:
+            where = np.concatenate([np.arange(w.start, w.stop) if isinstance(w, range) else w
+                                    for w, _ in parts])
+            mu = np.concatenate([m for _, m in parts])
+        if isinstance(where, range):
+            return slice(where.start, where.stop), mu
+        if where[-1] - where[0] == len(where) - 1:
+            return slice(int(where[0]), int(where[-1]) + 1), mu
+        return where, mu
+
+    @property
+    def nodes(self):
+        return self.nodes_at(slice(None))
+
+    @property
+    def mu(self):
+        return self.mu_at(slice(None))
+
+    @property
+    def scattered(self):
+        """The boolean mask, True where mu > 0."""
+        return self.scattered_at(slice(None))
 
     def kind(self, i):
-        return NodeKind.SCATTERED_EXACT if self.scattered[i] else NodeKind.DENSE_SAMPLE
+        return NodeKind.SCATTERED_EXACT if self.scattered_at(i) else NodeKind.DENSE_SAMPLE
 
     @cached_property
     def dense_runs(self):
         """Maximal index ranges (s, e) whose cells s..e-1 are all dense.
 
-        Found once per grid by an edge scan of the dense-cell mask: padded
-        with False on both sides, its value changes exactly at run starts
-        and run ends, which therefore alternate.
+        Found once per grid, stretch by stretch: every stretch but the last
+        ends in a jump (at a segment's end), so no run crosses from one
+        stretch to the next.  A dense stretch's cells are all dense, and a
+        stretch of points finds its runs by an edge scan of its dense-cell
+        mask: padded with False on both sides, its value changes exactly at
+        run starts and run ends, which therefore alternate.
         """
-        padded = np.zeros(len(self.nodes) + 1, dtype=bool)
-        padded[1:-1] = ~self.scattered[:-1]
-        edges = np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2)
-        return tuple(map(tuple, edges.tolist()))
+        runs = []
+        for f, stretch in zip(self._starts, self._stretches):
+            if isinstance(stretch, _Run):
+                runs += [(f, f + stretch.count - 1)] if stretch.count > 1 else []
+                continue
+            padded = np.zeros(stretch.count + 1, dtype=bool)
+            padded[1:-1] = ~stretch.scattered[:-1]
+            edges = np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2) + f
+            runs += map(tuple, edges.tolist())
+        return tuple(runs)
 
     @cached_property
     def edge_stencils(self):
@@ -313,30 +553,37 @@ class SampleGrid:
         return _edge_stencils(self)
 
     @cached_property
-    def cell_weights(self):
-        """The cells' weights (calculus._cell_weights), found once; read-only."""
-        from .calculus import _cell_weights
+    def branch_ends(self):
+        """The cells that end a dense run in a jump, the seam cells among
+        them and their weights (calculus._branch_ends), found once per
+        grid."""
+        from .calculus import _branch_ends
 
-        weights = _cell_weights(self)
-        for w in weights:
-            w.setflags(write=False)
-        return weights
+        return _branch_ends(self)
+
+    def searchsorted(self, x):
+        """np.searchsorted(self.nodes, x) for one time x: the count of
+        nodes below x, from the stretch that holds x."""
+        s = bisect.bisect_left(self._heads, x) - 1
+        return 0 if s < 0 else self._starts[s] + self._stretches[s].rank(x)
 
     def index_of(self, t):
         """Index of the node within 1e-9 of t; NodeNotInGrid otherwise.  Not
         tol_at(t): build_grid's dense nodes can sit off the h-lattice (see its
         cell count) while callers name them as multiples of h."""
-        i = int(np.searchsorted(self.nodes, t))
+        i = self.searchsorted(t)
         for c in (i - 1, i):
-            if 0 <= c < len(self.nodes) and abs(self.nodes[c] - t) <= 1e-9:
+            if 0 <= c < self._size and abs(self.nodes_at(c) - t) <= 1e-9:
                 return c
         raise NodeNotInGrid(f"{t!r} is not a node of this grid")
 
     def prefix(self, k):
         """The subgrid made of the first k nodes (per-node data unchanged)."""
-        if not 1 <= k <= len(self.nodes):
+        if not 1 <= k <= self._size:
             raise InvalidWindow(f"prefix length {k} out of range")
-        return SampleGrid(self.nodes[:k], self.mu[:k], self.scattered[:k], self.h)
+        return SampleGrid._of([s if f + s.count <= k else s.head(k - f)
+                               for f, s in zip(self._starts, self._stretches)
+                               if f < k], self.h)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +695,11 @@ class TimeScaleSpec:
         return self.sigma(t) - t
 
     def classify(self, t):
-        right = Side.SCATTERED if self.sigma(t) > t else Side.DENSE
-        left = Side.SCATTERED if self.rho(t) < t else Side.DENSE
+        """The density of t's member on each side: its jumps are compared
+        with the member, not with t, which may lie tol_at(t) off it."""
+        m = self.snap(t)
+        right = Side.SCATTERED if self.sigma(m) > m else Side.DENSE
+        left = Side.SCATTERED if self.rho(m) < m else Side.DENSE
         return PointClass(right=right, left=left)
 
     # -- member navigation --------------------------------------------------
@@ -497,7 +747,7 @@ class TimeScaleSpec:
         hi = self.snap(hi)
         if not lo < hi:
             raise InvalidWindow(f"need lo < hi, got [{lo!r}, {hi!r}]")
-        node_chunks, mu_chunks = [], []
+        stretches = []
         for i, seg in enumerate(self.segments):
             if seg.minimum() > hi + tol_at(hi):
                 break
@@ -511,36 +761,28 @@ class TimeScaleSpec:
                 vals = np.asarray(seg.values)
                 j0 = int(np.searchsorted(vals, lo - tol_at(lo), side="left"))
                 j1 = int(np.searchsorted(vals, hi + tol_at(hi), side="right"))
-                node_chunks.append(vals[j0:j1])
-                mu_chunks.append(np.diff(np.append(vals, nxt_min))[j0:j1])
+                stretches.append(_Points.of(vals[j0:j1], np.diff(np.append(vals, nxt_min))[j0:j1]))
             elif isinstance(seg, ArithmeticTail):
                 k0, k1 = max(0, seg._k_ceil(lo)), seg._k_floor(hi)
                 pts = seg.member(np.arange(k0, k1 + 1, dtype=float))
-                node_chunks.append(pts)
-                mu_chunks.append(np.full(len(pts), seg.step))
+                stretches.append(_Points.of(pts, np.full(len(pts), seg.step)))
             else:  # ClosedInterval or UnboundedRay
                 w_lo = max(lo, seg.minimum())
                 w_hi = hi if smax is None else min(hi, smax)
                 if w_hi < w_lo:
                     continue
+                mu_last = nxt_min - smax if smax is not None and w_hi == smax else 0.0
                 if w_hi == w_lo:
-                    pts = np.array([w_lo])
-                else:
-                    _check_dense_step(h)
-                    # This 1e-12 rounds away for large L/h: the count gains a
-                    # cell and node j drifts j*h/n off the h-lattice.  index_of's
-                    # 1e-9 covers small drifts; mending the count changes the
-                    # benchmark's recorded node totals.
-                    n = max(1, math.ceil((w_hi - w_lo) / h - 1e-12))
-                    pts = np.linspace(w_lo, w_hi, n + 1)
-                mus = np.zeros(len(pts))
-                if smax is not None and w_hi == smax:
-                    mus[-1] = nxt_min - smax
-                node_chunks.append(pts)
-                mu_chunks.append(mus)
-        nodes = np.concatenate(node_chunks)
-        mu = np.concatenate(mu_chunks)
-        return SampleGrid(nodes=nodes, mu=mu, scattered=mu > 0, h=float(h))
+                    stretches.append(_Points.of(np.array([w_lo]), np.array([mu_last])))
+                    continue
+                _check_dense_step(h)
+                # This 1e-12 rounds away for large L/h: the count gains a
+                # cell and node j drifts j*h/n off the h-lattice.  index_of's
+                # 1e-9 covers small drifts; mending the count changes the
+                # benchmark's recorded node totals.
+                n = max(1, math.ceil((w_hi - w_lo) / h - 1e-12))
+                stretches.append(_Run(w_lo, w_hi, n, n + 1, mu_last))
+        return SampleGrid._of([s for s in stretches if s.count], float(h))
 
 
 # ---------------------------------------------------------------------------

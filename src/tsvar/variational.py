@@ -291,7 +291,7 @@ class SampledPath:
             raise DimensionMismatch("path dimension does not match the problem")
         if variation:
             _check_vanishes_at_start(x.values[0])
-        elif abs(x.grid.nodes[0] - problem.a) > tol_at(problem.a):
+        elif abs(x.grid.window[0] - problem.a) > tol_at(problem.a):
             raise InadmissiblePath("trajectory grid must start at a")
         elif np.any(np.abs(x.values[0] - problem.x_a) > tol_at(problem.x_a)):
             raise InadmissiblePath(f"x(a) = {x.values[0]} but x_a = {problem.x_a}")
@@ -334,7 +334,7 @@ class SampledPath:
     def lagrangian_row(self):
         """L(t, x_sigma(t), x_delta(t)) at the first K nodes, in an array of
         its own: the integrand may hand back one it reuses."""
-        return np.array(self.problem.lagrangian.values(self.grid.nodes[: self.K],
+        return np.array(self.problem.lagrangian.values(self.grid.nodes_at(slice(0, self.K)),
                                                        self.shift, self.slope))
 
 
@@ -393,15 +393,15 @@ def _residual_blocks(problem, path, consume):
     from block to block exactly: no block size changes a bit of r.  r =
     (d3 - d3(a)) - int_a d2, in buffers of one block allocated once."""
     K, n, lag = path.K, problem.n, problem.lagrangian
-    nodes, shift, slope = path.grid.nodes, path.shift, path.slope
+    grid, shift, slope = path.grid, path.shift, path.slope
     idx = range(K)  # every node, held as no array
     size = _block_nodes(idx)
     d2_rows, res, spare = np.empty((n, size)), np.empty((size, n)), np.empty(size)
     d3_a = np.empty(n)
 
-    def rows_at(lo, hi):
+    def rows_at(lo, hi, t):
         m, rows = hi - lo + 1, slice(lo, hi + 1)
-        t, xs, xd = nodes[rows], shift[rows], slope[rows]
+        xs, xd = shift[rows], slope[rows]
         d2 = d2_rows[:, :m]
         d2[...] = lag.partial2(t, xs, xd).T  # a copy: the reducer overwrites it
         d3 = lag.partial3(t, xs, xd)
@@ -427,15 +427,15 @@ def _residual_blocks(problem, path, consume):
         consume(lo + first, block)
 
     if K == 1:  # no cell: r(a) = d3(a) - d3(a) only
-        rows_at(0, 0)
+        rows_at(0, 0, grid.nodes_at(slice(0, 1)))
         emit(0, 0)
         return
-    _cumulative_at(path.grid, idx, n, rows_at, put)
+    _cumulative_at(grid, idx, n, rows_at, put)
 
 
 def _partial_rows(problem, path, K):
     """The d2 and d3 rows along ``path`` at its first K nodes."""
-    t, xs, xd = path.grid.nodes[:K], path.shift[:K], path.slope[:K]
+    t, xs, xd = path.grid.nodes_at(slice(0, K)), path.shift[:K], path.slope[:K]
     lag = problem.lagrangian
     return lag.partial2(t, xs, xd), lag.partial3(t, xs, xd)
 
@@ -455,7 +455,7 @@ def transversality_term(problem, x, t_prime):
     i = path.grid.index_of(t_prime)
     if i >= path.K:
         raise BoundaryUndefined(f"slope undefined at T'={t_prime!r}")
-    t = path.grid.nodes[i : i + 1]
+    t = path.grid.nodes_at(slice(i, i + 1))
     p3 = problem.lagrangian.partial3(t, path.shift[i : i + 1], path.slope[i : i + 1])[0]
     return float(np.dot(p3, path.x.values[i]))
 
@@ -477,9 +477,7 @@ class HorizonPlan:
     @cached_property
     def horizons(self):
         """The horizon nodes T', gathered once and read-only."""
-        hz = self.grid.nodes[self.horizon_idx]
-        hz.setflags(write=False)
-        return hz
+        return self.grid.nodes_at(self.horizon_idx)
 
     @cached_property
     def tail_pos(self):
@@ -496,19 +494,29 @@ def _slope_margin_grid(ts, a, t, h):
     return ts.build_grid(a, t_hi, h)
 
 
-def _horizon_idx(scattered, horizon_count, min_window):
-    """Horizon node indices among the nodes 1..i_end, from the ``scattered``
-    flags of nodes 0..i_end: every scattered node, every stride-th dense one
-    and i_end, marked in one mask; all of 1..i_end when that leaves fewer
-    than ``min_window``."""
-    keep = scattered.copy()
-    keep[0] = False
-    dense = np.flatnonzero(~scattered[1:])  # the dense nodes among 1..i_end, minus 1
-    if len(dense) > 0:
-        keep[dense[:: max(1, len(dense) // max(1, horizon_count))] + 1] = True
-    keep[-1] = True
-    idx = np.flatnonzero(keep)
-    return idx if len(idx) >= min_window else np.arange(1, len(scattered))
+def _horizon_idx(grid, i_end, horizon_count, min_window):
+    """Horizon node indices among the nodes 1..i_end of ``grid``: every
+    scattered node, every stride-th dense one and i_end; all of 1..i_end
+    when that leaves fewer than ``min_window``.  The dense nodes are read
+    from the grid's dense runs (the nodes s..e-1 of a run (s, e), and the
+    last node, which opens no cell, when it is dense), so that no array as
+    long as the grid is formed."""
+    dense = [(max(s, 1), min(e, i_end + 1)) for s, e in grid.dense_runs]
+    if i_end == len(grid) - 1 and not grid.scattered_at(i_end):
+        dense.append((i_end, i_end + 1))
+    dense = [(s, e) for s, e in dense if s < e]
+    stride = max(1, sum(e - s for s, e in dense) // max(1, horizon_count))
+    # in order: the scattered nodes before each run, the run's picks, the
+    # scattered nodes after the last run, and i_end unless it is there
+    parts, rank, gap = [], 0, 1
+    for s, e in dense:
+        parts += [np.arange(gap, s), np.arange(s + (-rank % stride), e, stride)]
+        rank, gap = rank + e - s, e
+    parts.append(np.arange(gap, i_end + 1))
+    idx = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    if not len(idx) or idx[-1] != i_end:
+        idx = np.append(idx, i_end)
+    return idx if len(idx) >= min_window else np.arange(1, i_end + 1)
 
 
 def make_horizon_plan(ts, a, t_max, *, h, horizon_count=60, n_tails=10,
@@ -518,13 +526,13 @@ def make_horizon_plan(ts, a, t_max, *, h, horizon_count=60, n_tails=10,
     if not t_end > a:
         raise InvalidWindow("t_max must leave room beyond the start")
     grid = _slope_margin_grid(ts, a, t_max, h)
-    i_end = int(np.searchsorted(grid.nodes, t_end + tol_at(t_end))) - 1
-    idx = _horizon_idx(grid.scattered[: i_end + 1], horizon_count, min_window)
+    i_end = grid.searchsorted(t_end + tol_at(t_end)) - 1
+    idx = _horizon_idx(grid, i_end, horizon_count, min_window)
     n_tails = max(n_tails, min_window)
     pos = np.unique(np.linspace(0, max(len(idx) - 3, 0), n_tails).round().astype(int))
     if len(pos) < min_window:
         raise InsufficientHorizons(f"only {len(pos)} tail starts, need {min_window}")
-    tails = grid.nodes[idx[pos]]
+    tails = grid.nodes_at(idx[pos])
     return HorizonPlan(grid=grid, horizon_idx=idx, tail_values=tails)
 
 
@@ -705,36 +713,35 @@ def _difference_integral(problem, star, idx, competitors, stats=None):
     buffer, and calculus._cumulative_at reduces each before the next is
     formed.  x*'s L row is formed on a block at the first row there that
     needs it, into a buffer of its own, as the integrand may hand back an
-    array it reuses.  Full length stay only the rows the grid (nodes, mu,
-    cell weights) and the paths hold: x*'s samples, shift and slope and the
-    rows of SampledPath competitors; every other row is held one block at
-    a time, in buffers allocated once per sweep, and one variation's
-    samples at a time."""
+    array it reuses.  Full length stay only the rows the paths hold: x*'s
+    samples, shift and slope and the rows of SampledPath competitors; the
+    grid's nodes are formed once per block and shared by every row of the
+    block; every other row is held one block at a time, in buffers
+    allocated once per sweep, and one variation's samples at a time."""
     grid, n = star.grid, problem.n
     size = _block_nodes(idx)
     k = sum(1 if eps is None else len(eps) for _, eps in competitors)
     d_buf, spare, l_buf = np.empty(size), np.empty(size), np.empty(size)
     u_buf, v_buf = np.empty((size, n)), np.empty((size, n))
-    nodes, lag = grid.nodes, problem.lagrangian
+    lag = problem.lagrangian
     l_lo = None  # the first node of the block whose L row l_buf holds
 
-    def star_row(lo, hi):
+    def star_row(t, lo, hi):
         nonlocal l_lo
         rows, l_star = slice(lo, hi + 1), l_buf[: hi - lo + 1]
         if l_lo != lo:
-            l_star[...] = lag.values(nodes[rows], star.shift[rows], star.slope[rows])
+            l_star[...] = lag.values(t, star.shift[rows], star.slope[rows])
             l_lo = lo
         return l_star
 
-    def competitor_rows(comp, eps, lo, hi):
-        rows, m = slice(lo, hi + 1), hi - lo + 1
-        t, d = nodes[rows], d_buf[:m]
+    def competitor_rows(comp, eps, halo, t, lo, hi):
+        rows, d = slice(lo, hi + 1), d_buf[: hi - lo + 1]
         if eps is None:
-            l_star = star_row(lo, hi)
+            l_star = star_row(t, lo, hi)
             yield np.subtract(lag.values(t, comp.shift[rows], comp.slope[rows]), l_star, out=d)
             return
         if callable(comp):
-            ps, pd = _variation_block(problem, grid, comp, lo, hi)
+            ps, pd = _variation_block(problem, grid, comp, lo, hi, halo)
         else:
             ps, pd = comp.shift[rows], comp.slope[rows]
         unchanged = not (ps.any() or pd.any())  # x = x* on the block
@@ -743,15 +750,18 @@ def _difference_integral(problem, star, idx, competitors, stats=None):
                 d.fill(0.0)
                 yield d
                 continue
-            u = np.multiply(ps, e, out=u_buf[:m])
+            u = np.multiply(ps, e, out=u_buf[: len(d)])
             u += star.shift[rows]
-            v = np.multiply(pd, e, out=v_buf[:m])
+            v = np.multiply(pd, e, out=v_buf[: len(d)])
             v += star.slope[rows]
-            l_star = star_row(lo, hi)
+            l_star = star_row(t, lo, hi)
             yield np.subtract(lag.values(t, u, v), l_star, out=d)
 
-    def rows_at(lo, hi):
-        return (d for comp, eps in competitors for d in competitor_rows(comp, eps, lo, hi)), spare
+    def rows_at(lo, hi, t):
+        # the nodes a variation is sampled on: t and the _HALO each side
+        halo = grid.nodes_at(slice(max(lo - _HALO, 0), min(hi + _HALO, len(grid) - 1) + 1))
+        return (d for comp, eps in competitors
+                for d in competitor_rows(comp, eps, halo, t, lo, hi)), spare
 
     if stats is None:
         return _cumulative_at(grid, idx, k, rows_at)
@@ -761,20 +771,21 @@ def _difference_integral(problem, star, idx, competitors, stats=None):
     return out
 
 
-def _variation_block(problem, grid, gen, lo, hi):
+def _variation_block(problem, grid, gen, lo, hi, halo):
     """Shift and slope at the nodes lo..hi of the variation generator
-    ``gen``, sampled on those nodes and the _HALO nodes each side their
-    slopes read.  The samples are checked as SampledPath.of checks a
-    sampled variation: finite, of the problem's dimension and p(a) = 0.
-    The grid must go on past hi, as a plan grid does past its horizons:
-    the generator is not called at sigma of the last node."""
-    i0, i1 = max(lo - _HALO, 0), min(hi + _HALO, len(grid) - 1)
-    vals = _call_on_times(gen, grid.nodes[i0 : i1 + 1], problem.n)
+    ``gen``, sampled on ``halo``: the nodes lo..hi and the _HALO nodes each
+    side (within the grid) that their slopes read.  The samples are checked
+    as SampledPath.of checks a sampled variation: finite, of the problem's
+    dimension and p(a) = 0.  The grid must go on past hi, as a plan grid
+    does past its horizons: the generator is not called at sigma of the
+    last node."""
+    i0 = max(lo - _HALO, 0)
+    vals = _call_on_times(gen, halo, problem.n)
     _require_finite(vals)
     if lo == 0:
         _check_vanishes_at_start(vals[0])
     shift, def_s = _shifts(grid, vals, i0, lo, hi)
-    slope, def_d = _slopes(grid, vals, i0, lo, hi)
+    slope, def_d = _slopes(grid, vals, i0, lo, hi, t=halo)
     if not (def_s[-1] and def_d[-1]):
         raise BoundaryUndefined("horizon nodes exceed the defined-slope prefix")
     return shift, slope
@@ -1040,7 +1051,7 @@ def fundamental_lemma_probe(ts, g, a, b, *, h, tol_zero=1e-9):
     over = np.nonzero(np.abs(gv) > tol_zero)[0]
     if len(over) == 0:
         return None
-    t0 = float(grid.nodes[over[0]])
+    t0 = float(grid.nodes_at(over[0]))
 
     for _ in range(64):
         mu0 = ts.mu(t0)
@@ -1141,10 +1152,10 @@ class _Discretization:
     def __init__(self, problem, grid):
         self.problem = problem
         self.grid = grid
-        self.t = grid.nodes
-        self.dt = np.diff(grid.nodes)
+        self.t, self.mu = grid.nodes, grid.mu
+        self.dt = np.diff(self.t)
         self.scat = grid.scattered[:-1]
-        self.w = np.where(self.scat, grid.mu[:-1], self.dt)
+        self.w = np.where(self.scat, self.mu[:-1], self.dt)
         self.lag = problem.lagrangian
 
     def objective(self, x):
@@ -1154,7 +1165,7 @@ class _Discretization:
         if scat.any():
             i = np.nonzero(scat)[0]
             vals = self.lag.values(t[i], x[i + 1], slope[i])
-            total += float(np.dot(self.grid.mu[i], vals))
+            total += float(np.dot(self.mu[i], vals))
         if (~scat).any():
             i = np.nonzero(~scat)[0]
             vl = self.lag.values(t[i], x[i], slope[i])
@@ -1168,7 +1179,7 @@ class _Discretization:
         g = np.zeros_like(x)
         if scat.any():
             i = np.nonzero(scat)[0]
-            mu = self.grid.mu[i, None]
+            mu = self.mu[i, None]
             p2 = self.lag.partial2(t[i], x[i + 1], slope[i])
             p3 = self.lag.partial3(t[i], x[i + 1], slope[i])
             np.add.at(g, i + 1, mu * p2 + p3)
@@ -1362,7 +1373,8 @@ def solve_truncated(problem, t_end, terminal=None, *, h, params=SolveParams()):
     if terminal is not None:
         hi = m - 1
         target = np.broadcast_to(np.asarray(terminal, dtype=float), (n,))
-    frac = (grid.nodes - grid.nodes[0]) / (grid.nodes[-1] - grid.nodes[0])
+    t = grid.nodes
+    frac = (t - t[0]) / (t[-1] - t[0])
     init = problem.x_a[None, :] + frac[:, None] * (target - problem.x_a)[None, :]
     init[-1] = target  # exactly: a pinned end is never moved by Newton
     x, ok, iters, gnorm, f, history = _newton(
@@ -1494,7 +1506,8 @@ class VerificationReport:
 
 
 def _default_el_tol(grid, h):
-    if bool(grid.scattered.all()):
+    where = grid.jumps(0, len(grid))[0]
+    if isinstance(where, slice) and where.stop - where.start == len(grid):  # all scattered
         return 1e-8
     return max(1e-9, 20.0 * h * h)
 
@@ -1573,10 +1586,12 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
     one.  The verdict is derived by classify_report.  Every diagnostic
     reads one SampledPath of the candidate.
 
-    Full length, for the whole call, are only the plan grid (with its cell
-    weights) and x*'s samples, shift (the samples themselves on a grid with
-    no right-scattered node) and slope; for the transversality stage, the
-    term at each horizon.  The residual stage forms r block by block
+    Full length, for the whole call, are only x*'s samples, shift (the
+    samples themselves on a grid with no right-scattered node) and slope;
+    for the transversality stage, the term at each horizon.  The plan grid
+    is a table of stretches (SampleGrid), whose nodes and cell weights are
+    formed a block at a time; the nodes are formed whole once, for the one
+    call of the generator.  The residual stage forms r block by block
     (_residual_blocks) and keeps only the maxima of |r| between horizons
     (_horizon_sups).  The nine competitor rows x* +- amp p and x* + eps p
     come from one sweep (_difference_integral): block by block, x*'s L

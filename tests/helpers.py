@@ -7,6 +7,8 @@ Polynomials come with coefficient bounds chosen so the documented dense-grid
 error budgets hold with a wide margin.
 """
 
+import math
+
 import numpy as np
 
 from tsvar import (
@@ -18,6 +20,7 @@ from tsvar import (
     LimitEstimate,
     LimitKind,
     NotInTimeScale,
+    SampleGrid,
     TimeScaleSpec,
     UnboundedRay,
     classify_limit,
@@ -32,6 +35,12 @@ COMB = union(
     DiscretePoints((20.75,)),
     UnboundedRay(21.0),
 )
+
+
+def mask_grid(scattered):
+    """A grid on 0, 1, ..., m-1 with the given right-scattered mask."""
+    scat = np.asarray(scattered, dtype=bool)
+    return SampleGrid(np.arange(len(scat), dtype=float), scat.astype(float), scat, 1.0)
 
 
 def q128(rng, lo, hi):
@@ -127,6 +136,50 @@ def translated(ts, t0):
     return TimeScaleSpec(tuple(segs))
 
 
+def reference_build_grid(ts, lo, hi, h):
+    """The grid of ts.build_grid(lo, hi, h) built as whole arrays, as
+    build_grid once built it: np.linspace over each continuous stretch, the
+    point sets' and tails' members, all concatenated; the reference for the
+    grid of stretches.  lo and hi must be members with lo < hi."""
+    lo, hi = ts.snap(lo), ts.snap(hi)
+    node_chunks, mu_chunks = [], []
+    for i, seg in enumerate(ts.segments):
+        if seg.minimum() > hi + tol_at(hi):
+            break
+        smax = seg.maximum()
+        if smax is not None and smax < lo - tol_at(lo):
+            continue
+        nxt_min = ts.segments[i + 1].minimum() if i + 1 < len(ts.segments) else None
+        if isinstance(seg, DiscretePoints):
+            vals = np.asarray(seg.values)
+            j0 = int(np.searchsorted(vals, lo - tol_at(lo), side="left"))
+            j1 = int(np.searchsorted(vals, hi + tol_at(hi), side="right"))
+            node_chunks.append(vals[j0:j1])
+            mu_chunks.append(np.diff(np.append(vals, nxt_min))[j0:j1])
+        elif isinstance(seg, ArithmeticTail):
+            k0, k1 = max(0, seg._k_ceil(lo)), seg._k_floor(hi)
+            pts = seg.member(np.arange(k0, k1 + 1, dtype=float))
+            node_chunks.append(pts)
+            mu_chunks.append(np.full(len(pts), seg.step))
+        else:
+            w_lo = max(lo, seg.minimum())
+            w_hi = hi if smax is None else min(hi, smax)
+            if w_hi < w_lo:
+                continue
+            if w_hi == w_lo:
+                pts = np.array([w_lo])
+            else:
+                n = max(1, math.ceil((w_hi - w_lo) / h - 1e-12))
+                pts = np.linspace(w_lo, w_hi, n + 1)
+            mus = np.zeros(len(pts))
+            if smax is not None and w_hi == smax:
+                mus[-1] = nxt_min - smax
+            node_chunks.append(pts)
+            mu_chunks.append(mus)
+    nodes, mu = np.concatenate(node_chunks), np.concatenate(mu_chunks)
+    return SampleGrid(nodes, mu, mu > 0, float(h))
+
+
 def reference_snap(seg, t):
     """The member of ``seg`` that t names, or None: the membership test and
     snap that each segment kind once kept for itself."""
@@ -183,8 +236,9 @@ class ReferenceScale:
         return seg.step if isinstance(seg, ArithmeticTail) else self.sigma(t) - m
 
     def classify(self, t):
-        return PointClass(right=Side.SCATTERED if self.sigma(t) > t else Side.DENSE,
-                          left=Side.SCATTERED if self.rho(t) < t else Side.DENSE)
+        m = self.snap(t)
+        return PointClass(right=Side.SCATTERED if self.sigma(t) > m else Side.DENSE,
+                          left=Side.SCATTERED if self.rho(t) < m else Side.DENSE)
 
     def advance(self, t, h):
         _, seg, m = self.locate(t)

@@ -35,6 +35,7 @@ from tsvar.calculus import SampleGrid, _cumulative_at, _prefix_integrals
 
 from helpers import (
     COMB,
+    mask_grid,
     poly_fn,
     random_poly,
     random_scattered_scale,
@@ -50,12 +51,6 @@ NAT = integer_scale(0)
 
 def nat_fn(fn, hi):
     return GridFunction.from_callable(NAT.build_grid(0, hi, 1.0), fn)
-
-
-def mask_grid(scattered):
-    """A grid on 0, 1, ..., m-1 with the given right-scattered mask."""
-    scat = np.asarray(scattered, dtype=bool)
-    return SampleGrid(np.arange(len(scat), dtype=float), scat.astype(float), scat, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +75,22 @@ def test_generator_results_of_each_accepted_shape():
     assert np.array_equal(pair.values, np.column_stack((t, -t)))
     const = GridFunction.from_callable(grid, lambda s: 3.0)
     assert np.array_equal(const.values, np.full((5, 1), 3.0))
+
+
+def test_a_fresh_generator_result_is_not_copied():
+    """An (m, n) result that owns its data becomes the values as a view:
+    no copy, and the read-only flag lands on the view, not on the
+    generator's array.  A view of other data (np.broadcast_to) is copied."""
+    grid = real_ray(0).build_grid(0, 1, 0.25)
+    made = []
+    fresh = GridFunction.from_callable(
+        grid, lambda t: made.append(np.stack((t, -t), axis=1)) or made[-1])
+    assert np.shares_memory(fresh.values, made[0])
+    assert made[0].flags.writeable and not fresh.values.flags.writeable
+    row = np.array([[1.0, 2.0]])
+    broadcast = GridFunction.from_callable(grid, lambda t: np.broadcast_to(row, (len(t), 2)))
+    assert not np.shares_memory(broadcast.values, row)
+    assert np.array_equal(broadcast.values, np.repeat(row, 5, axis=0))
 
 
 def test_generator_of_another_shape_raises():
@@ -279,7 +290,7 @@ def test_range_kernels_read_a_run_of_jumps_by_slices(grid, blocks, extend):
     deriv, defined = delta_derivative_all(f)
     shift, shift_defined = sigma_shift_all(f)
     for lo, hi, sliced in blocks:
-        assert isinstance(calculus._scattered(grid, lo, min(hi, m - 2)), slice) == sliced
+        assert isinstance(grid.jumps(lo, min(hi, m - 2) + 1)[0], slice) == sliced
         i0, i1 = max(lo - calculus._HALO, 0), min(hi + calculus._HALO, m - 1)
         part = f.values[i0 : i1 + 1].copy()
         got, got_defined = calculus._slopes(grid, part, i0, lo, hi, f.sigma_last)
@@ -510,7 +521,7 @@ def test_integrals_match_reference_seam_loop(cells, n, data):
                 np.array([False, False, True, False, False, True]), 0.5), 2),
 ], ids=["comb", "edges"])
 def test_integrals_match_reference_seam_loop_on_fixed_grids(grid, n_seams):
-    seams = grid.cell_weights[2]
+    seams = calculus._cell_weights(grid, 0, len(grid) - 1)[2]
     assert len(seams) == n_seams
     v = np.column_stack((np.cos(grid.nodes), grid.nodes**2))
     m = len(grid)
@@ -519,25 +530,39 @@ def test_integrals_match_reference_seam_loop_on_fixed_grids(grid, n_seams):
     assert_integrals_match_reference(grid, v, windows)
 
 
-def test_cell_weights_are_kept_with_the_grid(monkeypatch):
-    """SampleGrid.cell_weights is formed once per grid, read-only, and its
-    weights are the seam loop's; identity_pack's four integrals over one
-    prefix grid share them."""
-    grid = COMB.build_grid(0.0, 25.0, 0.05)
-    w_left, w_right, seams, w_seam = grid.cell_weights
-    assert grid.cell_weights is grid.cell_weights
-    assert not any(w.flags.writeable for w in grid.cell_weights)
-    w_prev, ref_left, ref_right = reference_cell_weights(grid)
-    assert np.array_equal(w_left, ref_left) and np.array_equal(w_right, ref_right)
-    assert np.array_equal(seams, np.flatnonzero(w_prev))
-    assert np.array_equal(w_seam, w_prev[seams])
+def test_cell_weights_are_formed_per_block(monkeypatch):
+    """calculus._cell_weights of the cells lo..hi-1 are the seam loop's
+    weights of those cells, for blocks that start and end at, before and
+    after seams, on the comb and on a grid with seams at the first possible
+    cell and at the last.  The weights are read-only, as are the seams and
+    their weights that every block shares with the grid.  Each delta
+    integral asks for the weights of the range it sums, so identity_pack's
+    four integrals over one prefix grid ask four times for the same cells."""
+    comb = COMB.build_grid(0.0, 25.0, 0.05)
+    edges = SampleGrid(np.array([0.0, 0.25, 0.625, 1.5, 2.0, 2.125]),
+                       np.array([0.0, 0.0, 0.875, 0.0, 0.0, 1.0]),
+                       np.array([False, False, True, False, False, True]), 0.5)
+    for grid in (comb, edges):
+        w_prev, ref_left, ref_right = reference_cell_weights(grid)
+        seams = np.flatnonzero(w_prev)
+        cuts = sorted({0, len(grid) - 1, *seams.tolist(), *(seams - 1).tolist(),
+                       *(seams + 1).tolist()})
+        for k, lo in enumerate(cuts):
+            for hi in cuts[k + 1 : k + 4] + cuts[-1:]:
+                w_left, w_right, got_seams, w_seam = calculus._cell_weights(grid, lo, hi)
+                assert np.array_equal(w_left, ref_left[lo:hi])
+                assert np.array_equal(w_right, ref_right[lo:hi])
+                assert np.array_equal(got_seams, seams[(seams >= lo) & (seams < hi)])
+                assert np.array_equal(w_seam, w_prev[got_seams])
+                assert not any(w.flags.writeable for w in (w_left, w_right, got_seams, w_seam))
     calls = []
     weights = calculus._cell_weights
-    monkeypatch.setattr(calculus, "_cell_weights", lambda g: calls.append(len(g)) or weights(g))
-    f = GridFunction.from_callable(grid, np.sin)
-    g = GridFunction.from_callable(grid, lambda t: np.cos(t) + 2.0)
+    monkeypatch.setattr(calculus, "_cell_weights",
+                        lambda g, lo, hi: calls.append((lo, hi)) or weights(g, lo, hi))
+    f = GridFunction.from_callable(comb, np.sin)
+    g = GridFunction.from_callable(comb, lambda t: np.cos(t) + 2.0)
     assert identity_pack(f, g).parts_plain_f <= 1e-3
-    assert len(calls) == 1
+    assert len(calls) == 4 and len(set(calls)) == 1
 
 
 def assert_cumulative_at_matches(grid, rows, idx, block):
@@ -553,7 +578,7 @@ def assert_cumulative_at_matches(grid, rows, idx, block):
     want = reference_prefix_integrals(grid, rows.T, end)[idx].T
 
     def reduce(block_rows, asked):
-        return _cumulative_at(grid, idx, len(block_rows), lambda lo, hi: asked.append(
+        return _cumulative_at(grid, idx, len(block_rows), lambda lo, hi, t: asked.append(
             (lo, hi)) or (block_rows[:, lo : hi + 1].copy(), np.full(hi - lo, np.nan)))
 
     asked = []
@@ -562,7 +587,7 @@ def assert_cumulative_at_matches(grid, rows, idx, block):
         alone = [reduce(row[None], [])[0] for row in rows]
     assert np.shape(got) == want.shape
     assert all(np.array_equal(a, b) for a, b in zip(got, alone))
-    if 8 * len(idx) >= end or not grid.cell_weights[1][:end].any():
+    if 8 * len(idx) >= end or not calculus._cell_weights(grid, 0, end)[1].any():
         assert np.array_equal(got, want)
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
     ends = [0] + [hi for _, hi in asked]
@@ -623,7 +648,7 @@ def test_cumulative_at_matches_cumulative_on_fixed_grids(grid, block, data):
 
 def test_cumulative_at_reads_seam_cells_and_few_horizons():
     grid = COMB.build_grid(0.0, 25.0, 0.05)
-    seams = grid.cell_weights[2]
+    seams = calculus._cell_weights(grid, 0, len(grid) - 1)[2]
     v = np.exp(-grid.nodes) + np.sin(3.0 * grid.nodes)
     # horizons at, just before and just after each seam cell, and a sparse set
     around = np.unique(np.concatenate((seams - 1, seams, seams + 1)))

@@ -35,16 +35,24 @@ def test_corpus_verdicts_all_match(capsys):
     assert all(row["ok"] and row["verdict"] == row["expected"] for row in doc["results"])
 
 
+#: tracemalloc peak per node of each --fast row of peak_memory.py: the
+#: measured figure with a 10% margin (the grid of stretches holds no array
+#: as long as itself, so the dense rows sit 21-28 B/node below the whole-
+#: array grid's 72.3, 61.1, 92.3 and 73.9)
+PEAK_CEILINGS = (49.9, 36.2, 179.3, 143.7, 78.2, 53.6)
+
+
 def test_peak_memory_prints_its_table(capsys):
     code = load_script("peak_memory").main(["--fast", "--json"])
     rows = json.loads(capsys.readouterr().out)["results"]
     assert code == 0
-    assert [row["nodes"] for row in rows] == [160004, 200004, 20004, 50001, 50001]
-    assert all(row["verdict"] == "consistent" for row in rows[:3])
-    assert all(row["csv_bytes"] > 0 for row in rows[3:])
-    for row in rows:
+    assert [row["nodes"] for row in rows] == [160004, 200004, 20004, 29025, 50001, 50001]
+    assert [row["verdict"] for row in rows[:4]] == ["consistent"] * 3 + ["not_weakly_maximal"]
+    assert all(row["csv_bytes"] > 0 for row in rows[4:])
+    for row, ceiling in zip(rows, PEAK_CEILINGS):
         assert row["peak_bytes"] > 0 and row["seconds"] > 0
         assert row["bytes_per_node"] == row["peak_bytes"] / row["nodes"]
+        assert row["bytes_per_node"] <= ceiling, row
 
 
 def test_line_reach_lists_what_a_test_subset_leaves_unreached():

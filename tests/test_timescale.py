@@ -1,5 +1,7 @@
 """Structural operators (sigma, rho, mu), sampled grids, and the DSL."""
 
+import math
+import tracemalloc
 import typing
 
 import numpy as np
@@ -29,12 +31,16 @@ from tsvar import (
     timescale_to_structured,
     union,
 )
-from tsvar.timescale import SEGMENT_KINDS, NodeKind, Segment, Side
+from tsvar import calculus
+from tsvar.timescale import SEGMENT_KINDS, NodeKind, PointClass, Segment, Side
 
 from helpers import (
     ReferenceScale,
     random_member,
     random_mixed_scale,
+    reference_build_grid,
+    reference_cell_weights,
+    reference_dense_runs,
     structural_members,
     translated,
 )
@@ -108,6 +114,17 @@ def test_classify():
     start = integer_scale(0).classify(0.0)
     assert start.left is Side.DENSE and start.right is Side.SCATTERED
     assert real_ray(0).classify(0.0).dense
+
+
+def test_classify_reads_the_member_not_the_time():
+    """A time within tol_at of an interval's end names that end: 1.0 is
+    left-dense and right-scattered, 2.0 left-scattered and right-dense,
+    also 1e-13 off them on the side that is not in the scale."""
+    ts = union(ClosedInterval(0, 1), UnboundedRay(2))
+    for t in (1.0, 1.0 + 1e-13):
+        assert ts.classify(t) == PointClass(right=Side.SCATTERED, left=Side.DENSE), t
+    for t in (2.0, 2.0 - 1e-13):
+        assert ts.classify(t) == PointClass(right=Side.DENSE, left=Side.SCATTERED), t
 
 
 def test_spec_validation():
@@ -265,6 +282,121 @@ def test_build_grid_errors():
         ts.build_grid(0, 3, 0.0)
     with pytest.raises(NotInTimeScale):
         ts.build_grid(0.5, 3, 0.1)
+
+
+def node_index(grid, t):
+    """grid.index_of(t), or None where t names no node."""
+    try:
+        return grid.index_of(t)
+    except NodeNotInGrid:
+        return None
+
+
+@given(st.integers(0, 10_000), st.sampled_from([0.0, 1e5, 1e6]), st.data())
+def test_grid_of_stretches_matches_the_whole_arrays(seed, t0, data):
+    """The grid of stretches gives the bits of the grid built as whole
+    arrays (helpers.reference_build_grid: np.linspace and concatenation),
+    on mixed scales moved to t0: its nodes, mu, scattered flags, dense runs,
+    prefixes, the ranges and index arrays the kernels ask for, the jumps of
+    a range and each block's cell weights."""
+    rng = np.random.default_rng(seed)
+    ts = translated(random_mixed_scale(rng), t0)
+    h = data.draw(st.sampled_from([0.1, 0.21, 0.05]))
+    lo = random_member(rng, ts, max_hops=4)
+    hi = ts.floor_member(lo + float(rng.uniform(0.5, 4.0)))
+    if not hi > lo:
+        return
+    grid, ref = ts.build_grid(lo, hi, h), reference_build_grid(ts, lo, hi, h)
+    m = len(ref)
+    assert len(grid) == m and grid.window == ref.window
+    for name in ("nodes", "mu", "scattered"):
+        assert np.array_equal(getattr(grid, name), getattr(ref, name)), name
+    assert list(grid.dense_runs) == reference_dense_runs(ref)
+    k = data.draw(st.integers(1, m))
+    sub = grid.prefix(k)
+    for name in ("nodes", "mu", "scattered"):
+        assert np.array_equal(getattr(sub, name), getattr(ref, name)[:k]), name
+    assert list(sub.dense_runs) == reference_dense_runs(ref.prefix(k))
+    w_prev, w_left, w_right = reference_cell_weights(ref)
+    seams = np.flatnonzero(w_prev)
+    for _ in range(3):
+        i0 = data.draw(st.integers(0, m - 1))
+        i1 = data.draw(st.integers(i0, m - 1))
+        block = slice(i0, i1 + 1)
+        assert np.array_equal(grid.nodes_at(block), ref.nodes[block])
+        assert np.array_equal(grid.mu_at(block), ref.mu[block])
+        assert np.array_equal(grid.scattered_at(block), ref.scattered[block])
+        idx = np.array(data.draw(st.lists(st.integers(0, m - 1), max_size=12)), dtype=np.intp)
+        for name in ("nodes", "mu", "scattered"):
+            assert np.array_equal(getattr(grid, f"{name}_at")(idx), getattr(ref, name)[idx]), name
+        where, mu = grid.jumps(i0, i1 + 1)
+        jumps = np.flatnonzero(ref.scattered[block]) + i0
+        assert np.array_equal(np.arange(m)[where], jumps) and np.array_equal(mu, ref.mu[jumps])
+        got_left, got_right, got_seams, w_seam = calculus._cell_weights(grid, i0, i1)
+        assert np.array_equal(got_left, w_left[i0:i1])
+        assert np.array_equal(got_right, w_right[i0:i1])
+        assert np.array_equal(got_seams, seams[(seams >= i0) & (seams < i1)])
+        assert np.array_equal(w_seam, w_prev[got_seams])
+    # times at, just below and just above nodes, where a dense stretch's
+    # arithmetic guess of the index can be one off
+    t = ref.nodes[data.draw(st.integers(0, m - 1))]
+    for x in (t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), t - 0.4 * h, t + 0.4 * h):
+        assert grid.searchsorted(x) == np.searchsorted(ref.nodes, x), x
+        assert node_index(grid, x) == node_index(ref, x), x
+
+
+def test_a_run_finer_than_its_rounding_is_checked_node_by_node():
+    """A dense step of a few ulps of t is checked node by node: at 4 ulps
+    the nodes still increase and are linspace's, at half an ulp two of them
+    coincide and the grid is refused, as the whole-array check refused it."""
+    ts, t0 = real_ray(0), 2.0**30
+    u = math.ulp(t0)
+    grid = ts.build_grid(t0, t0 + 64 * u, 4 * u)
+    assert np.array_equal(grid.nodes, reference_build_grid(ts, t0, t0 + 64 * u, 4 * u).nodes)
+    with pytest.raises(InvalidWindow, match="strictly increasing"):
+        ts.build_grid(t0, t0 + 8 * u, u / 2)
+
+
+def test_grid_search_corrects_its_arithmetic_guess():
+    """Just above node 9 of [0, 1] at h = 0.1, (x - start) / step rounds to
+    exactly 9, so the guess names node 9 itself, which lies below x; the
+    search moves on to node 10."""
+    grid = real_ray(0).build_grid(0, 1, 0.1)
+    x = float(np.nextafter(0.9, 1.0))
+    assert grid.nodes_at(9) == 0.9
+    assert grid.searchsorted(x) == np.searchsorted(grid.nodes, x) == 10
+
+
+def test_grid_ranges_have_step_one_and_indices_in_range():
+    grid = MIXED.build_grid(0, 6, 0.25)
+    with pytest.raises(IndexError):
+        grid.nodes_at(slice(0, 8, 2))
+    for bad in (len(grid), -len(grid) - 1):
+        with pytest.raises(IndexError):
+            grid.mu_at(np.array([bad]))
+        with pytest.raises(IndexError):
+            grid.nodes_at(bad)
+    assert grid.nodes_at(-1) == 6.0 and grid.mu_at(-1) == 0.0
+
+
+def test_a_dense_grid_holds_no_array_as_long_as_itself():
+    """Building a grid of a million dense nodes forms none of them, and
+    after its whole node array, blocks of nodes and a block's cell weights
+    were asked for, the grid holds none of them."""
+    tracemalloc.start()
+    try:
+        grid = real_ray(0).build_grid(0, 1, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+        assert len(grid) == 1000001
+        assert len(grid.nodes) == 1000001
+        for lo in (0, 500000, 998000):
+            grid.nodes_at(slice(lo, lo + 2000))
+        calculus._cell_weights(grid, 0, 2000)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert held < 1e5
 
 
 def test_grid_index_and_prefix():

@@ -87,6 +87,7 @@ from tsvar.variational import (
 
 from helpers import (
     COMB,
+    mask_grid,
     quadratic_lagrangian,
     random_poly,
     reference_gateaux,
@@ -1353,7 +1354,8 @@ def test_short_window_is_refused_by_the_plan(t_max, tails):
        st.integers(1, 12))
 def test_horizon_indices_match_the_sorted_union(scattered, horizon_count, min_window):
     scattered = np.array(scattered)
-    got = variational._horizon_idx(scattered, horizon_count, min_window)
+    got = variational._horizon_idx(mask_grid(scattered), len(scattered) - 1, horizon_count,
+                                   min_window)
     assert np.array_equal(got, reference_horizon_idx(scattered, horizon_count, min_window))
 
 
@@ -1368,9 +1370,9 @@ def test_plan_horizons_match_the_sorted_union(ts, t_max, h):
 
 def test_horizon_indices_fall_back_to_every_node():
     # one stride-th dense node plus the last one are fewer than the window
-    dense = np.zeros(9, dtype=bool)
-    assert list(variational._horizon_idx(dense, 1, 3)) == list(range(1, 9))
-    assert list(variational._horizon_idx(dense, 1, 2)) == [1, 8]
+    dense = mask_grid(np.zeros(9, dtype=bool))
+    assert list(variational._horizon_idx(dense, 8, 1, 3)) == list(range(1, 9))
+    assert list(variational._horizon_idx(dense, 8, 1, 2)) == [1, 8]
 
 
 def test_window_mismatch_is_refused_before_sampling(monkeypatch):
@@ -1424,9 +1426,9 @@ def test_verify_finds_dense_runs_once_per_grid(monkeypatch):
     cfg = VerifyConfig(t_max=10.0, h=0.01)
     report = verify_candidate(ray.problem, ray.candidate("decaying-exp").gen, cfg)
     assert report.verdict is Verdict.CONSISTENT
-    m = len(make_horizon_plan(ray.problem.ts, 0.0, cfg.t_max, h=cfg.h).grid)
-    # the plan grid; every derivative of the verify reuses its runs
-    assert scans == [m]
+    # the plan grid; its horizons and every derivative of the verify reuse
+    # its runs
+    assert scans == [report.nodes]
 
 
 def test_verify_samples_each_path_once(monkeypatch):
@@ -1441,9 +1443,10 @@ def test_verify_samples_each_path_once(monkeypatch):
     assert report.verdict is Verdict.CONSISTENT and report.nodes < calculus._BLOCK
     # x* once, on the whole grid; the 3 probe variations (the Gateaux rows
     # read the tail-constant one) once each in the sweep's one block, by
-    # the range kernels; one set of cell weights, kept with the plan grid
+    # the range kernels; one set of cell weights per block of each of the
+    # two reductions, the residual's and the sweep's
     assert calls == {"from_callable": 1, "sigma_shift_all": 1, "delta_derivative_all": 1,
-                     "_shifts": 4, "_slopes": 4, "_cell_weights": 1}
+                     "_shifts": 4, "_slopes": 4, "_cell_weights": 2}
 
 
 def test_verify_reads_competitor_integrals_at_the_horizons_only(monkeypatch):
@@ -1540,7 +1543,7 @@ def full_row_integrals(problem, star, idx, shift, slope):
         - star.lagrangian_row[:n]
     with mock.patch.object(calculus, "_BLOCK", n):
         return calculus._cumulative_at(star.grid, idx, 1,
-                                       lambda lo, hi: (row[None, lo : hi + 1], np.empty(hi - lo)))[0]
+                                       lambda lo, hi, t: (row[None, lo : hi + 1], np.empty(hi - lo)))[0]
 
 
 @BLOCK_CASES
