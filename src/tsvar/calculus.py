@@ -253,7 +253,8 @@ def _slopes(grid, v, off, lo, hi, sigma_last=None, t=None):
     must cover lo - _HALO..hi + _HALO within the grid.  ``t``, when the
     caller holds them, are the nodes of v's rows; else the nodes are formed
     a block at a time.  Every node gets the value it gets on the whole
-    grid, bit for bit.
+    grid, bit for bit.  deriv is laid out as v is: with each column of v
+    contiguous, so is each of deriv's.
 
     Scattered nodes use the exact jump quotient (the final node too, when
     ``sigma_last`` holds the value at its sigma); dense nodes use the
@@ -261,7 +262,7 @@ def _slopes(grid, v, off, lo, hi, sigma_last=None, t=None):
     its ends; the final node of a grid ending dense is undefined (deriv 0).
     """
     m = len(grid)
-    deriv = np.zeros((hi - lo + 1, v.shape[1]))
+    deriv = np.zeros_like(v[lo - off : hi + 1 - off])  # laid out as v is
     top = min(hi, m - 2)  # the final node has no right neighbour
     a = max(lo, 1)
 
@@ -294,8 +295,13 @@ def _slopes(grid, v, off, lo, hi, sigma_last=None, t=None):
             acc += w[:, k, None] * V[:, k]
         deriv[at] = acc
     idx, mu = grid.jumps(lo, top + 1)
-    jump = v[_moved(idx, 1 - off)] - v[_moved(idx, -off)]
-    deriv[_moved(idx, -lo)] = jump / mu[:, None]
+    if isinstance(idx, slice):  # a run of jumps: the quotients formed in place
+        at = deriv[_moved(idx, -lo)]
+        np.subtract(v[_moved(idx, 1 - off)], v[_moved(idx, -off)], out=at)
+        at /= mu[:, None]
+    else:
+        jump = v[_moved(idx, 1 - off)] - v[_moved(idx, -off)]
+        deriv[_moved(idx, -lo)] = jump / mu[:, None]
 
     defined = np.ones(hi - lo + 1, dtype=bool)
     if hi == m - 1:
@@ -306,20 +312,25 @@ def _slopes(grid, v, off, lo, hi, sigma_last=None, t=None):
     return deriv, defined
 
 
-def _shifts(grid, v, off, lo, hi, sigma_last=None):
+def _shifts(grid, v, off, lo, hi, sigma_last=None, in_place=False):
     """f(sigma(.)) at the nodes lo..hi as (values, defined), from the
     samples ``v`` of the nodes off, off + 1, ...; they must cover lo..hi + 1
     within the grid.  With no right-scattered node in lo..hi the values are
-    v's own rows, not a copy.  The final node is undefined when it is
+    v's own rows, and with every node of lo..hi right-scattered the rows
+    after them, not a copy.  Otherwise they are a copy, or, ``in_place``,
+    written over v's rows lo..hi.  The final node is undefined when it is
     right-scattered and ``sigma_last`` is None."""
     m = len(grid)
     own = v[lo - off : hi + 1 - off]
     defined = np.ones(hi - lo + 1, dtype=bool)
     idx = grid.jumps(lo, min(hi, m - 2) + 1)[0]
     last = hi == m - 1 and grid.scattered_at(m - 1)
-    if not last and isinstance(idx, slice) and idx.start == idx.stop:
-        return own, defined
-    out = own.copy()
+    if not last and isinstance(idx, slice):
+        if idx.start == idx.stop:
+            return own, defined
+        if idx.stop - idx.start == hi - lo + 1:  # every node jumps: v one row on
+            return v[lo + 1 - off : hi + 2 - off], defined
+    out = own if in_place else own.copy(order="K")
     if last:
         if sigma_last is None:
             defined[-1] = False
@@ -457,26 +468,32 @@ def cumulative_delta_integral(f):
 _BLOCK = 1 << 15
 
 
-def _blocks(at):
+def _blocks(at, end=0):
     """Blocks (j0, j1, lo, hi) of the horizon segments j0..j1, segment j
     holding the cells at[j - 1]..at[j] - 1 (from 0 for j = 0), so that the
     block holds the nodes lo..hi: at most _BLOCK cells, or one segment that
-    is longer on its own.  ``at`` is an array or a range."""
+    is longer on its own.  Past the last segment, up to the node ``end``,
+    follow blocks of _BLOCK cells that hold no segment (j0 = j1 + 1 =
+    len(at)).  ``at`` is an array or a range."""
     blocks, j0, lo = [], 0, 0
     while j0 < len(at):
         j1 = max(j0, bisect_right(at, lo + _BLOCK) - 1)
         blocks.append((j0, j1, lo, int(at[j1])))
         j0, lo = j1 + 1, int(at[j1])
+    while lo < end:
+        blocks.append((j0, j0 - 1, lo, min(lo + _BLOCK, end)))
+        lo = blocks[-1][3]
     return blocks
 
 
-def _block_nodes(idx):
-    """Nodes in the longest block _cumulative_at asks for at ``idx``."""
-    at = idx[1:] if idx[0] == 0 else idx
-    return max((hi - lo for _, _, lo, hi in _blocks(at)), default=0) + 1
+def _block_nodes(idx, end=0):
+    """Nodes in the longest block _cumulative_at asks for at ``idx`` (and
+    up to the node ``end``)."""
+    at = idx[1:] if len(idx) and idx[0] == 0 else idx
+    return max((hi - lo for _, _, lo, hi in _blocks(at, end)), default=0) + 1
 
 
-def _cumulative_at(grid, idx, k, rows_at, put=None):
+def _cumulative_at(grid, idx, k, rows_at, put=None, every=None, halo=0):
     """Prefix integrals F[j] = int_{t_0}^{t_j} of k scalar rows on ``grid``
     at the strictly increasing node indices ``idx`` only: a (k, len(idx))
     array.  ``idx`` is an array, or range(K) for every node of the first
@@ -484,21 +501,31 @@ def _cumulative_at(grid, idx, k, rows_at, put=None):
     j, cell i being w_left[i] v_i + w_right[i] v_{i+1} (+ w_seam v_{i-1} at
     a seam cell) under _cell_weights' rule.  The rows are handed over by
     block (_blocks of idx without node 0, in order): rows_at(lo, hi, t)
-    returns the k rows at the nodes lo..hi, as a sequence or an iterator,
+    returns the rows at the nodes lo..hi, as a sequence or an iterator,
     and a spare buffer of at least hi - lo floats, and this routine may
-    overwrite all of them.  ``t`` holds the nodes lo..hi, formed once per
-    block for the rows and the cell weights.  Each row is reduced to its
-    horizons' values before the next is taken, so a producer can form them
-    one at a time, in one buffer reused for every row and block.  The
-    block's cell weights are formed once for all k rows, and a running sum
-    per row carries from block to block, so neither the block size nor the
-    other rows change a row's result.  With
-    ``put`` the values are handed on instead of kept, and None is returned:
-    put(r, j, vals) receives the values of the rows r, r + 1, ... at
-    idx[j : j + vals.shape[1]], one row of ``vals`` each, block by block in
-    order, in a buffer that is overwritten once the call returns.  The
-    horizon mode, whose values are few per block, hands on all k rows of a
-    block at once, the running-sum mode each row as it is reduced.
+    overwrite all of them.  ``t`` holds the nodes lo..hi and ``halo`` more
+    each side, as far as the grid goes (a producer that takes slopes on
+    lo..hi asks for _HALO), formed once per block for the rows and the
+    cell weights.  Each row is reduced to its horizons' values before the
+    next is taken, so a producer can form them one at a time, in one
+    buffer reused for every row and block.  The block's cell weights are
+    formed once for all its rows, and a running sum per row carries from
+    block to block, so neither the block size nor the other rows change a
+    row's result.  With ``put`` the values are
+    handed on instead of kept, and None is returned: put(r, j, vals)
+    receives the values of the rows r, r + 1, ... at idx[j : j +
+    vals.shape[1]], one row of ``vals`` each, block by block in order, in
+    a buffer that is overwritten once the call returns.  The horizon mode,
+    whose values are few per block, hands on all k rows of a block at
+    once, the running-sum mode each row as it is reduced.
+
+    With ``every`` = (kn, K, put_n), kn more rows are reduced in the same
+    blocks, at every node of the first K (K - 1 >= idx[-1]), as if by a
+    call at range(K) with the put put_n: rows_at hands them over first, on
+    the blocks that hold nodes below K - 1, followed by the k rows on the
+    blocks that hold horizons; past the last horizon the blocks go on to
+    node K - 1 with the kn rows only.  idx may then be empty.  A block that
+    takes no row forms no cell weights.
 
     The running-sum mode adds the cells one by one, in order.  The horizon
     mode weights node i by c_i = w_left[i] + w_right[i-1], so that F[j] =
@@ -509,7 +536,7 @@ def _cumulative_at(grid, idx, k, rows_at, put=None):
     horizon (every node, say) or no cell reads its right node."""
     if not isinstance(idx, range):
         idx = np.asarray(idx, dtype=np.intp)
-    at = idx[1:] if idx[0] == 0 else idx  # F = 0 at node 0
+    at = idx[1:] if len(idx) and idx[0] == 0 else idx  # F = 0 at node 0
     off = len(idx) - len(at)
     F = None
     if put is None:
@@ -518,76 +545,92 @@ def _cumulative_at(grid, idx, k, rows_at, put=None):
             if F is None:  # only now, so that it is not held while the first rows are formed
                 F = np.zeros((k, len(idx)))
             F[r : r + len(vals), j : j + vals.shape[1]] = vals
-    if len(at) == 0:
-        put(0, 0, np.zeros((k, 1)))
+    kn, K, put_n = every if every is not None else (0, 1, None)
+    end = int(at[-1]) if len(at) else 0
+    if max(end, K - 1) == 0:  # no cell
+        if off:
+            put(0, 0, np.zeros((k, 1)))
         return F
-    end = int(at[-1])
     # reduceat beats the running sum only on segments of more than a few nodes
     exact = 8 * len(idx) >= end or not _reads_right(grid, end)
-    seams, w_seam = _seams_in(grid, 0, end)  # the seam cells below end
+    _, seams, w_seam = grid.branch_ends
     # per row, the seam terms; in the horizon mode accumulated block by
     # block, as the terms below each horizon are added to it
-    seam_terms = np.empty((k, len(seams)))
-    carry = np.zeros(k)
-    for j0, j1, lo, hi in _blocks(at):
+    seam_terms = np.empty((kn + k, len(seams)))
+    carry = np.zeros(kn + k)
+    last_node = len(grid) - 1
+    for j0, j1, lo, hi in _blocks(at, K - 1):
+        # the nodes from lo - halo, or from lo - 1, whose cell the horizon
+        # mode weights, on to hi + halo
+        i0, c0 = max(lo - max(halo, 1), 0), lo - 1 if lo else 0
+        t = grid.nodes_at(slice(i0, min(hi + halo, last_node) + 1))
+        rows, spare = rows_at(lo, hi, t[max(lo - halo, 0) - i0 :])
+        if off and not lo:
+            put(0, 0, np.zeros((k, 1)))
+        # the reductions this block feeds, in the order of their rows:
+        # (first row, rows, running sum, horizons, put, position of the first)
+        feeds = [(0, kn, True, range(lo + 1, hi + 1), put_n, lo + 1)] if kn and lo < K - 1 else []
+        if k and j0 <= j1:
+            feeds.append((kn, k, exact, at[j0 : j1 + 1], put, off + j0))
+        if not feeds:
+            del rows  # a producer may hold its block's arrays until the next is formed
+            continue
         # the weights of the cells lo..hi-1, and of lo-1 before them, whose
         # right weight the horizon mode adds to node lo's
-        c0 = lo - 1 if lo else 0
-        t = grid.nodes_at(slice(c0, hi + 1))
-        rows, spare = rows_at(lo, hi, t[lo - c0 :])
-        w_left, w_right, _, _ = _cell_weights(grid, c0, hi, t)
+        w_left, w_right, _, _ = _cell_weights(grid, c0, hi, t[c0 - i0 : hi + 1 - i0])
         wl, wr = (w_left[1:], w_right[1:]) if lo else (w_left, w_right)
-        if off and not j0:
-            put(0, 0, np.zeros((k, 1)))
-        hz = at[j0 : j1 + 1]
         # the seam cell s reads node s - 1, so its term is formed in the
         # block holding that node: lo < s <= hi
         s0, s1 = np.searchsorted(seams, (lo + 1, hi + 1))
         k0, k1 = np.searchsorted(seams, (lo, hi))
-        if not exact:  # the node weights, for every row
-            c = spare[: hi - lo]
-            np.add(wl[1:], wr[:-1], out=c[1:])
-            c[0] = wl[0] + w_right[0] if lo else wl[0]
-            cuts = np.concatenate(([0], hz[:-1] - lo))
-            below = np.searchsorted(seams, hz)  # seams below each horizon
-            seamed = below > 0
-            seam_at = below[seamed] - 1
-            block = np.empty((k, len(hz)))  # the block's values, handed on together
-        for r, d in enumerate(rows):
-            terms = seam_terms[r]
-            np.multiply(w_seam[s0:s1], d[seams[s0:s1] - 1 - lo], out=terms[s0:s1])
-            sums = d[:-1]
-            if exact:
-                # _cell_values's cells w_left[i] d[i] + w_right[i] d[i + 1]
-                # plus the seam terms, over d[:-1]: the right products go to
-                # the spare before d[:-1] is scaled
-                right = np.multiply(wr, d[1:], out=spare[: hi - lo])
-                sums *= wl
-                sums += right
-                sums[seams[k0:k1] - lo] += terms[k0:k1]
-            else:
-                last = wr[hz - 1 - lo] * d[hz - lo]  # read before d is scaled
-                sums *= c
-                sums = np.add.reduceat(sums, cuts)
-            if j0:
-                sums[0] += carry[r]
-            acc = np.cumsum(sums, out=sums)
-            carry[r] = acc[-1]
-            if not exact:
-                acc += last
-                if s0 < s1:  # the running sum of the seam terms, on from the last block's
-                    if s0:
-                        terms[s0] += terms[s0 - 1]
-                    np.cumsum(terms[s0:s1], out=terms[s0:s1])
-                if len(seam_at):
-                    acc[seamed] += terms[seam_at]
-                block[r] = acc
-                continue
-            if len(acc) != len(hz):
-                acc = np.take(acc, hz - (lo + 1), out=spare[: len(hz)], mode="clip")
-            put(r, off + j0, acc[None])
-        if not exact:
-            put(0, off + j0, block)
+        rows = iter(rows)
+        for r0, count, running, hz, give, j in feeds:
+            if not running:  # the node weights, for every row
+                c = spare[: hi - lo]
+                np.add(wl[1:], wr[:-1], out=c[1:])
+                c[0] = wl[0] + w_right[0] if lo else wl[0]
+                cuts = np.concatenate(([0], hz[:-1] - lo))
+                below = np.searchsorted(seams, hz)  # seams below each horizon
+                seamed = below > 0
+                seam_at = below[seamed] - 1
+                block = np.empty((count, len(hz)))  # the block's values, handed on together
+            for r in range(r0, r0 + count):
+                d = next(rows)
+                terms = seam_terms[r]
+                np.multiply(w_seam[s0:s1], d[seams[s0:s1] - 1 - lo], out=terms[s0:s1])
+                sums = d[:-1]
+                if running:
+                    # _cell_values's cells w_left[i] d[i] + w_right[i] d[i + 1]
+                    # plus the seam terms, over d[:-1]: the right products go
+                    # to the spare before d[:-1] is scaled
+                    right = np.multiply(wr, d[1:], out=spare[: hi - lo])
+                    sums *= wl
+                    sums += right
+                    sums[seams[k0:k1] - lo] += terms[k0:k1]
+                else:
+                    last = wr[hz - 1 - lo] * d[hz - lo]  # read before d is scaled
+                    sums *= c
+                    sums = np.add.reduceat(sums, cuts)
+                if lo:
+                    sums[0] += carry[r]
+                acc = np.cumsum(sums, out=sums)
+                carry[r] = acc[-1]
+                if not running:
+                    acc += last
+                    if s0 < s1:  # the running sum of the seam terms, on from the last block's
+                        if s0:
+                            terms[s0] += terms[s0 - 1]
+                        np.cumsum(terms[s0:s1], out=terms[s0:s1])
+                    if len(seam_at):
+                        acc[seamed] += terms[seam_at]
+                    block[r - r0] = acc
+                    continue
+                if len(acc) != len(hz):
+                    acc = np.take(acc, hz - (lo + 1), out=spare[: len(hz)], mode="clip")
+                give(r - r0, j, acc[None])
+            if not running:
+                give(0, j, block)
+        del rows, t, w_left, w_right, wl, wr  # the block's, before the next is formed
     return F
 
 

@@ -25,7 +25,6 @@ from .floatcsv import csv_bytes
 from .problemfile import candidate_generator, load_problem_file
 from .timescale import tol_at
 from .variational import (
-    SampledPath,
     _residual_blocks,
     _slope_margin_grid,
     solve_truncated,
@@ -203,9 +202,11 @@ def cmd_integrate(args):
 def cmd_residual(args):
     """The E-L residual of a candidate on a window: its node count and sup
     norm on stdout and, with --csv, its rows.  The residual is formed block
-    by block (variational._residual_blocks); each block's rows in the
-    window are folded into the count and the sup and written to the CSV
-    straight away, so that no row of the residual is held at full length.
+    by block (variational._residual_blocks, which samples the candidate a
+    block at a time); each block's rows in the window are folded into the
+    count and the sup and written to the CSV straight away, so that neither
+    the candidate's samples nor any row of the residual is held at full
+    length.
     The CSV appears at its path only once every row is written
     (_csv_file)."""
     pf = load_problem_file(args.file)
@@ -218,7 +219,6 @@ def cmd_residual(args):
     else:
         win_lo, win_hi = a, float(pf.config.get("t_max", 40.0))
     grid = _slope_margin_grid(ts, a, win_hi, h)
-    path = SampledPath.of(prob, GridFunction.from_callable(grid, gen))
     lo, hi = win_lo - tol_at(win_lo), win_hi + tol_at(win_hi)
     counts, sups = [], []  # per block that meets the window: its rows there, max |r|
 
@@ -233,7 +233,7 @@ def cmd_residual(args):
 
     header = ["t"] + [f"residual{j + 1}" for j in range(prob.n)]
     with _csv_file(args.csv, header) if args.csv else contextlib.nullcontext() as fh:
-        _residual_blocks(prob, path, window)
+        _residual_blocks(prob, grid, gen, window)
         if not counts:
             raise InvalidWindow("the requested window contains no residual nodes")
     _print_json({

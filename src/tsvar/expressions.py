@@ -65,7 +65,9 @@ def parse(src, error):
     ASCII digits.  Any other character outside ASCII, a digit outside ASCII
     in a name, and ``#`` are refused: Python would read NFKC-normalised
     names or a comment there.  A syntax error, a warning of the parser and
-    input nested too deeply raise ``error``.
+    input nested too deeply raise ``error``: the parser gives up on deep
+    nesting with a RecursionError, or, without parentheses (10000 unary
+    minuses, say), with a MemoryError.
     """
     spelt = _LEADING_ZEROS.sub("", re.sub(r"\s+", " ", src).strip().replace("^", "**"))
     text = re.sub(r"\d", lambda m: str(int(m[0])), spelt) if not spelt.isascii() else spelt
@@ -75,8 +77,10 @@ def parse(src, error):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tree = ast.parse(text, mode="eval").body
-    except (SyntaxError, ValueError, RecursionError) as exc:
+    except (SyntaxError, ValueError) as exc:
         raise error(f"cannot parse {reprlib.repr(src)}: {getattr(exc, 'msg', exc)}") from None
+    except (RecursionError, MemoryError):  # the parser's stack, outgrown by deep nesting
+        raise error(f"{reprlib.repr(src)} is nested too deeply") from None
     if spelt != text and any(isinstance(n, ast.Name)
                              and n.id != spelt[n.col_offset:n.end_col_offset]
                              for n in ast.walk(tree)):

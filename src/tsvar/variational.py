@@ -19,6 +19,7 @@ a truncated-horizon direct solver, and a verdict-producing verifier.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -278,23 +279,24 @@ class Problem:
 
 class SampledPath:
     """A path, or with ``variation`` a variation, of ``problem`` sampled on
-    one grid: the samples ``x`` (a GridFunction on ``grid``) and, computed
-    together on first read, the sigma-shift ``shift`` and slope ``slope`` on
-    the prefix of ``K`` nodes where both are defined; the Lagrangian row is
-    also computed on first use (the cell weights are the grid's).  A path
-    must start at a with x(a) = x_a, a variation must have p(a) = 0.  The
-    first-order operations take one in place of a generator and read these
-    samples instead of sampling again.  ``Trajectory`` names the same class."""
+    one grid: the samples ``x`` (a GridFunction on ``grid``), the length
+    ``K`` of the prefix where its sigma-shift and slope are defined and,
+    computed together on first read, the sigma-shift ``shift`` and slope
+    ``slope`` on that prefix; the Lagrangian row is also computed on first
+    use.  A path must start at a with x(a) = x_a, a variation must have
+    p(a) = 0.  The first-order operations take one in place of a generator
+    and read these samples instead of sampling again: the sweep
+    (_sweep) reads them a block at a time, by slices, and never asks for
+    ``shift`` or ``slope``.  ``Trajectory`` names the same class."""
 
     def __init__(self, problem, x, *, variation=False):
         if x.dim != problem.n:
             raise DimensionMismatch("path dimension does not match the problem")
         if variation:
             _check_vanishes_at_start(x.values[0])
-        elif abs(x.grid.window[0] - problem.a) > tol_at(problem.a):
-            raise InadmissiblePath("trajectory grid must start at a")
-        elif np.any(np.abs(x.values[0] - problem.x_a) > tol_at(problem.x_a)):
-            raise InadmissiblePath(f"x(a) = {x.values[0]} but x_a = {problem.x_a}")
+        else:
+            _check_starts_at_a(problem, x.grid)
+            _check_x_a(problem, x.values[0])
         self.problem, self.x, self.grid, self.variation = problem, x, x.grid, variation
 
     @classmethod
@@ -317,18 +319,17 @@ class SampledPath:
         return cls(problem, x, variation=variation)
 
     @cached_property
-    def _prefix(self):
-        xs, def_s = sigma_shift_all(self.x)
-        xd, def_d = delta_derivative_all(self.x)
-        both = def_s & def_d
-        K = len(both) if bool(both.all()) else int(np.argmin(both))
-        if K < 1:
-            raise GridTooSmall("no prefix of the grid has sigma-shift and slope defined")
-        return K, xs[:K], xd[:K]
+    def K(self):
+        return _defined_prefix(self.grid, self.x.sigma_last is not None)
 
-    K = property(lambda self: self._prefix[0])
-    shift = property(lambda self: self._prefix[1])
-    slope = property(lambda self: self._prefix[2])
+    @cached_property
+    def _prefix(self):
+        xs, _ = sigma_shift_all(self.x)
+        xd, _ = delta_derivative_all(self.x)
+        return xs[: self.K], xd[: self.K]
+
+    shift = property(lambda self: self._prefix[0])
+    slope = property(lambda self: self._prefix[1])
 
     @cached_property
     def lagrangian_row(self):
@@ -336,6 +337,30 @@ class SampledPath:
         its own: the integrand may hand back one it reuses."""
         return np.array(self.problem.lagrangian.values(self.grid.nodes_at(slice(0, self.K)),
                                                        self.shift, self.slope))
+
+
+def _defined_prefix(grid, extended):
+    """The number K of nodes at the start of ``grid`` where a path sampled
+    on it has its sigma-shift and slope: every node but the last, which
+    has them too when it is right-scattered and the path is ``extended``
+    by its value at sigma of that node; GridTooSmall when K = 0."""
+    m = len(grid)
+    K = m if extended and grid.scattered_at(m - 1) else m - 1
+    if K < 1:
+        raise GridTooSmall("no prefix of the grid has sigma-shift and slope defined")
+    return K
+
+
+def _check_starts_at_a(problem, grid):
+    """Refuse a path's grid that does not start at a (InadmissiblePath)."""
+    if abs(grid.window[0] - problem.a) > tol_at(problem.a):
+        raise InadmissiblePath("trajectory grid must start at a")
+
+
+def _check_x_a(problem, x_a):
+    """Refuse a path whose value x(a) is not x_a (InadmissiblePath)."""
+    if np.any(np.abs(x_a - problem.x_a) > tol_at(problem.x_a)):
+        raise InadmissiblePath(f"x(a) = {x_a} but x_a = {problem.x_a}")
 
 
 Trajectory = SampledPath
@@ -366,8 +391,7 @@ def el_residual(problem, x):
     d3 row again would divide its rounding by h twice.
 
     r is formed block by block (_residual_blocks) and collected: beside
-    the path, only r is held at full length, and the d2 and d3 rows and
-    the prefix integral one block at a time.
+    the path's samples, only r is held at full length.
     """
     path = SampledPath.of(problem, x)
     r = np.empty((path.K, problem.n))
@@ -375,62 +399,21 @@ def el_residual(problem, x):
     def collect(i, block):
         r[i : i + len(block)] = block
 
-    _residual_blocks(problem, path, collect)
+    _residual_blocks(problem, path.grid, path, collect)
     return GridFunction(path.grid.prefix(path.K), r)
 
 
-def _residual_blocks(problem, path, consume):
-    """el_residual's r along ``path``, handed on block by block:
+def _residual_blocks(problem, grid, x, consume):
+    """el_residual's r along the path ``x`` on ``grid`` (a SampledPath, or
+    a generator, sampled block by block), handed on block by block:
     consume(i, r) receives r at the nodes i, i + 1, ... of the prefix, a
     (rows, n) array in a buffer that is overwritten once the call returns;
-    in order, the blocks cover the prefix once.  A block's r is checked
-    finite, as GridFunction checks values (EvaluationError), before it is
-    handed on, so a consumer never sees a block past a non-finite one.
-
-    Per block of calculus._blocks (the nodes lo..hi), the d2 and d3 rows
-    are formed on that block only, and calculus._cumulative_at reduces d2
-    at every node in its running-sum mode, which carries each column's sum
-    from block to block exactly: no block size changes a bit of r.  r =
-    (d3 - d3(a)) - int_a d2, in buffers of one block allocated once."""
-    K, n, lag = path.K, problem.n, problem.lagrangian
-    grid, shift, slope = path.grid, path.shift, path.slope
-    idx = range(K)  # every node, held as no array
-    size = _block_nodes(idx)
-    d2_rows, res, spare = np.empty((n, size)), np.empty((size, n)), np.empty(size)
-    d3_a = np.empty(n)
-
-    def rows_at(lo, hi, t):
-        m, rows = hi - lo + 1, slice(lo, hi + 1)
-        xs, xd = shift[rows], slope[rows]
-        d2 = d2_rows[:, :m]
-        d2[...] = lag.partial2(t, xs, xd).T  # a copy: the reducer overwrites it
-        d3 = lag.partial3(t, xs, xd)
-        if lo == 0:
-            d3_a[...] = d3[0]
-        np.subtract(d3, d3_a, out=res[:m])
-        return d2, spare
-
-    def put(c, j, vals):
-        # the integral of column c at the nodes j, j + 1, ..., the rows
-        # 1, 2, ... of the block's r; node 0's is 0, and r(a) is final
-        if j == 0:
-            return
-        m = vals.shape[1]
-        res[1 : m + 1, c] -= vals[0]
-        if c == n - 1:
-            emit(j - 1, m)
-
-    def emit(lo, m):
-        first = 0 if lo == 0 else 1  # a later block's node lo is the last one's hi
-        block = res[first : m + 1]
-        _require_finite(block)
-        consume(lo + first, block)
-
-    if K == 1:  # no cell: r(a) = d3(a) - d3(a) only
-        rows_at(0, 0, grid.nodes_at(slice(0, 1)))
-        emit(0, 0)
-        return
-    _cumulative_at(grid, idx, n, rows_at, put)
+    in order, the blocks cover the prefix once.  This is the sweep
+    (_sweep) with its residual consumer only: r is formed on each block
+    from the block's x*, and a block's r is checked finite, as GridFunction
+    checks values (EvaluationError), before it is handed on, so a consumer
+    never sees a block past a non-finite one."""
+    _sweep(problem, grid, _source(problem, x, grid), (), residual=consume)
 
 
 def _partial_rows(problem, path, K):
@@ -442,8 +425,9 @@ def _partial_rows(problem, path, K):
 
 def el_sup_norm(problem, x):
     """max |r| of el_residual's r along ``x``, kept block by block."""
+    path = SampledPath.of(problem, x)
     sups = []
-    _residual_blocks(problem, SampledPath.of(problem, x),
+    _residual_blocks(problem, path.grid, path,
                      lambda i, block: sups.append(float(np.max(np.abs(block)))))
     return max(sups)
 
@@ -684,111 +668,241 @@ class _TailStats:
         return classify_limit(list(zip(self.tails, suffix[self.tail_at])), config)
 
 
+def _source(problem, x, grid, *, variation=False):
+    """``x`` as the sweep reads it on ``grid``: a generator is kept, to be
+    sampled block by block (_samples), anything else is SampledPath.of on
+    the grid, whose samples are read by slices."""
+    if not callable(x):
+        return SampledPath.of(problem, x, grid, variation=variation)
+    if not variation:
+        _check_starts_at_a(problem, grid)
+    return x
+
+
 def _on_plan(problem, x, plan, *, variation=False):
-    """SampledPath.of on the plan's grid; every horizon needs a slope."""
-    path = SampledPath.of(problem, x, plan.grid, variation=variation)
-    if plan.horizon_idx[-1] > path.K - 1:
+    """_source on the plan's grid; every horizon needs a slope, which a
+    path generator has up to the grid's right-scattered last node (it is
+    extended past it) and a variation generator up to the node before."""
+    x = _source(problem, x, plan.grid, variation=variation)
+    K = _defined_prefix(plan.grid, not variation) if callable(x) else x.K
+    if plan.horizon_idx[-1] > K - 1:
         raise BoundaryUndefined("horizon nodes exceed the defined-slope prefix")
-    return path
+    return x
+
+
+def _samples(problem, x, t, i0, *, variation=False):
+    """The samples of ``x`` (a _source) at the nodes ``t``, the nodes i0,
+    i0 + 1, ... of its grid: a held path's rows, as a slice, or the values
+    of a generator, checked as SampledPath.of checks a sampled path or
+    variation: finite, of the problem's dimension and, at a, x_a or 0."""
+    if not callable(x):
+        return x.x.values[i0 : i0 + len(t)]
+    vals = _call_on_times(x, t, problem.n)
+    _require_finite(vals)
+    if i0 == 0:
+        if variation:
+            _check_vanishes_at_start(vals[0])
+        else:
+            _check_x_a(problem, vals[0])
+    return vals
+
+
+def _sigma_last(problem, x, grid):
+    """The value of ``x`` (a _source) at sigma of ``grid``'s last node: a
+    held path's or variation's sigma_last, or a path generator's value
+    there, checked as GridFunction checks it."""
+    if not callable(x):
+        return x.x.sigma_last
+    last = len(grid) - 1
+    vals = _call_on_times(x, np.array([grid.nodes_at(last) + grid.mu_at(last)]), problem.n)
+    if not np.all(np.isfinite(vals)):
+        raise DimensionMismatch("sigma_last must be a finite vector of length n")
+    return vals[0]
+
+
+def _sweep(problem, grid, star, idx, competitors=(), stats=None, *, residual=None,
+           trans=None):
+    """One pass over ``grid`` that feeds every first-order diagnostic of
+    the path ``star`` of x* (a _source) on it: the blocks of
+    calculus._blocks of the strictly increasing horizon indices ``idx``,
+    then, with ``residual``, blocks on to the end of x*'s defined prefix.
+
+    Each block's nodes, with the _HALO each side that its slopes read, are
+    formed once (by calculus._cumulative_at, which also forms the block's
+    cell weights once).  x* and, on the blocks that hold horizons, every
+    competitor are sampled on them side by side -- a held path's samples
+    read as a slice, a generator called on the nodes -- and their shifts
+    and slopes taken in one calculus._shifts and one calculus._slopes
+    call.  The block then feeds three consumers, each optional:
+
+    ``residual``, consume(i, r): el_residual's r, r = (d3 - d3(a)) -
+    int_a d2, handed on as _residual_blocks describes.  The d2 rows are
+    reduced at every node of the prefix by _cumulative_at's running sum
+    (its ``every`` rows), which carries each column's sum from block to
+    block exactly: no block size changes a bit of r.
+
+    ``trans``, trans(j, terms): the transversality term d3 . x at the
+    horizons idx[j], idx[j + 1], ... of the block, in order; d3 is the
+    residual's row where the residual is formed.
+
+    ``competitors``, (comp, eps) pairs: int_a^{T'} [L(x) - L(x*)] at the
+    horizons for every competitor x at once, the competitors' rows reduced
+    to their horizon values by _cumulative_at: a (rows, len(idx)) array
+    is returned, or with the _TailStats ``stats`` of those horizons, the
+    (rows, S) array of each row's statistics, folded from each block's
+    values as they are formed, so that no row of horizon values is held.
+    A path ``comp`` with eps None gives the row of x = comp; a variation
+    ``comp`` of p with a tuple ``eps`` gives a row x = x* + e p for each e
+    in eps, in that order.  Where a variation's shift and slope are all
+    exactly 0 on a block, x = x* there, so its rows are 0 and the
+    integrand is not called (compact_bump's p vanishes on four fifths of
+    the span).  The block's rows are formed one at a time, in one buffer,
+    and each is reduced before the next is formed; x*'s L row is formed on
+    a block at the first row there that needs it, into a buffer of its
+    own, as the integrand may hand back an array it reuses.
+
+    Nothing is held at full length but the samples of held paths: every
+    row is held one block at a time, in buffers allocated once per pass.
+    Generators are called on the block's nodes, and a path generator also
+    at sigma of the grid's last node when a block reaches it, as sampling
+    it whole extends it; a variation generator is not extended so, and
+    horizons must then end before a right-scattered last node, as a plan
+    grid's do (BoundaryUndefined)."""
+    n, lag, m = problem.n, problem.lagrangian, len(grid)
+    K = _defined_prefix(grid, True) if callable(star) else star.K
+    idx = np.asarray(idx, dtype=np.intp)
+    h_end = int(idx[-1]) if len(idx) else 0  # the blocks below it hold horizons
+    k = sum(1 if eps is None else len(eps) for _, eps in competitors)
+    size = _block_nodes(idx, K - 1 if residual is not None else 0)
+    spare, l_buf = np.empty(size), np.empty(size)
+    # the u and v buffers of the competitor rows; a row is written over u
+    # once the integrand has read it, and the residual's d2 rows and r are
+    # reduced and handed on before a block's first competitor row is
+    # formed, so they take the same memory
+    uv = np.empty((2, size * n))
+    u_buf, v_buf, d_buf = uv[0].reshape(size, n), uv[1].reshape(size, n), uv[0, :size]
+    d2_rows, res, d3_a = uv[0].reshape(n, size), v_buf, np.empty(n)
+    # the block's samples: x*'s columns, then each competitor's, each column
+    # contiguous, as the rows formed from them read it
+    v_all = (np.empty((size + 2 * _HALO, n * (1 + len(competitors))), order="F")
+             if competitors else None)
+
+    def rows_at(lo, hi, t):
+        i0, mb = max(lo - _HALO, 0), hi - lo + 1
+        tb = t[lo - i0 : lo - i0 + mb]  # the block's own nodes
+        live = competitors if lo < h_end else ()
+        v = _samples(problem, star, t, i0)
+        if live:  # side by side in the pass's buffer, each written as it is sampled
+            v_all[: len(t), :n] = v
+            v = v_all[: len(t)]
+            for c, (comp, eps) in enumerate(live, start=1):
+                v[:, c * n : (c + 1) * n] = _samples(problem, comp, t, i0,
+                                                   variation=eps is not None)
+        # paths are extended past a right-scattered last node, variation
+        # generators are not
+        last = None
+        if hi == m - 1 and grid.scattered_at(hi):
+            lasts = [_sigma_last(problem, star, grid)]
+            lasts += [None if eps is not None and callable(comp)
+                      else _sigma_last(problem, comp, grid) for comp, eps in live]
+            if all(sl is not None for sl in lasts):
+                last = np.concatenate(lasts)
+        slope, def_d = _slopes(grid, v, i0, lo, hi, last, t=t)
+        if trans is not None and lo < h_end:
+            j0 = np.searchsorted(idx, lo, side="right") if lo else 0
+            hz = idx[j0 : np.searchsorted(idx, hi, side="right")] - lo
+            if hz[-1] - hz[0] == len(hz) - 1:  # a run of nodes, read as a slice
+                hz = slice(hz[0], hz[-1] + 1)
+            x_hz = v[lo - i0 :][hz, :n].copy()  # before the samples become shifts
+        # samples in the pass's buffer are not read again: their shifts take
+        # their place
+        shift, def_s = _shifts(grid, v, i0, lo, hi, last, in_place=bool(live))
+        if not (def_s[-1] and def_d[-1]):
+            raise BoundaryUndefined("horizon nodes exceed the defined-slope prefix")
+        xs, xd = shift[:, :n], slope[:, :n]
+        d3 = None
+        if residual is not None:
+            d2 = d2_rows[:, :mb]
+            d2[...] = lag.partial2(tb, xs, xd).T  # a copy: the reducer overwrites it
+            d3 = lag.partial3(tb, xs, xd)
+            if lo == 0:
+                d3_a[...] = d3[0]
+            np.subtract(d3, d3_a, out=res[:mb])
+        if trans is not None and lo < h_end:
+            p3 = d3[hz] if d3 is not None else lag.partial3(tb[hz], xs[hz], xd[hz])
+            trans(j0, np.einsum("ij,ij->i", p3, x_hz))
+        rows = competitor_rows(live, tb, shift, slope)
+        if residual is not None:
+            rows = itertools.chain(d2, rows)
+        return rows, spare
+
+    def competitor_rows(live, t, shift, slope):
+        d, l_star = d_buf[: len(t)], None
+        xs, xd = shift[:, :n], slope[:, :n]
+
+        def star_row():
+            nonlocal l_star
+            if l_star is None:
+                l_star = l_buf[: len(t)]
+                l_star[...] = lag.values(t, xs, xd)
+            return l_star
+
+        for c, (comp, eps) in enumerate(live, start=1):
+            ps, pd = shift[:, c * n : (c + 1) * n], slope[:, c * n : (c + 1) * n]
+            if eps is None:
+                l_x = star_row()  # before the integrand's next call
+                yield np.subtract(lag.values(t, ps, pd), l_x, out=d)
+                continue
+            unchanged = not (ps.any() or pd.any())  # x = x* on the block
+            for e in eps:
+                if unchanged:
+                    d.fill(0.0)
+                    yield d
+                    continue
+                u = np.multiply(ps, e, out=u_buf[: len(d)])
+                u += xs
+                v = np.multiply(pd, e, out=v_buf[: len(d)])
+                v += xd
+                l_x = star_row()
+                yield np.subtract(lag.values(t, u, v), l_x, out=d)
+
+    def put_res(c, j, vals):
+        # the integral of column c at the nodes j, j + 1, ..., the rows
+        # 1, 2, ... of the block's r; r(a) is 0, and final
+        mb = vals.shape[1]
+        res[1 : mb + 1, c] -= vals[0]
+        if c == n - 1:
+            emit(j - 1, mb)
+
+    def emit(lo, mb):
+        first = 0 if lo == 0 else 1  # a later block's node lo is the last one's hi
+        block = res[first : mb + 1]
+        _require_finite(block)
+        residual(lo + first, block)
+
+    every = None
+    if residual is not None:
+        every = (n, K, put_res)
+        if K == 1:  # no cell: r(a) = d3(a) - d3(a) only
+            rows_at(0, 0, grid.nodes_at(slice(0, min(_HALO, m - 1) + 1)))
+            emit(0, 0)
+            every = None
+    if stats is None:
+        return _cumulative_at(grid, idx, k, rows_at, every=every, halo=_HALO)
+    out = stats.empty(k)
+    _cumulative_at(grid, idx, k, rows_at,
+                   lambda r, j, vals: stats.fold(out[r : r + len(vals)], j, vals), every, _HALO)
+    return out
 
 
 def _difference_integral(problem, star, idx, competitors, stats=None):
     """int_a^{T'} [L(x) - L(x*)] at the nodes T' of the strictly increasing
     indices ``idx`` only (the plan's horizons, or one T'), on the path
-    ``star`` of x*, for every competitor x at once: a (rows, len(idx))
-    array, or with the _TailStats ``stats`` of those horizons, the
-    (rows, S) array of each row's statistics, folded from each block's
-    values as they are formed, so that no row of horizon values is held.
-    ``competitors`` lists (comp, eps) pairs.  A path ``comp`` (a
-    SampledPath on star's grid) with eps None gives the row of x = comp; a
-    variation ``comp`` of p with a tuple ``eps`` gives a row x = x* + e p for
-    each e in eps, in that order.  The variation is a SampledPath, whose
-    rows are read in slices, or a generator, which is sampled here.
-
-    One sweep over the blocks of calculus._blocks.  In each block every
-    variation is read or sampled once and forms all its rows; where its
-    shift and slope are all exactly 0, x = x* there, so its rows are 0 and
-    the integrand is not called (compact_bump's p vanishes on four fifths
-    of the span).  The block's rows are formed one at a time, in one
-    buffer, and calculus._cumulative_at reduces each before the next is
-    formed.  x*'s L row is formed on a block at the first row there that
-    needs it, into a buffer of its own, as the integrand may hand back an
-    array it reuses.  Full length stay only the rows the paths hold: x*'s
-    samples, shift and slope and the rows of SampledPath competitors; the
-    grid's nodes are formed once per block and shared by every row of the
-    block; every other row is held one block at a time, in buffers
-    allocated once per sweep, and one variation's samples at a time."""
-    grid, n = star.grid, problem.n
-    size = _block_nodes(idx)
-    k = sum(1 if eps is None else len(eps) for _, eps in competitors)
-    d_buf, spare, l_buf = np.empty(size), np.empty(size), np.empty(size)
-    u_buf, v_buf = np.empty((size, n)), np.empty((size, n))
-    lag = problem.lagrangian
-    l_lo = None  # the first node of the block whose L row l_buf holds
-
-    def star_row(t, lo, hi):
-        nonlocal l_lo
-        rows, l_star = slice(lo, hi + 1), l_buf[: hi - lo + 1]
-        if l_lo != lo:
-            l_star[...] = lag.values(t, star.shift[rows], star.slope[rows])
-            l_lo = lo
-        return l_star
-
-    def competitor_rows(comp, eps, halo, t, lo, hi):
-        rows, d = slice(lo, hi + 1), d_buf[: hi - lo + 1]
-        if eps is None:
-            l_star = star_row(t, lo, hi)
-            yield np.subtract(lag.values(t, comp.shift[rows], comp.slope[rows]), l_star, out=d)
-            return
-        if callable(comp):
-            ps, pd = _variation_block(problem, grid, comp, lo, hi, halo)
-        else:
-            ps, pd = comp.shift[rows], comp.slope[rows]
-        unchanged = not (ps.any() or pd.any())  # x = x* on the block
-        for e in eps:
-            if unchanged:
-                d.fill(0.0)
-                yield d
-                continue
-            u = np.multiply(ps, e, out=u_buf[: len(d)])
-            u += star.shift[rows]
-            v = np.multiply(pd, e, out=v_buf[: len(d)])
-            v += star.slope[rows]
-            l_star = star_row(t, lo, hi)
-            yield np.subtract(lag.values(t, u, v), l_star, out=d)
-
-    def rows_at(lo, hi, t):
-        # the nodes a variation is sampled on: t and the _HALO each side
-        halo = grid.nodes_at(slice(max(lo - _HALO, 0), min(hi + _HALO, len(grid) - 1) + 1))
-        return (d for comp, eps in competitors
-                for d in competitor_rows(comp, eps, halo, t, lo, hi)), spare
-
-    if stats is None:
-        return _cumulative_at(grid, idx, k, rows_at)
-    out = stats.empty(k)
-    _cumulative_at(grid, idx, k, rows_at,
-                   lambda r, j, vals: stats.fold(out[r : r + len(vals)], j, vals))
-    return out
-
-
-def _variation_block(problem, grid, gen, lo, hi, halo):
-    """Shift and slope at the nodes lo..hi of the variation generator
-    ``gen``, sampled on ``halo``: the nodes lo..hi and the _HALO nodes each
-    side (within the grid) that their slopes read.  The samples are checked
-    as SampledPath.of checks a sampled variation: finite, of the problem's
-    dimension and p(a) = 0.  The grid must go on past hi, as a plan grid
-    does past its horizons: the generator is not called at sigma of the
-    last node."""
-    i0 = max(lo - _HALO, 0)
-    vals = _call_on_times(gen, halo, problem.n)
-    _require_finite(vals)
-    if lo == 0:
-        _check_vanishes_at_start(vals[0])
-    shift, def_s = _shifts(grid, vals, i0, lo, hi)
-    slope, def_d = _slopes(grid, vals, i0, lo, hi, t=halo)
-    if not (def_s[-1] and def_d[-1]):
-        raise BoundaryUndefined("horizon nodes exceed the defined-slope prefix")
-    return shift, slope
+    ``star`` of x* (a SampledPath), for every competitor x at once: the
+    sweep (_sweep) with its competitor consumer only, whose rows and
+    ``stats`` it describes.  A variation is a SampledPath, whose samples
+    are read in slices, or a generator, which is sampled block by block."""
+    return _sweep(problem, star.grid, star, idx, competitors, stats)
 
 
 def _check_window(plan, config):
@@ -808,13 +922,14 @@ def weak_max_compare(problem, x, x_star, plan, config=LimitConfig()):
 
     x* is consistent with weak maximality against x when the estimate is
     Converged with value <= tol or DivergesMinus.  The difference integral
-    is formed at the plan's horizons only.
+    is formed at the plan's horizons only, in one sweep (_sweep) that
+    samples generators block by block.
     """
     _check_window(plan, config)
     px = _on_plan(problem, x, plan)
     star = _on_plan(problem, x_star, plan)
     stats = _TailStats.of_plan(plan)
-    row = _difference_integral(problem, star, plan.horizon_idx, [(px, None)], stats)[0]
+    row = _sweep(problem, plan.grid, star, plan.horizon_idx, [(px, None)], stats)[0]
     return stats.classify(row, config)
 
 
@@ -825,23 +940,27 @@ def is_weak_max_consistent(estimate, tol=1e-8):
     return estimate.kind is LimitKind.CONVERGED and estimate.value <= tol
 
 
-def _transversality_terms(problem, x_gen, plan):
-    """The transversality term at the plan's horizon nodes."""
-    path = _on_plan(problem, x_gen, plan)
-    idx = plan.horizon_idx
-    p3 = problem.lagrangian.partial3(plan.horizons, path.shift[idx], path.slope[idx])
-    return np.einsum("ij,ij->i", p3, path.x.values[idx])
-
-
 def transversality_sweep(problem, x_gen, plan):
     """(T', transversality term) at every horizon node of the plan."""
-    return list(zip(plan.horizons, _transversality_terms(problem, x_gen, plan)))
+    terms = np.empty(len(plan.horizon_idx))
+
+    def collect(j, vals):
+        terms[j : j + len(vals)] = vals
+
+    _sweep(problem, plan.grid, _on_plan(problem, x_gen, plan), plan.horizon_idx,
+           trans=collect)
+    return list(zip(plan.horizons, terms))
 
 
 def transversality_liminf(problem, x_gen, plan, config=LimitConfig()):
+    """The lim-inf estimate of the transversality term over the plan's
+    tails, its statistics folded block by block from the sweep (_sweep)."""
     _check_window(plan, config)
     stats = _TailStats.of_plan(plan)
-    return stats.classify(stats.of(_transversality_terms(problem, x_gen, plan)), config)
+    row = stats.empty(1)
+    _sweep(problem, plan.grid, _on_plan(problem, x_gen, plan), plan.horizon_idx,
+           trans=lambda j, terms: stats.fold(row, j, terms[None]))
+    return stats.classify(row[0], config)
 
 
 # ---------------------------------------------------------------------------
@@ -935,15 +1054,14 @@ class GateauxReport:
 def gateaux_report(problem, x_star, pvar, eps_list, t_list, plan):
     """Tabulate A(eps, T') and V(eps, T)/eps over the plan's horizons, for
     generators or paths on the plan's grid (a SampledPath of x* is reused).
-    The rows of every eps are formed in one sweep (_difference_integral),
-    at the horizons only; a generator pvar is sampled block by block."""
+    The rows of every eps are formed in one sweep (_sweep), at the horizons
+    only; a generator x* or pvar is sampled block by block."""
     eps_list = _nonzero_eps(eps_list)
     star = _on_plan(problem, x_star, plan)
-    if not callable(pvar):
-        pvar = _on_plan(problem, pvar, plan, variation=True)
+    pvar = _on_plan(problem, pvar, plan, variation=True)
     hz = plan.horizons
     stats = _TailStats.of_plan(plan, [int(np.argmin(np.abs(hz - tv))) for tv in t_list])
-    rows = _difference_integral(problem, star, plan.horizon_idx, [(pvar, eps_list)], stats)
+    rows = _sweep(problem, plan.grid, star, plan.horizon_idx, [(pvar, eps_list)], stats)
     return _gateaux_table(eps_list, stats, rows)
 
 
@@ -1555,12 +1673,13 @@ def classify_report(el_sup, trans, probes, *, el_tol, trans_tol, probe_tol):
     return Verdict.CONSISTENT, tuple(flags)
 
 
-def _horizon_sups(problem, path, idx):
-    """The maxima of |r|, el_residual's r along ``path``, between the
-    horizons of the node indices ``idx``: over the nodes 0..idx[0], then
-    idx[j - 1] + 1..idx[j] for each later horizon j, then the nodes past
-    the last horizon (0 when there are none).  Folded from each block of
-    _residual_blocks as it is formed, so that no row of r is held."""
+def _horizon_sups(idx):
+    """The maxima of |r|, el_residual's r, between the horizons of the node
+    indices ``idx``, as (sups, fold): fold(i, r) is a residual consumer of
+    the sweep (_sweep) that folds each block of r as it is formed, so that
+    no row of r is held, into sups: the maxima over the nodes 0..idx[0],
+    then idx[j - 1] + 1..idx[j] for each later horizon j, then the nodes
+    past the last horizon (0 when there are none)."""
     cuts = np.zeros(len(idx) + 1, dtype=np.intp)
     np.add(idx, 1, out=cuts[1:])
     sups = np.zeros(len(cuts))
@@ -1572,37 +1691,38 @@ def _horizon_sups(problem, path, idx):
         seg = sups[first : last + 1]
         np.maximum(seg, np.maximum.reduceat(np.abs(r).max(axis=1), starts), out=seg)
 
-    _residual_blocks(problem, path, fold)
-    return sups
+    return sups, fold
 
 
 def verify_candidate(problem, x_gen, config=VerifyConfig()):
-    """Run the full diagnostic battery against a candidate generator.
+    """Run the full diagnostic battery against a candidate generator
+    ``x_gen`` (a path sampled on the very grid of the plan built here, a
+    SampledPath or GridFunction, is read by slices instead).
 
     Measures the integral E-L residual over growing windows, estimates the
     transversality lim-inf, probes weak maximality against x* +- amp p for
     a standard family of variations p (smooth tail-constant, decaying and
     compact bump), and tabulates the Gateaux quotients of the tail-constant
-    one.  The verdict is derived by classify_report.  Every diagnostic
-    reads one SampledPath of the candidate.
+    one.  The verdict is derived by classify_report.
 
-    Full length, for the whole call, are only x*'s samples, shift (the
-    samples themselves on a grid with no right-scattered node) and slope;
-    for the transversality stage, the term at each horizon.  The plan grid
-    is a table of stretches (SampleGrid), whose nodes and cell weights are
-    formed a block at a time; the nodes are formed whole once, for the one
-    call of the generator.  The residual stage forms r block by block
-    (_residual_blocks) and keeps only the maxima of |r| between horizons
-    (_horizon_sups).  The nine competitor rows x* +- amp p and x* + eps p
-    come from one sweep (_difference_integral): block by block, x*'s L
-    row is formed on the block, each variation is sampled on the block and
-    the few nodes each side its slopes read, and the nine rows are formed
-    one at a time -- the bump's only where it is not 0 -- each reduced by
-    calculus._cumulative_at to its horizon values and folded into its tail
-    statistics (_TailStats) before the next is formed.  The probes'
-    lim-infs and the Gateaux table are read from those statistics, so no
-    row of r, of L, of a variation or of horizon values is ever held at
-    full length.
+    All of it comes from one sweep of the plan grid (_sweep), block by
+    block over the horizon-aligned blocks of calculus._blocks and one
+    trailing block to the end of x*'s defined prefix.  On each block the
+    nodes (with the few each side that its slopes read) and the cell
+    weights are formed once; x* and the three variations are sampled on
+    those nodes side by side and their shifts and slopes taken in one call
+    each.  The block then feeds three consumers: the residual's d2 rows,
+    reduced at every node by calculus._cumulative_at's running sum, with r
+    folded into its maxima between horizons (_horizon_sups); the
+    transversality term at the block's horizons, from the residual's d3
+    row, folded into its tail statistics (_TailStats); and the nine
+    competitor rows x* +- amp p and x* + eps p, formed one at a time --
+    the bump's only where it is not 0 -- each reduced by _cumulative_at to
+    its horizon values and folded into its tail statistics before the
+    next is formed.  The probes' lim-infs and the Gateaux table are read
+    from those statistics.  Nothing is held at full length: not x*'s
+    samples, nor any row of r, of L, of a variation or of horizon values;
+    a held path's own samples are only read.
     """
     ts, a = problem.ts, problem.a
     plan = make_horizon_plan(
@@ -1610,17 +1730,14 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
         horizon_count=config.horizon_count, n_tails=config.n_tails,
         min_window=config.limits.window,
     )
+    _check_window(plan, config.limits)
     star = _on_plan(problem, x_gen, plan)
-
-    # sup of |r| over [a, T'] at a quarter, half, three quarters and all of
-    # the horizons T', and over the whole prefix
-    res_sup = _horizon_sups(problem, star, plan.horizon_idx)
-    hz, n_hz = plan.horizons, len(plan.horizons)
-    window_sups = tuple((float(hz[j]), float(res_sup[: j + 1].max()))
-                        for j in (n_hz // 4, n_hz // 2, 3 * n_hz // 4, n_hz - 1))
-    el_sup = float(res_sup.max())
-
-    trans = transversality_liminf(problem, star, plan, config.limits)
+    idx, hz, n_hz = plan.horizon_idx, plan.horizons, len(plan.horizons)
+    windows = (n_hz // 4, n_hz // 2, 3 * n_hz // 4, n_hz - 1)
+    marks = sorted(set(windows))  # r's maxima are kept between these horizons only
+    res_sup, fold = _horizon_sups(idx[marks])
+    trans_stats = _TailStats.of_plan(plan)
+    trans_row = trans_stats.empty(1)
 
     span = hz[-1] - a
     amp = config.probe_amplitude
@@ -1632,13 +1749,21 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
     signs = (1.0, -1.0)
     gateaux = {"tail_const": _nonzero_eps(config.gateaux_eps)}
     ones = np.ones(problem.n)
-    # one sweep for all nine rows: x* +- amp p for each family p, followed
-    # by the Gateaux rows x* + eps p of the tail-constant one, each folded
-    # into its tail statistics, with the Gateaux table's horizons marked
+    # the nine rows: x* +- amp p for each family p, followed by the Gateaux
+    # rows x* + eps p of the tail-constant one, each folded into its tail
+    # statistics, with the Gateaux table's horizons marked
     stats = _TailStats.of_plan(plan, (n_hz // 4, n_hz // 2, n_hz - 1))
-    rows = iter(_difference_integral(problem, star, plan.horizon_idx, [
+    rows = iter(_sweep(problem, plan.grid, star, idx, [
         (lambda t, q=q: np.outer(q(t), ones), signs + gateaux.get(name, ()))
-        for name, q in families], stats))
+        for name, q in families], stats, residual=fold,
+        trans=lambda j, terms: trans_stats.fold(trans_row, j, terms[None])))
+
+    # sup of |r| over [a, T'] at a quarter, half, three quarters and all of
+    # the horizons T', and over the whole prefix
+    window_sups = tuple((float(hz[j]), float(res_sup[: marks.index(j) + 1].max()))
+                        for j in windows)
+    el_sup = float(res_sup.max())
+    trans = trans_stats.classify(trans_row[0], config.limits)
     probes = []
     for name, _ in families:
         probes += [(f"{name}({eps * amp:+g})", stats.classify(next(rows), config.limits))

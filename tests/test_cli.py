@@ -393,6 +393,25 @@ def test_expr_nested_too_deeply_exits_2(tmp_path, capsys, expr):
     assert code == 2 and err.startswith("error: ") and len(err) < 200
 
 
+@pytest.mark.parametrize("where", ["integrand", "expr", "timescale"])
+def test_nesting_that_overflows_the_parser_stack_exits_2(tmp_path, capsys, where):
+    """Ten thousand unary minuses, or three thousand powers, make Python's
+    parser raise MemoryError: in an integrand, an --expr or a time scale,
+    the command exits 2 with an error line, as shallower nesting does."""
+    deep = "-" * 10000
+    doc = dict(LQR_DOC)
+    argv = ["verify", "--candidate", "one", "--t-max", "8"]
+    if where == "integrand":
+        doc["lagrangian"] = {"L": deep + "v1"}
+    elif where == "timescale":
+        doc["timescale"] = "arith(" + deep + "0, 1)"
+    else:
+        argv = ["integrate", "--expr=" + "^".join(["t"] * 3000), "--to", "3"]
+    code, _, err = run_cli(capsys, argv[:1] + [write(tmp_path, doc)] + argv[1:])
+    assert code == 2 and err.startswith("error: ") and "nested too deeply" in err
+    assert len(err) < 200
+
+
 @pytest.mark.parametrize(
     "timescale",
     [

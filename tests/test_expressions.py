@@ -158,6 +158,35 @@ def test_input_nested_too_deeply_is_refused(src):
         compile_expression(src)
 
 
+@pytest.mark.parametrize("src", ["-" * 10000 + "t", "^".join(["t"] * 3000)],
+                         ids=["unary-minus", "power"])
+def test_nesting_that_overflows_the_parser_stack_is_refused(src):
+    """Without parentheses, nesting this deep makes Python's parser raise
+    MemoryError, not RecursionError; it is refused all the same."""
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        compile_expression(src)
+
+
+def test_a_tree_too_deep_to_compile_is_refused():
+    """A 1200-term sum parses, but building its closures outgrows the
+    stack: compile_expression's own handler refuses it."""
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        compile_expression("+".join(["t"] * 1200))
+
+
+def test_a_compiled_chain_called_deep_in_the_stack_is_refused():
+    """A 900-term chain compiles at top level and evaluates there, but not
+    under 150 more frames: Expression's call handler refuses it."""
+    expr = compile_expression("+".join(["t"] * 900))
+    assert float(expr(t=1.0)) == 900.0
+
+    def nested(depth):
+        return nested(depth - 1) if depth else expr(t=1.0)
+
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        nested(150)
+
+
 def test_evaluation_too_deep_for_the_stack_is_refused():
     expr = compile_expression("+".join(["t"] * 600))
     assert float(expr(t=1.0)) == 600.0

@@ -36,10 +36,13 @@ def test_corpus_verdicts_all_match(capsys):
 
 
 #: tracemalloc peak per node of each --fast row of peak_memory.py: the
-#: measured figure with a 10% margin (the grid of stretches holds no array
-#: as long as itself, so the dense rows sit 21-28 B/node below the whole-
-#: array grid's 72.3, 61.1, 92.3 and 73.9)
-PEAK_CEILINGS = (49.9, 36.2, 179.3, 143.7, 78.2, 53.6)
+#: measured figure with a 10% margin (35.8, 21.7, 70.8 and 48.7 B/node;
+#: the one-pass verify holds no row of x* at full length, where it held
+#: its samples and slope, 45.4 and 32.9 B/node).  The lattice and comb rows,
+#: one block each, read 170.2 and 137.6 B/node, a little above the 163.0
+#: and 130.6 of x*'s whole rows, as the block's buffers hold all three
+#: variations at once; their ceilings stay where they were
+PEAK_CEILINGS = (39.4, 23.9, 179.3, 143.7, 77.9, 53.6)
 
 
 def test_peak_memory_prints_its_table(capsys):

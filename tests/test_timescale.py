@@ -556,6 +556,13 @@ def test_parse_rejects(text):
         parse_timescale(text)
 
 
+def test_nesting_that_overflows_the_parser_stack_is_refused():
+    """Without parentheses, nesting this deep makes Python's parser raise
+    MemoryError, not RecursionError; the DSL refuses it all the same."""
+    with pytest.raises(DSLParseError, match="nested too deeply"):
+        parse_timescale("ray(" + "-" * 10000 + "1)")
+
+
 @given(st.integers(0, 10_000))
 def test_dsl_round_trip(seed):
     ts = random_mixed_scale(np.random.default_rng(seed))

@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tsvar import (
+    BoundaryUndefined,
     ClosedInterval,
     DimensionMismatch,
     DiscretePoints,
@@ -1375,21 +1376,19 @@ def test_horizon_indices_fall_back_to_every_node():
     assert list(variational._horizon_idx(dense, 8, 1, 2)) == [1, 8]
 
 
-def test_window_mismatch_is_refused_before_sampling(monkeypatch):
+def test_window_mismatch_is_refused_before_sampling():
     calls = collections.Counter()
-    sample = vars(GridFunction)["from_callable"].__func__
-    monkeypatch.setattr(GridFunction, "from_callable",
-                        classmethod(counted(calls, "from_callable", sample)))
     neg = ex_neg()
-    const = neg.candidate("const").gen
+    const = counted(calls, "x*", neg.candidate("const").gen)
     plan = make_horizon_plan(integer_scale(0), 0.0, 7.0, h=1.0)
     for compare in (lambda cfg: transversality_liminf(neg.problem, const, plan, cfg),
                     lambda cfg: weak_max_compare(neg.problem, const, const, plan, cfg)):
         with pytest.raises(InsufficientHorizons, match="5 tail starts.* needs 6"):
             compare(LimitConfig(window=6))
-        assert calls["from_callable"] == 0
+        assert calls["x*"] == 0
+    # the sweep samples the generator on its one block
     transversality_liminf(neg.problem, const, plan, LimitConfig(window=5))
-    assert calls["from_callable"] == 1
+    assert calls["x*"] == 1
 
 
 @pytest.mark.parametrize("named, label, h", [
@@ -1437,16 +1436,26 @@ def test_verify_samples_each_path_once(monkeypatch):
     sample = vars(GridFunction)["from_callable"].__func__
     monkeypatch.setattr(GridFunction, "from_callable",
                         classmethod(counted(calls, "from_callable", sample)))
+    formed = []  # the ranges of nodes formed from the grid's stretches
+    nodes_at = SampleGrid.nodes_at
+    monkeypatch.setattr(SampleGrid, "nodes_at", lambda grid, key: (
+        isinstance(key, slice) and formed.append(key)) or nodes_at(grid, key))
     ray = lqr_ray()
     report = verify_candidate(ray.problem, ray.candidate("decaying-exp").gen,
                               VerifyConfig(t_max=10.0, h=0.01))
     assert report.verdict is Verdict.CONSISTENT and report.nodes < calculus._BLOCK
-    # x* once, on the whole grid; the 3 probe variations (the Gateaux rows
-    # read the tail-constant one) once each in the sweep's one block, by
-    # the range kernels; one set of cell weights per block of each of the
-    # two reductions, the residual's and the sweep's
-    assert calls == {"from_callable": 1, "sigma_shift_all": 1, "delta_derivative_all": 1,
-                     "_shifts": 4, "_slopes": 4, "_cell_weights": 2}
+    # one sweep of two blocks: the horizons' one and the residual's trailing
+    # one, up to the end of x*'s prefix (the grid's last node but one).  Per
+    # block, its nodes (and the _HALO each side) are formed once, x* and the
+    # 3 probe variations (the Gateaux rows read the tail-constant one) are
+    # sampled on them side by side, their shifts and slopes taken in one
+    # call each, and its cell weights formed once; x* is never sampled whole
+    idx = make_horizon_plan(ray.problem.ts, 0.0, 10.0, h=0.01).horizon_idx
+    blocks = calculus._blocks(idx, report.nodes - 2)
+    assert [(lo, hi) for _, _, lo, hi in blocks] == [(0, idx[-1]), (idx[-1], report.nodes - 2)]
+    assert calls == {"_shifts": 2, "_slopes": 2, "_cell_weights": 2}
+    assert formed == [slice(0, idx[-1] + calculus._HALO + 1),
+                      slice(idx[-1] - calculus._HALO, report.nodes)]
 
 
 def test_verify_reads_competitor_integrals_at_the_horizons_only(monkeypatch):
@@ -1460,15 +1469,15 @@ def test_verify_reads_competitor_integrals_at_the_horizons_only(monkeypatch):
                               VerifyConfig(t_max=10.0, h=2.5e-4))
     assert report.verdict is Verdict.CONSISTENT
     assert 1.2 * calculus._BLOCK < report.nodes < 2 * calculus._BLOCK
-    # two reductions: the E-L residual's, at every node, and the sweep's,
-    # where x*'s row, the 6 probes and the 3 Gateaux rows are formed block
-    # by block and reduced together straight to their horizon values; no
-    # integrand call and no cell array of full length
-    assert calls == collections.Counter({"_cumulative_at": 2, "_cell_values": 0})
+    # one reduction for the one sweep: the E-L residual's rows at every
+    # node and x*'s row, the 6 probes and the 3 Gateaux rows, formed block
+    # by block and reduced straight to their horizon values, share its
+    # blocks; no integrand call and no cell array of full length
+    assert calls == collections.Counter({"_cumulative_at": 1, "_cell_values": 0})
     assert max(spans) <= calculus._BLOCK + 1
     # per block, x*'s row, then the 9 rows of the first block and the 7 of
     # the second: the bump (support [1.5, 3.5] of [0, 10]) is 0 there, so
-    # its 2 rows are not evaluated
+    # its 2 rows are not evaluated; the residual's trailing block forms none
     assert len(spans) == 2 + 9 + 7
 
 
@@ -1490,9 +1499,9 @@ def test_competitor_integrals_do_not_depend_on_the_block_size(monkeypatch, named
     segment), of a few segments, and of the whole grid."""
     gen = named.candidate(label).gen
     sweeps = []
-    blocked = variational._difference_integral
-    monkeypatch.setattr(variational, "_difference_integral",
-                        lambda *args: sweeps.append(blocked(*args)) or sweeps[-1])
+    blocked = variational._sweep
+    monkeypatch.setattr(variational, "_sweep",
+                        lambda *args, **kw: sweeps.append(blocked(*args, **kw)) or sweeps[-1])
     runs = []
     for block in blocks:
         monkeypatch.setattr(calculus, "_BLOCK", block)
@@ -1503,6 +1512,29 @@ def test_competitor_integrals_do_not_depend_on_the_block_size(monkeypatch, named
     for report, F in runs[1:]:
         assert report == runs[0][0]
         assert np.array_equal(F[0], runs[0][1][0])
+
+
+@BLOCK_CASES
+def test_held_path_verify_equals_the_generator_verify(monkeypatch, named, label, t_max, h,
+                                                      blocks):
+    """At every block size, a verify given x* as a Trajectory sampled on the
+    plan grid, whose samples the sweep reads by slices, reports bit for bit
+    what a verify given the generator, which the sweep samples block by
+    block, reports."""
+    problem, gen = named.problem, named.candidate(label).gen
+    cfg = VerifyConfig(t_max=t_max, h=h)
+    plan = make_horizon_plan(problem.ts, problem.a, t_max, h=h)
+    held = Trajectory(problem, GridFunction.from_callable(plan.grid, gen))
+    reports = []
+    for block in blocks:
+        monkeypatch.setattr(calculus, "_BLOCK", block)
+        # a held path must be on the plan's grid, which each verify builds anew
+        monkeypatch.setattr(variational, "make_horizon_plan", lambda *a, **kw: plan)
+        reports.append(verify_candidate(problem, held, cfg).to_dict())
+        monkeypatch.undo()
+        monkeypatch.setattr(calculus, "_BLOCK", block)
+        assert verify_candidate(problem, gen, cfg).to_dict() == reports[-1]
+    assert reports[1:] == reports[:1] * 2
 
 
 @BLOCK_CASES
@@ -1600,6 +1632,44 @@ def test_bump_rows_call_the_integrand_only_where_the_bump_is(monkeypatch):
     want = [full_row_integrals(problem, star, idx, star.shift + eps * var.shift,
                                star.slope + eps * var.slope) for eps in (1.0, -1.0)]
     assert np.array_equal(got, want)
+
+
+def test_paths_read_by_the_sweep_are_checked_as_whole_paths():
+    """x* given as a generator is sampled by the sweep a block at a time
+    and refused as sampling it whole refused it: its value at sigma of a
+    right-scattered last node must be finite, and its grid must start at
+    a.  Paths, held or generators, are extended past that node, so a
+    horizon there is read; a variation generator is not, and is refused
+    there."""
+    lqr = lqr_grid(1.2)
+    problem, gen = lqr.problem, lqr.candidate("decaying-mode").gen
+    plan = make_horizon_plan(problem.ts, 0.0, 20.0, h=1.0)  # the integers 0..23
+    assert plan.grid.window == (0.0, 23.0) and plan.horizon_idx[-1] == 20
+
+    def past_the_end(t):
+        return np.where(np.asarray(t)[:, None] > 23.5, np.nan, gen(t))
+
+    assert verify_candidate(problem, past_the_end, VerifyConfig(t_max=19.0, h=1.0)).nodes == 23
+    with pytest.raises(DimensionMismatch, match="sigma_last must be a finite"):
+        verify_candidate(problem, past_the_end, VerifyConfig(t_max=20.0, h=1.0))
+    late = make_horizon_plan(problem.ts, 1.0, 20.0, h=1.0)
+    with pytest.raises(InadmissiblePath, match="must start at a"):
+        transversality_liminf(problem, gen, late)
+    held = SampledPath.of(problem, gen, plan.grid)
+    assert held.K == 24  # x* is extended past the last node, 23
+    to_the_end = variational.HorizonPlan(plan.grid, np.arange(1, 24), plan.tail_values)
+    to_the_end_but_one = variational.HorizonPlan(plan.grid, np.arange(1, 23),
+                                                 plan.tail_values)
+    with pytest.raises(BoundaryUndefined, match="horizon nodes exceed"):
+        gateaux_report(problem, held, smoothstep_tail(0.5, 0.0, 4.0), (0.1,), (5.0,),
+                       to_the_end)
+    assert len(transversality_sweep(problem, held, to_the_end)) == 23
+    for plan_ in (to_the_end, to_the_end_but_one):
+        assert weak_max_compare(problem, held, held, plan_).value == 0.0
+        assert weak_max_compare(problem, gen, held, plan_).value == 0.0
+    with pytest.raises(BoundaryUndefined, match="horizon nodes exceed"):
+        variational._sweep(problem, plan.grid, held, np.arange(1, 24),
+                           [(smoothstep_tail(0.5, 0.0, 4.0), (0.1,))])
 
 
 def test_variations_sampled_block_by_block_are_checked(monkeypatch):
