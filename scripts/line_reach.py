@@ -4,11 +4,13 @@
 Runs pytest in this process under a ``sys.settrace`` tracer that records the
 lines executed in src/tsvar and nothing else.  The tracer is set before the
 package is imported and set again before each test, because hypothesis
-replaces the trace function.  The executable lines of a module are those of
-its code objects' ``co_lines()``; each one that no test reached is printed
-with its source, or with its reason when ALLOWED names it.  Run it in a
-fresh interpreter: lines a package import ran before the tracer was set
-would read as unreached.
+replaces the trace function, and a profile hook sets it again whenever
+CPython has dropped it (a RecursionError raised inside it does that), so
+the lines that handle such an error are counted too.  The executable
+lines of a module are those of its code objects' ``co_lines()``; each one
+that no test reached is printed with its source, or with its reason when
+ALLOWED names it.  Run it in a fresh interpreter: lines a package import
+ran before the tracer was set would read as unreached.
 
     python3 scripts/line_reach.py                  # all of tests/
     python3 scripts/line_reach.py --json tests/test_timescale.py
@@ -68,9 +70,27 @@ class Tracer:
         self.hits[frame.f_code.co_filename].add(frame.f_lineno)
         return self.local
 
+    def rearm(self, frame, event, arg):
+        """Profile hook.  CPython unsets the trace function when a call of it
+        raises, as a RecursionError deep in the stack does; set it again,
+        and on every live frame of the package, so that the lines that
+        handle the error are counted."""
+        if sys.gettrace() is None:
+            sys.settrace(self)
+            while frame is not None:
+                if frame.f_code.co_filename.startswith(self.prefix):
+                    frame.f_trace = self.local
+                frame = frame.f_back
+
     def arm(self):
         sys.settrace(self)
         threading.settrace(self)
+        sys.setprofile(self.rearm)
+
+    def disarm(self):
+        sys.setprofile(None)
+        sys.settrace(None)
+        threading.settrace(None)
 
 
 class Rearm:
@@ -120,8 +140,7 @@ def main(argv=None):
     # with --json, pytest's report goes to stderr and the summary alone to stdout
     with contextlib.redirect_stdout(sys.stderr if args.json else sys.stdout):
         code = int(pytest.main(pytest_args, plugins=[Rearm(tracer)]))
-    sys.settrace(None)
-    threading.settrace(None)
+    tracer.disarm()
 
     rows = unreached(tracer.hits)
     total = sum(len(executable_lines(p)) for p in PACKAGE.glob("*.py"))

@@ -42,7 +42,7 @@ def _print_json(doc):
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-CSV_CHUNK_ROWS = 4096
+CSV_CHUNK_VALUES = 8192
 
 
 @contextlib.contextmanager
@@ -84,15 +84,18 @@ def _with_header(fh, header):
 
 def _write_rows(fh, *columns):
     """Write the rows of the float ``columns``, arrays of one length (1-D or
-    2-D) side by side, to the CSV file ``fh``: ``CSV_CHUNK_ROWS`` rows at a
-    time, encoded by ``floatcsv.csv_bytes``, a vectorized shortest
-    round-trip encoder (Schubfach), into the file's binary layer.  Each
-    float is written as its Python ``repr`` (``inf``, ``nan`` and ``-0.0``
-    included), as the csv module writes it, so every value round-trips.
-    Only one chunk's rows are ever stacked, so no command builds a table as
-    long as its series."""
-    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        part = slice(start, start + CSV_CHUNK_ROWS)
+    2-D) side by side, to the CSV file ``fh``: as many rows at a time as
+    make ``CSV_CHUNK_VALUES`` values (at least one row), encoded by
+    ``floatcsv.csv_bytes``, a vectorized shortest round-trip encoder
+    (Schubfach), into the file's binary layer.  Each float is written as
+    its Python ``repr`` (``inf``, ``nan`` and ``-0.0`` included), as the csv
+    module writes it, so every value round-trips.  Only one chunk's rows are
+    ever stacked, so no command builds a table as long as its series, and
+    the memory a chunk takes does not grow with the column count."""
+    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+    chunk = max(1, CSV_CHUNK_VALUES // width)
+    for start in range(0, len(columns[0]), chunk):
+        part = slice(start, start + chunk)
         fh.buffer.write(csv_bytes(np.column_stack([c[part] for c in columns])))
 
 

@@ -14,14 +14,24 @@ power of two) and 4c + 2 by a 126-bit approximation g of 10^-k, and reads
 the shortest digits off the three rounded-to-odd products.  ``_rop`` is
 Java's ``DoubleToDecimal.rop`` on 32-bit limbs held in uint64, and the
 selection is Java's ``toDecimal`` without its two-digit minimum, so that
-5e-324 stays ``5e-324``.
+5e-324 stays ``5e-324``.  k, the shift of 4c and the limbs of g depend on
+the exponent bits alone, so each is read from a table indexed by them.
 
 Layout.  CPython's rules: positional when -4 < decpt <= 16 (the value is
 0.d1d2... x 10^decpt), else ``d[.ddd]e±XX[X]``; whole numbers end in
-``.0``; ``-0.0``, ``inf``, ``-inf`` and ``nan`` as such.  Every field gets a
-fixed slot of 26 bytes, prefilled with ``0``, into which the sign,
-point, digits, exponent and separator are scattered; a length mask then
-keeps each slot's field, in order.
+``.0``; ``-0.0``, ``inf``, ``-inf`` and ``nan`` as such.  The 17 digits
+are made eight to a uint64 word (SWAR), and the count of significant ones
+is read off the same words: flag the nonzero bytes, smear each flag down
+to the bytes below it and add the flags up with one multiply.  Each field
+is laid out in a slot of its own, prefilled with ``0``: the sign, the
+first digit, and the other 16 in one 16-byte item after the place of the
+point.  Only a field with more than one digit before the point writes them
+once more a byte earlier and moves those after the point on with one
+gather and scatter.  Then the point, and the exponent with the separator
+as one 8-byte item of a table.  The length of every field follows from its
+digit count and decimal point, so each slot is written once into the
+output at its exact offset, in index order, and the spare tail of each is
+written over by the next.
 """
 
 from __future__ import annotations
@@ -30,7 +40,8 @@ from functools import cache
 
 import numpy as np
 
-_SLOT = 26  # the longest field, "-1.2345678901234567e-308", and "\r\n"
+_SLOT = 34  # bytes per slot: "-", 16 digits before the point, ".", a moved 16-byte run
+_FIELD = 26  # the longest field, "-1.2345678901234567e-308", and "\r\n"
 _FRAC = (1 << 52) - 1
 _SIGN = 1 << 63
 _INF = 0x7FF << 52  # the bits of inf; above it, nan
@@ -40,10 +51,9 @@ _M63 = (1 << 63) - 1
 _E_MIN, _E_MAX = -292, 324  # 10^e for every e = -k a double needs
 _EXP_LO, _EXP_HI = -324, 308  # exponents of repr's e-form
 _POW10 = 10 ** np.arange(18, dtype=np.uint64)
-_DIGIT_BLOCK = 4096  # values per Schubfach pass: its temporaries stay near 0.5 MB
-_KEEP = np.arange(_SLOT) < np.arange(_SLOT + 1)[:, None]  # row L: the first L bytes
+_DIGIT_BLOCK = 4096  # values per Schubfach pass: its temporaries (near 0.5 MB) stay in cache
+_BYTES = 0x0101010101010101  # one in every byte
 _INF_NAN = np.frombuffer(b"infnan", "V3")
-_CRLF = np.frombuffer(b"\r\n", "V2")
 
 
 def _flog2pow10(e):
@@ -71,11 +81,31 @@ def _g_table():
     return g_limbs
 
 
+@cache
+def _exponent_tables():
+    """What Schubfach needs of the exponent bits, indexed by 2 be + (c == 0)
+    for the biased exponent be and the fraction bits c: k, the shift h of
+    4c and the column of g in ``_g_table``.  Built on first use."""
+    index = np.arange(4096, dtype=np.int32)
+    be = index >> 1
+    irregular = index & 1
+    irregular &= be > 1  # c = 0 at be <= 1 is a subnormal, not 2^52
+    q = np.maximum(be, 1) - 1075
+    k = q * 1262611
+    k -= irregular * 524031
+    k >>= 22  # floor(log10(2^q)), or of 3/4 2^q
+    h = q + _flog2pow10(-k) + 2  # in 1..4
+    tables = k.astype(np.int16), h.astype(np.uint8), (-k - _E_MIN).astype(np.int16)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def _rop(g, cp, t1, t2, t3, t4):
     """floor(g cp / 2^127) rounded to odd, as Java's ``rop`` forms it:
     floor(g1 cp / 2) + floor(g0 cp / 2^64), then its bits from 63 up, with
-    bit 0 set when any lower bit is.  ``cp`` < 2^60 is overwritten and
-    returned; t1..t4 are scratch."""
+    bit 0 set when any lower bit is.  ``cp`` < 2^60 is overwritten; the
+    result is returned in t1; t2..t4 are scratch."""
     a1, a0, c1, c0 = g
     b1 = np.right_shift(cp, 32, out=t1)
     b0 = np.bitwise_and(cp, _M32, out=cp)
@@ -88,15 +118,15 @@ def _rop(g, cp, t1, t2, t3, t4):
     mid = np.multiply(a1, b0, out=t3)  # g1 cp = hi 2^64 + lo
     mid += np.multiply(a0, b1, out=t4)
     lo = np.multiply(a0, b0, out=t4)
-    hi = np.multiply(a1, b1, out=cp)
-    low_mid = np.left_shift(mid, 32, out=t1)
+    hi = np.multiply(a1, b1, out=b1)
+    low_mid = np.left_shift(mid, 32, out=cp)
     lo += low_mid
     hi += lo < low_mid
     mid >>= 32
     hi += mid
     lo >>= 1
     lo += x1
-    hi += np.right_shift(lo, 63, out=t3)
+    hi += np.right_shift(lo, 63, out=x1)
     lo &= _M63
     hi |= lo != 0
     return hi
@@ -107,41 +137,34 @@ def _shortest(bits):
     positive finite double, given as its bits (which are overwritten); s
     may end in zeros."""
     n = len(bits)
-    be = bits >> 52
+    ks, hs, gs = _exponent_tables()
+    row = np.right_shift(bits, 52).view(np.int64)
     c = np.bitwise_and(bits, _FRAC, out=bits)
-    irregular = c == 0  # c = 2^52: the gap below is half the gap above
-    irregular &= be > 1
-    np.bitwise_or(c, 1 << 52, out=c, where=be != 0)
-    q = np.maximum(be, 1, out=be).view(np.int64)
-    q -= 1075
-    k = q * 1262611  # floor(log10(2^q)), or of 3/4 2^q when irregular
-    t = np.multiply(irregular, 524031, out=np.empty(n, np.int64))
-    k -= t
-    k >>= 22
-    np.negative(k, out=t)
-    q += _flog2pow10(t)
-    q += 2
-    h = q.astype(np.uint8)  # q + floor(log2(10^-k)) + 2, in 1..4
-    del q, be
-    t -= _E_MIN
-    g = [col.take(t) for col in _g_table()]
-    odd = (c & 1).astype(bool)
-    cb = np.left_shift(c, 2, out=c)
-    scratch = (t.view(np.uint64),) + tuple(np.empty(n, np.uint64) for _ in range(3))
-    vb = _rop(g, np.left_shift(cb, h), *scratch)
-    cb -= 2
-    cb += irregular  # 4c - 2, or 4c - 1
-    lower = _rop(g, np.left_shift(cb, h), *scratch)
-    cb += 4
-    cb -= irregular  # 4c + 2
-    upper = _rop(g, np.left_shift(cb, h, out=cb), *scratch)
-    t3, t4 = scratch[2:]
-    del g, t, scratch, cb
+    irregular = c == 0
+    row <<= 1
+    row += irregular
+    k = ks.take(row)
+    h = hs.take(row).astype(np.uint64)
+    g = _g_table().take(gs.take(row), axis=1)
+    np.bitwise_or(c, 1 << 52, out=c, where=row > 1)  # the hidden bit of a normal double
+    irregular &= row > 3  # c = 2^52: the gap below is half the gap above
+    del row
+    odd = np.bitwise_and(c, 1, out=np.empty(n, np.uint8), casting="unsafe")
+    c <<= 2
+    t = [np.empty(n, np.uint64) for _ in range(6)]
+    vb = _rop(g, np.left_shift(c, h, out=t[5]), *t[:4])
+    c -= 2
+    c += irregular  # 4c - 2, or 4c - 1
+    lower = _rop(g, np.left_shift(c, h, out=t[5]), *t[1:5])
+    c += 4
+    c -= irregular  # 4c + 2
+    upper = _rop(g, np.left_shift(c, h, out=c), *t[2:])
+    del g, h, irregular, c
     lower += odd  # an odd c's interval leaves out its ends
     upper -= odd
-    s = np.right_shift(vb, 2, out=t3)
-    sp = np.floor_divide(s, 10, out=t4)
-    w = sp * 40
+    s = np.right_shift(vb, 2, out=t[3])
+    sp = np.floor_divide(s, 10, out=t[4])
+    w = np.multiply(sp, 40, out=t[5])
     u_in = lower <= w  # one digit fewer: u' = 10 sp, w' = 10 sp + 10
     w += 40
     w_in = w <= upper
@@ -151,35 +174,31 @@ def _shortest(bits):
     u_in = lower <= w  # as many digits: u = s, w = s + 1
     w += 4
     w_in_long = w <= upper
-    w -= 2
-    up = vb > w  # both in: the nearer, ties to even
-    up |= (vb == w) & (s & 1 == 1)
-    np.copyto(up, w_in_long, where=u_in != w_in_long)
-    s += up
+    vb &= 7  # the two bits below s and the last bit of s
+    up = np.right_shift(0b11001000, vb, out=w)  # vb - 4s > 2, or = 2 and s odd
+    up &= 1
+    s += np.where(u_in != w_in_long, w_in_long, up)  # exactly one in: that one
     sp += w_in
     sp *= 10
-    np.copyto(s, sp, where=shorter)
-    return s, k
+    return np.where(shorter, sp, s), k
 
 
-def _ascii_digits(m):
-    """The 17 ASCII digits of each m < 10^17, as an (n, 17) uint8 array;
-    ``m`` is overwritten.
+def _digit_words(m):
+    """The first of the 17 digits of each m < 10^17, and the other 16 as an
+    (n, 2) array of little-endian uint64 words with one digit value (not yet
+    ASCII) per byte, first digits lowest; ``m`` is overwritten.
 
-    Sixteen of them are made eight at a time inside a little-endian uint64
-    (SWAR): split into 4-digit lanes, then 2-digit, then 1-digit ones, by
-    multiply-shift division within each lane."""
+    The words are made eight digits at a time inside a uint64 (SWAR): split
+    into 4-digit lanes, then 2-digit, then 1-digit ones, by multiply-shift
+    division within each lane."""
     n = len(m)
-    out = np.empty((n, 17), np.uint8)
     lead = m // _POW10[16]
     m -= lead * _POW10[16]
-    lead += 48
-    out[:, 0] = lead
-    del lead
-    eights = np.empty((n, 2), "<u8")
-    np.floor_divide(m, _POW10[8], out=eights[:, 0])
-    np.subtract(m, eights[:, 0] * _POW10[8], out=eights[:, 1])
-    v = eights.reshape(-1)
+    words = np.empty((n, 2), "<u8")
+    words[:, 0] = hi = m // _POW10[8]
+    hi *= _POW10[8]
+    np.subtract(m, hi, out=words[:, 1])
+    v = words.reshape(-1)
     hi = v // 10000
     t = hi * 10000
     v -= t
@@ -195,27 +214,48 @@ def _ascii_digits(m):
     hi &= 0x000F000F000F000F  # /10 in each lane
     v <<= 8
     v -= np.multiply(hi, 10 * 256 - 1, out=t)  # one digit per byte
-    v |= 0x3030303030303030
-    out[:, 1:] = v.view(np.uint8).reshape(n, 16)
-    return out
+    return lead.astype(np.uint8), words
+
+
+def _significant(words):
+    """1 + the index of the last nonzero digit among the 16 of ``words``
+    (0 past the lead digit when all are zero), as int16: flag each nonzero
+    byte in its top bit, smear every flag down to the bytes below it, let
+    the second word's flags reach the first word, then count the flags of
+    both words with one multiply by 0x0101...01."""
+    f = words + 0x7F * _BYTES  # a byte of 1..9 reaches 0x80; no carry between bytes
+    f &= 0x80 * _BYTES
+    t = np.empty_like(f)
+    for bits in (8, 16, 32):
+        f |= np.right_shift(f, bits, out=t)
+    f >>= 7
+    first, second = f[:, 0], f[:, 1]
+    first |= (second & 1) * _BYTES  # any digit of the second word counts all of the first
+    first += second
+    first *= _BYTES
+    first >>= 56
+    count = first.astype(np.int16)
+    count += 1
+    return count
 
 
 @cache
-def _exponent_text():
-    """"e-05", "e+16", "e-308", ... as 5-byte items, and their lengths, for
-    the exponents _EXP_LO to _EXP_HI."""
-    text = [b"e%+03d" % e for e in range(_EXP_LO, _EXP_HI + 1)]
-    length = np.array([len(t) for t in text], np.int16)
+def _tail_text():
+    """What follows a field's digits, as 8-byte items, and its length: at
+    index 2 i + last, the exponent _EXP_LO + i ("e-324" to "e+308"; i =
+    _EXP_HI - _EXP_LO + 1 for none) and then "," or, for the last field
+    of a row, "\\r\\n".  Built on first use."""
+    text = [b"e%+03d" % e for e in range(_EXP_LO, _EXP_HI + 1)] + [b""]
+    tails = [t + sep for t in text for sep in (b",", b"\r\n")]
+    length = np.array([len(t) for t in tails], np.int16)
     length.flags.writeable = False
-    return np.frombuffer(b"".join(t.ljust(5) for t in text), "V5"), length
+    return np.frombuffer(b"".join(t.ljust(8) for t in tails), np.uint64), length
 
 
-def _put(out, at, items):
-    """Write the byte strings ``items`` (a void array) into the uint8 array
-    ``out`` at the byte offsets ``at``, through a view of ``out`` that has
-    an item starting at every byte."""
-    view = np.ndarray((len(out) - items.itemsize + 1,), items.dtype, out, strides=(1,))
-    view[at] = items
+def _items(buf, itemsize):
+    """A view of the uint8 array ``buf`` with an item of ``itemsize`` bytes
+    starting at every byte."""
+    return np.ndarray((len(buf) - itemsize + 1,), f"V{itemsize}", buf, strides=(1,))
 
 
 def csv_bytes(rows):
@@ -233,69 +273,83 @@ def csv_bytes(rows):
     zero = mag == 0
     nonfinite = mag >= _INF
     neg &= mag <= _INF  # nan has no sign in repr
-    mag[zero | nonfinite] = _ONE  # digits of 1.0: decpt 1, one digit, as 0.0 needs
+    np.copyto(mag, _ONE, where=zero | nonfinite)  # digits of 1.0: decpt 1, as 0.0 needs
     m = np.empty(n, np.uint64)
     decpt = np.empty(n, np.int16)
     for lo in range(0, n, _DIGIT_BLOCK):
         hi = lo + _DIGIT_BLOCK
         m[lo:hi], decpt[lo:hi] = _shortest(mag[lo:hi])
     del mag
-    count = np.searchsorted(_POW10, m, side="right")  # digits of m
-    decpt += count
-    m *= _POW10[17 - count]  # left-aligned: 17 digits, trailing zeros last
-    nd = np.full(n, 17, np.int16)  # significant digits: 17 less the trailing zeros
-    t = m
-    for p in (16, 8, 4, 2, 1):
-        q = t // _POW10[p]
-        z = q * _POW10[p] == t
-        t = np.where(z, q, t)
-        nd -= z * p
-    del t, q, z, count
-    m[zero] = 0
-    digits = _ascii_digits(m)
+    # A normal double's s has 16 or 17 digits; only subnormals have fewer.
+    short = m < _POW10[16]
+    decpt += 17
+    decpt -= short
+    np.multiply(m, 10, out=m, where=short)  # left-aligned: 17 digits, trailing zeros last
+    few = np.flatnonzero(m < _POW10[16])
+    if len(few):
+        missing = 17 - np.searchsorted(_POW10, m[few], side="right")
+        m[few] *= _POW10[missing]
+        decpt[few] -= missing
+    del short, few
+    np.copyto(m, 0, where=zero)
+    lead, words = _digit_words(m)
     del m
+    nd = _significant(words)  # significant digits
+    words |= 0x30 * _BYTES
+    lead += 48
 
     expo = decpt < -3
     expo |= decpt > 16
-    ip = np.where(expo, np.int16(1), decpt)  # digits before the point; <= 0: "0."
-    pt = np.maximum(ip, 0)  # digit j goes after the point when j >= pt
-    dot = np.maximum(ip, 1)
-    dot += neg
-    out = np.full(n * _SLOT, 48, np.uint8)
+    ip = decpt - expo * (decpt - 1)  # digits before the point: 1 in the e-form
+    frac = ip <= 0  # "0.", then -ip zeros
+    first = (2 - ip) * frac  # where digit 0 goes
+    first += neg
+    dot = first + ip
+    dot -= frac
+    end = nd - ip  # digits after the point: at least one, but for "de±XX"
+    np.maximum(end, 1, out=end)
+    end += dot
+    end += 1
+    end -= np.multiply(expo & (nd == 1), 2, dtype=np.int16)
+    del nd
+    out = np.full((n, _SLOT), 48, np.uint8)  # "0": the zeros of "0.000ddd"
+    out[:, 0] -= neg.view(np.uint8) * np.uint8(3)  # "-", or "0" before the point
     base = np.arange(0, n * _SLOT, _SLOT, dtype=np.int64)
-    out[base[neg]] = 45  # "-"
-    first = base + dot
-    first -= ip  # digit 0, were it before the point
-    out[first + 1] = digits[:, 0]  # all 17 digits as if after the point ...
-    _put(out, first + 2, digits[:, 1:].view("V16").reshape(n))
-    for j in range(int(pt.max(initial=0))):  # ... then those before it; j >= pt land on it
-        out[first + np.minimum(ip, j)] = digits[:, j]
-    first += ip
-    out[first] = 46  # "."
-    del digits, first
-    mend = dot - ip  # one past the last significant digit
-    mend += nd
-    mend += nd > pt
-    dot += 2
-    end = np.maximum(mend, dot)  # positional: at least "d.0"
-    del ip, pt, dot, nd
-    idx = np.flatnonzero(expo)
+    flat = out.reshape(-1)
+    at = base + first
+    flat[at] = lead
+    at += 2
+    at -= frac  # "d.ddd": the other digits after the point; "0.00ddd": after the first
+    digits = _items(flat, 16)
+    digits[at] = words.view("V16").reshape(n)
+    idx = np.flatnonzero(ip > 1)  # "dd.ddd": the digits before the point but the first
     if len(idx):
-        text, length = _exponent_text()
-        e = decpt[idx] - (_EXP_LO + 1)
-        at = mend[idx]
-        end[idx] = at + length[e]
-        _put(out, base[idx] + at, text[e])  # a spare fifth byte lands on the separator's
+        at = base[idx] + first[idx]
+        at += 1
+        digits[at] = words.view("V16")[idx, 0]  # all of them, after the first
+        at += ip[idx]  # then those after the point once more, a byte on
+        digits[at] = digits[at - 1]
+    del lead, words, first, ip, frac, digits
+    flat[base + dot] = 46  # "."
+    del dot
     idx = np.flatnonzero(nonfinite)
     if len(idx):
-        _put(out, base[idx] + neg[idx], _INF_NAN[np.isnan(x[idx]).view(np.int8)])
-        end[idx] = neg[idx] + 3
+        at = neg[idx].astype(np.int16)
+        _items(flat, 3)[base[idx] + at] = _INF_NAN[np.isnan(x[idx]).view(np.int8)]
+        end[idx] = at + 3
+    text, length = _tail_text()
+    tail = decpt - (_EXP_HI + 2)  # the exponent's index (decpt - 1 - _EXP_LO) less none's
+    tail *= expo
+    tail += _EXP_HI - _EXP_LO + 1
+    tail *= 2
+    tail[n_cols - 1::n_cols] += 1
     base += end
-    seps = base.reshape(n_rows, n_cols)
-    out[seps[:, :-1]] = 44  # ","
-    _put(out, seps[:, -1], _CRLF)
-    del base, seps
-    lengths = end.reshape(n_rows, n_cols)
-    lengths += 1
-    lengths[:, -1] += 1
-    return out.reshape(n, _SLOT)[_KEEP.take(end, axis=0)]
+    _items(flat, 8)[base] = text.take(tail).view("V8")  # exponent and separator
+    del base, expo, decpt
+    end += length.take(tail)
+    offset = np.cumsum(end, dtype=np.int64)
+    total = int(offset[-1])
+    offset -= end
+    csv = np.empty(total + _FIELD, np.uint8)
+    _items(csv, _FIELD)[offset] = np.ndarray((n,), f"V{_FIELD}", out, strides=(_SLOT,))
+    return csv[:total]

@@ -1483,10 +1483,8 @@ def solve_truncated(problem, t_end, terminal=None, *, h, params=SolveParams()):
     end is free); ``converged`` is False when the gradient tolerance was not
     reached (the last iterate is still returned).
     """
-    grid = problem.ts.build_grid(problem.a, t_end, h)
+    grid = problem.ts.build_grid(problem.a, t_end, h)  # both ends: at least two nodes
     m, n = len(grid), problem.n
-    if m < 2:
-        raise GridTooSmall("truncation window has fewer than two nodes")
     hi, target = m, problem.x_a  # free nodes are 1..hi-1
     if terminal is not None:
         hi = m - 1

@@ -193,8 +193,8 @@ def test_array_csv_writer_matches_per_row_writer(tmp_path):
                2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0.0),
                *(2.0**-1074 * k for k in (2, 3, 7, 10)), float("-inf")]
     rng = np.random.default_rng(0)
-    chunk = cli.CSV_CHUNK_ROWS
     for ncols in (1, 2, 3, 5):
+        chunk = cli.CSV_CHUNK_VALUES // ncols  # rows per chunk
         shape = (2 * chunk + 808, ncols)
         data = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
         data[:len(special), 0] = special
@@ -209,18 +209,32 @@ def test_array_csv_writer_matches_per_row_writer(tmp_path):
             assert new.read_bytes() == old.read_bytes(), (ncols, n)
 
 
-def test_array_csv_writer_memory_is_one_chunk(tmp_path):
-    """Formatting a chunk at a time keeps the writer's peak allocation at a
-    chunk's worth, not the whole array's (about 25 MB of str here)."""
-    rows = np.random.default_rng(1).standard_normal((200001, 2))
+def write_rows_peak(tmp_path, ncols):
+    """tracemalloc peak of writing 200001 rows of ``ncols`` columns."""
+    rows = np.random.default_rng(1).standard_normal((200001, ncols))
+    header = ["t"] + [f"c{j}" for j in range(1, ncols)]
     tracemalloc.start()
     try:
-        with cli._csv_file(tmp_path / "big.csv", ["t", "residual1"]) as fh:
+        with cli._csv_file(tmp_path / "big.csv", header) as fh:
             cli._write_rows(fh, rows)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1 << 20
+    return peak
+
+
+def test_array_csv_writer_memory_is_one_chunk(tmp_path):
+    """Formatting a chunk at a time keeps the writer's peak allocation at a
+    chunk's worth, not the whole array's (about 25 MB of str here)."""
+    assert write_rows_peak(tmp_path, 2) <= 1 << 20
+
+
+@pytest.mark.parametrize("ncols", [1, 5])
+def test_array_csv_writer_memory_does_not_grow_with_columns(tmp_path, ncols):
+    """A chunk is a number of values, not of rows, so the bound holds at
+    any column count (a 5-column integrate --csv took 1.86 MiB when a
+    chunk was 4096 rows)."""
+    assert write_rows_peak(tmp_path, ncols) <= 1 << 20
 
 
 def oracle_csv_bytes(tmp_path, header, columns):
@@ -245,7 +259,7 @@ def test_csv_series_bytes_match_the_csv_module(tmp_path):
                                     pf.candidate("decaying-exp"))
     res = el_residual(prob, gf)
     keep = res.grid.nodes <= 5.0 + tol_at(5.0)
-    assert keep.sum() > cli.CSV_CHUNK_ROWS
+    assert keep.sum() > cli.CSV_CHUNK_VALUES // 2  # rows of two columns
     assert out.read_bytes() == oracle_csv_bytes(
         tmp_path, ["t", "residual1"], (res.grid.nodes[keep], res.values[keep]))
 
@@ -675,6 +689,32 @@ def test_verify_window_below_three_exits_three(tmp_path, capsys):
     code, doc, err = run_cli(capsys, ["verify", neg, "--candidate", "const", "--t-max", "20"])
     assert code == 3 and doc is None
     assert "classifier window must be >= 3" in err
+
+
+def test_problem_file_of_a_json_array_exits_2(tmp_path, capsys):
+    f = tmp_path / "array.json"
+    f.write_text("[1, 2]")
+    code, doc, err = run_cli(capsys, ["verify", str(f), "--candidate", "one"])
+    assert (code, doc) == (2, None)
+    assert err == "error: problem file must contain a JSON object\n"
+
+
+def test_verify_t_max_at_the_start_exits_3(tmp_path, capsys):
+    f = write(tmp_path, LQR_DOC)
+    code, doc, err = run_cli(capsys, ["verify", f, "--candidate", "decay", "--t-max", "0"])
+    assert (code, doc) == (3, None)
+    assert err == "error: t_max must leave room beyond the start\n"
+
+
+@pytest.mark.parametrize("t_end", ["0", "0.5"])
+def test_solve_window_of_one_member_exits_3(tmp_path, capsys, t_end):
+    """A window whose end snaps to the start (t_end = a, or below the next
+    point of a discrete scale) is refused before the solver forms a grid;
+    every window it accepts holds at least its two ends."""
+    f = write(tmp_path, dict(LQR_DOC, timescale="union(points(0, 1), ray(5))"))
+    code, doc, err = run_cli(capsys, ["solve", f, "--T", t_end, "--h", "0.1"])
+    assert (code, doc) == (3, None)
+    assert err == "error: need lo < hi, got [0.0, 0.0]\n"
 
 
 def test_verify_is_deterministic(tmp_path, capsys):

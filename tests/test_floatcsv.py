@@ -68,3 +68,15 @@ def test_subnormals_and_layout_edges_match_repr():
     x += [0.0, -0.0, 1e-4, 9.999999999999999e-05, 9999999999999998.0, 1e16,
           2.2250738585072014e-308, 1.7976931348623157e308, 0.1 + 0.2, -2.0 / 3.0]
     assert_matches_repr(with_neighbours(x))
+
+
+def test_layout_edges_match_repr():
+    """Each sign, decimal point position decpt from -5 to 18 and count of
+    significant digits from 1 to 17 (value 0.d1..dn x 10^decpt), with the
+    two neighbours of each value: both e-form boundaries (decpt -3/-4 and
+    16/17), digits on both sides of the point, and the whole numbers that
+    end in ".0"."""
+    digits = "1234567891234567"
+    x = [float(f"{sign}0.{digits[:nd - 1]}7e{decpt}")
+         for sign in ("", "-") for decpt in range(-5, 19) for nd in range(1, 18)]
+    assert_matches_repr(with_neighbours(x), n_cols=3)

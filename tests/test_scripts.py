@@ -77,3 +77,24 @@ def test_line_reach_lists_what_a_test_subset_leaves_unreached():
     assert ("variational.py", "g_new = disc.gradient(x_new)") in missed
     main = [row for row in lines if row["module"] == "__main__.py"]
     assert main and all(row["allowed"] for row in main)
+
+
+def test_line_reach_counts_the_handlers_of_a_recursion_error():
+    """CPython drops the trace function when a RecursionError is raised in
+    it; the script sets it again, so the handlers of expressions.py that
+    only a stack overflow reaches count as reached."""
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "line_reach.py"), "--json",
+         "tests/test_expressions.py", "-k", "too_deep or deep_in_the_stack"],
+        cwd=SCRIPTS.parent, capture_output=True, text=True, timeout=300,
+    )
+    doc = json.loads(proc.stdout)
+    assert proc.returncode == doc["pytest_exit"] == 0, proc.stderr[-2000:]
+    missed = {(row["module"], row["source"]) for row in doc["lines"]}
+    for handler in ("except RecursionError:",
+                    'raise ExpressionError(f"{reprlib.repr(self.source)} is nested too deeply")'
+                    " from None",
+                    'raise ExpressionError(f"{reprlib.repr(src)} is nested too deeply") from None'):
+        assert ("expressions.py", handler) not in missed
+    # the subset leaves the rest of the module's error paths unreached
+    assert ("expressions.py", "raise ExpressionError(") in missed

@@ -648,3 +648,8 @@ def test_grid_invariants(seed):
             assert abs(grid.nodes[i + 1] - ts.sigma(grid.nodes[i])) <= 1e-12
         else:
             assert grid.nodes[i + 1] - grid.nodes[i] <= h * (1 + 1e-9)
+
+
+def test_empty_point_set_is_refused():
+    with pytest.raises(InvalidTimeScale, match="empty point set"):
+        TimeScaleSpec((DiscretePoints(()), UnboundedRay(5.0)))
