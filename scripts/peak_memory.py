@@ -16,10 +16,15 @@ time.  The cases are ROADMAP item 8's table:
   residual ``tsvar residual --csv`` in process, on lqr_ray(1.268) with
            finite-difference partials, window [0, 20] at h=1e-4 (200001 rows);
   integrate ``tsvar integrate --csv`` in process, of exp(-0.1*t)*sin(t) on
-           ray(0), window [0, 20] at h=1e-4 (200001 rows).
+           ray(0), window [0, 20] at h=1e-4 (200001 rows);
+  first_variation, variation_quotient (eps=0.1), parts_decomposition_residual
+           of lqr_ray(1.268)'s decaying-exp and p = smoothstep_tail(1, 0, 1)
+           at T'=20, h=1e-4, on their grid of T' and three steps past it
+           (200004 nodes).
 
 With --fast the t_max=2000 run stops at t_max=200, the comb runs at h=1e-3
-(29025 nodes) and the CSV windows stop at t=5.  Times include tracemalloc's own overhead.
+(29025 nodes), the CSV windows stop at t=5 and the variation diagnostics
+take T'=10 (100004 nodes).  Times include tracemalloc's own overhead.
 
     python3 scripts/peak_memory.py
     python3 scripts/peak_memory.py --fast --json
@@ -42,9 +47,13 @@ from tsvar import (
     VerifyConfig,
     cli,
     ex_pos,
+    first_variation,
     lqr_grid,
     lqr_ray,
+    parts_decomposition_residual,
+    smoothstep_tail,
     union,
+    variation_quotient,
     verify_candidate,
 )
 
@@ -108,6 +117,27 @@ def integrate_case(workdir, t_hi, h):
                     "--h", repr(h))
 
 
+def variation_cases(t_prime, h):
+    """The rows of the three variation diagnostics of lqr_ray(1.268) at T'.
+    Their grid holds the nodes from a to T' and three steps past it."""
+    named = lqr_ray(1.268)
+    problem, gen, p = named.problem, named.candidate("decaying-exp").gen, smoothstep_tail(1.0, 0.0, 1.0)
+    ts, t_hi = problem.ts, t_prime
+    for _ in range(3):
+        t_hi = ts.advance(t_hi, h)
+    nodes = len(ts.build_grid(problem.a, t_hi, h))
+    rows = []
+    for name, run in (
+            ("first_variation", lambda: first_variation(problem, gen, p, t_prime, h=h)),
+            ("variation_quotient", lambda: variation_quotient(problem, gen, p, 0.1, t_prime, h=h)),
+            ("parts_decomposition_residual",
+             lambda: parts_decomposition_residual(problem, gen, p, t_prime, h=h))):
+        value, peak, seconds = traced(run)
+        rows.append({"case": f"lqr-r {name} T'={t_prime:g} h={h:g}", "nodes": nodes,
+                     "peak_bytes": peak, "seconds": seconds, "value": value})
+    return rows
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--fast", action="store_true", help="shorter long run and window")
@@ -125,15 +155,16 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as workdir:
         rows.append(residual_case(workdir, t_hi, 1e-4))
         rows.append(integrate_case(workdir, t_hi, 1e-4))
+    rows += variation_cases(10.0 if args.fast else 20.0, 1e-4)
     for row in rows:
         row["bytes_per_node"] = row["peak_bytes"] / row["nodes"]
 
     if args.json:
         print(json.dumps({"results": rows}, indent=2))
     else:
-        print(f"{'case':<48} {'nodes':>8} {'peak':>9} {'per node':>9} {'time':>7}")
+        print(f"{'case':<52} {'nodes':>8} {'peak':>9} {'per node':>9} {'time':>7}")
         for r in rows:
-            print(f"{r['case']:<48} {r['nodes']:>8} {r['peak_bytes'] / 1e6:>6.2f} MB "
+            print(f"{r['case']:<52} {r['nodes']:>8} {r['peak_bytes'] / 1e6:>6.2f} MB "
                   f"{r['bytes_per_node']:>7.1f} B {r['seconds']:>6.2f} s")
     return 0
 

@@ -158,8 +158,9 @@ def _lagrange_edge_weights(ts):
     """Weights at ts[:, 0] of the derivative of the polynomial through the
     points ts[r] (three or four per row); second/third order.  The extra
     order matters when the result is differentiated again, as
-    parts_decomposition_residual does to the d3 row: a uniformly O(h^k)
-    error survives one more division by h."""
+    parts_decomposition_residual does, block by block, to x*'s d3 row
+    formed from these slopes: a uniformly O(h^k) error survives one more
+    division by h."""
     x0, k = ts[:, 0], ts.shape[1]
     w = np.empty_like(ts)
     w[:, 0] = 1.0 / (x0 - ts[:, 1])
@@ -188,8 +189,9 @@ def _edge_stencils(grid):
     derivative plus h^2/6 times the cubic's third derivative,
     (-4 v0 + 7 v1 - 4 v2 + v3) / 2h, which reproduces the central
     difference's error field h^2/6 f''' at the edge, so that differencing
-    the result again (parts_decomposition_residual) stays O(h^2) instead of
-    O(h).  When the run's final node e is right-scattered, its sample
+    the result again (parts_decomposition_residual's delta(d3), taken per
+    block from the d3 row on the block and its _HALO) stays O(h^2) instead
+    of O(h).  When the run's final node e is right-scattered, its sample
     belongs to the jump: for derived rows (sigma shifts, delta quotients,
     partials along a path) it is the post-jump value and is discontinuous
     with the branch s..e-1, so no stencil of the run reads it.  Then e-1
@@ -471,19 +473,42 @@ _BLOCK = 1 << 15
 def _blocks(at, end=0):
     """Blocks (j0, j1, lo, hi) of the horizon segments j0..j1, segment j
     holding the cells at[j - 1]..at[j] - 1 (from 0 for j = 0), so that the
-    block holds the nodes lo..hi: at most _BLOCK cells, or one segment that
-    is longer on its own.  Past the last segment, up to the node ``end``,
-    follow blocks of _BLOCK cells that hold no segment (j0 = j1 + 1 =
-    len(at)).  ``at`` is an array or a range."""
+    block holds the nodes lo..hi: at most _BLOCK cells.  A segment longer
+    than that is cut where numpy's pairwise sum of its cells after the
+    first cuts them (_pairwise): blocks that hold no horizon (j0 =
+    j1 + 1), then the one that ends at the segment's horizon.  Past the
+    last segment, up to the node ``end``, follow blocks of _BLOCK cells
+    that hold no segment (j0 = j1 + 1 = len(at)).  ``at`` is an array or a
+    range."""
     blocks, j0, lo = [], 0, 0
     while j0 < len(at):
         j1 = max(j0, bisect_right(at, lo + _BLOCK) - 1)
-        blocks.append((j0, j1, lo, int(at[j1])))
-        j0, lo = j1 + 1, int(at[j1])
+        hi = int(at[j1])
+        if hi - lo > _BLOCK:
+            cut = lo + 1  # the segment's first cell leads the pairwise sum
+            for part in _pairwise(hi - lo - 1)[:-1]:
+                cut += part
+                blocks.append((j0, j0 - 1, lo, cut))
+                lo = cut
+        blocks.append((j0, j1, lo, hi))
+        j0, lo = j1 + 1, hi
     while lo < end:
         blocks.append((j0, j0 - 1, lo, min(lo + _BLOCK, end)))
         lo = blocks[-1][3]
     return blocks
+
+
+def _pairwise(n, sums=None):
+    """The lengths, in order, of the parts of at most max(_BLOCK - 1, 128)
+    summands that numpy's pairwise sum of n contiguous summands adds up,
+    or, given the parts' sums in order (the iterator ``sums``), that sum.
+    It halves a sum of more than 128 summands (at a multiple of 8) and
+    adds the halves' sums, so that a part summed on its own (np.add.reduce)
+    has the bits it has within the whole."""
+    if n <= max(_BLOCK - 1, 128):
+        return [n] if sums is None else next(sums)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(half, sums) + _pairwise(n - half, sums)
 
 
 def _block_nodes(idx, end=0):
@@ -532,7 +557,10 @@ def _cumulative_at(grid, idx, k, rows_at, put=None, every=None, halo=0):
     sum_{i<j} c_i v_i + w_right[j-1] v_j plus the seam terms below j, and
     reduces the first sum between consecutive horizons (np.add.reduceat)
     before accumulating it, which rounds differently, by a few ulps of the
-    partial sums.  The running sum is taken when there are few nodes per
+    partial sums.  A segment that _blocks cuts over blocks is summed as
+    reduceat sums it whole: its first value plus numpy's pairwise sum of
+    the rest, joined from the sums of its parts (_pairwise), so that the
+    block size changes no bit in either mode.  The running sum is taken when there are few nodes per
     horizon (every node, say) or no cell reads its right node."""
     if not isinstance(idx, range):
         idx = np.asarray(idx, dtype=np.intp)
@@ -558,6 +586,9 @@ def _cumulative_at(grid, idx, k, rows_at, put=None, every=None, halo=0):
     # block, as the terms below each horizon are added to it
     seam_terms = np.empty((kn + k, len(seams)))
     carry = np.zeros(kn + k)
+    # a segment cut over blocks: its first node, and per row its first
+    # value and the sums of its pairwise parts so far
+    seg_lo, split = 0, [[] for _ in range(kn + k)]
     last_node = len(grid) - 1
     for j0, j1, lo, hi in _blocks(at, K - 1):
         # the nodes from lo - halo, or from lo - 1, whose cell the horizon
@@ -570,7 +601,7 @@ def _cumulative_at(grid, idx, k, rows_at, put=None, every=None, halo=0):
         # the reductions this block feeds, in the order of their rows:
         # (first row, rows, running sum, horizons, put, position of the first)
         feeds = [(0, kn, True, range(lo + 1, hi + 1), put_n, lo + 1)] if kn and lo < K - 1 else []
-        if k and j0 <= j1:
+        if k and lo < end:
             feeds.append((kn, k, exact, at[j0 : j1 + 1], put, off + j0))
         if not feeds:
             del rows  # a producer may hold its block's arrays until the next is formed
@@ -610,26 +641,41 @@ def _cumulative_at(grid, idx, k, rows_at, put=None, every=None, halo=0):
                 else:
                     last = wr[hz - 1 - lo] * d[hz - lo]  # read before d is scaled
                     sums *= c
-                    sums = np.add.reduceat(sums, cuts)
-                if lo:
+                    if s0 < s1:  # the running sum of the seam terms, on from the last block's
+                        if s0:
+                            terms[s0] += terms[s0 - 1]
+                        np.cumsum(terms[s0:s1], out=terms[s0:s1])
+                    if lo == seg_lo and len(hz):
+                        sums = np.add.reduceat(sums, cuts)
+                    else:  # a part of a segment cut over blocks, summed as reduceat sums it
+                        parts = split[r]
+                        if lo == seg_lo:  # its first value, then the pairwise sum of the rest
+                            parts.append(sums[0])
+                            sums = sums[1:]
+                        parts.append(np.add.reduce(sums))
+                        if not len(hz):
+                            continue
+                        sums = np.array([parts[0] + _pairwise(hz[0] - seg_lo - 1,
+                                                              iter(parts[1:]))])
+                        parts.clear()
+                if (lo if running else seg_lo):
                     sums[0] += carry[r]
                 acc = np.cumsum(sums, out=sums)
                 carry[r] = acc[-1]
                 if not running:
                     acc += last
-                    if s0 < s1:  # the running sum of the seam terms, on from the last block's
-                        if s0:
-                            terms[s0] += terms[s0 - 1]
-                        np.cumsum(terms[s0:s1], out=terms[s0:s1])
                     if len(seam_at):
                         acc[seamed] += terms[seam_at]
                     block[r - r0] = acc
                     continue
                 if len(acc) != len(hz):
                     acc = np.take(acc, hz - (lo + 1), out=spare[: len(hz)], mode="clip")
-                give(r - r0, j, acc[None])
-            if not running:
+                if len(hz):
+                    give(r - r0, j, acc[None])
+            if not running and len(hz):
                 give(0, j, block)
+        if j0 <= j1:
+            seg_lo = hi
         del rows, t, w_left, w_right, wl, wr  # the block's, before the next is formed
     return F
 

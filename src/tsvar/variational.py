@@ -37,13 +37,10 @@ from .calculus import (
     _block_nodes,
     _call_on_times,
     _cumulative_at,
-    _prefix_integrals,
     _require_finite,
     _shifts,
     _slopes,
     classify_limit,
-    delta_derivative_all,
-    sigma_shift_all,
 )
 from .errors import (
     BoundaryUndefined,
@@ -279,15 +276,14 @@ class Problem:
 
 class SampledPath:
     """A path, or with ``variation`` a variation, of ``problem`` sampled on
-    one grid: the samples ``x`` (a GridFunction on ``grid``), the length
-    ``K`` of the prefix where its sigma-shift and slope are defined and,
-    computed together on first read, the sigma-shift ``shift`` and slope
-    ``slope`` on that prefix; the Lagrangian row is also computed on first
-    use.  A path must start at a with x(a) = x_a, a variation must have
-    p(a) = 0.  The first-order operations take one in place of a generator
-    and read these samples instead of sampling again: the sweep
-    (_sweep) reads them a block at a time, by slices, and never asks for
-    ``shift`` or ``slope``.  ``Trajectory`` names the same class."""
+    one grid: the samples ``x`` (a GridFunction on ``grid``) and the length
+    ``K`` of the prefix where its sigma-shift and slope are defined.  A
+    path must start at a with x(a) = x_a, a variation must have p(a) = 0.
+    The first-order operations take one in place of a generator and read
+    these samples instead of sampling again: the sweep (_sweep) reads them
+    a block at a time, by slices, and takes their shifts and slopes there,
+    and transversality_term at one node and its _HALO.  ``Trajectory``
+    names the same class."""
 
     def __init__(self, problem, x, *, variation=False):
         if x.dim != problem.n:
@@ -321,22 +317,6 @@ class SampledPath:
     @cached_property
     def K(self):
         return _defined_prefix(self.grid, self.x.sigma_last is not None)
-
-    @cached_property
-    def _prefix(self):
-        xs, _ = sigma_shift_all(self.x)
-        xd, _ = delta_derivative_all(self.x)
-        return xs[: self.K], xd[: self.K]
-
-    shift = property(lambda self: self._prefix[0])
-    slope = property(lambda self: self._prefix[1])
-
-    @cached_property
-    def lagrangian_row(self):
-        """L(t, x_sigma(t), x_delta(t)) at the first K nodes, in an array of
-        its own: the integrand may hand back one it reuses."""
-        return np.array(self.problem.lagrangian.values(self.grid.nodes_at(slice(0, self.K)),
-                                                       self.shift, self.slope))
 
 
 def _defined_prefix(grid, extended):
@@ -390,8 +370,8 @@ def el_residual(problem, x):
     and slope are defined.  It reads the slope of x once: differencing the
     d3 row again would divide its rounding by h twice.
 
-    r is formed block by block (_residual_blocks) and collected: beside
-    the path's samples, only r is held at full length.
+    r is formed block by block (_Residual) and collected: beside the
+    path's samples, only r is held at full length.
     """
     path = SampledPath.of(problem, x)
     r = np.empty((path.K, problem.n))
@@ -405,22 +385,9 @@ def el_residual(problem, x):
 
 def _residual_blocks(problem, grid, x, consume):
     """el_residual's r along the path ``x`` on ``grid`` (a SampledPath, or
-    a generator, sampled block by block), handed on block by block:
-    consume(i, r) receives r at the nodes i, i + 1, ... of the prefix, a
-    (rows, n) array in a buffer that is overwritten once the call returns;
-    in order, the blocks cover the prefix once.  This is the sweep
-    (_sweep) with its residual consumer only: r is formed on each block
-    from the block's x*, and a block's r is checked finite, as GridFunction
-    checks values (EvaluationError), before it is handed on, so a consumer
-    never sees a block past a non-finite one."""
-    _sweep(problem, grid, _source(problem, x, grid), (), residual=consume)
-
-
-def _partial_rows(problem, path, K):
-    """The d2 and d3 rows along ``path`` at its first K nodes."""
-    t, xs, xd = path.grid.nodes_at(slice(0, K)), path.shift[:K], path.slope[:K]
-    lag = problem.lagrangian
-    return lag.partial2(t, xs, xd), lag.partial3(t, xs, xd)
+    a generator, sampled block by block), handed on block by block as
+    consume(i, r) (_Residual): the sweep (_sweep) with that one consumer."""
+    _sweep(problem, grid, _source(problem, x, grid), (), [_Residual(problem, consume)])
 
 
 def el_sup_norm(problem, x):
@@ -434,13 +401,16 @@ def el_sup_norm(problem, x):
 
 def transversality_term(problem, x, t_prime):
     """dL/dv (T', x_sigma(T'), x_delta(T')) . x(T') at a grid node T' of a
-    SampledPath or GridFunction ``x``."""
+    SampledPath or GridFunction ``x``, from its shift and slope at that
+    node alone, read from the samples there and _HALO each side."""
     path = SampledPath.of(problem, x)
-    i = path.grid.index_of(t_prime)
+    grid, i = path.grid, path.grid.index_of(t_prime)
     if i >= path.K:
         raise BoundaryUndefined(f"slope undefined at T'={t_prime!r}")
-    t = path.grid.nodes_at(slice(i, i + 1))
-    p3 = problem.lagrangian.partial3(t, path.shift[i : i + 1], path.slope[i : i + 1])[0]
+    i0 = max(i - _HALO, 0)
+    v, last = path.x.values[i0 : i + _HALO + 1], path.x.sigma_last
+    xs, xd = _shifts(grid, v, i0, i, i, last)[0], _slopes(grid, v, i0, i, i, last)[0]
+    p3 = problem.lagrangian.partial3(grid.nodes_at(slice(i, i + 1)), xs, xd)[0]
     return float(np.dot(p3, path.x.values[i]))
 
 
@@ -572,7 +542,7 @@ class _TailStats:
     twice, then the maximum of v.  The running minimum up to a tail start,
     the infimum of a tail and the value at a mark are each a minimum over
     whole segments, and min and max are exact, so a row folded block by
-    block (_difference_integral) equals one formed from the whole array at
+    block (_sweep) equals one formed from the whole array at
     once (liminf_over_tails).
 
     The minima are kept twice because 0.0 equals -0.0, and a scan keeps
@@ -720,189 +690,225 @@ def _sigma_last(problem, x, grid):
     return vals[0]
 
 
-def _sweep(problem, grid, star, idx, competitors=(), stats=None, *, residual=None,
-           trans=None):
+class _Consumer:
+    """A consumer of the sweep (_sweep).  rows(b) reads the block b (a
+    _Block): x*'s rows, those of the sources ``reads``, (x, eps) pairs of
+    a competitor path (eps None) or a variation, and x*'s d2/d3 rows,
+    ``halo`` nodes more each side, and, with ``samples``, x*'s samples at
+    the horizons.  It returns its ``count`` rows there, reduced at
+    ``every`` node of x*'s prefix or at the horizons and handed on as
+    put(r, j, vals), as _cumulative_at hands them on."""
+
+    count, every, reads, halo, put, samples = 0, False, (), 0, None, False
+
+
+class _Block:
+    """The block lo..hi of a sweep (_sweep) as its consumers read it: its
+    nodes ``t``; x*'s shift and slope ``xs``, ``xd`` and a (shift, slope)
+    pair per source (``sources``) there; ``shift`` and ``slope``, all
+    columns, at the nodes ``t_wide`` from w0, the block and the widest
+    halo (``own``, the block's rows); its horizons ``hz`` (positions, a
+    slice for a run, or None; idx[j0] the first), x*'s samples there for
+    a consumer of ``samples`` (``x_hz``) and every column's at hi
+    (``v_hi``); with a halo, the ``prefix`` of the grid where every column
+    has its slope.  The pass's ``scratch`` holds a consumer's rows until
+    they are reduced; one that forms x*'s d3 rows keeps them as ``d3`` for
+    the next."""
+
+    def __init__(self, problem, size, prefix):
+        self.lag, self.n, self.prefix = problem.lagrangian, problem.n, prefix
+        uv = np.empty((2, size * self.n))
+        self.scratch = uv[0].reshape(size, self.n), uv[1].reshape(size, self.n), np.empty(size)
+
+    def partial(self, k):
+        """x*'s d2 (k = 2) or d3 rows at the nodes t_wide."""
+        fn = self.lag.partial2 if k == 2 else self.lag.partial3
+        return fn(self.t_wide, self.shift[:, : self.n], self.slope[:, : self.n])
+
+
+def _sweep(problem, grid, star, idx, consumers):
     """One pass over ``grid`` that feeds every first-order diagnostic of
-    the path ``star`` of x* (a _source) on it: the blocks of
-    calculus._blocks of the strictly increasing horizon indices ``idx``,
-    then, with ``residual``, blocks on to the end of x*'s defined prefix.
+    the path ``star`` of x* (a _source) on it, the ``consumers``
+    (_Consumer): the blocks of calculus._blocks of the strictly increasing
+    horizon indices ``idx``, then, with a consumer at every node, blocks
+    on to the end of x*'s defined prefix.
 
-    Each block's nodes, with the _HALO each side that its slopes read, are
-    formed once (by calculus._cumulative_at, which also forms the block's
-    cell weights once).  x* and, on the blocks that hold horizons, every
-    competitor are sampled on them side by side -- a held path's samples
-    read as a slice, a generator called on the nodes -- and their shifts
-    and slopes taken in one calculus._shifts and one calculus._slopes
-    call.  The block then feeds three consumers, each optional:
-
-    ``residual``, consume(i, r): el_residual's r, r = (d3 - d3(a)) -
-    int_a d2, handed on as _residual_blocks describes.  The d2 rows are
-    reduced at every node of the prefix by _cumulative_at's running sum
-    (its ``every`` rows), which carries each column's sum from block to
-    block exactly: no block size changes a bit of r.
-
-    ``trans``, trans(j, terms): the transversality term d3 . x at the
-    horizons idx[j], idx[j + 1], ... of the block, in order; d3 is the
-    residual's row where the residual is formed.
-
-    ``competitors``, (comp, eps) pairs: int_a^{T'} [L(x) - L(x*)] at the
-    horizons for every competitor x at once, the competitors' rows reduced
-    to their horizon values by _cumulative_at: a (rows, len(idx)) array
-    is returned, or with the _TailStats ``stats`` of those horizons, the
-    (rows, S) array of each row's statistics, folded from each block's
-    values as they are formed, so that no row of horizon values is held.
-    A path ``comp`` with eps None gives the row of x = comp; a variation
-    ``comp`` of p with a tuple ``eps`` gives a row x = x* + e p for each e
-    in eps, in that order.  Where a variation's shift and slope are all
-    exactly 0 on a block, x = x* there, so its rows are 0 and the
-    integrand is not called (compact_bump's p vanishes on four fifths of
-    the span).  The block's rows are formed one at a time, in one buffer,
-    and each is reduced before the next is formed; x*'s L row is formed on
-    a block at the first row there that needs it, into a buffer of its
-    own, as the integrand may hand back an array it reuses.
-
-    Nothing is held at full length but the samples of held paths: every
-    row is held one block at a time, in buffers allocated once per pass.
-    Generators are called on the block's nodes, and a path generator also
-    at sigma of the grid's last node when a block reaches it, as sampling
-    it whole extends it; a variation generator is not extended so, and
-    horizons must then end before a right-scattered last node, as a plan
-    grid's do (BoundaryUndefined)."""
-    n, lag, m = problem.n, problem.lagrangian, len(grid)
+    Each block's nodes, with the _HALO each side that its slopes read and
+    the consumers' halo, and its cell weights are formed once (by
+    calculus._cumulative_at).  x* and, below the last horizon, every
+    source are sampled on them side by side -- a held path read as a
+    slice, a generator called on the nodes, a path generator also at sigma
+    of a right-scattered last node, as sampling it whole extends it -- and
+    their shifts and slopes taken in one calculus._shifts and one
+    calculus._slopes call.  Each consumer then reads the block (_Block), in
+    order.  _cumulative_at reduces the rows of the one consumer at every
+    node by its running sum, which carries each column's sum from block to
+    block exactly, so that no block size changes a bit of them, and those
+    of the one other consumer of rows at the horizons, whose values are
+    returned when it has no put.  Nothing is held at full length but the
+    samples of held paths."""
+    n, m = problem.n, len(grid)
     K = _defined_prefix(grid, True) if callable(star) else star.K
     idx = np.asarray(idx, dtype=np.intp)
     h_end = int(idx[-1]) if len(idx) else 0  # the blocks below it hold horizons
-    k = sum(1 if eps is None else len(eps) for _, eps in competitors)
-    size = _block_nodes(idx, K - 1 if residual is not None else 0)
-    spare, l_buf = np.empty(size), np.empty(size)
-    # the u and v buffers of the competitor rows; a row is written over u
-    # once the integrand has read it, and the residual's d2 rows and r are
-    # reduced and handed on before a block's first competitor row is
-    # formed, so they take the same memory
-    uv = np.empty((2, size * n))
-    u_buf, v_buf, d_buf = uv[0].reshape(size, n), uv[1].reshape(size, n), uv[0, :size]
-    d2_rows, res, d3_a = uv[0].reshape(n, size), v_buf, np.empty(n)
-    # the block's samples: x*'s columns, then each competitor's, each column
+    every = next((c for c in consumers if c.every), None)
+    at_hz = next((c for c in consumers if c.count and not c.every), _Consumer)
+    sources = [s for c in consumers for s in c.reads]
+    wide, samples = max(c.halo for c in consumers), any(c.samples for c in consumers)
+    # where x* and every source have shift and slope (_on_plan)
+    end = min([K] + [_defined_prefix(grid, eps is None) if callable(x) else x.K
+                     for x, eps in sources])
+    size = _block_nodes(idx, K - 1 if every else 0)
+    b, spare = _Block(problem, size, grid.prefix(end) if wide else None), np.empty(size)
+    # the block's samples: x*'s columns, then each source's, each column
     # contiguous, as the rows formed from them read it
-    v_all = (np.empty((size + 2 * _HALO, n * (1 + len(competitors))), order="F")
-             if competitors else None)
+    v_all = (np.empty((size + 2 * (_HALO + wide), n * (1 + len(sources))), order="F")
+             if sources else None)
 
     def rows_at(lo, hi, t):
-        i0, mb = max(lo - _HALO, 0), hi - lo + 1
-        tb = t[lo - i0 : lo - i0 + mb]  # the block's own nodes
-        live = competitors if lo < h_end else ()
+        # the last block's arrays, freed before this one's are formed
+        b.t = b.shift = b.slope = b.xs = b.xd = b.sources = None
+        i0, live = max(lo - _HALO - wide, 0), sources if lo < h_end else ()
         v = _samples(problem, star, t, i0)
         if live:  # side by side in the pass's buffer, each written as it is sampled
             v_all[: len(t), :n] = v
             v = v_all[: len(t)]
-            for c, (comp, eps) in enumerate(live, start=1):
-                v[:, c * n : (c + 1) * n] = _samples(problem, comp, t, i0,
+            for c, (x, eps) in enumerate(live, start=1):
+                v[:, c * n : (c + 1) * n] = _samples(problem, x, t, i0,
                                                    variation=eps is not None)
+        w0, w1 = max(lo - wide, 0), max(hi, min(hi + wide, end - 1))
         # paths are extended past a right-scattered last node, variation
         # generators are not
         last = None
-        if hi == m - 1 and grid.scattered_at(hi):
-            lasts = [_sigma_last(problem, star, grid)]
-            lasts += [None if eps is not None and callable(comp)
-                      else _sigma_last(problem, comp, grid) for comp, eps in live]
+        if w1 == m - 1 and grid.scattered_at(w1):
+            lasts = [None if eps is not None and callable(x) else _sigma_last(problem, x, grid)
+                     for x, eps in [(star, None), *live]]
             if all(sl is not None for sl in lasts):
                 last = np.concatenate(lasts)
-        slope, def_d = _slopes(grid, v, i0, lo, hi, last, t=t)
-        if trans is not None and lo < h_end:
-            j0 = np.searchsorted(idx, lo, side="right") if lo else 0
-            hz = idx[j0 : np.searchsorted(idx, hi, side="right")] - lo
-            if hz[-1] - hz[0] == len(hz) - 1:  # a run of nodes, read as a slice
-                hz = slice(hz[0], hz[-1] + 1)
-            x_hz = v[lo - i0 :][hz, :n].copy()  # before the samples become shifts
+        slope, def_d = _slopes(grid, v, i0, w0, w1, last, t=t)
+        b.j0 = np.searchsorted(idx, lo, side="right") if lo else 0
+        hz = idx[b.j0 : np.searchsorted(idx, hi, side="right")] - lo
+        if lo >= h_end or not len(hz):
+            hz = None
+        elif hz[-1] - hz[0] == len(hz) - 1:  # a run of nodes, read as a slice
+            hz = slice(hz[0], hz[-1] + 1)
+        own = v[lo - i0 : hi + 1 - i0]
+        b.x_hz = own[hz, :n].copy() if samples and hz is not None else None
+        b.v_hi = own[-1].copy()
         # samples in the pass's buffer are not read again: their shifts take
         # their place
-        shift, def_s = _shifts(grid, v, i0, lo, hi, last, in_place=bool(live))
-        if not (def_s[-1] and def_d[-1]):
+        shift, def_s = _shifts(grid, v, i0, w0, w1, last, in_place=bool(live))
+        if not (def_s[hi - w0] and def_d[hi - w0]):
             raise BoundaryUndefined("horizon nodes exceed the defined-slope prefix")
-        xs, xd = shift[:, :n], slope[:, :n]
-        d3 = None
-        if residual is not None:
-            d2 = d2_rows[:, :mb]
-            d2[...] = lag.partial2(tb, xs, xd).T  # a copy: the reducer overwrites it
-            d3 = lag.partial3(tb, xs, xd)
-            if lo == 0:
-                d3_a[...] = d3[0]
-            np.subtract(d3, d3_a, out=res[:mb])
-        if trans is not None and lo < h_end:
-            p3 = d3[hz] if d3 is not None else lag.partial3(tb[hz], xs[hz], xd[hz])
-            trans(j0, np.einsum("ij,ij->i", p3, x_hz))
-        rows = competitor_rows(live, tb, shift, slope)
-        if residual is not None:
-            rows = itertools.chain(d2, rows)
-        return rows, spare
+        b.lo, b.hi, b.hz, b.w0, b.own = lo, hi, hz, w0, slice(lo - w0, hi + 1 - w0)
+        b.t, b.t_wide = t[lo - i0 : hi + 1 - i0], t[w0 - i0 : w1 + 1 - i0]
+        b.shift, b.slope, b.d3 = shift, slope, None
+        cols = [(shift[b.own, c : c + n], slope[b.own, c : c + n])
+                for c in range(0, shift.shape[1], n)]
+        (b.xs, b.xd), b.sources = cols[0], cols[1:]
+        rows = [c.rows(b) for c in consumers]
+        b.d3 = b.x_hz = None  # read by the consumers above only
+        return itertools.chain.from_iterable(rows), spare
 
-    def competitor_rows(live, t, shift, slope):
-        d, l_star = d_buf[: len(t)], None
-        xs, xd = shift[:, :n], slope[:, :n]
+    if every is not None and K == 1:  # no cell: the rows at a alone
+        rows_at(0, 0, grid.nodes_at(slice(0, min(_HALO + wide, m - 1) + 1)))
+    return _cumulative_at(grid, idx, at_hz.count, rows_at, at_hz.put,
+                          every and (every.count, K, every.put), _HALO + wide)
 
-        def star_row():
-            nonlocal l_star
-            if l_star is None:
-                l_star = l_buf[: len(t)]
-                l_star[...] = lag.values(t, xs, xd)
-            return l_star
 
-        for c, (comp, eps) in enumerate(live, start=1):
-            ps, pd = shift[:, c * n : (c + 1) * n], slope[:, c * n : (c + 1) * n]
-            if eps is None:
-                l_x = star_row()  # before the integrand's next call
-                yield np.subtract(lag.values(t, ps, pd), l_x, out=d)
-                continue
-            unchanged = not (ps.any() or pd.any())  # x = x* on the block
-            for e in eps:
+class _Residual(_Consumer):
+    """el_residual's r = (d3 - d3(a)) - int_a d2, its d2 rows reduced at
+    every node, handed on as consume(i, r): r at the nodes i, i + 1, ...,
+    in a buffer overwritten once the call returns; in order, the blocks
+    cover x*'s prefix once.  A block's r is checked finite, as GridFunction
+    checks values (EvaluationError), before it is handed on."""
+
+    every = True
+
+    def __init__(self, problem, consume):
+        self.count, self.consume, self.d3_a = problem.n, consume, np.empty(problem.n)
+
+    def rows(self, b):
+        out = b.scratch[0].reshape(self.count, -1)[:, : len(b.t)]
+        out[...] = b.partial(2).T  # a copy: the reducer overwrites it
+        b.d3 = d3 = b.partial(3)
+        self.res = b.scratch[1]
+        if b.lo == 0:
+            self.d3_a[...] = d3[0]
+        np.subtract(d3, self.d3_a, out=self.res[: len(d3)])
+        if b.hi == 0:  # no cell: r(a) alone
+            self.emit(0, 0)
+        return out
+
+    def put(self, c, j, vals):
+        # the integral of column c at the nodes j, j + 1, ..., the rows
+        # 1, 2, ... of the block's r; r(a) is 0, and final
+        self.res[1 : vals.shape[1] + 1, c] -= vals[0]
+        if c == self.count - 1:
+            self.emit(j - 1, vals.shape[1])
+
+    def emit(self, lo, mb):
+        first = 0 if lo == 0 else 1  # a later block's node lo is the last one's hi
+        block = self.res[first : mb + 1]
+        _require_finite(block)
+        self.consume(lo + first, block)
+
+
+class _Transversality(_Consumer):
+    """The transversality term d3 . x at the horizons, handed on as
+    hand(j, terms): the terms at idx[j], idx[j + 1], ..., in order."""
+
+    samples = True
+
+    def __init__(self, hand):
+        self.hand = hand
+
+    def rows(self, b):
+        if b.hz is not None:  # d3 where a consumer before formed it, else at hz alone
+            d3 = b.d3[b.hz] if b.d3 is not None else b.lag.partial3(b.t[b.hz], b.xs[b.hz],
+                                                                    b.xd[b.hz])
+            self.hand(b.j0, np.einsum("ij,ij->i", d3, b.x_hz))
+        return ()
+
+
+class _Competitors(_Consumer):
+    """The rows L(x) - L(x*) of the competitors ``comps``: a path x, or x =
+    x* + e p for a variation p and each e of its eps.  With the _TailStats
+    ``stats`` of the horizons, their values are folded into ``out``, a row
+    of statistics each.  Where p's shift and slope are all 0 on a block,
+    its rows are 0 and the integrand is not called (compact_bump's p
+    vanishes on four fifths of the span).  The rows are formed one at a
+    time; x*'s L row at the first that needs it, into a buffer of its own,
+    as the integrand may hand back an array it reuses."""
+
+    def __init__(self, problem, comps, stats=None):
+        self.lag, self.reads = problem.lagrangian, tuple(comps)
+        self.count = sum(1 if eps is None else len(eps) for _, eps in comps)
+        if stats is not None:
+            self.out = out = stats.empty(self.count)
+            self.put = lambda r, j, vals: stats.fold(out[r : r + len(vals)], j, vals)
+
+    def rows(self, b):
+        lag, t, xs, xd, l_star = self.lag, b.t, b.xs, b.xd, None
+        u_buf, v_buf, l_buf = b.scratch
+        d = u_buf.reshape(-1)[: len(t)]  # a row is written over u once the integrand has read it
+        for (_, eps), (ps, pd) in zip(self.reads, b.sources):
+            unchanged = eps is not None and not (ps.any() or pd.any())  # x = x* on the block
+            for e in (None,) if eps is None else eps:
                 if unchanged:
                     d.fill(0.0)
                     yield d
                     continue
-                u = np.multiply(ps, e, out=u_buf[: len(d)])
-                u += xs
-                v = np.multiply(pd, e, out=v_buf[: len(d)])
-                v += xd
-                l_x = star_row()
-                yield np.subtract(lag.values(t, u, v), l_x, out=d)
-
-    def put_res(c, j, vals):
-        # the integral of column c at the nodes j, j + 1, ..., the rows
-        # 1, 2, ... of the block's r; r(a) is 0, and final
-        mb = vals.shape[1]
-        res[1 : mb + 1, c] -= vals[0]
-        if c == n - 1:
-            emit(j - 1, mb)
-
-    def emit(lo, mb):
-        first = 0 if lo == 0 else 1  # a later block's node lo is the last one's hi
-        block = res[first : mb + 1]
-        _require_finite(block)
-        residual(lo + first, block)
-
-    every = None
-    if residual is not None:
-        every = (n, K, put_res)
-        if K == 1:  # no cell: r(a) = d3(a) - d3(a) only
-            rows_at(0, 0, grid.nodes_at(slice(0, min(_HALO, m - 1) + 1)))
-            emit(0, 0)
-            every = None
-    if stats is None:
-        return _cumulative_at(grid, idx, k, rows_at, every=every, halo=_HALO)
-    out = stats.empty(k)
-    _cumulative_at(grid, idx, k, rows_at,
-                   lambda r, j, vals: stats.fold(out[r : r + len(vals)], j, vals), every, _HALO)
-    return out
-
-
-def _difference_integral(problem, star, idx, competitors, stats=None):
-    """int_a^{T'} [L(x) - L(x*)] at the nodes T' of the strictly increasing
-    indices ``idx`` only (the plan's horizons, or one T'), on the path
-    ``star`` of x* (a SampledPath), for every competitor x at once: the
-    sweep (_sweep) with its competitor consumer only, whose rows and
-    ``stats`` it describes.  A variation is a SampledPath, whose samples
-    are read in slices, or a generator, which is sampled block by block."""
-    return _sweep(problem, star.grid, star, idx, competitors, stats)
+                u, v = ps, pd
+                if e is not None:
+                    u = np.multiply(ps, e, out=u_buf[: len(t)])
+                    u += xs
+                    v = np.multiply(pd, e, out=v_buf[: len(t)])
+                    v += xd
+                if l_star is None:  # before the integrand's next call
+                    l_star = l_buf[: len(t)]
+                    l_star[...] = lag.values(t, xs, xd)
+                yield np.subtract(lag.values(t, u, v), l_star, out=d)
 
 
 def _check_window(plan, config):
@@ -929,8 +935,9 @@ def weak_max_compare(problem, x, x_star, plan, config=LimitConfig()):
     px = _on_plan(problem, x, plan)
     star = _on_plan(problem, x_star, plan)
     stats = _TailStats.of_plan(plan)
-    row = _sweep(problem, plan.grid, star, plan.horizon_idx, [(px, None)], stats)[0]
-    return stats.classify(row, config)
+    rows = _Competitors(problem, [(px, None)], stats)
+    _sweep(problem, plan.grid, star, plan.horizon_idx, [rows])
+    return stats.classify(rows.out[0], config)
 
 
 def is_weak_max_consistent(estimate, tol=1e-8):
@@ -948,7 +955,7 @@ def transversality_sweep(problem, x_gen, plan):
         terms[j : j + len(vals)] = vals
 
     _sweep(problem, plan.grid, _on_plan(problem, x_gen, plan), plan.horizon_idx,
-           trans=collect)
+           [_Transversality(collect)])
     return list(zip(plan.horizons, terms))
 
 
@@ -959,7 +966,7 @@ def transversality_liminf(problem, x_gen, plan, config=LimitConfig()):
     stats = _TailStats.of_plan(plan)
     row = stats.empty(1)
     _sweep(problem, plan.grid, _on_plan(problem, x_gen, plan), plan.horizon_idx,
-           trans=lambda j, terms: stats.fold(row, j, terms[None]))
+           [_Transversality(lambda j, terms: stats.fold(row, j, terms[None]))])
     return stats.classify(row[0], config)
 
 
@@ -967,33 +974,55 @@ def transversality_liminf(problem, x_gen, plan, config=LimitConfig()):
 # variation quotients and the first variation
 
 
-def _variation_data(problem, x_star, pvar, t_end, h):
-    """Paths of x* and p on [a, t_end] plus a slope margin, their common
-    prefix K and the index of t_end."""
-    ts = problem.ts
-    grid = _slope_margin_grid(ts, problem.a, t_end, h)
-    star = SampledPath.of(problem, x_star, grid)
-    var = SampledPath.of(problem, pvar, grid, variation=True)
-    K, i = min(star.K, var.K), grid.index_of(ts.snap(t_end))
-    if i > K - 1:
-        raise BoundaryUndefined("T' exceeds the defined-slope prefix")
-    return star, var, K, i
+class _FirstVariation(_Consumer):
+    """The row d2 . p_sigma + d3 . p_delta of the variation ``pvar`` at the
+    horizons; with ``parts`` also the row [d2 - delta(d3)] . p_sigma, with
+    delta(d3) the slope on the block's ``prefix`` of x*'s d3 row on the
+    block and its _HALO, and the ``boundary`` term d3 . p at the last node
+    of the last block."""
+
+    boundary = 0.0
+
+    def __init__(self, problem, pvar, parts=False):
+        self.n, self.reads, self.parts = problem.n, ((pvar, ()),), parts
+        self.count, self.halo = (2, _HALO) if parts else (1, 0)
+
+    def rows(self, b):
+        ((ps, pd),), d2, d3 = b.sources, b.partial(2), b.partial(3)
+        own = b.own
+        fv = np.einsum("ij,ij->i", d2[own], ps) + np.einsum("ij,ij->i", d3[own], pd)
+        if not self.parts:
+            return (fv,)
+        psi = _slopes(b.prefix, d3, b.w0, b.lo, b.hi, t=b.t_wide)[0]
+        self.boundary = float(np.dot(d3[own][-1], b.v_hi[self.n :]))
+        return fv, np.einsum("ij,ij->i", d2[own] - psi, ps)
+
+
+def _variation_sweep(problem, x_star, pvar, t_end, h, consumer):
+    """The values at T' = t_end of the rows of consumer(p), and that
+    consumer, on a grid from a to T' and a slope margin
+    (_slope_margin_grid): one sweep (_sweep) of x* and the variation p,
+    each sampled block by block or read by slices."""
+    grid = _slope_margin_grid(problem.ts, problem.a, t_end, h)
+    rows = consumer(_source(problem, pvar, grid, variation=True))
+    i = grid.index_of(problem.ts.snap(t_end))
+    return _sweep(problem, grid, _source(problem, x_star, grid), [i], [rows])[:, 0], rows
 
 
 def variation_quotient(problem, x_star, pvar, eps, t_prime, *, h):
     """A(eps, T') = (1/eps) int_a^{T'} [L(x* + eps p) - L(x*)] dt."""
     if eps == 0:
         raise ZeroEpsilon("the variation parameter must be nonzero")
-    star, var, _, i = _variation_data(problem, x_star, pvar, t_prime, h)
-    return float(_difference_integral(problem, star, [i], [(var, (eps,))])[0, 0] / eps)
+    F, _ = _variation_sweep(problem, x_star, pvar, t_prime, h,
+                            lambda p: _Competitors(problem, [(p, (eps,))]))
+    return float(F[0] / eps)
 
 
 def first_variation(problem, x_star, pvar, t_prime, *, h):
     """int_a^{T'} [d2 . p_sigma + d3 . p_delta] dt."""
-    star, var, K, i = _variation_data(problem, x_star, pvar, t_prime, h)
-    p2, p3 = _partial_rows(problem, star, K)
-    rows = np.einsum("ij,ij->i", p2, var.shift[:K]) + np.einsum("ij,ij->i", p3, var.slope[:K])
-    return float(_prefix_integrals(star.grid, [rows], [i])[0, 0])
+    F, _ = _variation_sweep(problem, x_star, pvar, t_prime, h,
+                            lambda p: _FirstVariation(problem, p))
+    return float(F[0])
 
 
 def parts_decomposition_residual(problem, x_star, pvar, t_prime, *, h):
@@ -1008,18 +1037,12 @@ def parts_decomposition_residual(problem, x_star, pvar, t_prime, *, h):
     continuity there.  For paths or Lagrangians violating this, the two
     sides genuinely differ by the accumulated seam jumps of d3 times p,
     and the returned residual reports that gap; it is not a grid artifact.
-    Returns the absolute difference of the two sides on one shared grid.
+    Returns the absolute difference of the two sides on one shared grid;
+    delta(d3) is taken on the prefix where x* and p have their slopes.
     """
-    star, var, K, i = _variation_data(problem, x_star, pvar, t_prime, h)
-    p2, p3 = _partial_rows(problem, star, K)
-    psi, def_psi = delta_derivative_all(GridFunction(star.grid.prefix(K), p3))
-    if not def_psi[: i + 1].all():
-        raise BoundaryUndefined("T' exceeds the prefix with defined delta(d3)")
-    ps = var.shift[:K]
-    lhs_rows = np.einsum("ij,ij->i", p2, ps) + np.einsum("ij,ij->i", p3, var.slope[:K])
-    rhs_rows = np.einsum("ij,ij->i", p2 - psi, ps)
-    lhs, rhs = _prefix_integrals(star.grid, (lhs_rows, rhs_rows), [i])[:, 0]
-    return abs(float(lhs - (rhs + float(np.dot(p3[i], var.x.values[i])))))
+    (lhs, rhs), rows = _variation_sweep(problem, x_star, pvar, t_prime, h,
+                                        lambda p: _FirstVariation(problem, p, parts=True))
+    return abs(float(lhs - (rhs + rows.boundary)))
 
 
 # ---------------------------------------------------------------------------
@@ -1061,8 +1084,9 @@ def gateaux_report(problem, x_star, pvar, eps_list, t_list, plan):
     pvar = _on_plan(problem, pvar, plan, variation=True)
     hz = plan.horizons
     stats = _TailStats.of_plan(plan, [int(np.argmin(np.abs(hz - tv))) for tv in t_list])
-    rows = _sweep(problem, plan.grid, star, plan.horizon_idx, [(pvar, eps_list)], stats)
-    return _gateaux_table(eps_list, stats, rows)
+    rows = _Competitors(problem, [(pvar, eps_list)], stats)
+    _sweep(problem, plan.grid, star, plan.horizon_idx, [rows])
+    return _gateaux_table(eps_list, stats, rows.out)
 
 
 def _nonzero_eps(eps_list):
@@ -1703,24 +1727,16 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
     compact bump), and tabulates the Gateaux quotients of the tail-constant
     one.  The verdict is derived by classify_report.
 
-    All of it comes from one sweep of the plan grid (_sweep), block by
-    block over the horizon-aligned blocks of calculus._blocks and one
-    trailing block to the end of x*'s defined prefix.  On each block the
-    nodes (with the few each side that its slopes read) and the cell
-    weights are formed once; x* and the three variations are sampled on
-    those nodes side by side and their shifts and slopes taken in one call
-    each.  The block then feeds three consumers: the residual's d2 rows,
-    reduced at every node by calculus._cumulative_at's running sum, with r
-    folded into its maxima between horizons (_horizon_sups); the
-    transversality term at the block's horizons, from the residual's d3
-    row, folded into its tail statistics (_TailStats); and the nine
-    competitor rows x* +- amp p and x* + eps p, formed one at a time --
-    the bump's only where it is not 0 -- each reduced by _cumulative_at to
-    its horizon values and folded into its tail statistics before the
-    next is formed.  The probes' lim-infs and the Gateaux table are read
-    from those statistics.  Nothing is held at full length: not x*'s
-    samples, nor any row of r, of L, of a variation or of horizon values;
-    a held path's own samples are only read.
+    All of it comes from one sweep of the plan grid (_sweep), on to the
+    end of x*'s defined prefix, with x* and the three variations sampled
+    on each block side by side, and three consumers: the residual
+    (_Residual), r folded into its maxima between horizons
+    (_horizon_sups); the transversality term (_Transversality), from the
+    residual's d3 row; and the nine competitor rows x* +- amp p and x* +
+    eps p (_Competitors).  The last two are folded into their tail
+    statistics (_TailStats), from which the probes' lim-infs and the
+    Gateaux table are read.  Nothing is held at full length but a held
+    path's own samples.
     """
     ts, a = problem.ts, problem.a
     plan = make_horizon_plan(
@@ -1751,10 +1767,14 @@ def verify_candidate(problem, x_gen, config=VerifyConfig()):
     # rows x* + eps p of the tail-constant one, each folded into its tail
     # statistics, with the Gateaux table's horizons marked
     stats = _TailStats.of_plan(plan, (n_hz // 4, n_hz // 2, n_hz - 1))
-    rows = iter(_sweep(problem, plan.grid, star, idx, [
+    competitors = _Competitors(problem, [
         (lambda t, q=q: np.outer(q(t), ones), signs + gateaux.get(name, ()))
-        for name, q in families], stats, residual=fold,
-        trans=lambda j, terms: trans_stats.fold(trans_row, j, terms[None])))
+        for name, q in families], stats)
+    _sweep(problem, plan.grid, star, idx, [
+        _Residual(problem, fold),
+        _Transversality(lambda j, terms: trans_stats.fold(trans_row, j, terms[None])),
+        competitors])
+    rows = iter(competitors.out)
 
     # sup of |r| over [a, T'] at a quarter, half, three quarters and all of
     # the horizons T', and over the whole prefix

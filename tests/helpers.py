@@ -24,8 +24,11 @@ from tsvar import (
     TimeScaleSpec,
     UnboundedRay,
     classify_limit,
+    delta_derivative_all,
+    sigma_shift_all,
     union,
 )
+from tsvar import variational
 from tsvar.timescale import PointClass, Side, tol_at
 
 #: a comb of 20 unit-spaced half intervals, an isolated point and a ray: 20
@@ -486,6 +489,30 @@ def reference_liminf(T, V, tails, config=LimitConfig()):
             return LimitEstimate(LimitKind.DIVERGES_MINUS, evidence=tuple(zip(cut_T, Q)))
     suffix = np.minimum.accumulate(V[::-1])[::-1]
     return classify_limit(list(zip(tails, suffix[pos])), config)
+
+
+def whole_shift_slope(path):
+    """The sigma-shift and slope of a SampledPath on its whole defined
+    prefix, from the whole-grid sigma_shift_all and delta_derivative_all:
+    the reference for the rows the sweep forms a block at a time."""
+    return sigma_shift_all(path.x)[0][: path.K], delta_derivative_all(path.x)[0][: path.K]
+
+
+def whole_lagrangian_row(problem, path):
+    """L(t, x_sigma(t), x_delta(t)) along a SampledPath at the first K
+    nodes, formed at once, in an array of its own."""
+    shift, slope = whole_shift_slope(path)
+    return np.array(problem.lagrangian.values(path.grid.nodes_at(slice(0, path.K)), shift, slope))
+
+
+def difference_integral(problem, star, idx, competitors, stats=None):
+    """int_a^{T'} [L(x) - L(x*)] at the nodes of ``idx`` for the
+    competitors, (x, eps) pairs, on the SampledPath ``star`` of x*: the
+    sweep with its competitor consumer alone.  The (rows, len(idx)) values,
+    or with the _TailStats ``stats`` each row's statistics."""
+    rows = variational._Competitors(problem, competitors, stats)
+    F = variational._sweep(problem, star.grid, star, idx, [rows])
+    return F if stats is None else rows.out
 
 
 def reference_gateaux(eps_list, t_pos, rows):

@@ -646,6 +646,22 @@ def test_cumulative_at_matches_cumulative_on_fixed_grids(grid, block, data):
     assert_cumulative_at_matches(grid, np.vstack((np.cos(grid.nodes), grid.nodes**2)), idx, block)
 
 
+def test_pairwise_parts_join_to_numpys_sum():
+    """calculus._pairwise cuts n summands where numpy's pairwise sum cuts
+    them, so that its parts, each summed on its own and joined, give
+    np.add.reduce's bits: the rule that lets _blocks cut a horizon segment
+    longer than a block, for blocks of 16 cells (parts of 128), 1000 and
+    the default."""
+    rng = np.random.default_rng(7)
+    for block in (16, 1000, calculus._BLOCK):
+        with mock.patch.object(calculus, "_BLOCK", block):
+            for n in (1, 127, 129, 1000, 33001, 200003):
+                x = rng.standard_normal(n) * np.exp(3.0 * rng.standard_normal(n))
+                cuts = np.cumsum([0] + calculus._pairwise(n))
+                sums = iter([np.add.reduce(x[lo:hi]) for lo, hi in zip(cuts[:-1], cuts[1:])])
+                assert same_bits(calculus._pairwise(n, sums), np.add.reduce(x))
+
+
 def test_cumulative_at_reads_seam_cells_and_few_horizons():
     grid = COMB.build_grid(0.0, 25.0, 0.05)
     seams = calculus._cell_weights(grid, 0, len(grid) - 1)[2]

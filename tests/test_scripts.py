@@ -4,6 +4,7 @@ per case, and the lines of the package a test run leaves unreached."""
 
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -41,17 +42,22 @@ def test_corpus_verdicts_all_match(capsys):
 #: its samples and slope, 45.4 and 32.9 B/node).  The lattice and comb rows,
 #: one block each, read 170.2 and 137.6 B/node, a little above the 163.0
 #: and 130.6 of x*'s whole rows, as the block's buffers hold all three
-#: variations at once; their ceilings stay where they were
-PEAK_CEILINGS = (39.4, 23.9, 179.3, 143.7, 77.9, 53.6)
+#: variations at once; their ceilings stay where they were.  The variation
+#: diagnostics at T' = 10 read 30.6, 28.1 and 32.7 B/node over 100004
+#: nodes: blocks of x*, p and their rows, where x* and p sampled whole and
+#: their rows at full length read 96 to 121
+PEAK_CEILINGS = (39.4, 23.9, 179.3, 143.7, 77.9, 53.6, 33.7, 30.9, 36.0)
 
 
 def test_peak_memory_prints_its_table(capsys):
     code = load_script("peak_memory").main(["--fast", "--json"])
     rows = json.loads(capsys.readouterr().out)["results"]
     assert code == 0
-    assert [row["nodes"] for row in rows] == [160004, 200004, 20004, 29025, 50001, 50001]
+    assert [row["nodes"] for row in rows] == [160004, 200004, 20004, 29025, 50001, 50001,
+                                              100004, 100004, 100004]
     assert [row["verdict"] for row in rows[:4]] == ["consistent"] * 3 + ["not_weakly_maximal"]
-    assert all(row["csv_bytes"] > 0 for row in rows[4:])
+    assert all(row["csv_bytes"] > 0 for row in rows[4:6])
+    assert all(math.isfinite(row["value"]) for row in rows[6:])
     for row, ceiling in zip(rows, PEAK_CEILINGS):
         assert row["peak_bytes"] > 0 and row["seconds"] > 0
         assert row["bytes_per_node"] == row["peak_bytes"] / row["nodes"]

@@ -25,6 +25,7 @@ from tsvar import (
     InadmissiblePath,
     InadmissibleVariation,
     InsufficientHorizons,
+    InvalidWindow,
     Lagrangian,
     LimitConfig,
     LimitEstimate,
@@ -88,6 +89,7 @@ from tsvar.variational import (
 
 from helpers import (
     COMB,
+    difference_integral,
     mask_grid,
     quadratic_lagrangian,
     random_poly,
@@ -95,6 +97,8 @@ from helpers import (
     reference_horizon_idx,
     reference_liminf,
     same_bits,
+    whole_lagrangian_row,
+    whole_shift_slope,
 )
 
 NAT = integer_scale(0)
@@ -335,25 +339,6 @@ def test_lagrangian_results_are_copied_only_to_broadcast_or_convert():
     assert ints.values(t, u, v).dtype == float
 
 
-def test_lagrangian_row_survives_an_integrand_that_reuses_its_output():
-    out = np.empty(0)
-
-    def reused(t, u, v):  # one output array, overwritten by every call
-        nonlocal out
-        if out.shape != t.shape:
-            out = np.empty(t.shape)
-        np.multiply(u[:, 0], u[:, 0], out=out)
-        return out
-
-    lag = Lagrangian(n=1, eval=reused, vectorized=True)
-    prob = Problem(ts=NAT, a=0.0, x_a=np.array([1.0]), lagrangian=lag)
-    path = sample_trajectory(prob, lambda t: 1.0 + np.asarray(t, dtype=float), 6.0, 1.0)
-    row = path.lagrangian_row
-    want = row.copy()
-    lag.values(path.grid.nodes[: path.K], 0.0 * path.shift, path.slope)
-    assert np.array_equal(row, want)
-
-
 def test_scalar_lagrangian_may_return_length_one_arrays():
     # with n = 1, u and v are length-1 rows, so u * u is a length-1 array
     one = Lagrangian(n=1, eval=lambda t, u, v: u * u, d3=lambda t, u, v: 2.0 * v,
@@ -472,23 +457,26 @@ def test_sweep_survives_an_integrand_that_reuses_its_output(monkeypatch):
     """x*'s L row, formed per block in a buffer of the sweep's own, is not
     overwritten by the competitor rows of an integrand that hands back one
     array for every call: the horizon values equal those of the integrand
-    returning fresh arrays, for blocks of 9 cells and for one block."""
+    returning fresh arrays, for blocks of 9 cells and for one block.  So
+    does first_variation, whose d2/d3 rows the sweep forms by finite
+    differences of that integrand."""
     ray = lqr_ray(1.3)
-    fresh = ray.problem
-    lag = fresh.lagrangian
-    reused = dataclasses.replace(fresh, lagrangian=Lagrangian(
-        n=1, eval=reusing_integrand(lag.eval), d2=lag.d2, d3=lag.d3, vectorized=True))
+    lag = ray.problem.lagrangian
+    fresh, reused = (dataclasses.replace(ray.problem, lagrangian=Lagrangian(
+        n=1, eval=fn, vectorized=True)) for fn in (lag.eval, reusing_integrand(lag.eval)))
     plan = make_horizon_plan(fresh.ts, 0.0, 5.0, h=1e-2)
     gen, q = ray.candidate("decaying-exp").gen, smoothstep_tail(0.5, 0.0, 1.0)
     for block in (9, calculus._BLOCK):
         monkeypatch.setattr(calculus, "_BLOCK", block)
-        got = []
+        got, fv = [], []
         for problem in (fresh, reused):
             star = SampledPath.of(problem, gen, plan.grid)
             competitor = SampledPath.of(problem, perturbed_generator(gen, q), plan.grid)
-            got.append(variational._difference_integral(
+            got.append(difference_integral(
                 problem, star, plan.horizon_idx, [(competitor, None), (q, (1.0, -0.1))]))
+            fv.append(first_variation(problem, gen, q, 4.5, h=1e-2))
         assert np.array_equal(got[1], got[0]) and np.all(got[0][:, -1] != 0.0)
+        assert fv[1] == fv[0] != 0.0
 
 
 @pytest.mark.parametrize("x_a, h, fd", [
@@ -721,8 +709,8 @@ def test_streamed_statistics_equal_the_array_route(monkeypatch, named, label, t_
     ]
     marks = (len(hz) // 4, len(hz) // 2, len(hz) - 1)
     stats = variational._TailStats.of_plan(plan, marks)
-    got = variational._difference_integral(problem, star, plan.horizon_idx, competitors, stats)
-    F = variational._difference_integral(problem, star, plan.horizon_idx, competitors)
+    got = difference_integral(problem, star, plan.horizon_idx, competitors, stats)
+    F = difference_integral(problem, star, plan.horizon_idx, competitors)
     assert got.shape == (5, 2 * len(stats.cuts) + 1) and F.shape == (5, len(hz))
     for row, values in zip(got, F):
         assert same_stats(row, stats.of(values))
@@ -741,7 +729,7 @@ def test_gateaux_report_on_a_short_plan_with_repeated_marks():
     gen, pv, eps = neg.candidate("const").gen, pulse_var(), (0.1, -0.01)
     report = gateaux_report(neg.problem, gen, pv, eps, (7.0, 6.9, 9.0), plan)
     star = SampledPath.of(neg.problem, gen, plan.grid)
-    F = variational._difference_integral(neg.problem, star, plan.horizon_idx, [(pv, eps)])
+    F = difference_integral(neg.problem, star, plan.horizon_idx, [(pv, eps)])
     quot, a_values = reference_gateaux(eps, [6, 6, 6], F)
     assert report.t_values == (7.0, 7.0, 7.0)
     assert same_bits(report.quotients, quot) and same_bits(report.a_values, a_values)
@@ -1072,17 +1060,6 @@ def test_solve_keeps_a_pinned_end_exactly():
     assert res.converged and res.trajectory.x.values[-1, 0] == 0.1
     res = solve_truncated(lqr_ray().problem, 3.0, [0.3], h=0.02)
     assert res.converged and res.trajectory.x.values[-1, 0] == 0.3
-
-
-def test_solve_result_samples_its_path_on_first_read(monkeypatch):
-    calls = count_calls(monkeypatch, ("delta_derivative_all", "sigma_shift_all"))
-    res = solve_truncated(lqr_ray().problem, 3.0, h=0.02)
-    assert res.converged and calls == {}
-    slope = res.trajectory.slope
-    assert calls == {"delta_derivative_all": 1, "sigma_shift_all": 1}
-    assert res.trajectory.slope is slope
-    assert res.trajectory.K == len(res.trajectory.shift) == len(slope)
-    assert calls == {"delta_derivative_all": 1, "sigma_shift_all": 1}
 
 
 def quartic_problem():
@@ -1458,6 +1435,63 @@ def test_verify_samples_each_path_once(monkeypatch):
                       slice(idx[-1] - calculus._HALO, report.nodes)]
 
 
+def test_variation_diagnostics_sample_block_by_block(monkeypatch):
+    """first_variation, variation_quotient and parts_decomposition_residual
+    each make one sweep of x* and p: one reduction (_cumulative_at), no
+    whole-grid sampling (GridFunction.from_callable) and no whole-grid
+    shift or slope.  transversality_term on a held path takes the shift
+    and slope of its one node from that node and its _HALO each side."""
+    calls = count_calls(monkeypatch, ("delta_derivative_all", "sigma_shift_all",
+                                      "_cumulative_at"))
+    sample = vars(GridFunction)["from_callable"].__func__
+    monkeypatch.setattr(GridFunction, "from_callable",
+                        classmethod(counted(calls, "from_callable", sample)))
+    ray = lqr_ray(1.268)
+    problem, gen, p = ray.problem, ray.candidate("decaying-exp").gen, smoothstep_tail(1.0, 0.0, 1.0)
+    for run in (lambda: first_variation(problem, gen, p, 7.3, h=1e-3),
+                lambda: variation_quotient(problem, gen, p, 0.1, 7.3, h=1e-3),
+                lambda: parts_decomposition_residual(problem, gen, p, 7.3, h=1e-3)):
+        calls.clear()
+        assert math.isfinite(run())
+        assert calls == {"_cumulative_at": 1}
+    path = sample_trajectory(problem, gen, 10.0, 1e-3)
+    rows = collections.defaultdict(list)
+    for name in ("_shifts", "_slopes"):
+        kernel = getattr(calculus, name)
+        monkeypatch.setattr(variational, name, lambda grid, v, *args, kernel=kernel, name=name: (
+            rows[name].append(len(v)) or kernel(grid, v, *args)))
+    calls.clear()
+    # d3 . x = -2 x' x = 2 x_a^2 e^{-2 T'} along x = x_a e^{-t}
+    assert transversality_term(problem, path, 5.0) == pytest.approx(
+        2.0 * (1.268 * math.exp(-5.0)) ** 2, rel=1e-5)
+    assert calls == {} and len(rows["_shifts"]) == len(rows["_slopes"]) == 1
+    assert max(rows["_shifts"] + rows["_slopes"]) <= 2 * calculus._HALO + 1
+
+
+def test_transversality_term_is_refused_where_the_slope_is_not_defined():
+    """At the last node of a grid that ends dense the slope is undefined."""
+    ray = lqr_ray()
+    path = sample_trajectory(ray.problem, ray.candidate("decaying-exp").gen, 1.0, 0.25)
+    assert path.K == len(path.grid) - 1
+    with pytest.raises(BoundaryUndefined, match="slope undefined"):
+        transversality_term(ray.problem, path, 1.0)
+
+
+def test_problems_and_lagrangians_are_checked_at_construction():
+    """A state dimension below 1, a supplied partial of the wrong shape,
+    x_a of the wrong shape and a start that is not the scale's smallest
+    element are each refused with their error type."""
+    with pytest.raises(DimensionMismatch, match="state dimension"):
+        Lagrangian(n=0, eval=lambda t, u, v: 0.0)
+    with pytest.raises(DimensionMismatch, match="partial shape"):
+        Lagrangian(n=2, eval=lambda t, u, v: u[0] * v[1], d2=lambda t, u, v: 1.0)
+    lag = Lagrangian(n=1, eval=lambda t, u, v: -(v[:, 0] ** 2), vectorized=True)
+    with pytest.raises(DimensionMismatch, match="x_a has shape"):
+        Problem(ts=real_ray(0), a=0.0, x_a=np.array([1.0, 2.0]), lagrangian=lag)
+    with pytest.raises(InvalidWindow, match="smallest element"):
+        Problem(ts=real_ray(0), a=1.0, x_a=np.array([1.0]), lagrangian=lag)
+
+
 def test_verify_reads_competitor_integrals_at_the_horizons_only(monkeypatch):
     ray = lqr_ray()
     calls = count_calls(monkeypatch, ("_cumulative_at", "_cell_values"))
@@ -1500,8 +1534,8 @@ def test_competitor_integrals_do_not_depend_on_the_block_size(monkeypatch, named
     gen = named.candidate(label).gen
     sweeps = []
     blocked = variational._sweep
-    monkeypatch.setattr(variational, "_sweep",
-                        lambda *args, **kw: sweeps.append(blocked(*args, **kw)) or sweeps[-1])
+    monkeypatch.setattr(variational, "_sweep", lambda *args: blocked(*args) or sweeps.append(
+        args[-1][-1].out))  # the statistics of the competitor consumer's nine rows
     runs = []
     for block in blocks:
         monkeypatch.setattr(calculus, "_BLOCK", block)
@@ -1572,7 +1606,7 @@ def full_row_integrals(problem, star, idx, shift, slope):
     calculus._cumulative_at as one block."""
     n = idx[-1] + 1
     row = problem.lagrangian.values(star.grid.nodes[:n], shift[:n], slope[:n]) \
-        - star.lagrangian_row[:n]
+        - whole_lagrangian_row(problem, star)[:n]
     with mock.patch.object(calculus, "_BLOCK", n):
         return calculus._cumulative_at(star.grid, idx, 1,
                                        lambda lo, hi, t: (row[None, lo : hi + 1], np.empty(hi - lo)))[0]
@@ -1595,10 +1629,11 @@ def test_competitor_integrals_equal_the_full_row_reduced_at_the_horizons(
     for q in (smoothstep_tail(0.5, a, span / 5.0), compact_bump(0.5, a + span / 4.0, span / 10.0)):
         var = SampledPath.of(problem, q, plan.grid, variation=True)
         competitor = SampledPath.of(problem, perturbed_generator(gen, q), plan.grid)
-        want = [full_row_integrals(problem, star, idx, competitor.shift, competitor.slope)]
-        want += [full_row_integrals(problem, star, idx, star.shift + eps * var.shift,
-                                    star.slope + eps * var.slope) for eps in eps_list] * 2
-        got = variational._difference_integral(problem, star, idx, [
+        (xs, xd), (ps, pd) = whole_shift_slope(star), whole_shift_slope(var)
+        want = [full_row_integrals(problem, star, idx, *whole_shift_slope(competitor))]
+        want += [full_row_integrals(problem, star, idx, xs + eps * ps, xd + eps * pd)
+                 for eps in eps_list] * 2
+        got = difference_integral(problem, star, idx, [
             (competitor, None), (var, eps_list), (q, eps_list)])
         assert np.array_equal(got, want)
 
@@ -1621,16 +1656,17 @@ def test_bump_rows_call_the_integrand_only_where_the_bump_is(monkeypatch):
     values = Lagrangian.values
     monkeypatch.setattr(Lagrangian, "values",
                         lambda self, t, u, v: spans.append((t[0], t[-1])) or values(self, t, u, v))
-    got = variational._difference_integral(problem, star, idx, [(bump, (1.0, -1.0))])
+    got = difference_integral(problem, star, idx, [(bump, (1.0, -1.0))])
     blocks = calculus._blocks(idx)
+    (xs, xd), (ps, pd) = whole_shift_slope(star), whole_shift_slope(var)
     live = [(nodes[lo], nodes[hi]) for _, _, lo, hi in blocks
-            if var.shift[lo : hi + 1].any() or var.slope[lo : hi + 1].any()]
+            if ps[lo : hi + 1].any() or pd[lo : hi + 1].any()]
     assert spans == [span for span in live for _ in ("x*", 1.0, -1.0)]
     assert 0 < len(live) <= len(blocks) // 3
     assert all(lo <= 3.5 and hi >= 1.5 for lo, hi in live)
     monkeypatch.setattr(Lagrangian, "values", values)
-    want = [full_row_integrals(problem, star, idx, star.shift + eps * var.shift,
-                               star.slope + eps * var.slope) for eps in (1.0, -1.0)]
+    want = [full_row_integrals(problem, star, idx, xs + eps * ps, xd + eps * pd)
+            for eps in (1.0, -1.0)]
     assert np.array_equal(got, want)
 
 
@@ -1668,8 +1704,8 @@ def test_paths_read_by_the_sweep_are_checked_as_whole_paths():
         assert weak_max_compare(problem, held, held, plan_).value == 0.0
         assert weak_max_compare(problem, gen, held, plan_).value == 0.0
     with pytest.raises(BoundaryUndefined, match="horizon nodes exceed"):
-        variational._sweep(problem, plan.grid, held, np.arange(1, 24),
-                           [(smoothstep_tail(0.5, 0.0, 4.0), (0.1,))])
+        variational._sweep(problem, plan.grid, held, np.arange(1, 24), [
+            variational._Competitors(problem, [(smoothstep_tail(0.5, 0.0, 4.0), (0.1,))])])
 
 
 def test_variations_sampled_block_by_block_are_checked(monkeypatch):
@@ -1699,11 +1735,17 @@ def test_variations_sampled_block_by_block_are_checked(monkeypatch):
 ], ids=["lqr-r", "comb-seams", "lqr-z"])
 def test_variation_quotient_does_not_depend_on_the_block_size(monkeypatch, named, label,
                                                               t_prime, h):
+    """variation_quotient, first_variation and parts_decomposition_residual
+    read their one T' from a sweep whose blocks cut the one horizon
+    segment where numpy's pairwise sum cuts it: the same bits for blocks of
+    16 cells (parts of 128), of 1000 and of the whole segment."""
     gen, pulse = named.candidate(label).gen, decaying_pulse(0.5, named.problem.a, 0.2)
     got = set()
     for block in (16, 1000, 1 << 20):
         monkeypatch.setattr(calculus, "_BLOCK", block)
-        got.add(variation_quotient(named.problem, gen, pulse, 0.1, t_prime, h=h))
+        got.add((variation_quotient(named.problem, gen, pulse, 0.1, t_prime, h=h),
+                 first_variation(named.problem, gen, pulse, t_prime, h=h),
+                 parts_decomposition_residual(named.problem, gen, pulse, t_prime, h=h)))
     assert len(got) == 1
 
 
@@ -1799,8 +1841,7 @@ def report_from_generators(problem, gen, config):
         for eps in (1.0, -1.0):
             star = SampledPath.of(problem, gen, plan.grid)
             var = SampledPath.of(problem, maker(amp, **kw), plan.grid, variation=True)
-            F = variational._difference_integral(problem, star, plan.horizon_idx,
-                                                 [(var, (eps,))])[0]
+            F = difference_integral(problem, star, plan.horizon_idx, [(var, (eps,))])[0]
             probes.append((f"{name}({eps * amp:+g})", liminf_over_tails(
                 np.column_stack((plan.horizons, F)), plan.tail_values, config.limits)))
     tail = SampledPath.of(problem, smoothstep_tail(amp, a, span / 5.0), plan.grid, variation=True)
